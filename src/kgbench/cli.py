@@ -191,6 +191,9 @@ def cmd_score(args) -> int:
     empty_a = protocol.SubmissionA(team)
     scored_a: set[str] = set()
     scored_c: set[str] = set()
+    # one report is one team: at most one file per query type, one team name
+    file_of_type: dict[type, str] = {}
+    first: tuple[str, str] | None = None  # (file, team) of the first submission
 
     for sub_path in args.submissions:
         try:
@@ -199,6 +202,21 @@ def cmd_score(args) -> int:
             )
         except (protocol.ProtocolError, ValueError) as exc:
             raise CliError(f"{sub_path}: {exc}", EXIT_CONTENT) from None
+        if type(sub) in file_of_type:
+            raise CliError(
+                f"{file_of_type[type(sub)]} and {sub_path} are submissions of the "
+                "same query type; score one file per type",
+                EXIT_CONTENT,
+            )
+        file_of_type[type(sub)] = sub_path
+        if first is None:
+            first = (sub_path, sub.team)
+        elif sub.team != first[1]:
+            raise CliError(
+                f"{first[0]} is team {first[1]!r} but {sub_path} is team "
+                f"{sub.team!r}; score one team per call",
+                EXIT_CONTENT,
+            )
         for d in diagnostics:
             print(f"{sub_path}: {d}", file=sys.stderr)
         team = sub.team or team

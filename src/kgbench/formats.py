@@ -32,6 +32,11 @@ def has_errors(diagnostics: list[ParseDiagnostic]) -> bool:
     return any(d.severity == ERROR for d in diagnostics)
 
 
+def _is_decimal(text: str) -> bool:
+    """ASCII [0-9]+ only; str.isdigit() alone also accepts '²' and '٣'."""
+    return text.isascii() and text.isdigit()
+
+
 class _GraphAssembler:
     """Shared semantic layer: numeric file-local ids -> canonical NodeIds,
     duplicate-direction tolerance, unknown-relation policy."""
@@ -127,13 +132,17 @@ def parse_tgf(
             continue
         parts = line.split(None, 1)
         if not seen_separator:
-            if len(parts) != 2 or not parts[0].isdigit():
+            if len(parts) != 2 or not _is_decimal(parts[0]):
                 asm.error(lineno, f"malformed node line: {line!r}")
                 continue
             asm.add_node(lineno, int(parts[0]), parts[1])
         else:
             parts = line.split(None, 2)
-            if len(parts) != 3 or not parts[0].isdigit() or not parts[1].isdigit():
+            if (
+                len(parts) != 3
+                or not _is_decimal(parts[0])
+                or not _is_decimal(parts[1])
+            ):
                 asm.error(lineno, f"malformed edge line: {line!r}")
                 continue
             asm.add_edge(lineno, int(parts[0]), int(parts[1]), parts[2])

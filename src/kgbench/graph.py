@@ -78,7 +78,6 @@ class KnowledgeGraph:
     ontology: RelationOntology
     nodes: frozenset[NodeId] = frozenset()
     edges: frozenset[Edge] = frozenset()
-    display_labels: tuple[tuple[NodeId, str], ...] = ()
 
     @property
     def node_count(self) -> int:
@@ -88,14 +87,11 @@ class KnowledgeGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def add_node(self, node: NodeId, label: str | None = None) -> "KnowledgeGraph":
+    def add_node(self, node: NodeId) -> "KnowledgeGraph":
         """Idempotent; returns a new graph with the node present."""
-        labels = self.display_labels
-        if label is not None:
-            labels = tuple(p for p in labels if p[0] != node) + ((node, label),)
-        if node in self.nodes and labels == self.display_labels:
+        if node in self.nodes:
             return self
-        return replace(self, nodes=self.nodes | {node}, display_labels=labels)
+        return replace(self, nodes=self.nodes | {node})
 
     def add_edge(self, src: NodeId, relation: str, dst: NodeId) -> "KnowledgeGraph":
         """Add a stored directed edge.  Rejects self-loops, unknown endpoints
@@ -151,12 +147,6 @@ class KnowledgeGraph:
         if relation not in self.ontology:
             raise GraphError(f"unknown relation: {relation!r}")
         return sum(1 for _, r in self.neighbors(node) if r == relation)
-
-    def display_label(self, node: NodeId) -> str:
-        for n, label in self.display_labels:
-            if n == node:
-                return label
-        return node.canonical
 
     def sorted_nodes(self) -> list[NodeId]:
         return sorted(self.nodes, key=lambda n: n.canonical)

@@ -12,6 +12,13 @@ Query files (one document per type):
     <QC><Query id="Q.C.1" max_edges="8"><Source>...</Source>
         <Target>...</Target></Query></QC>
 
+A key file is the query document plus payload.  Its root is QAKey/QBKey/QCKey,
+carrying the generation params as attributes, after a CONFIDENTIAL comment.
+Each Query keeps its query elements and then lists its key: every solution
+as <Binding index="1"><Var name="Unknown_1">Person:Homer</Var>...</Binding>
+(QA), the one <Correct index="2">Relation:Teacher_at</Correct> (QB), or every
+route as <Path> (QC).  In a query file a payload element is an unknown element.
+
 Submission files (root carries a required team attribute):
     <QA team="t"><Query id="..."><Answer var="Unknown_1" rank="1"
         confidence="0.9">Person:Homer</Answer>...</Query></QA>
@@ -19,8 +26,6 @@ Submission files (root carries a required team attribute):
     <QC team="t"><Query id="..."><Path index="1"><Source>...</Source>
         <Edge>Relation:...</Edge><Node>...</Node>...<Target>...</Target>
         </Path>...</Query></QC>
-
-Key files use roots QAKey/QBKey/QCKey and are never embedded in query files.
 
 Relation labels encode spaces as underscores inside "Relation:..." text;
 node names keep literal spaces.  Variables are recognized by the
@@ -76,7 +81,7 @@ class SubmissionC:
     answers: dict[str, list[Path]] = field(default_factory=dict)
 
 
-# --- text encodings ------------------------------------------------------
+# --- text and element encodings -------------------------------------------
 
 
 def encode_relation(relation: str) -> str:
@@ -97,7 +102,10 @@ def encode_node_ref(ref: NodeId | Variable) -> str:
 
 
 def decode_node_ref(text: str) -> NodeId | Variable:
-    node = NodeId.parse(text)
+    try:
+        node = NodeId.parse(text)
+    except GraphError as exc:
+        raise ProtocolError(str(exc)) from None
     if is_variable_name(node.name):
         category = None if node.category == "Any" else node.category
         return Variable(node.name, category)
@@ -109,9 +117,6 @@ def decode_node(text: str) -> NodeId:
     if isinstance(ref, Variable):
         raise ProtocolError(f"variable where a concrete node was expected: {text!r}")
     return ref
-
-
-# --- emit helpers ---------------------------------------------------------
 
 
 def _document(root: ET.Element, header_comment: str | None = None) -> str:
@@ -138,10 +143,8 @@ def _parse_path_element(el: ET.Element) -> Path:
     children = list(el)
     if len(children) < 3 or len(children) % 2 == 0:
         raise ProtocolError("path must alternate Source/Edge/Node/.../Target")
-    expected = ["Source"]
-    for _ in range((len(children) - 3) // 2):
-        expected += ["Edge", "Node"]
-    expected += ["Edge", "Target"]
+    inner = (len(children) - 3) // 2
+    expected = ["Source"] + ["Edge", "Node"] * inner + ["Edge", "Target"]
     tags = [c.tag for c in children]
     if tags != expected:
         raise ProtocolError(
@@ -152,46 +155,21 @@ def _parse_path_element(el: ET.Element) -> Path:
     return Path(tuple(nodes), tuple(relations))
 
 
-# --- query files -----------------------------------------------------------
-
+# --- query and key files ----------------------------------------------------
 
 _ROOT_FOR_TYPE = {FillQuery: "QA", ChoiceQuery: "QB", PathQuery: "QC"}
-
-
-def emit_query_xml(queries: list[Query]) -> str:
-    """One document per type; mixing types in one call is rejected.  Answer
-    keys are never serialized here."""
-    kinds = {type(q) for q in queries}
-    if len(kinds) > 1:
-        raise ProtocolError("query files hold a single query type")
-    root_tag = _ROOT_FOR_TYPE[kinds.pop()] if kinds else "QA"
-    root = ET.Element(root_tag)
-    for q in queries:
-        if isinstance(q, FillQuery):
-            qel = ET.SubElement(root, "Query", {"id": q.id})
-            for t in q.triples:
-                tel = ET.SubElement(qel, "Triple")
-                ET.SubElement(tel, "Subject").text = encode_node_ref(t.subject)
-                ET.SubElement(tel, "Pred").text = encode_relation(t.relation)
-                ET.SubElement(tel, "Object").text = encode_node_ref(t.object)
-        elif isinstance(q, ChoiceQuery):
-            qel = ET.SubElement(root, "Query", {"id": q.id})
-            ET.SubElement(qel, "Subject").text = q.subject.canonical
-            ET.SubElement(qel, "Pred").text = "Relation:Unknown_1"
-            ET.SubElement(qel, "Object").text = q.object.canonical
-            for i, option in enumerate(q.options, start=1):
-                oel = ET.SubElement(qel, "Option", {"index": str(i)})
-                oel.text = encode_relation(option)
-        else:
-            qel = ET.SubElement(root, "Query", {"id": q.id, "max_edges": str(q.max_edges)})
-            ET.SubElement(qel, "Source").text = q.source.canonical
-            ET.SubElement(qel, "Target").text = q.target.canonical
-    return _document(root)
+CONFIDENTIAL_COMMENT = "CONFIDENTIAL answer key - do not distribute to participants"
 
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ProtocolError(message)
+
+
+def _decimal(text: str | None, message: str) -> int:
+    """ASCII [0-9]+ only; str.isdigit() alone also accepts '²' and '٣'."""
+    _require(text is not None and text.isascii() and text.isdigit(), message)
+    return int(text)
 
 
 def _load_root(text: str, allowed_tags: tuple[str, ...]) -> ET.Element:
@@ -206,145 +184,63 @@ def _load_root(text: str, allowed_tags: tuple[str, ...]) -> ET.Element:
     return root
 
 
-def parse_query_xml(text: str) -> list[Query]:
-    """Keyless structural queries for participant-side tooling.  Parsed
-    FillQuery/ChoiceQuery/PathQuery carry empty/zero keys."""
-    root = _load_root(text, ("QA", "QB", "QC"))
-    queries: list[Query] = []
-    seen_ids: set[str] = set()
-    for qel in root:
-        _require(qel.tag == "Query", f"unknown element {qel.tag!r}")
-        qid = qel.get("id")
-        _require(bool(qid), "Query without an id attribute")
-        _require(qid not in seen_ids, f"duplicate query id {qid!r}")
-        seen_ids.add(qid)
-        if root.tag == "QA":
-            triples = []
-            for tel in qel:
-                _require(tel.tag == "Triple", f"unknown element {tel.tag!r} in {qid}")
-                parts = {c.tag: (c.text or "") for c in tel}
-                _require(
-                    set(parts) == {"Subject", "Pred", "Object"},
-                    f"{qid}: Triple needs Subject/Pred/Object",
-                )
-                triples.append(
-                    PatternTriple(
-                        decode_node_ref(parts["Subject"]),
-                        decode_relation(parts["Pred"]),
-                        decode_node_ref(parts["Object"]),
-                    )
-                )
-            _require(bool(triples), f"{qid}: fill query without triples")
-            queries.append(FillQuery(qid, tuple(triples), frozenset()))
-        elif root.tag == "QB":
-            parts: dict[str, str] = {}
-            options: list[tuple[int, str]] = []
-            for cel in qel:
-                if cel.tag == "Option":
-                    idx = cel.get("index")
-                    _require(
-                        idx is not None and idx.isdigit(),
-                        f"{qid}: Option without a numeric index",
-                    )
-                    options.append((int(idx), decode_relation(cel.text or "")))
-                elif cel.tag in ("Subject", "Pred", "Object"):
-                    parts[cel.tag] = cel.text or ""
-                else:
-                    raise ProtocolError(f"unknown element {cel.tag!r} in {qid}")
-            _require(
-                set(parts) == {"Subject", "Pred", "Object"},
-                f"{qid}: choice query needs Subject/Pred/Object",
-            )
-            _require(bool(options), f"{qid}: choice query without options")
-            options.sort()
-            _require(
-                [i for i, _ in options] == list(range(1, len(options) + 1)),
-                f"{qid}: option indices must be 1..n",
-            )
-            queries.append(
-                ChoiceQuery(
-                    qid,
-                    decode_node(parts["Subject"]),
-                    decode_node(parts["Object"]),
-                    tuple(label for _, label in options),
-                    -1,
-                )
-            )
-        else:
-            parts = {c.tag: (c.text or "") for c in qel}
-            _require(
-                set(parts) == {"Source", "Target"},
-                f"{qid}: path query needs Source and Target",
-            )
-            max_edges = qel.get("max_edges", "8")
-            _require(max_edges.isdigit(), f"{qid}: bad max_edges")
-            queries.append(
-                PathQuery(
-                    qid,
-                    decode_node(parts["Source"]),
-                    decode_node(parts["Target"]),
-                    int(max_edges),
-                    frozenset(),
-                )
-            )
-    return queries
-
-
-# --- answer-key files -------------------------------------------------------
-
-CONFIDENTIAL_COMMENT = "CONFIDENTIAL answer key - do not distribute to participants"
-
-
-def emit_key_xml(queries: list[Query], params: dict[str, str] | None = None) -> str:
-    """Sealed answer keys.  Key files are self-contained: they restate the
-    query structure alongside the key material, so scoring needs only the
-    key file and the submission."""
-    kinds = {type(q) for q in queries}
-    if len(kinds) > 1:
-        raise ProtocolError("key files hold a single query type")
-    root_tag = (_ROOT_FOR_TYPE[kinds.pop()] if kinds else "QA") + "Key"
-    root = ET.Element(root_tag, dict(sorted((params or {}).items())))
-    for q in queries:
-        qel = ET.SubElement(root, "Query", {"id": q.id})
-        if isinstance(q, FillQuery):
-            for t in q.triples:
-                tel = ET.SubElement(qel, "Triple")
-                ET.SubElement(tel, "Subject").text = encode_node_ref(t.subject)
-                ET.SubElement(tel, "Pred").text = encode_relation(t.relation)
-                ET.SubElement(tel, "Object").text = encode_node_ref(t.object)
-            for i, binding in enumerate(
-                sorted(q.key, key=lambda b: sorted((n, v.canonical) for n, v in b)),
-                start=1,
-            ):
-                bel = ET.SubElement(qel, "Binding", {"index": str(i)})
-                for name, node in sorted(binding):
-                    vel = ET.SubElement(bel, "Var", {"name": name})
-                    vel.text = node.canonical
-        elif isinstance(q, ChoiceQuery):
-            ET.SubElement(qel, "Subject").text = q.subject.canonical
-            ET.SubElement(qel, "Pred").text = "Relation:Unknown_1"
-            ET.SubElement(qel, "Object").text = q.object.canonical
-            for i, option in enumerate(q.options, start=1):
-                oel = ET.SubElement(qel, "Option", {"index": str(i)})
-                oel.text = encode_relation(option)
+def _write_query(qel: ET.Element, q: Query, keyed: bool) -> None:
+    """A query's elements, then in a key file its payload."""
+    if isinstance(q, FillQuery):
+        for t in q.triples:
+            tel = ET.SubElement(qel, "Triple")
+            ET.SubElement(tel, "Subject").text = encode_node_ref(t.subject)
+            ET.SubElement(tel, "Pred").text = encode_relation(t.relation)
+            ET.SubElement(tel, "Object").text = encode_node_ref(t.object)
+        if not keyed:
+            return
+        for i, binding in enumerate(
+            sorted(q.key, key=lambda b: sorted((n, v.canonical) for n, v in b)),
+            start=1,
+        ):
+            bel = ET.SubElement(qel, "Binding", {"index": str(i)})
+            for name, node in sorted(binding):
+                vel = ET.SubElement(bel, "Var", {"name": name})
+                vel.text = node.canonical
+    elif isinstance(q, ChoiceQuery):
+        ET.SubElement(qel, "Subject").text = q.subject.canonical
+        ET.SubElement(qel, "Pred").text = "Relation:Unknown_1"
+        ET.SubElement(qel, "Object").text = q.object.canonical
+        for i, option in enumerate(q.options, start=1):
+            oel = ET.SubElement(qel, "Option", {"index": str(i)})
+            oel.text = encode_relation(option)
+        if keyed:
             cel = ET.SubElement(qel, "Correct", {"index": str(q.key + 1)})
             cel.text = encode_relation(q.options[q.key])
-        else:
-            qel.set("max_edges", str(q.max_edges))
-            ET.SubElement(qel, "Source").text = q.source.canonical
-            ET.SubElement(qel, "Target").text = q.target.canonical
-            for i, path in enumerate(
-                sorted(q.key, key=lambda p: (p.length, p.sort_key())), start=1
-            ):
-                qel.append(_path_element(path, i))
-    return _document(root, CONFIDENTIAL_COMMENT)
+    else:
+        qel.set("max_edges", str(q.max_edges))
+        ET.SubElement(qel, "Source").text = q.source.canonical
+        ET.SubElement(qel, "Target").text = q.target.canonical
+        if not keyed:
+            return
+        for i, path in enumerate(
+            sorted(q.key, key=lambda p: (p.length, p.sort_key())), start=1
+        ):
+            qel.append(_path_element(path, i))
 
 
-def parse_key_xml(text: str) -> tuple[list[Query], dict[str, str]]:
-    """Inverse of emit_key_xml: full Query values with their answer keys,
-    plus the parameter echo from the root attributes."""
-    root = _load_root(text, ("QAKey", "QBKey", "QCKey"))
-    params = dict(root.attrib)
+def _emit_document(queries: list[Query], suffix: str, params: dict[str, str]) -> str:
+    kinds = {type(q) for q in queries}
+    _require(len(kinds) <= 1, "query and key files hold a single query type")
+    root_tag = (_ROOT_FOR_TYPE[kinds.pop()] if kinds else "QA") + suffix
+    root = ET.Element(root_tag, dict(sorted(params.items())))
+    keyed = root.tag.endswith("Key")
+    for q in queries:
+        qel = ET.SubElement(root, "Query", {"id": q.id})
+        _write_query(qel, q, keyed)
+    return _document(root, CONFIDENTIAL_COMMENT if keyed else None)
+
+
+def _read_document(
+    text: str, allowed_tags: tuple[str, ...]
+) -> tuple[list[Query], dict[str, str]]:
+    root = _load_root(text, allowed_tags)
+    keyed = root.tag.endswith("Key")
     queries: list[Query] = []
     seen: set[str] = set()
     for qel in root:
@@ -353,7 +249,7 @@ def parse_key_xml(text: str) -> tuple[list[Query], dict[str, str]]:
         _require(bool(qid), "Query without an id attribute")
         _require(qid not in seen, f"duplicate query id {qid!r}")
         seen.add(qid)
-        if root.tag == "QAKey":
+        if root.tag.startswith("QA"):
             triples = []
             bindings = set()
             for cel in qel:
@@ -370,7 +266,7 @@ def parse_key_xml(text: str) -> tuple[list[Query], dict[str, str]]:
                             decode_node_ref(parts["Object"]),
                         )
                     )
-                elif cel.tag == "Binding":
+                elif cel.tag == "Binding" and keyed:
                     pairs = []
                     for vel in cel:
                         _require(vel.tag == "Var", f"unknown element {vel.tag!r}")
@@ -380,75 +276,90 @@ def parse_key_xml(text: str) -> tuple[list[Query], dict[str, str]]:
                     bindings.add(frozenset(pairs))
                 else:
                     raise ProtocolError(f"unknown element {cel.tag!r} in {qid}")
-            _require(bool(triples), f"{qid}: key without query triples")
+            _require(bool(triples), f"{qid}: fill query without triples")
             queries.append(FillQuery(qid, tuple(triples), frozenset(bindings)))
-        elif root.tag == "QBKey":
+        elif root.tag.startswith("QB"):
             parts: dict[str, str] = {}
             options: list[tuple[int, str]] = []
             correct: list[int] = []
             for cel in qel:
-                if cel.tag == "Option":
-                    idx = cel.get("index")
-                    _require(
-                        idx is not None and idx.isdigit(),
-                        f"{qid}: Option without a numeric index",
-                    )
-                    options.append((int(idx), decode_relation(cel.text or "")))
-                elif cel.tag == "Correct":
-                    idx = cel.get("index")
-                    _require(
-                        idx is not None and idx.isdigit(),
-                        f"{qid}: Correct without a numeric index",
-                    )
-                    correct.append(int(idx))
+                if cel.tag == "Option" or (cel.tag == "Correct" and keyed):
+                    message = f"{qid}: {cel.tag} without a numeric index"
+                    index = _decimal(cel.get("index"), message)
+                    if cel.tag == "Correct":
+                        correct.append(index)
+                    else:
+                        options.append((index, decode_relation(cel.text or "")))
                 elif cel.tag in ("Subject", "Pred", "Object"):
                     parts[cel.tag] = cel.text or ""
                 else:
                     raise ProtocolError(f"unknown element {cel.tag!r} in {qid}")
             _require(
                 set(parts) == {"Subject", "Pred", "Object"},
-                f"{qid}: key needs Subject/Pred/Object",
+                f"{qid}: choice query needs Subject/Pred/Object",
             )
-            _require(len(correct) == 1, f"{qid}: need exactly one Correct")
+            if keyed:
+                _require(len(correct) == 1, f"{qid}: need exactly one Correct")
+            _require(bool(options), f"{qid}: choice query without options")
             options.sort()
             _require(
                 [i for i, _ in options] == list(range(1, len(options) + 1)),
                 f"{qid}: option indices must be 1..n",
             )
-            _require(
-                1 <= correct[0] <= len(options), f"{qid}: Correct index out of range"
-            )
+            in_range = all(1 <= i <= len(options) for i in correct)
+            _require(in_range, f"{qid}: Correct index out of range")
             queries.append(
                 ChoiceQuery(
                     qid,
                     decode_node(parts["Subject"]),
                     decode_node(parts["Object"]),
                     tuple(label for _, label in options),
-                    correct[0] - 1,
+                    correct[0] - 1 if correct else -1,
                 )
             )
         else:
-            source = target = None
+            ends: dict[str, NodeId] = {}
             paths = set()
             for cel in qel:
-                if cel.tag == "Source":
-                    source = decode_node(cel.text or "")
-                elif cel.tag == "Target":
-                    target = decode_node(cel.text or "")
-                elif cel.tag == "Path":
+                if cel.tag in ("Source", "Target"):
+                    ends[cel.tag] = decode_node(cel.text or "")
+                elif cel.tag == "Path" and keyed:
                     paths.add(_parse_path_element(cel))
                 else:
                     raise ProtocolError(f"unknown element {cel.tag!r} in {qid}")
             _require(
-                source is not None and target is not None,
-                f"{qid}: key needs Source and Target",
+                set(ends) == {"Source", "Target"},
+                f"{qid}: path query needs Source and Target",
             )
-            max_edges = qel.get("max_edges", "8")
-            _require(max_edges.isdigit(), f"{qid}: bad max_edges")
-            queries.append(
-                PathQuery(qid, source, target, int(max_edges), frozenset(paths))
-            )
-    return queries, params
+            max_edges = _decimal(qel.get("max_edges", "8"), f"{qid}: bad max_edges")
+            source, target = ends["Source"], ends["Target"]
+            queries.append(PathQuery(qid, source, target, max_edges, frozenset(paths)))
+    return queries, dict(root.attrib)
+
+
+def emit_query_xml(queries: list[Query]) -> str:
+    """One document per type; mixing types in one call is rejected.  Answer
+    keys are never serialized here."""
+    return _emit_document(queries, "", {})
+
+
+def parse_query_xml(text: str) -> list[Query]:
+    """Keyless structural queries for participant-side tooling.  Parsed
+    FillQuery/ChoiceQuery/PathQuery carry empty/zero keys."""
+    return _read_document(text, ("QA", "QB", "QC"))[0]
+
+
+def emit_key_xml(queries: list[Query], params: dict[str, str] | None = None) -> str:
+    """Sealed answer keys.  Key files are self-contained: they restate the
+    query structure alongside the key material, so scoring needs only the
+    key file and the submission."""
+    return _emit_document(queries, "Key", params or {})
+
+
+def parse_key_xml(text: str) -> tuple[list[Query], dict[str, str]]:
+    """Inverse of emit_key_xml: full Query values with their answer keys,
+    plus the parameter echo from the root attributes."""
+    return _read_document(text, ("QAKey", "QBKey", "QCKey"))
 
 
 # --- submissions -------------------------------------------------------------
@@ -518,11 +429,13 @@ def parse_submission_xml(
             warn(qid, "submission references an unknown query id; ignored")
             continue
         query = by_id[qid]
+        if _ROOT_FOR_TYPE[type(query)] != root.tag:
+            kind = {"QA": "fill", "QB": "choice", "QC": "path"}[root.tag]
+            warn(qid, f"query id is not a {kind} query; ignored")
+            continue
         if root.tag == "QA":
-            if not isinstance(query, FillQuery):
-                warn(qid, "query id is not a fill query; ignored")
-                continue
             raw: dict[str, list[tuple[int, float, NodeId]]] = {}
+            declared: dict[str, list[tuple[int, str]]] = {}
             for order, ael in enumerate(qel):
                 if ael.tag != "Answer":
                     warn(qid, f"ignored element {ael.tag!r}")
@@ -531,6 +444,8 @@ def parse_submission_xml(
                 if not var or var not in query.variables:
                     warn(qid, f"answer for unknown variable {var!r}; dropped")
                     continue
+                # the rank check below also covers answers dropped from here on
+                declared.setdefault(var, []).append((order, ael.get("rank")))
                 try:
                     conf = float(ael.get("confidence", "nan"))
                     node = decode_node(ael.text or "")
@@ -546,21 +461,15 @@ def parse_submission_xml(
                 # declared rank attributes must agree or the set is flagged
                 ordered = sorted(items, key=lambda t: (-t[1], t[0]))
                 rank_of_order = {o: str(i + 1) for i, (o, _, _) in enumerate(ordered)}
-                for order, ael in enumerate(qel):
-                    if ael.tag != "Answer" or ael.get("var") != var:
-                        continue
-                    declared = ael.get("rank")
-                    if declared is not None and rank_of_order.get(order) != declared:
+                for order, rank in declared.get(var, ()):
+                    if rank is not None and rank_of_order.get(order) != rank:
                         warn(
                             qid,
-                            f"declared rank {declared} for {var} disagrees "
+                            f"declared rank {rank} for {var} disagrees "
                             "with confidence ordering",
                         )
                 sub.answers[qid][var] = [(node, conf) for _, conf, node in ordered]
         elif root.tag == "QB":
-            if not isinstance(query, ChoiceQuery):
-                warn(qid, "query id is not a choice query; ignored")
-                continue
             answers = [c for c in qel if c.tag == "Answer"]
             if len(answers) != 1:
                 warn(qid, f"expected exactly one Answer, got {len(answers)}; dropped")
@@ -570,9 +479,6 @@ def parse_submission_xml(
             except ProtocolError as exc:
                 warn(qid, f"unparseable answer dropped: {exc}")
         else:
-            if not isinstance(query, PathQuery):
-                warn(qid, "query id is not a path query; ignored")
-                continue
             for pel in qel:
                 if pel.tag != "Path":
                     warn(qid, f"ignored element {pel.tag!r}")

@@ -180,3 +180,38 @@ def test_score_unknown_ids_exit_zero(tmp_path, capsys):
         == 0
     )
     assert "unknown query id" in capsys.readouterr().err
+
+
+def test_score_rejects_two_teams(tmp_path, capsys):
+    out = run_pipeline(tmp_path)
+    other = tmp_path / "other_b.xml"
+    text = (out / "sub_b.xml").read_text()
+    other.write_text(text.replace('team="oracle"', 'team="other"'))
+    code = main(
+        ["score", *graph_args(), "--keys", *(str(out / f"keys_{t}.xml") for t in "ab"),
+         "--submissions", str(out / "sub_a.xml"), str(other),
+         "--out", str(tmp_path / "rep")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(out / "sub_a.xml") in err and str(other) in err
+    assert "one team per call" in err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_score_rejects_two_files_of_one_type(tmp_path, capsys):
+    # a second Type-A file would double the per-query entries of one report
+    out = run_pipeline(tmp_path)
+    other = tmp_path / "other_a.xml"
+    text = (out / "sub_a.xml").read_text()
+    other.write_text(text.replace('team="oracle"', 'team="other"'))
+    code = main(
+        ["score", *graph_args(), "--keys", str(out / "keys_a.xml"),
+         "--submissions", str(out / "sub_a.xml"), str(other),
+         "--out", str(tmp_path / "rep")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(out / "sub_a.xml") in err and str(other) in err
+    assert "same query type" in err
+    assert not (tmp_path / "rep").exists()

@@ -41,6 +41,21 @@ def test_tgf_label_without_category():
     assert any("category prefix" in d.message for d in diags)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "\u00b2 Person:A\n#\n",
+        "\u0663 Person:A\n#\n",
+        "1 Person:A\n2 Person:B\n#\n1 \u00b2 Spouse of\n",
+        "1 Person:A\n2 Person:B\n#\n\u0661 2 Spouse of\n",
+    ],
+)
+def test_tgf_ids_are_ascii_decimal(text):
+    g, diags = parse_tgf(text, ONT)
+    assert g is None
+    assert any("malformed" in d.message for d in diags)
+
+
 def test_tgf_unknown_relation_strict_vs_permissive():
     text = "1 Person:A\n2 Person:B\n#\n1 2 Owns\n"
     g, diags = parse_tgf(text, ONT)

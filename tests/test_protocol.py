@@ -126,6 +126,52 @@ def test_query_errors():
         parse_query_xml('<QA><Query id="Q.A.1"><Bogus/></Query></QA>')
 
 
+def test_key_payload_is_unknown_in_query_files(simpsons):
+    for queries in (
+        generate_fill(simpsons, 3, 2),
+        generate_choice(simpsons, 4, 2),
+        generate_path(simpsons, 5, 1, 4),
+    ):
+        key_text = emit_key_xml(queries)
+        # the key document under a query root: query elements plus payload
+        text = key_text.replace("Key>", ">").replace("Key ", " ")
+        payload = "unknown element '(Binding|Correct|Path)'"
+        with pytest.raises(ProtocolError, match=payload):
+            parse_query_xml(text)
+        assert parse_key_xml(key_text)[0] == queries
+
+
+@pytest.mark.parametrize("bad", ["\u00b2", "\u0663", "-1", " 1", "1_0", ""])
+def test_numeric_attributes_are_ascii_decimal(bad):
+    choice = emit_query_xml([ChoiceQuery("Q.B.1", person("A"), person("B"), ("X",), 0)])
+    with pytest.raises(ProtocolError, match="Option without a numeric index"):
+        parse_query_xml(choice.replace('index="1"', f'index="{bad}"'))
+    key = emit_key_xml([ChoiceQuery("Q.B.1", person("A"), person("B"), ("X",), 0)])
+    with pytest.raises(ProtocolError, match="Correct without a numeric index"):
+        parse_key_xml(key.replace('<Correct index="1"', f'<Correct index="{bad}"'))
+    for text, parse in (
+        (emit_query_xml([PATH_QUERY]), parse_query_xml),
+        (emit_key_xml([PATH_QUERY]), parse_key_xml),
+    ):
+        with pytest.raises(ProtocolError, match="bad max_edges"):
+            parse(text.replace('max_edges="4"', f'max_edges="{bad}"'))
+
+
+def test_malformed_node_id_is_a_protocol_error():
+    text = (
+        '<QA><Query id="Q.A.1"><Triple><Subject>nocolon</Subject>'
+        "<Pred>Relation:Spouse_of</Pred><Object>Person:Marge</Object></Triple>"
+        "</Query></QA>"
+    )
+    with pytest.raises(ProtocolError, match="node id without a category prefix"):
+        parse_query_xml(text)
+    key = emit_key_xml([PATH_QUERY]).replace(
+        "<Target>Person:Lenny", "<Target>Lenny", 1
+    )
+    with pytest.raises(ProtocolError, match="node id without a category prefix"):
+        parse_key_xml(key)
+
+
 def test_key_round_trips(simpsons):
     fill = generate_fill(simpsons, 3, 3)
     choice = generate_choice(simpsons, 4, 3)
@@ -189,6 +235,34 @@ def test_submission_a_inconsistent_rank_flagged():
     assert any("disagrees" in d.message for d in diags)
     # confidence ordering wins
     assert parsed.answers["Q.A.1"]["Unknown_1"][0][0] == person("Homer")
+
+
+def test_submission_a_rank_check_covers_dropped_answers():
+    two_vars = FillQuery(
+        "Q.A.1",
+        (PatternTriple(X, "Spouse of", Variable("Unknown_2", "Person")),),
+        frozenset(),
+    )
+    text = (
+        '<QA team="t"><Query id="Q.A.1">'
+        '<Answer var="Unknown_2" rank="1" confidence="0.3">Person:Marge</Answer>'
+        '<Answer var="Unknown_1" rank="1" confidence="2">Person:Homer</Answer>'
+        '<Answer var="Unknown_1" rank="3" confidence="0.5">Person:Bart</Answer>'
+        '<Answer var="Unknown_2" rank="2" confidence="0.3">Marge</Answer>'
+        '<Answer var="Unknown_1" rank="1" confidence="0.4">Person:Lisa</Answer>'
+        "</Query></QA>"
+    )
+    _, diags = parse_submission_xml(text, [two_vars])
+    assert [d.message for d in diags] == [
+        "confidence 2.0 outside [0,1]; answer dropped",
+        "unparseable answer dropped: node id without a category prefix: 'Marge'",
+        # per variable in order of its first kept answer, then document order,
+        # including the answers dropped above
+        "declared rank 2 for Unknown_2 disagrees with confidence ordering",
+        "declared rank 1 for Unknown_1 disagrees with confidence ordering",
+        "declared rank 3 for Unknown_1 disagrees with confidence ordering",
+        "declared rank 1 for Unknown_1 disagrees with confidence ordering",
+    ]
 
 
 def test_submission_missing_team():
@@ -271,9 +345,9 @@ def test_parser_totality_on_noise(seed):
     for fn in (parse_query_xml, parse_key_xml):
         try:
             fn(text)
-        except (ProtocolError, ValueError):
+        except ProtocolError:
             pass
     try:
         parse_submission_xml(text, [SPOUSE_QUERY])
-    except (ProtocolError, ValueError):
+    except ProtocolError:
         pass
