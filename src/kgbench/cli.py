@@ -172,11 +172,22 @@ def cmd_score(args) -> int:
     graph = _load_graph(args)
     key_queries = []
     params: dict[str, str] = {}
+    # a query in two key files would be scored, and counted, twice
+    key_of: dict[object, str] = {}  # query type, and query id -> key file
     for key_path in args.keys:
         try:
             queries, key_params = protocol.parse_key_xml(_read_file(key_path))
         except (protocol.ProtocolError, ValueError) as exc:
             raise CliError(f"{key_path}: {exc}", EXIT_CONTENT) from None
+        for q in queries:
+            for what, key in (("the same query type", type(q)), (f"query {q.id!r}", q.id)):
+                if key in key_of:
+                    raise CliError(
+                        f"{key_of[key]} and {key_path} are key files with {what}; "
+                        "score each query once",
+                        EXIT_CONTENT,
+                    )
+        key_of.update((k, key_path) for q in queries for k in (type(q), q.id))
         key_queries.extend(queries)
         params.update(key_params)
 

@@ -9,6 +9,7 @@ deterministic and round-trip exactly through their parser.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .graph import Edge, GraphError, KnowledgeGraph, NodeId
@@ -45,6 +46,7 @@ class _GraphAssembler:
         self.ontology = ontology
         self.allow_new_relations = allow_new_relations
         self.nodes_by_fileid: dict[int, NodeId] = {}
+        self.declared: set[NodeId] = set()
         self.edges: list[Edge] = []
         self.diagnostics: list[ParseDiagnostic] = []
 
@@ -63,8 +65,9 @@ class _GraphAssembler:
         except GraphError as exc:
             self.error(line, str(exc))
             return
-        if node in self.nodes_by_fileid.values():
+        if node in self.declared:
             self.warn(line, f"node {node} declared more than once; merged")
+        self.declared.add(node)
         self.nodes_by_fileid[file_id] = node
 
     def add_edge(self, line: int, src_id: int, dst_id: int, relation: str) -> None:
@@ -93,17 +96,12 @@ class _GraphAssembler:
     def build(self) -> KnowledgeGraph | None:
         if has_errors(self.diagnostics):
             return None
-        graph = KnowledgeGraph(self.ontology)
-        for node in self.nodes_by_fileid.values():
-            graph = graph.add_node(node)
-        for i, edge in enumerate(self.edges, start=1):
-            try:
-                graph = graph.add_edge(edge.src, edge.relation, edge.dst)
-            except GraphError as exc:
-                if "duplicate" in str(exc):
-                    self.warn(0, f"dropped duplicate edge: {exc}")
-                else:
-                    self.error(0, str(exc))
+        graph, problems = KnowledgeGraph.build(self.ontology, self.declared, self.edges)
+        for exc in problems:
+            if "duplicate" in str(exc):
+                self.warn(0, f"dropped duplicate edge: {exc}")
+            else:
+                self.error(0, str(exc))
         if has_errors(self.diagnostics):
             return None
         return graph
@@ -168,68 +166,48 @@ def emit_tgf(graph: KnowledgeGraph) -> str:
 
 _LBRACKET = object()
 _RBRACKET = object()
+# whitespace, then a comment, a bracket, a quoted string (closing quote
+# optional), a word or the end: \Z keeps n trailing blanks from costing O(n^2)
+_XGML_TOKEN = re.compile(
+    r'(\s*)(?:#[^\n]*|([\[\]])|("[^"\\]*(?:\\["\\]?[^"\\]*)*)(")?|([^\s\[\]"#]+)|\Z)'
+)
 
 
 def _tokenize_xgml(text: str) -> tuple[list[tuple[int, object]], list[ParseDiagnostic]]:
-    """Tokens are (line, value): value is '['/']' sentinels, str keys, int,
-    float, or quoted strings (returned as ('str', content))."""
+    """Tokens are (line, value): value is '['/']' sentinels, str keys, int
+    (ASCII [0-9]+ only), float, or quoted strings (returned as ('str',
+    content)).  A quoted string's line is the line it ends on."""
     tokens: list[tuple[int, object]] = []
     diagnostics: list[ParseDiagnostic] = []
     line = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            i += 1
-        elif c.isspace():
-            i += 1
-        elif c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c == "[":
-            tokens.append((line, _LBRACKET))
-            i += 1
-        elif c == "]":
-            tokens.append((line, _RBRACKET))
-            i += 1
-        elif c == '"':
-            i += 1
-            buf = []
-            closed = False
-            while i < n:
-                c = text[i]
-                if c == "\\" and i + 1 < n and text[i + 1] in '"\\':
-                    buf.append(text[i + 1])
-                    i += 2
-                elif c == '"':
-                    closed = True
-                    i += 1
-                    break
-                else:
-                    if c == "\n":
-                        line += 1
-                    buf.append(c)
-                    i += 1
-            if not closed:
-                diagnostics.append(
-                    ParseDiagnostic(ERROR, line, "unterminated quoted string")
-                )
-            tokens.append((line, ("str", "".join(buf))))
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in '[]"#':
-                j += 1
-            word = text[i:j]
-            i = j
-            try:
+    # finditer, not findall: a list of all matches doubles a load's peak memory
+    for match in _XGML_TOKEN.finditer(text):
+        space, bracket, quoted, closed, word = match.groups()
+        if "\n" in space:  # `line += 0` would give each token its own int
+            line += space.count("\n")
+        if word:
+            if _is_decimal(word):
                 tokens.append((line, int(word)))
-            except ValueError:
+            # float() accepts no all-letter word but inf, nan and infinity
+            elif not word.isalpha() or word.lower() in ("inf", "nan", "infinity"):
                 try:
                     tokens.append((line, float(word)))
                 except ValueError:
                     tokens.append((line, word))
+            else:
+                tokens.append((line, word))
+        elif bracket:
+            tokens.append((line, _LBRACKET if bracket == "[" else _RBRACKET))
+        elif quoted:
+            if "\n" in quoted:
+                line += quoted.count("\n")
+            if not closed:
+                diagnostics.append(
+                    ParseDiagnostic(ERROR, line, "unterminated quoted string")
+                )
+            if "\\" in quoted:
+                quoted = re.sub(r'\\(["\\])', r"\1", quoted)
+            tokens.append((line, ("str", quoted[1:])))
     return tokens, diagnostics
 
 

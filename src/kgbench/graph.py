@@ -3,11 +3,13 @@ bidirectional traversal view.
 
 Each semantic link is stored once, in one chosen direction; traversal
 exposes the reverse direction under the inverse relation label.  Graphs are
-immutable values: the add_* methods return new graphs.
+immutable values: `build` makes one from node and edge lists in one pass, and
+the add_* methods return new graphs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -87,6 +89,24 @@ class KnowledgeGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    @classmethod
+    def build(
+        cls, ontology: RelationOntology, nodes: Iterable[NodeId], edges: Iterable[Edge]
+    ) -> tuple[KnowledgeGraph, list[GraphError]]:
+        """The graph of `nodes` and of each edge that `add_edge`, applied in
+        order, would accept; plus one GraphError per rejected edge, in order."""
+        graph = cls(ontology, frozenset(nodes))
+        kept: set[Edge] = set()
+        problems: list[GraphError] = []
+        for edge in edges:
+            try:
+                graph._check_edge(edge, kept)
+            except GraphError as exc:
+                problems.append(exc)
+            else:
+                kept.add(edge)
+        return replace(graph, edges=frozenset(kept)), problems
+
     def add_node(self, node: NodeId) -> "KnowledgeGraph":
         """Idempotent; returns a new graph with the node present."""
         if node in self.nodes:
@@ -97,6 +117,13 @@ class KnowledgeGraph:
         """Add a stored directed edge.  Rejects self-loops, unknown endpoints
         or relations, and duplicates (including the inverse-direction
         restatement of an existing edge)."""
+        edge = Edge(src, relation, dst)
+        self._check_edge(edge, self.edges)
+        return replace(self, edges=self.edges | {edge})
+
+    def _check_edge(self, edge: Edge, edges: set[Edge] | frozenset[Edge]) -> None:
+        """Raise GraphError unless `edge` may join `edges` in this graph."""
+        src, relation, dst = edge.src, edge.relation, edge.dst
         if src == dst:
             raise GraphError(f"self-loop on {src}")
         if src not in self.nodes:
@@ -105,16 +132,14 @@ class KnowledgeGraph:
             raise GraphError(f"unknown endpoint: {dst}")
         if relation not in self.ontology:
             raise GraphError(f"unknown relation: {relation!r}")
-        edge = Edge(src, relation, dst)
-        if edge in self.edges:
+        if edge in edges:
             raise GraphError(f"duplicate edge: {src} -[{relation}]-> {dst}")
         inverse = Edge(dst, self.ontology.inverse_of(relation), src)
-        if inverse in self.edges:
+        if inverse in edges:
             raise GraphError(
                 f"inverse-duplicate edge: {src} -[{relation}]-> {dst} "
                 f"restates {inverse.src} -[{inverse.relation}]-> {inverse.dst}"
             )
-        return replace(self, edges=self.edges | {edge})
 
     @cached_property
     def _adjacency(self) -> dict[NodeId, tuple[tuple[NodeId, str], ...]]:
@@ -148,10 +173,23 @@ class KnowledgeGraph:
             raise GraphError(f"unknown relation: {relation!r}")
         return sum(1 for _, r in self.neighbors(node) if r == relation)
 
-    def sorted_nodes(self) -> list[NodeId]:
-        return sorted(self.nodes, key=lambda n: n.canonical)
+    @cached_property
+    def _sorted_nodes(self) -> tuple[NodeId, ...]:
+        return tuple(sorted(self.nodes, key=lambda n: n.canonical))
 
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(
-            self.edges, key=lambda e: (e.src.canonical, e.relation, e.dst.canonical)
+    @cached_property
+    def _sorted_edges(self) -> tuple[Edge, ...]:
+        return tuple(
+            sorted(
+                self.edges,
+                key=lambda e: (e.src.canonical, e.relation, e.dst.canonical),
+            )
         )
+
+    def sorted_nodes(self) -> tuple[NodeId, ...]:
+        """Nodes by canonical id, sorted once per graph."""
+        return self._sorted_nodes
+
+    def sorted_edges(self) -> tuple[Edge, ...]:
+        """Edges by canonical (source, relation, target), sorted once per graph."""
+        return self._sorted_edges

@@ -72,7 +72,9 @@ class Path:
 
 
 def is_variable_name(name: str) -> bool:
-    return name.startswith(VARIABLE_PREFIX) and name[len(VARIABLE_PREFIX):].isdigit()
+    """`Unknown_` followed by ASCII [0-9]+."""
+    suffix = name[len(VARIABLE_PREFIX):]
+    return name.startswith(VARIABLE_PREFIX) and suffix.isascii() and suffix.isdigit()
 
 
 def pattern_variables(triples: list[PatternTriple]) -> list[Variable]:

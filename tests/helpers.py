@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 
+from kgbench.formats import _LBRACKET, _RBRACKET, ERROR, ParseDiagnostic
 from kgbench.graph import ENTITY, LOCATION, PERSON, GraphError, KnowledgeGraph, NodeId
 from kgbench.ontology import RelationOntology
 from kgbench.oracle import Path, PatternTriple, Variable
@@ -113,3 +114,68 @@ def reference_enumerate_paths(
             elif other not in nodes:
                 work.append((nodes + (other,), rels + (rel,)))
     return results
+
+
+def naive_tokenize_xgml(text: str):
+    """Char-by-char XGML scanner, the reference for
+    kgbench.formats._tokenize_xgml: same (tokens, diagnostics).  A word is an
+    int when it is ASCII [0-9]+, else a float when float() accepts it, else
+    a str key."""
+    tokens = []
+    diagnostics = []
+    line = 1
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            i += 1
+        elif c.isspace():
+            i += 1
+        elif c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif c == "[":
+            tokens.append((line, _LBRACKET))
+            i += 1
+        elif c == "]":
+            tokens.append((line, _RBRACKET))
+            i += 1
+        elif c == '"':
+            i += 1
+            buf = []
+            closed = False
+            while i < n:
+                c = text[i]
+                if c == "\\" and i + 1 < n and text[i + 1] in '"\\':
+                    buf.append(text[i + 1])
+                    i += 2
+                elif c == '"':
+                    closed = True
+                    i += 1
+                    break
+                else:
+                    if c == "\n":
+                        line += 1
+                    buf.append(c)
+                    i += 1
+            if not closed:
+                diagnostics.append(
+                    ParseDiagnostic(ERROR, line, "unterminated quoted string")
+                )
+            tokens.append((line, ("str", "".join(buf))))
+        else:
+            j = i
+            while j < n and not text[j].isspace() and text[j] not in '[]"#':
+                j += 1
+            word = text[i:j]
+            i = j
+            if word.isascii() and word.isdigit():
+                tokens.append((line, int(word)))
+                continue
+            try:
+                tokens.append((line, float(word)))
+            except ValueError:
+                tokens.append((line, word))
+    return tokens, diagnostics

@@ -215,3 +215,27 @@ def test_score_rejects_two_files_of_one_type(tmp_path, capsys):
     assert str(out / "sub_a.xml") in err and str(other) in err
     assert "same query type" in err
     assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("case", ["same file twice", "copy", "id across types"])
+def test_score_rejects_duplicate_key_files(tmp_path, capsys, case):
+    # every query of a repeated key file used to be scored, and counted, twice
+    out = run_pipeline(tmp_path)
+    first = out / "keys_a.xml"
+    second = tmp_path / "second.xml"
+    if case == "same file twice":
+        second = first
+    elif case == "copy":
+        second.write_text(first.read_text())
+    else:
+        second.write_text((out / "keys_b.xml").read_text().replace('"Q.B.1"', '"Q.A.1"'))
+    code = main(
+        ["score", *graph_args(), "--keys", str(first), str(second),
+         "--submissions", str(out / "sub_a.xml"), "--out", str(tmp_path / "rep")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{first} and {second} are key files with" in err
+    expected = "query 'Q.A.1'" if case == "id across types" else "the same query type"
+    assert expected in err
+    assert not (tmp_path / "rep").exists()

@@ -1,8 +1,13 @@
-import pytest
+import time
 
-from helpers import random_graph
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from helpers import naive_tokenize_xgml, random_graph
 from kgbench.datasets import simpsons_graph, simpsons_ontology
 from kgbench.formats import (
+    _tokenize_xgml,
     emit_tgf,
     emit_xgml,
     has_errors,
@@ -104,6 +109,45 @@ def test_xgml_dangling_edge():
     assert any("undeclared" in d.message for d in diags)
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ('node [ id \u0663 label "Person:A" ]', "node needs exactly one id"),
+        ('node [ id 1_0 label "Person:A" ]', "node needs exactly one id"),
+        ('node [ id +1 label "Person:A" ]', "node needs exactly one id"),
+        ('node [ id 0 label "Person:A" ] node [ id 10 label "Person:B" ] '
+         'edge [ source \u0660 target 10 label "Spouse of" ]', "edge needs exactly one source"),
+        ('node [ id 0 label "Person:A" ] node [ id 10 label "Person:B" ] '
+         'edge [ source 0 target 1_0 label "Spouse of" ]', "edge needs exactly one target"),
+    ],
+)
+def test_xgml_ids_are_ascii_decimal(body, message):
+    g, diags = parse_xgml(f"graph [ {body} ]", ONT)
+    assert g is None
+    assert [d.message for d in diags if d.severity == "error"] == [message]
+
+
+@pytest.mark.parametrize(
+    "parser, text, lines",
+    [
+        (parse_tgf, "1 Person:A\n2 Person:A\n3 Person:B\n4 Person:A\n#\n", (2, 4)),
+        (
+            parse_xgml,
+            'graph [\n node [ id 1 label "Person:A" ]\n node [ id 2 label "Person:A" ]\n'
+            ' node [ id 3 label "Person:B" ]\n node [ id 4 label "Person:A" ]\n]\n',
+            (3, 5),
+        ),
+    ],
+)
+def test_repeated_label_warns_once_per_repeat(parser, text, lines):
+    g, diags = parser(text, ONT)
+    assert g is not None and g.node_count == 2
+    assert [(d.severity, d.line, d.message) for d in diags] == [
+        ("warning", line, "node Person:A declared more than once; merged")
+        for line in lines
+    ]
+
+
 def test_xgml_unknown_keys_warn():
     text = (
         'Creator "yEd"\ngraph [\n directed 1\n'
@@ -156,3 +200,24 @@ def test_parsers_never_crash_on_noise(seed):
     for parser in (parse_tgf, parse_xgml):
         graph, diags = parser(text, ont)
         assert graph is None or not has_errors(diags)
+
+
+XGML_PIECES = [
+    "[", "]", '"', "\\", "#", "\n", "\r", "\t", " ", "\xa0", "\x85", "\u2028",
+    "inf", "NaN", "+1", "-2.5e3", "1_0", "\u0663", "\u00b2", "12", "node", "id",
+]
+
+
+@given(st.lists(st.sampled_from(XGML_PIECES), max_size=40).map("".join))
+def test_tokenizer_matches_naive_reference(text):
+    # repr, because a NaN token is unequal to itself
+    assert repr(_tokenize_xgml(text)) == repr(naive_tokenize_xgml(text))
+
+
+def test_tokenizer_is_linear_on_long_blank_runs():
+    # the scanner must not backtrack over a blank run that no token follows
+    text = "graph [ ]" + " \t\n" * 10_000
+    start = time.perf_counter()
+    tokens, diags = _tokenize_xgml(text)
+    assert time.perf_counter() - start < 2.0
+    assert len(tokens) == 3 and not diags

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import random_graph
-from kgbench.graph import GraphError, KnowledgeGraph, NodeId, entity, person
+from kgbench.graph import Edge, GraphError, KnowledgeGraph, NodeId, entity, person
 from kgbench.ontology import load_ontology
 
 ONT = load_ontology(
@@ -137,3 +139,61 @@ def test_degree_matches_bruteforce(simpsons):
         for rel in simpsons.ontology:
             expected = sum(1 for _, r in simpsons.neighbors(node) if r == rel)
             assert simpsons.degree_by_relation(node, rel) == expected
+
+
+def test_sorted_views_are_cached_tuples(simpsons):
+    assert isinstance(simpsons.sorted_nodes(), tuple)
+    assert isinstance(simpsons.sorted_edges(), tuple)
+    assert simpsons.sorted_nodes() is simpsons.sorted_nodes()
+    assert simpsons.sorted_edges() is simpsons.sorted_edges()
+    assert list(simpsons.sorted_nodes()) == sorted(simpsons.nodes, key=str)
+
+
+# Person:E is never declared, "Owns" is not in ONT
+DECLARABLE = [person(n) for n in "ABCD"]
+ENDPOINTS = DECLARABLE * 2 + [person("E")]
+RELATIONS = ["Spouse of", "Child of", "Parent of", "Friend of", "Owns"]
+
+
+@st.composite
+def salted_edges(draw):
+    """Edge lists where many edges restate an earlier one, as drawn or in
+    the inverse direction; self-loops, unknown endpoints and the unknown
+    relation come from the small pools."""
+    edges: list[Edge] = []
+    for _ in range(draw(st.integers(0, 14))):
+        how = draw(st.sampled_from(["fresh", "duplicate", "inverse"]))
+        if how == "fresh" or not edges:
+            edges.append(
+                Edge(
+                    draw(st.sampled_from(ENDPOINTS)),
+                    draw(st.sampled_from(RELATIONS)),
+                    draw(st.sampled_from(ENDPOINTS)),
+                )
+            )
+            continue
+        e = draw(st.sampled_from(edges))
+        if how == "inverse" and e.relation in ONT:
+            e = Edge(e.dst, ONT.inverse_of(e.relation), e.src)
+        edges.append(e)
+    return edges
+
+
+@given(
+    st.permutations(DECLARABLE), st.lists(st.sampled_from(DECLARABLE), max_size=3),
+    salted_edges(),
+)
+def test_build_matches_fold(order, repeats, edges):
+    nodes = order + repeats
+    folded = empty()
+    messages = []
+    for n in nodes:
+        folded = folded.add_node(n)
+    for e in edges:
+        try:
+            folded = folded.add_edge(e.src, e.relation, e.dst)
+        except GraphError as exc:
+            messages.append(str(exc))
+    built, problems = KnowledgeGraph.build(ONT, nodes, edges)
+    assert built == folded
+    assert [str(p) for p in problems] == messages

@@ -10,6 +10,7 @@ from kgbench.oracle import (
     Variable,
     answer_choice,
     enumerate_paths,
+    is_variable_name,
     solve_pattern,
 )
 from kgbench.rng import SplitMix64
@@ -196,3 +197,19 @@ def test_answer_choice_symmetric_via_inverse(simpsons):
     fwd = answer_choice(simpsons, person("Bart"), entity("Springfield Elementary"), options)
     rev = answer_choice(simpsons, entity("Springfield Elementary"), person("Bart"), inverse_options)
     assert fwd == rev == {1}
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("Unknown_1", True),
+        ("Unknown_012", True),
+        ("Unknown_", False),
+        ("Unknown_\u00b2", False),
+        ("Unknown_\u0663", False),
+        ("Unknown_1a", False),
+        ("Homer", False),
+    ],
+)
+def test_variable_names_are_ascii_decimal(name, expected):
+    assert is_variable_name(name) is expected
