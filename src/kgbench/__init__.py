@@ -19,7 +19,6 @@ from .querygen import (
 )
 from .scoring import (
     ScoreReport,
-    aggregate,
     reciprocal_rank,
     score_choice,
     score_fill,
@@ -41,7 +40,6 @@ __all__ = [
     "RelationOntology",
     "ScoreReport",
     "Variable",
-    "aggregate",
     "answer_choice",
     "entity",
     "enumerate_paths",

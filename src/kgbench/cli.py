@@ -9,12 +9,13 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path as FsPath
 
 from . import formats, protocol, scoring
 from .graph import KnowledgeGraph, NodeId
 from .ontology import OntologyError, load_ontology
-from .oracle import answer_choice, enumerate_paths, solve_pattern
+from .oracle import OracleError
 from .querygen import (
     ChoiceQuery,
     FillQuery,
@@ -23,6 +24,7 @@ from .querygen import (
     generate_choice,
     generate_fill,
     generate_path,
+    oracle_key,
 )
 
 EXIT_OK = 0
@@ -86,14 +88,14 @@ def _generation_params(args) -> dict[str, str]:
 
 
 def _self_check(graph: KnowledgeGraph, queries) -> None:
-    """Re-verify every answer key against the oracle before writing."""
+    """Re-verify every answer key against the oracle before writing.  Not an
+    assert: `python -O` would drop it."""
     for q in queries:
-        if isinstance(q, FillQuery):
-            assert solve_pattern(graph, list(q.triples)) == set(q.key)
-        elif isinstance(q, ChoiceQuery):
-            assert answer_choice(graph, q.subject, q.object, list(q.options)) == {q.key}
-        else:
-            assert frozenset(enumerate_paths(graph, q.source, q.target, q.max_edges)) == q.key
+        try:
+            if oracle_key(graph, q) != q.key:
+                raise OracleError(f"{q.id}: key differs from the oracle's")
+        except OracleError as exc:
+            raise CliError(f"self-check failed: {exc}", EXIT_CONTENT) from None
 
 
 def cmd_gen_queries(args) -> int:
@@ -129,41 +131,10 @@ def cmd_answer(args) -> int:
         raise CliError(f"queries: {exc}", EXIT_CONTENT) from None
     out = FsPath(args.out)
     try:
-        if all(isinstance(q, FillQuery) for q in queries):
-            sub = protocol.SubmissionA(args.team)
-            for q in queries:
-                bindings = solve_pattern(graph, list(q.triples))
-                per_var: dict[str, list] = {v: [] for v in q.variables}
-                for binding in sorted(
-                    bindings, key=lambda b: sorted((n, v.canonical) for n, v in b)
-                ):
-                    for name, node in sorted(binding):
-                        if node not in [n for n, _ in per_var[name]]:
-                            per_var[name].append((node, 1.0))
-                sub.answers[q.id] = per_var
-            text = protocol.emit_submission_a(sub)
-        elif all(isinstance(q, ChoiceQuery) for q in queries):
-            sub = protocol.SubmissionB(args.team)
-            for q in queries:
-                correct = answer_choice(graph, q.subject, q.object, list(q.options))
-                if len(correct) != 1:
-                    raise CliError(
-                        f"{q.id}: expected exactly one correct option, "
-                        f"got {len(correct)} (query/graph mismatch?)",
-                        EXIT_CONTENT,
-                    )
-                sub.answers[q.id] = q.options[correct.pop()]
-            text = protocol.emit_submission_b(sub)
-        else:
-            sub = protocol.SubmissionC(args.team)
-            for q in queries:
-                sub.answers[q.id] = enumerate_paths(
-                    graph, q.source, q.target, q.max_edges
-                )
-            text = protocol.emit_submission_c(sub)
+        keyed = [replace(q, key=oracle_key(graph, q)) for q in queries]
     except ValueError as exc:
         raise CliError(f"query/graph mismatch: {exc}", EXIT_CONTENT) from None
-    _write_file(out, text)
+    _write_file(out, protocol.emit_oracle_submission(keyed, args.team))
     print(f"wrote submission to {out}")
     return EXIT_OK
 
@@ -191,21 +162,8 @@ def cmd_score(args) -> int:
         key_queries.extend(queries)
         params.update(key_params)
 
-    fill_queries = [q for q in key_queries if isinstance(q, FillQuery)]
-    choice_queries = [q for q in key_queries if isinstance(q, ChoiceQuery)]
-    path_queries = [q for q in key_queries if isinstance(q, PathQuery)]
-
-    fill_scores: list[scoring.FillScore] = []
-    choice_score = None
-    path_scores: list[scoring.PathScore] = []
-    team = "unknown"
-    empty_a = protocol.SubmissionA(team)
-    scored_a: set[str] = set()
-    scored_c: set[str] = set()
     # one report is one team: at most one file per query type, one team name
-    file_of_type: dict[type, str] = {}
-    first: tuple[str, str] | None = None  # (file, team) of the first submission
-
+    subs: dict[type, tuple[str, protocol.Submission]] = {}
     for sub_path in args.submissions:
         try:
             sub, diagnostics = protocol.parse_submission_xml(
@@ -213,51 +171,39 @@ def cmd_score(args) -> int:
             )
         except (protocol.ProtocolError, ValueError) as exc:
             raise CliError(f"{sub_path}: {exc}", EXIT_CONTENT) from None
-        if type(sub) in file_of_type:
+        if type(sub) in subs:
             raise CliError(
-                f"{file_of_type[type(sub)]} and {sub_path} are submissions of the "
+                f"{subs[type(sub)][0]} and {sub_path} are submissions of the "
                 "same query type; score one file per type",
                 EXIT_CONTENT,
             )
-        file_of_type[type(sub)] = sub_path
-        if first is None:
-            first = (sub_path, sub.team)
-        elif sub.team != first[1]:
+        first_path, first = next(iter(subs.values()), (sub_path, sub))
+        if sub.team != first.team:
             raise CliError(
-                f"{first[0]} is team {first[1]!r} but {sub_path} is team "
+                f"{first_path} is team {first.team!r} but {sub_path} is team "
                 f"{sub.team!r}; score one team per call",
                 EXIT_CONTENT,
             )
+        subs[type(sub)] = (sub_path, sub)
         for d in diagnostics:
             print(f"{sub_path}: {d}", file=sys.stderr)
-        team = sub.team or team
-        if isinstance(sub, protocol.SubmissionA):
-            fill_scores.extend(scoring.score_fill(q, sub) for q in fill_queries)
-            scored_a.update(q.id for q in fill_queries)
-        elif isinstance(sub, protocol.SubmissionB):
-            choice_score = scoring.score_choice(choice_queries, sub)
-        else:
-            path_scores.extend(
-                scoring.score_paths(graph, q, sub.answers.get(q.id, []))
-                for q in path_queries
-            )
-            scored_c.update(q.id for q in path_queries)
-
-    # queries with no submission file at all are scored as empty
-    fill_scores.extend(
-        scoring.score_fill(q, empty_a) for q in fill_queries if q.id not in scored_a
+    team = next((s.team for _, s in subs.values() if s.team), "unknown")
+    fill_sub, choice_sub, path_sub = (
+        subs[kind][1] if kind in subs else kind(team)  # empty when no file has it
+        for kind in (protocol.SubmissionA, protocol.SubmissionB, protocol.SubmissionC)
     )
-    if choice_score is None and choice_queries:
-        choice_score = scoring.score_choice(
-            choice_queries, protocol.SubmissionB(team)
-        )
-    path_scores.extend(
-        scoring.score_paths(graph, q, [])
-        for q in path_queries
-        if q.id not in scored_c
-    )
+    report = scoring.ScoreReport(team, params)
+    for q in key_queries:
+        if isinstance(q, FillQuery):
+            report.fill.append(scoring.score_fill(q, fill_sub))
+        elif isinstance(q, PathQuery):
+            submitted = path_sub.answers.get(q.id, [])
+            report.paths.append(scoring.score_paths(graph, q, submitted))
+    choice_queries = [q for q in key_queries if isinstance(q, ChoiceQuery)]
+    # a choice file scored against no choice keys still reports zero queries
+    if choice_queries or protocol.SubmissionB in subs:
+        report.choice = scoring.score_choice(choice_queries, choice_sub)
 
-    report = scoring.aggregate(team, params, fill_scores, choice_score, path_scores)
     out = FsPath(args.out)
     _write_file(out / "report.json", report.to_json())
     _write_file(out / "report.txt", report.to_text())

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .formats import has_errors, parse_tgf, parse_xgml
+from .formats import has_errors, parse_graph
 from .graph import KnowledgeGraph
 from .ontology import RelationOntology, load_ontology
 
@@ -26,11 +26,7 @@ def simpsons_ontology() -> RelationOntology:
 
 
 def simpsons_graph(fmt: str = "tgf") -> KnowledgeGraph:
-    if fmt == "tgf":
-        graph, diags = parse_tgf(_read("simpsons.tgf"), simpsons_ontology())
-    elif fmt == "xgml":
-        graph, diags = parse_xgml(_read("simpsons.xgml"), simpsons_ontology())
-    else:
-        raise ValueError(f"unknown graph format: {fmt!r}")
+    """The Simpsons world, read from its bundled "tgf" or "xgml" file."""
+    graph, diags = parse_graph(_read(f"simpsons.{fmt}"), simpsons_ontology(), fmt)
     assert graph is not None and not has_errors(diags)
     return graph

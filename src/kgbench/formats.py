@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .graph import Edge, GraphError, KnowledgeGraph, NodeId
+from .graph import DuplicateEdgeError, Edge, GraphError, KnowledgeGraph, NodeId
 from .ontology import RelationOntology, canonical_label
 
 WARNING = "warning"
@@ -98,7 +98,7 @@ class _GraphAssembler:
             return None
         graph, problems = KnowledgeGraph.build(self.ontology, self.declared, self.edges)
         for exc in problems:
-            if "duplicate" in str(exc):
+            if isinstance(exc, DuplicateEdgeError):
                 self.warn(0, f"dropped duplicate edge: {exc}")
             else:
                 self.error(0, str(exc))
@@ -211,47 +211,45 @@ def _tokenize_xgml(text: str) -> tuple[list[tuple[int, object]], list[ParseDiagn
     return tokens, diagnostics
 
 
-def _parse_xgml_block(tokens, pos, diagnostics):
-    """Parse a `key value` list until ']' or end; returns (entries, pos).
-    Entries are (line, key, value) where value may be a nested list."""
+def _parse_xgml_block(tokens, asm: _GraphAssembler):
+    """Parse the top-level `key value` list until a top-level ']' or the end;
+    returns (entries, closed).  Entries are (line, key, value) where value
+    may be a nested list.  Open blocks live on an explicit stack, so nesting
+    depth is not bounded by the recursion limit."""
     entries = []
-    n = len(tokens)
+    stack = []  # (enclosing entries, key line, key, '[' line) per open block
+    pos, n = 0, len(tokens)
     while pos < n:
         line, tok = tokens[pos]
-        if tok is _RBRACKET:
-            return entries, pos + 1, True
-        if not isinstance(tok, str):
-            diagnostics.append(
-                ParseDiagnostic(ERROR, line, f"expected a key, got {tok!r}")
-            )
-            pos += 1
-            continue
-        key = tok
         pos += 1
+        if tok is _RBRACKET:
+            if not stack:
+                return entries, True
+            parent, kline, key, _ = stack.pop()
+            parent.append((kline, key, entries))
+            entries = parent
+            continue
+        if not isinstance(tok, str):
+            asm.error(line, f"expected a key, got {tok!r}")
+            continue
         if pos >= n:
-            diagnostics.append(
-                ParseDiagnostic(ERROR, line, f"key {key!r} without a value")
-            )
+            asm.error(line, f"key {tok!r} without a value")
             break
         vline, vtok = tokens[pos]
+        pos += 1
         if vtok is _LBRACKET:
-            sub, pos, closed = _parse_xgml_block(tokens, pos + 1, diagnostics)
-            if not closed:
-                diagnostics.append(
-                    ParseDiagnostic(ERROR, vline, "unbalanced brackets")
-                )
-            entries.append((line, key, sub))
+            stack.append((entries, line, tok, vline))
+            entries = []
         elif vtok is _RBRACKET:
-            diagnostics.append(
-                ParseDiagnostic(ERROR, vline, f"key {key!r} without a value")
-            )
-            pos += 1
+            asm.error(vline, f"key {tok!r} without a value")
         else:
-            if isinstance(vtok, tuple):
-                vtok = vtok[1]
-            entries.append((line, key, vtok))
-            pos += 1
-    return entries, pos, False
+            entries.append((line, tok, vtok[1] if isinstance(vtok, tuple) else vtok))
+    while stack:  # blocks the text never closed, innermost first
+        parent, kline, key, vline = stack.pop()
+        asm.error(vline, "unbalanced brackets")
+        parent.append((kline, key, entries))
+        entries = parent
+    return entries, False
 
 
 def parse_xgml(
@@ -265,8 +263,8 @@ def parse_xgml(
     tokens, diagnostics = _tokenize_xgml(text)
     asm = _GraphAssembler(ontology, allow_new_relations)
     asm.diagnostics.extend(diagnostics)
-    top, pos, closed = _parse_xgml_block(tokens, 0, asm.diagnostics)
-    if closed or pos < len(tokens):
+    top, closed = _parse_xgml_block(tokens, asm)
+    if closed:
         asm.error(0, "unbalanced brackets at top level")
     graph_blocks = [(ln, v) for ln, k, v in top if k == "graph"]
     for ln, k, _ in top:

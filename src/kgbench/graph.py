@@ -25,6 +25,10 @@ class GraphError(ValueError):
     pass
 
 
+class DuplicateEdgeError(GraphError):
+    """An edge, or its inverse-direction restatement, is already stored."""
+
+
 @dataclass(frozen=True, order=True)
 class NodeId:
     """Typed node identity; canonical rendering is "<Category>:<name>"."""
@@ -133,10 +137,10 @@ class KnowledgeGraph:
         if relation not in self.ontology:
             raise GraphError(f"unknown relation: {relation!r}")
         if edge in edges:
-            raise GraphError(f"duplicate edge: {src} -[{relation}]-> {dst}")
+            raise DuplicateEdgeError(f"duplicate edge: {src} -[{relation}]-> {dst}")
         inverse = Edge(dst, self.ontology.inverse_of(relation), src)
         if inverse in edges:
-            raise GraphError(
+            raise DuplicateEdgeError(
                 f"inverse-duplicate edge: {src} -[{relation}]-> {dst} "
                 f"restates {inverse.src} -[{inverse.relation}]-> {inverse.dst}"
             )

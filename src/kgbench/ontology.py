@@ -83,7 +83,6 @@ def load_ontology(text: str) -> RelationOntology:
     line, `#` comment lines, blank lines ignored.  Self-inverse relations
     repeat the label."""
     pairs: dict[str, str] = {}
-    declared: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -95,30 +94,20 @@ def load_ontology(text: str) -> RelationOntology:
         i = canonical_label(right)
         if not r or not i:
             raise OntologyError(f"line {lineno}: empty relation label")
-        if r in declared:
-            if pairs.get(r) == i:
+        if r in pairs:
+            if pairs[r] == i:
                 raise OntologyError(f"line {lineno}: duplicate relation {r!r}")
             raise OntologyError(
                 f"line {lineno}: non-involutive pairing for {r!r}: "
                 f"{pairs[r]!r} vs {i!r}"
             )
-        declared.add(r)
-        if r != i:
-            if i in declared:
-                if pairs.get(i) == r:
-                    raise OntologyError(f"line {lineno}: duplicate relation {i!r}")
-                raise OntologyError(
-                    f"line {lineno}: non-involutive pairing for {i!r}: "
-                    f"{pairs[i]!r} vs {r!r}"
-                )
-            declared.add(i)
-        for label, inv in ((r, i), (i, r)):
-            if label in pairs and pairs[label] != inv:
-                raise OntologyError(
-                    f"line {lineno}: non-involutive pairing for {label!r}: "
-                    f"{pairs[label]!r} vs {inv!r}"
-                )
-            pairs[label] = inv
+        if r != i and i in pairs:  # pairs is symmetric, so pairs[i] != r
+            raise OntologyError(
+                f"line {lineno}: non-involutive pairing for {i!r}: "
+                f"{pairs[i]!r} vs {r!r}"
+            )
+        pairs[r] = i
+        pairs[i] = r
     if not pairs:
         raise OntologyError("empty ontology file")
     return RelationOntology(pairs)

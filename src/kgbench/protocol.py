@@ -40,9 +40,7 @@ from dataclasses import dataclass, field
 
 from .graph import GraphError, NodeId
 from .oracle import OracleError, Path, PatternTriple, Variable, is_variable_name
-from .querygen import ChoiceQuery, FillQuery, PathQuery
-
-Query = FillQuery | ChoiceQuery | PathQuery
+from .querygen import Binding, ChoiceQuery, FillQuery, PathQuery, Query
 
 
 class ProtocolError(ValueError):
@@ -79,6 +77,9 @@ class SubmissionB:
 class SubmissionC:
     team: str
     answers: dict[str, list[Path]] = field(default_factory=dict)
+
+
+Submission = SubmissionA | SubmissionB | SubmissionC
 
 
 # --- text and element encodings -------------------------------------------
@@ -184,6 +185,21 @@ def _load_root(text: str, allowed_tags: tuple[str, ...]) -> ET.Element:
     return root
 
 
+def _sorted_bindings(key: frozenset[Binding]) -> list[Binding]:
+    return sorted(key, key=lambda b: sorted((n, v.canonical) for n, v in b))
+
+
+def _sorted_paths(key: frozenset[Path]) -> list[Path]:
+    return sorted(key, key=lambda p: (p.length, p.sort_key()))
+
+
+def _query_type(queries: list[Query]) -> type:
+    """The one query type of a document; FillQuery when it has no queries."""
+    kinds = {type(q) for q in queries}
+    _require(len(kinds) <= 1, "query and key files hold a single query type")
+    return kinds.pop() if kinds else FillQuery
+
+
 def _write_query(qel: ET.Element, q: Query, keyed: bool) -> None:
     """A query's elements, then in a key file its payload."""
     if isinstance(q, FillQuery):
@@ -194,10 +210,7 @@ def _write_query(qel: ET.Element, q: Query, keyed: bool) -> None:
             ET.SubElement(tel, "Object").text = encode_node_ref(t.object)
         if not keyed:
             return
-        for i, binding in enumerate(
-            sorted(q.key, key=lambda b: sorted((n, v.canonical) for n, v in b)),
-            start=1,
-        ):
+        for i, binding in enumerate(_sorted_bindings(q.key), start=1):
             bel = ET.SubElement(qel, "Binding", {"index": str(i)})
             for name, node in sorted(binding):
                 vel = ET.SubElement(bel, "Var", {"name": name})
@@ -218,16 +231,12 @@ def _write_query(qel: ET.Element, q: Query, keyed: bool) -> None:
         ET.SubElement(qel, "Target").text = q.target.canonical
         if not keyed:
             return
-        for i, path in enumerate(
-            sorted(q.key, key=lambda p: (p.length, p.sort_key())), start=1
-        ):
+        for i, path in enumerate(_sorted_paths(q.key), start=1):
             qel.append(_path_element(path, i))
 
 
 def _emit_document(queries: list[Query], suffix: str, params: dict[str, str]) -> str:
-    kinds = {type(q) for q in queries}
-    _require(len(kinds) <= 1, "query and key files hold a single query type")
-    root_tag = (_ROOT_FOR_TYPE[kinds.pop()] if kinds else "QA") + suffix
+    root_tag = _ROOT_FOR_TYPE[_query_type(queries)] + suffix
     root = ET.Element(root_tag, dict(sorted(params.items())))
     keyed = root.tag.endswith("Key")
     for q in queries:
@@ -397,9 +406,30 @@ def emit_submission_c(sub: SubmissionC) -> str:
     return _document(root)
 
 
+def emit_oracle_submission(queries: list[Query], team: str) -> str:
+    """The submission that answers each query with its key, in key-file
+    order: per variable each keyed node once at confidence 1, the correct
+    option, or every keyed path."""
+    kind = _query_type(queries)
+    if kind is ChoiceQuery:
+        answers = {q.id: q.options[q.key] for q in queries}
+        return emit_submission_b(SubmissionB(team, answers))
+    if kind is PathQuery:
+        answers = {q.id: _sorted_paths(q.key) for q in queries}
+        return emit_submission_c(SubmissionC(team, answers))
+    fill_answers = {}
+    for q in queries:
+        nodes: dict[str, dict[NodeId, float]] = {v: {} for v in q.variables}
+        for binding in _sorted_bindings(q.key):
+            for name, node in binding:
+                nodes[name][node] = 1.0
+        fill_answers[q.id] = {v: list(ranked.items()) for v, ranked in nodes.items()}
+    return emit_submission_a(SubmissionA(team, fill_answers))
+
+
 def parse_submission_xml(
     text: str, expected: list[Query]
-) -> tuple[SubmissionA | SubmissionB | SubmissionC, list[Diagnostic]]:
+) -> tuple[Submission, list[Diagnostic]]:
     """Match a submission document against the expected queries.  Malformed
     XML is fatal; per-item violations drop only that item with a
     diagnostic.  Queries with no usable answers are present but empty."""

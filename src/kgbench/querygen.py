@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .graph import PERSON, KnowledgeGraph, NodeId
 from .oracle import (
+    OracleError,
     Path,
     PatternTriple,
     Variable,
@@ -59,6 +60,28 @@ class PathQuery:
     target: NodeId
     max_edges: int
     key: frozenset[Path] = field(compare=False)
+
+
+Query = FillQuery | ChoiceQuery | PathQuery
+
+
+def oracle_key(
+    graph: KnowledgeGraph, query: Query
+) -> frozenset[Binding] | int | frozenset[Path]:
+    """The oracle's key for `query`, in the form the query stores it: the
+    binding set, the index of the one option that holds (OracleError unless
+    exactly one does), or the path set."""
+    if isinstance(query, FillQuery):
+        return frozenset(solve_pattern(graph, list(query.triples)))
+    if isinstance(query, ChoiceQuery):
+        correct = answer_choice(graph, query.subject, query.object, list(query.options))
+        if len(correct) != 1:
+            raise OracleError(
+                f"{query.id}: expected exactly one correct option, got {len(correct)}"
+            )
+        return correct.pop()
+    paths = enumerate_paths(graph, query.source, query.target, query.max_edges)
+    return frozenset(paths)
 
 
 def _insufficient(what: str) -> GenerationError:

@@ -251,16 +251,3 @@ class ScoreReport:
             )
         return "\n".join(lines) + "\n"
 
-
-def aggregate(
-    team: str,
-    parameters: dict[str, str] | None = None,
-    fill: list[FillScore] | None = None,
-    choice: ChoiceScore | None = None,
-    paths: list[PathScore] | None = None,
-) -> ScoreReport:
-    report = ScoreReport(team, dict(parameters or {}))
-    report.fill = list(fill or [])
-    report.choice = choice
-    report.paths = list(paths or [])
-    return report

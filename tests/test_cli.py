@@ -1,11 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from kgbench.cli import main
+from kgbench.graph import person
+from kgbench.protocol import emit_query_xml
+from kgbench.querygen import ChoiceQuery
 
-DATA = Path(__file__).parent.parent / "src" / "kgbench" / "data"
+SRC = Path(__file__).parent.parent / "src"
+DATA = SRC / "kgbench" / "data"
+GOLDEN = Path(__file__).parent / "golden"
 GRAPH = str(DATA / "simpsons.tgf")
 XGML = str(DATA / "simpsons.xgml")
 ONT = str(DATA / "simpsons.ont")
@@ -239,3 +247,84 @@ def test_score_rejects_duplicate_key_files(tmp_path, capsys, case):
     expected = "query 'Q.A.1'" if case == "id across types" else "the same query type"
     assert expected in err
     assert not (tmp_path / "rep").exists()
+
+
+# gen-queries with one generator's output altered before the self-check
+SELF_CHECK_RUN = """
+import sys
+from dataclasses import replace
+from kgbench import cli
+real = cli.{generator}
+cli.{generator} = lambda *args, **kwargs: [
+    {altered} for q in real(*args, **kwargs)
+]
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "-O"])
+@pytest.mark.parametrize(
+    "generator, altered, message",
+    [
+        ("generate_choice", "replace(q, key=(q.key + 1) % len(q.options))",
+         "Q.B.1: key differs from the oracle's"),
+        ("generate_path", "replace(q, key=frozenset())",
+         "Q.C.1: key differs from the oracle's"),
+        ("generate_choice", "replace(q, options=q.options + (q.options[q.key],))",
+         "Q.B.1: expected exactly one correct option, got 2"),
+    ],
+    ids=["wrong option", "no paths", "two correct options"],
+)
+def test_self_check_rejects_a_wrong_key(tmp_path, optimize, generator, altered, message):
+    # the check must hold under python -O, which drops assert statements
+    out = tmp_path / "out"
+    script = SELF_CHECK_RUN.format(generator=generator, altered=altered)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, *optimize, "-c", script, "gen-queries", *graph_args(),
+         "--seed", "7", "--count-a", "3", "--count-b", "3", "--count-c", "2",
+         "--max-edges", "4", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == f"error: self-check failed: {message}\n"
+    assert "self-check passed" not in proc.stdout
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "options, found",
+    [(("Spouse of", "Teacher at"), 0), (("Friend of", "Friend of"), 2)],
+    ids=["none holds", "two hold"],
+)
+def test_answer_choice_without_one_correct_option(tmp_path, capsys, options, found):
+    # Homer and Lenny are linked by "Friend of" alone
+    queries = tmp_path / "queries_b.xml"
+    query = ChoiceQuery("Q.B.1", person("Homer"), person("Lenny"), options, 0)
+    queries.write_text(emit_query_xml([query]))
+    out = tmp_path / "sub_b.xml"
+    code = main(["answer", *graph_args(), "--queries", str(queries), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: query/graph mismatch: Q.B.1: expected exactly one correct option, "
+        f"got {found}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "case, keys, submission",
+    [("keys_abc_sub_c", "abc", "c"), ("keys_a_sub_b", "a", "b"), ("keys_bc_sub_a", "bc", "a")],
+)
+def test_partial_submissions_match_pinned_reports(tmp_path, case, keys, submission):
+    # tests/golden_reports holds the reports of these score calls on the
+    # tests/golden files; a type without a submission file is scored as empty
+    code = main(
+        ["score", *graph_args(), "--keys", *(str(GOLDEN / f"keys_{t}.xml") for t in keys),
+         "--submissions", str(GOLDEN / f"sub_{submission}.xml"),
+         "--out", str(tmp_path / "rep")]
+    )
+    assert code == 0
+    pinned = Path(__file__).parent / "golden_reports" / case
+    for name in ("report.json", "report.txt"):
+        assert (tmp_path / "rep" / name).read_bytes() == (pinned / name).read_bytes(), name

@@ -1,3 +1,4 @@
+import sys
 import time
 
 import pytest
@@ -11,6 +12,7 @@ from kgbench.formats import (
     emit_tgf,
     emit_xgml,
     has_errors,
+    parse_graph,
     parse_tgf,
     parse_xgml,
 )
@@ -100,6 +102,20 @@ def test_xgml_unbalanced_brackets():
     g, diags = parse_xgml('graph [ node [ id 0 label "Person:A" ]', ONT)
     assert g is None
     assert any("unbalanced" in d.message.lower() for d in diags)
+
+
+@pytest.mark.parametrize("balanced", [False, True])
+def test_xgml_nesting_deeper_than_the_recursion_limit(balanced):
+    depth = sys.getrecursionlimit() + 100
+    text = "a [" * depth + ("]" * depth if balanced else "")
+    g, diags = parse_xgml(text, ONT)
+    assert g is None
+    messages = [d.message for d in diags]
+    assert messages.count("unbalanced brackets") == (0 if balanced else depth)
+    assert messages[-2:] == [
+        "ignored top-level key 'a'",
+        "expected exactly one graph [...] block",
+    ]
 
 
 def test_xgml_dangling_edge():
@@ -221,3 +237,33 @@ def test_tokenizer_is_linear_on_long_blank_runs():
     tokens, diags = _tokenize_xgml(text)
     assert time.perf_counter() - start < 2.0
     assert len(tokens) == 3 and not diags
+
+
+def _duplicate_world(fmt: str, *edges: tuple[int, int, str]) -> str:
+    """Person:duplicate (id 1) and Person:Bob (id 2) with the given edges."""
+    if fmt == "tgf":
+        lines = "".join(f"{src} {dst} {rel}\n" for src, dst, rel in edges)
+        return "1 Person:duplicate\n2 Person:Bob\n#\n" + lines
+    body = 'node [ id 1 label "Person:duplicate" ] node [ id 2 label "Person:Bob" ] '
+    body += "".join(f'edge [ source {s} target {d} label "{r}" ] ' for s, d, r in edges)
+    return f"graph [ {body}]"
+
+
+@pytest.mark.parametrize("fmt", ["tgf", "xgml"])
+def test_edge_problems_are_told_apart_by_kind_not_by_text(fmt):
+    # a node named "duplicate" once turned its self-loop into a warning
+    g, diags = parse_graph(_duplicate_world(fmt, (1, 1, "Spouse of")), ONT, fmt)
+    assert g is None
+    assert [(d.severity, d.message) for d in diags] == [
+        ("error", "self-loop on Person:duplicate")
+    ]
+    text = _duplicate_world(fmt, (1, 2, "Child of"), (1, 2, "Child of"), (2, 1, "Parent of"))
+    g, diags = parse_graph(text, ONT, fmt)
+    assert g is not None and g.edge_count == 1
+    assert [(d.severity, d.message) for d in diags] == [
+        ("warning", "dropped duplicate edge: duplicate edge: "
+         "Person:duplicate -[Child of]-> Person:Bob"),
+        ("warning", "dropped duplicate edge: inverse-duplicate edge: "
+         "Person:Bob -[Parent of]-> Person:duplicate "
+         "restates Person:duplicate -[Child of]-> Person:Bob"),
+    ]

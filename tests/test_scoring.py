@@ -6,7 +6,7 @@ from kgbench.protocol import SubmissionA, SubmissionB
 from kgbench.querygen import ChoiceQuery, FillQuery, PathQuery
 from kgbench.rng import SplitMix64
 from kgbench.scoring import (
-    aggregate,
+    ScoreReport,
     f1_score,
     reciprocal_rank,
     score_choice,
@@ -239,7 +239,7 @@ def test_aggregate_self_consistency(simpsons):
     query = chalmers_query(simpsons)
     path_score = score_paths(simpsons, query, list(query.key))
     fill_score = score_fill(three_var_query(), SubmissionA("t"))
-    report = aggregate(
+    report = ScoreReport(
         "t",
         {"seed": "1"},
         [fill_score],
@@ -274,5 +274,5 @@ def test_aggregate_two_fill_queries():
         },
     )
     b = score_fill(three_var_query(), perfect_sub)
-    report = aggregate("t", fill=[a, b])
+    report = ScoreReport("t", fill=[a, b])
     assert report.fill_mrr_mean == 0.5
