@@ -6,7 +6,7 @@ brute-force oracle, and score participant submissions (MRR, accuracy, path
 recall/precision/F1).
 """
 
-from .graph import Edge, KnowledgeGraph, NodeId, entity, location, person
+from .graph import Edge, KnowledgeGraph, NodeId, entity, person
 from .ontology import RelationOntology, load_ontology
 from .oracle import Path, PatternTriple, Variable, answer_choice, enumerate_paths, solve_pattern
 from .querygen import (
@@ -47,7 +47,6 @@ __all__ = [
     "generate_fill",
     "generate_path",
     "load_ontology",
-    "location",
     "person",
     "reciprocal_rank",
     "score_choice",

@@ -116,10 +116,12 @@ def cmd_gen_queries(args) -> int:
     for queries in (fill, choice, paths):
         _self_check(graph, queries)
     print("self-check passed: all keys re-verified against the oracle")
-    for name, queries in (("a", fill), ("b", choice), ("c", paths)):
+    # a type with no queries gets no files: a document holds at least one
+    typed = [(t, qs) for t, qs in (("a", fill), ("b", choice), ("c", paths)) if qs]
+    for name, queries in typed:
         _write_file(out / f"queries_{name}.xml", protocol.emit_query_xml(queries))
         _write_file(out / f"keys_{name}.xml", protocol.emit_key_xml(queries, params))
-    print(f"wrote 3 query files and 3 key files to {out}")
+    print(f"wrote {len(typed)} query files and {len(typed)} key files to {out}")
     return EXIT_OK
 
 

@@ -211,6 +211,13 @@ def _tokenize_xgml(text: str) -> tuple[list[tuple[int, object]], list[ParseDiagn
     return tokens, diagnostics
 
 
+def _as_written(tok) -> str:
+    """A token that is not a key, as the text shows it: '[', "quoted", 3.0."""
+    if tok is _LBRACKET:
+        return "'['"
+    return _quote(tok[1]) if isinstance(tok, tuple) else repr(tok)
+
+
 def _parse_xgml_block(tokens, asm: _GraphAssembler):
     """Parse the top-level `key value` list until a top-level ']' or the end;
     returns (entries, closed).  Entries are (line, key, value) where value
@@ -230,7 +237,7 @@ def _parse_xgml_block(tokens, asm: _GraphAssembler):
             entries = parent
             continue
         if not isinstance(tok, str):
-            asm.error(line, f"expected a key, got {tok!r}")
+            asm.error(line, f"expected a key, got {_as_written(tok)}")
             continue
         if pos >= n:
             asm.error(line, f"key {tok!r} without a value")

@@ -18,7 +18,6 @@ from .ontology import RelationOntology, canonical_label
 PERSON = "Person"
 ENTITY = "Entity"
 LOCATION = "Location"
-RESERVED_CATEGORIES = (PERSON, ENTITY, LOCATION)
 
 
 class GraphError(ValueError):
@@ -66,10 +65,6 @@ def person(name: str) -> NodeId:
 
 def entity(name: str) -> NodeId:
     return NodeId(ENTITY, name)
-
-
-def location(name: str) -> NodeId:
-    return NodeId(LOCATION, name)
 
 
 @dataclass(frozen=True, order=True)

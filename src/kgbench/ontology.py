@@ -57,9 +57,6 @@ class RelationOntology:
         except KeyError:
             raise OntologyError(f"unknown relation: {relation!r}") from None
 
-    def is_symmetric(self, relation: str) -> bool:
-        return self.inverse_of(relation) == relation
-
     def extended(self, relation: str, inverse: str) -> "RelationOntology":
         """New ontology with the pair added; re-adding an identical pair is a
         no-op, a conflicting redefinition is an error."""

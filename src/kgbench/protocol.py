@@ -3,7 +3,7 @@ submissions.
 
 Element vocabulary
 ------------------
-Query files (one document per type):
+Query files (one document per type, at least one Query):
     <QA><Query id="Q.A.1"><Triple><Subject>Person:Unknown_1</Subject>
         <Pred>Relation:Spouse_of</Pred><Object>Person:Marge</Object>
         </Triple>...</Query>...</QA>
@@ -159,6 +159,7 @@ def _parse_path_element(el: ET.Element) -> Path:
 # --- query and key files ----------------------------------------------------
 
 _ROOT_FOR_TYPE = {FillQuery: "QA", ChoiceQuery: "QB", PathQuery: "QC"}
+_TYPE_FOR_ROOT = {tag: kind for kind, tag in _ROOT_FOR_TYPE.items()}
 CONFIDENTIAL_COMMENT = "CONFIDENTIAL answer key - do not distribute to participants"
 
 
@@ -173,16 +174,19 @@ def _decimal(text: str | None, message: str) -> int:
     return int(text)
 
 
-def _load_root(text: str, allowed_tags: tuple[str, ...]) -> ET.Element:
+def _load_root(text: str, suffix: str) -> tuple[ET.Element, type]:
+    """The root element, which must be a type's tag plus `suffix`, and that
+    query type."""
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
         raise ProtocolError(f"malformed XML: {exc}") from None
+    allowed_tags = tuple(tag + suffix for tag in _TYPE_FOR_ROOT)
     _require(
         root.tag in allowed_tags,
         f"unexpected root element {root.tag!r}, expected one of {allowed_tags}",
     )
-    return root
+    return root, _TYPE_FOR_ROOT[root.tag.removesuffix(suffix)]
 
 
 def _sorted_bindings(key: frozenset[Binding]) -> list[Binding]:
@@ -194,10 +198,11 @@ def _sorted_paths(key: frozenset[Path]) -> list[Path]:
 
 
 def _query_type(queries: list[Query]) -> type:
-    """The one query type of a document; FillQuery when it has no queries."""
+    """The one query type of a document, which holds at least one query."""
     kinds = {type(q) for q in queries}
-    _require(len(kinds) <= 1, "query and key files hold a single query type")
-    return kinds.pop() if kinds else FillQuery
+    _require(bool(kinds), "a document holds at least one query")
+    _require(len(kinds) == 1, "query and key files hold a single query type")
+    return kinds.pop()
 
 
 def _write_query(qel: ET.Element, q: Query, keyed: bool) -> None:
@@ -235,21 +240,18 @@ def _write_query(qel: ET.Element, q: Query, keyed: bool) -> None:
             qel.append(_path_element(path, i))
 
 
-def _emit_document(queries: list[Query], suffix: str, params: dict[str, str]) -> str:
-    root_tag = _ROOT_FOR_TYPE[_query_type(queries)] + suffix
+def _emit_document(queries: list[Query], keyed: bool, params: dict[str, str]) -> str:
+    root_tag = _ROOT_FOR_TYPE[_query_type(queries)] + ("Key" if keyed else "")
     root = ET.Element(root_tag, dict(sorted(params.items())))
-    keyed = root.tag.endswith("Key")
     for q in queries:
         qel = ET.SubElement(root, "Query", {"id": q.id})
         _write_query(qel, q, keyed)
     return _document(root, CONFIDENTIAL_COMMENT if keyed else None)
 
 
-def _read_document(
-    text: str, allowed_tags: tuple[str, ...]
-) -> tuple[list[Query], dict[str, str]]:
-    root = _load_root(text, allowed_tags)
-    keyed = root.tag.endswith("Key")
+def _read_document(text: str, keyed: bool) -> tuple[list[Query], dict[str, str]]:
+    root, kind = _load_root(text, "Key" if keyed else "")
+    _require(len(root) > 0, f"{root.tag} document without a Query")
     queries: list[Query] = []
     seen: set[str] = set()
     for qel in root:
@@ -258,7 +260,7 @@ def _read_document(
         _require(bool(qid), "Query without an id attribute")
         _require(qid not in seen, f"duplicate query id {qid!r}")
         seen.add(qid)
-        if root.tag.startswith("QA"):
+        if kind is FillQuery:
             triples = []
             bindings = set()
             for cel in qel:
@@ -287,7 +289,7 @@ def _read_document(
                     raise ProtocolError(f"unknown element {cel.tag!r} in {qid}")
             _require(bool(triples), f"{qid}: fill query without triples")
             queries.append(FillQuery(qid, tuple(triples), frozenset(bindings)))
-        elif root.tag.startswith("QB"):
+        elif kind is ChoiceQuery:
             parts: dict[str, str] = {}
             options: list[tuple[int, str]] = []
             correct: list[int] = []
@@ -349,33 +351,33 @@ def _read_document(
 def emit_query_xml(queries: list[Query]) -> str:
     """One document per type; mixing types in one call is rejected.  Answer
     keys are never serialized here."""
-    return _emit_document(queries, "", {})
+    return _emit_document(queries, False, {})
 
 
 def parse_query_xml(text: str) -> list[Query]:
     """Keyless structural queries for participant-side tooling.  Parsed
     FillQuery/ChoiceQuery/PathQuery carry empty/zero keys."""
-    return _read_document(text, ("QA", "QB", "QC"))[0]
+    return _read_document(text, False)[0]
 
 
 def emit_key_xml(queries: list[Query], params: dict[str, str] | None = None) -> str:
     """Sealed answer keys.  Key files are self-contained: they restate the
     query structure alongside the key material, so scoring needs only the
     key file and the submission."""
-    return _emit_document(queries, "Key", params or {})
+    return _emit_document(queries, True, params or {})
 
 
 def parse_key_xml(text: str) -> tuple[list[Query], dict[str, str]]:
     """Inverse of emit_key_xml: full Query values with their answer keys,
     plus the parameter echo from the root attributes."""
-    return _read_document(text, ("QAKey", "QBKey", "QCKey"))
+    return _read_document(text, True)
 
 
 # --- submissions -------------------------------------------------------------
 
 
 def emit_submission_a(sub: SubmissionA) -> str:
-    root = ET.Element("QA", {"team": sub.team})
+    root = ET.Element(_ROOT_FOR_TYPE[FillQuery], {"team": sub.team})
     for qid in sorted(sub.answers):
         qel = ET.SubElement(root, "Query", {"id": qid})
         for var in sorted(sub.answers[qid]):
@@ -390,7 +392,7 @@ def emit_submission_a(sub: SubmissionA) -> str:
 
 
 def emit_submission_b(sub: SubmissionB) -> str:
-    root = ET.Element("QB", {"team": sub.team})
+    root = ET.Element(_ROOT_FOR_TYPE[ChoiceQuery], {"team": sub.team})
     for qid in sorted(sub.answers):
         qel = ET.SubElement(root, "Query", {"id": qid})
         ET.SubElement(qel, "Answer").text = encode_relation(sub.answers[qid])
@@ -398,7 +400,7 @@ def emit_submission_b(sub: SubmissionB) -> str:
 
 
 def emit_submission_c(sub: SubmissionC) -> str:
-    root = ET.Element("QC", {"team": sub.team})
+    root = ET.Element(_ROOT_FOR_TYPE[PathQuery], {"team": sub.team})
     for qid in sorted(sub.answers):
         qel = ET.SubElement(root, "Query", {"id": qid})
         for i, path in enumerate(sub.answers[qid], start=1):
@@ -430,25 +432,25 @@ def emit_oracle_submission(queries: list[Query], team: str) -> str:
 def parse_submission_xml(
     text: str, expected: list[Query]
 ) -> tuple[Submission, list[Diagnostic]]:
-    """Match a submission document against the expected queries.  Malformed
+    """Match a submission document against the expected queries of its
+    root's type; an id of another type is an unknown query id.  Malformed
     XML is fatal; per-item violations drop only that item with a
     diagnostic.  Queries with no usable answers are present but empty."""
-    root = _load_root(text, ("QA", "QB", "QC"))
+    root, kind = _load_root(text, "")
     team = root.get("team")
     _require(team is not None, "submission root must carry a team attribute")
-    expected_ids = [q.id for q in expected]
-    by_id = {q.id: q for q in expected}
+    by_id = {q.id: q for q in expected if type(q) is kind}
     diagnostics: list[Diagnostic] = []
 
     def warn(where: str, message: str) -> None:
         diagnostics.append(Diagnostic("warning", where, message))
 
-    if root.tag == "QA":
-        sub = SubmissionA(team, {qid: {} for qid in expected_ids})
-    elif root.tag == "QB":
-        sub = SubmissionB(team, {})
+    if kind is FillQuery:
+        sub = SubmissionA(team, {qid: {} for qid in by_id})
+    elif kind is ChoiceQuery:
+        sub = SubmissionB(team)
     else:
-        sub = SubmissionC(team, {qid: [] for qid in expected_ids})
+        sub = SubmissionC(team, {qid: [] for qid in by_id})
 
     for qel in root:
         if qel.tag != "Query" or not qel.get("id"):
@@ -459,11 +461,7 @@ def parse_submission_xml(
             warn(qid, "submission references an unknown query id; ignored")
             continue
         query = by_id[qid]
-        if _ROOT_FOR_TYPE[type(query)] != root.tag:
-            kind = {"QA": "fill", "QB": "choice", "QC": "path"}[root.tag]
-            warn(qid, f"query id is not a {kind} query; ignored")
-            continue
-        if root.tag == "QA":
+        if kind is FillQuery:
             raw: dict[str, list[tuple[int, float, NodeId]]] = {}
             declared: dict[str, list[tuple[int, str]]] = {}
             for order, ael in enumerate(qel):
@@ -499,7 +497,7 @@ def parse_submission_xml(
                             "with confidence ordering",
                         )
                 sub.answers[qid][var] = [(node, conf) for _, conf, node in ordered]
-        elif root.tag == "QB":
+        elif kind is ChoiceQuery:
             answers = [c for c in qel if c.tag == "Answer"]
             if len(answers) != 1:
                 warn(qid, f"expected exactly one Answer, got {len(answers)}; dropped")
@@ -523,8 +521,8 @@ def parse_submission_xml(
                     continue
                 sub.answers[qid].append(path)
 
-    if root.tag == "QB":
-        for qid in expected_ids:
-            if isinstance(by_id[qid], ChoiceQuery) and qid not in sub.answers:
+    if kind is ChoiceQuery:
+        for qid in by_id:
+            if qid not in sub.answers:
                 warn(qid, "no answer submitted; scored as wrong")
     return sub, diagnostics

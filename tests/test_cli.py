@@ -328,3 +328,42 @@ def test_partial_submissions_match_pinned_reports(tmp_path, case, keys, submissi
     pinned = Path(__file__).parent / "golden_reports" / case
     for name in ("report.json", "report.txt"):
         assert (tmp_path / "rep" / name).read_bytes() == (pinned / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("skipped", "abc")
+def test_a_type_with_no_queries_gets_no_files(tmp_path, capsys, skipped):
+    out = tmp_path / "run"
+    counts = {"a": "3", "b": "3", "c": "2", skipped: "0"}
+    assert main(
+        ["gen-queries", *graph_args(), "--seed", "7", "--count-a", counts["a"],
+         "--count-b", counts["b"], "--count-c", counts["c"], "--max-edges", "4",
+         "--out", str(out)]
+    ) == 0
+    assert f"wrote 2 query files and 2 key files to {out}" in capsys.readouterr().out
+    kept = [t for t in "abc" if t != skipped]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        f"{kind}_{t}.xml" for kind in ("queries", "keys") for t in kept
+    )
+    for t in kept:
+        assert main(
+            ["answer", *graph_args(), "--queries", str(out / f"queries_{t}.xml"),
+             "--out", str(out / f"sub_{t}.xml")]
+        ) == 0
+        # each type draws from its own seed, so the other counts change nothing
+        assert (out / f"sub_{t}.xml").read_bytes() == (GOLDEN / f"sub_{t}.xml").read_bytes()
+    assert main(
+        ["score", *graph_args(), "--keys", *(str(out / f"keys_{t}.xml") for t in kept),
+         "--submissions", *(str(out / f"sub_{t}.xml") for t in kept),
+         "--out", str(tmp_path / "rep")]
+    ) == 0
+
+
+@pytest.mark.parametrize("root", ["QA", "QB", "QC"])
+def test_answer_rejects_a_file_without_queries(tmp_path, capsys, root):
+    queries = tmp_path / "queries.xml"
+    queries.write_text(f"<{root}/>")
+    out = tmp_path / "sub.xml"
+    code = main(["answer", *graph_args(), "--queries", str(queries), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: queries: {root} document without a Query\n"
+    assert not out.exists()

@@ -1,5 +1,8 @@
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -141,6 +144,41 @@ def test_xgml_ids_are_ascii_decimal(body, message):
     g, diags = parse_xgml(f"graph [ {body} ]", ONT)
     assert g is None
     assert [d.message for d in diags if d.severity == "error"] == [message]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[ ]", "expected a key, got '['"),
+        ('graph [ "q" 1 ]', 'expected a key, got "q"'),
+        ('graph [ "a\\"b" 1 ]', 'expected a key, got "a\\"b"'),
+        ("graph [ \u0663 1 ]", "expected a key, got 3.0"),
+        ("graph [ 3 1 ]", "expected a key, got 3"),
+    ],
+)
+def test_xgml_names_a_misplaced_token_as_written(text, message):
+    _, diags = parse_xgml(text, ONT)
+    assert message in [d.message for d in diags]
+
+
+def test_xgml_diagnostics_are_the_same_in_every_process():
+    # a token is named by its text, never by an object's memory address
+    script = (
+        "from kgbench.formats import parse_xgml\n"
+        "from kgbench.ontology import load_ontology\n"
+        "for text in ('[ ]', 'graph [ \"q\" ]', ']', 'graph [ [ ] ]'):\n"
+        "    print(*parse_xgml(text, load_ontology('Spouse of | Spouse of'))[1], sep='\\n')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        ).stdout
+        for _ in range(2)
+    ]
+    assert "expected a key, got '['" in runs[0]
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize(

@@ -72,3 +72,19 @@ def test_golden_documents_reemit_identically(t):
         assert emit_submission_b(sub) == sub_text
     else:
         assert emit_submission_c(sub) == sub_text
+
+
+@pytest.mark.parametrize("t", "abc")
+def test_golden_submissions_reemit_against_every_key(t):
+    # as `score` does: each submission meets the queries of all three key
+    # files and keeps only those of its own type
+    queries = [
+        q for k in "abc"
+        for q in parse_key_xml((GOLDEN / f"keys_{k}.xml").read_text(encoding="utf-8"))[0]
+    ]
+    sub_text = (GOLDEN / f"sub_{t}.xml").read_text(encoding="utf-8")
+    sub, diagnostics = parse_submission_xml(sub_text, queries)
+    assert diagnostics == []
+    assert all(qid.startswith(f"Q.{t.upper()}.") for qid in sub.answers)
+    emit = {"a": emit_submission_a, "b": emit_submission_b, "c": emit_submission_c}[t]
+    assert emit(sub) == sub_text

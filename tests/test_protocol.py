@@ -1,4 +1,10 @@
+import copy
+import xml.etree.ElementTree as ET
+from pathlib import Path as FsPath
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kgbench.graph import entity, person
 from kgbench.oracle import Path, PatternTriple, Variable
@@ -9,6 +15,7 @@ from kgbench.protocol import (
     SubmissionC,
     decode_relation,
     emit_key_xml,
+    emit_oracle_submission,
     emit_query_xml,
     emit_submission_a,
     emit_submission_b,
@@ -74,9 +81,24 @@ def test_emit_fill_query_matches_vocabulary():
     assert "Homer" not in text  # answer keys never serialized
 
 
-def test_empty_query_list():
-    text = emit_query_xml([])
-    assert parse_query_xml(text) == []
+@pytest.mark.parametrize(
+    "emit",
+    [emit_query_xml, emit_key_xml, lambda queries: emit_oracle_submission(queries, "t")],
+    ids=["query", "key", "oracle submission"],
+)
+def test_a_document_without_queries_is_not_written(emit):
+    # an empty document would have no query type to name its root
+    with pytest.raises(ProtocolError, match="at least one query"):
+        emit([])
+
+
+@pytest.mark.parametrize("root", ["QA", "QB", "QC"])
+def test_a_document_without_queries_is_rejected(root):
+    with pytest.raises(ProtocolError, match=f"{root} document without a Query"):
+        parse_query_xml(f'<?xml version="1.0"?>\n<{root} />\n')
+    key = f'<?xml version="1.0"?>\n<!-- CONFIDENTIAL -->\n<{root}Key seed="1" />\n'
+    with pytest.raises(ProtocolError, match=f"{root}Key document without a Query"):
+        parse_key_xml(key)
 
 
 def test_query_round_trip_fill():
@@ -351,3 +373,61 @@ def test_parser_totality_on_noise(seed):
         parse_submission_xml(text, [SPOUSE_QUERY])
     except ProtocolError:
         pass
+
+
+GOLDEN = FsPath(__file__).parent / "golden"
+GOLDEN_QUERIES = [
+    q for t in "abc"
+    for q in parse_key_xml((GOLDEN / f"keys_{t}.xml").read_text(encoding="utf-8"))[0]
+]
+# the Answer and Path elements of the oracle's golden submissions
+GOLDEN_ANSWERS = [
+    el for t in "abc" for qel in ET.parse(GOLDEN / f"sub_{t}.xml").getroot() for el in qel
+]
+TYPE_OF_ROOT = {"QA": FillQuery, "QB": ChoiceQuery, "QC": PathQuery}
+# the golden ids of all three types, an unknown id and an empty one
+QUERY_IDS = [q.id for q in GOLDEN_QUERIES] + ["Q.A.9", ""]
+# text that XML can carry: no control characters and no surrogates
+TEXTS = st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=8)
+ATTRIBUTES = st.dictionaries(
+    st.sampled_from(["var", "rank", "confidence", "index", "id"]),
+    st.one_of(st.sampled_from(["Unknown_1", "Unknown_2", "1", "2", "0.5"]), TEXTS),
+    max_size=3,
+)
+
+
+@st.composite
+def submission_documents(draw):
+    """Well-formed submissions whose answers are the oracle's own, under any
+    query id and root, or elements with arbitrary attributes and text."""
+    root = ET.Element(draw(st.sampled_from(list(TYPE_OF_ROOT))), {"team": draw(TEXTS)})
+    for _ in range(draw(st.integers(0, 4))):
+        qel = ET.SubElement(root, "Query", {"id": draw(st.sampled_from(QUERY_IDS))})
+        for _ in range(draw(st.integers(0, 3))):
+            if draw(st.booleans()):
+                qel.append(copy.deepcopy(draw(st.sampled_from(GOLDEN_ANSWERS))))
+                continue
+            tag = draw(st.sampled_from(["Answer", "Path"]))
+            el = ET.SubElement(qel, tag, draw(ATTRIBUTES))
+            el.text = draw(TEXTS)
+            if tag == "Path":
+                parts = draw(st.lists(st.sampled_from(["Source", "Edge", "Node", "Target"])))
+                for part in parts:
+                    ET.SubElement(el, part).text = draw(TEXTS)
+    return ET.tostring(root, encoding="unicode")
+
+
+@given(submission_documents())
+def test_submissions_hold_only_ids_of_their_own_type(text):
+    try:
+        sub, diagnostics = parse_submission_xml(text, GOLDEN_QUERIES)
+    except ProtocolError:
+        return
+    kind = TYPE_OF_ROOT[ET.fromstring(text).tag]
+    own = {q.id for q in GOLDEN_QUERIES if isinstance(q, kind)}
+    assert set(sub.answers) <= own
+    if kind is not ChoiceQuery:  # fill and path submissions list every query
+        assert set(sub.answers) == own
+    for d in diagnostics:
+        if d.where in QUERY_IDS and d.where not in own:
+            assert d.message == "submission references an unknown query id; ignored"
