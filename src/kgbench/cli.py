@@ -264,6 +264,20 @@ def _add_graph_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _at_least(low: int):
+    """argparse type: an integer >= low; anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kgbench",
@@ -279,11 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-queries", help="generate query and sealed key files")
     _add_graph_args(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count-a", type=int, default=5)
-    p.add_argument("--count-b", type=int, default=5)
-    p.add_argument("--count-c", type=int, default=2)
-    p.add_argument("--n-options", type=int, default=5)
-    p.add_argument("--max-edges", type=int, default=8)
+    p.add_argument("--count-a", type=_at_least(0), default=5)
+    p.add_argument("--count-b", type=_at_least(0), default=5)
+    p.add_argument("--count-c", type=_at_least(0), default=2)
+    p.add_argument("--n-options", type=_at_least(1), default=5)
+    p.add_argument("--max-edges", type=_at_least(1), default=8)
     p.add_argument("--require-unique", action="store_true")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen_queries)

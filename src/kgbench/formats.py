@@ -13,7 +13,8 @@ import re
 from dataclasses import dataclass
 
 from .graph import DuplicateEdgeError, Edge, GraphError, KnowledgeGraph, NodeId
-from .ontology import RelationOntology, canonical_label
+from .ontology import UNDERSCORE_RULE, RelationOntology, canonical_label
+from .oracle import is_variable_name
 
 WARNING = "warning"
 ERROR = "error"
@@ -65,6 +66,9 @@ class _GraphAssembler:
         except GraphError as exc:
             self.error(line, str(exc))
             return
+        if is_variable_name(node.name):
+            self.error(line, f"node {node} is named like a query variable (Unknown_<n>)")
+            return
         if node in self.declared:
             self.warn(line, f"node {node} declared more than once; merged")
         self.declared.add(node)
@@ -79,16 +83,14 @@ class _GraphAssembler:
             self.error(line, f"edge references undeclared node id {dst_id}")
             return
         if relation not in self.ontology:
-            if self.allow_new_relations:
-                self.ontology = self.ontology.extended(relation, relation)
-                self.warn(
-                    line,
-                    f"relation {relation!r} not in ontology; "
-                    "assumed self-inverse",
-                )
-            else:
+            if not self.allow_new_relations:
                 self.error(line, f"relation {relation!r} not in ontology")
                 return
+            if "_" in relation:
+                self.error(line, UNDERSCORE_RULE.format(relation))
+                return
+            self.ontology = self.ontology.extended(relation, relation)
+            self.warn(line, f"relation {relation!r} not in ontology; assumed self-inverse")
         self.edges.append(
             Edge(self.nodes_by_fileid[src_id], relation, self.nodes_by_fileid[dst_id])
         )

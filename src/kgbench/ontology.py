@@ -15,6 +15,10 @@ class OntologyError(ValueError):
     pass
 
 
+# query, key and submission files write a space in a relation as '_'
+UNDERSCORE_RULE = "relation {!r} contains '_', which query files read as a space"
+
+
 def canonical_label(raw: str) -> str:
     """Trim and collapse internal whitespace; comparison is then exact and
     case-sensitive."""
@@ -78,7 +82,7 @@ class RelationOntology:
 def load_ontology(text: str) -> RelationOntology:
     """Parse the ontology file format: one `<relation> | <inverse>` pair per
     line, `#` comment lines, blank lines ignored.  Self-inverse relations
-    repeat the label."""
+    repeat the label; no label may contain '_'."""
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -91,6 +95,9 @@ def load_ontology(text: str) -> RelationOntology:
         i = canonical_label(right)
         if not r or not i:
             raise OntologyError(f"line {lineno}: empty relation label")
+        for label in (r, i):
+            if "_" in label:
+                raise OntologyError(f"line {lineno}: {UNDERSCORE_RULE.format(label)}")
         if r in pairs:
             if pairs[r] == i:
                 raise OntologyError(f"line {lineno}: duplicate relation {r!r}")

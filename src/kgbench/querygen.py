@@ -9,6 +9,7 @@ rather than looping forever on degenerate graphs.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .graph import PERSON, KnowledgeGraph, NodeId
@@ -25,6 +26,7 @@ from .oracle import (
 from .rng import SplitMix64
 
 ATTEMPT_BUDGET = 1000
+_LETTER = {"fill": "A", "choice": "B", "path": "C"}  # query ids are Q.<letter>.<n>
 
 Binding = frozenset[tuple[str, NodeId]]
 
@@ -84,13 +86,6 @@ def oracle_key(
     return frozenset(paths)
 
 
-def _insufficient(what: str) -> GenerationError:
-    return GenerationError(
-        f"insufficient structure: could not generate {what} "
-        f"within {ATTEMPT_BUDGET} attempts"
-    )
-
-
 def _sample_connected_edges(
     graph: KnowledgeGraph, rng: SplitMix64, count: int
 ) -> list[tuple[NodeId, str, NodeId]]:
@@ -120,6 +115,35 @@ def _sample_connected_edges(
     return chosen
 
 
+def _generate(
+    seed: int,
+    count: int,
+    what: str,
+    blocked: str | None,
+    draft: Callable[[SplitMix64, str], Query | None],
+) -> list[Query]:
+    """The one rejection loop.  Query n is the first of up to ATTEMPT_BUDGET
+    `draft(rng, "Q.<letter>.<n>")` calls that returns a query, not None.
+    `blocked` names a structural shortfall that rules out every query; it
+    only counts when a query is asked for."""
+    if count > 0 and blocked:
+        raise GenerationError(f"insufficient structure: {blocked}")
+    rng = SplitMix64(seed)
+    queries = []
+    for number in range(1, count + 1):
+        for _ in range(ATTEMPT_BUDGET):
+            query = draft(rng, f"Q.{_LETTER[what]}.{number}")
+            if query is not None:
+                queries.append(query)
+                break
+        else:
+            raise GenerationError(
+                f"insufficient structure: could not generate {what} query {number} "
+                f"within {ATTEMPT_BUDGET} attempts"
+            )
+    return queries
+
+
 def generate_fill(
     graph: KnowledgeGraph,
     seed: int,
@@ -134,41 +158,31 @@ def generate_fill(
         raise ValueError("vars_per_query must be in 1..3")
     if not (1 <= triples_per_query <= 6):
         raise ValueError("triples_per_query must be in 1..6")
-    if graph.node_count < 3 or graph.edge_count < 2:
-        raise GenerationError("insufficient structure: graph is too small")
-    rng = SplitMix64(seed)
-    queries: list[FillQuery] = []
-    for qnum in range(1, count + 1):
-        for _ in range(ATTEMPT_BUDGET):
-            edges = _sample_connected_edges(graph, rng, triples_per_query)
-            if not edges:
-                continue
-            nodes_in_order: list[NodeId] = []
-            for a, _, b in edges:
-                for n in (a, b):
-                    if n not in nodes_in_order:
-                        nodes_in_order.append(n)
-            if len(nodes_in_order) <= vars_per_query:
-                continue
-            hidden = rng.sample(nodes_in_order, vars_per_query)
-            var_for = {
-                node: Variable(f"Unknown_{i}", node.category)
-                for i, node in enumerate(hidden, start=1)
-            }
-            triples = tuple(
-                PatternTriple(var_for.get(a, a), r, var_for.get(b, b))
-                for a, r, b in edges
-            )
-            key = solve_pattern(graph, list(triples))
-            if not key:
-                continue
-            if require_unique and len(key) != 1:
-                continue
-            queries.append(FillQuery(f"Q.A.{qnum}", triples, frozenset(key)))
-            break
-        else:
-            raise _insufficient(f"fill query {qnum}")
-    return queries
+
+    def draft(rng: SplitMix64, qid: str) -> FillQuery | None:
+        edges = _sample_connected_edges(graph, rng, triples_per_query)
+        nodes_in_order: list[NodeId] = []
+        for a, _, b in edges:
+            for n in (a, b):
+                if n not in nodes_in_order:
+                    nodes_in_order.append(n)
+        if len(nodes_in_order) <= vars_per_query:
+            return None
+        hidden = rng.sample(nodes_in_order, vars_per_query)
+        var_for = {
+            node: Variable(f"Unknown_{i}", node.category)
+            for i, node in enumerate(hidden, start=1)
+        }
+        triples = tuple(
+            PatternTriple(var_for.get(a, a), r, var_for.get(b, b)) for a, r, b in edges
+        )
+        key = oracle_key(graph, FillQuery(qid, triples, frozenset()))
+        if not key or (require_unique and len(key) != 1):
+            return None
+        return FillQuery(qid, triples, key)
+
+    small = graph.node_count < 3 or graph.edge_count < 2
+    return _generate(seed, count, "fill", "graph is too small" if small else None, draft)
 
 
 def generate_choice(
@@ -178,42 +192,35 @@ def generate_choice(
     n_options: int = 5,
 ) -> list[ChoiceQuery]:
     """Hide the relation of a seeded edge; distractors are ontology
-    relations that hold between the pair in neither direction."""
+    relations that hold between the pair in neither direction.  The key is
+    known by construction; the CLI self-check recomputes it independently."""
     if n_options < 1:
         raise ValueError("n_options must be >= 1")
-    if len(graph.ontology) < n_options:
-        raise GenerationError(
-            "insufficient structure: ontology smaller than n_options"
-        )
-    if graph.edge_count == 0:
-        raise GenerationError("insufficient structure: graph has no edges")
-    rng = SplitMix64(seed)
     all_edges = graph.sorted_edges()
     all_relations = sorted(graph.ontology.relations)
-    queries: list[ChoiceQuery] = []
-    for qnum in range(1, count + 1):
-        for _ in range(ATTEMPT_BUDGET):
-            edge = rng.choice(all_edges)
-            nonholding = [
-                r
-                for r in all_relations
-                if not graph.has_link(edge.src, r, edge.dst)
-                and not graph.has_link(edge.dst, r, edge.src)
-            ]
-            if len(nonholding) < n_options - 1:
-                continue
-            options = [edge.relation] + rng.sample(nonholding, n_options - 1)
-            rng.shuffle(options)
-            correct = options.index(edge.relation)
-            query = ChoiceQuery(
-                f"Q.B.{qnum}", edge.src, edge.dst, tuple(options), correct
-            )
-            assert answer_choice(graph, edge.src, edge.dst, options) == {correct}
-            queries.append(query)
-            break
-        else:
-            raise _insufficient(f"choice query {qnum}")
-    return queries
+
+    def draft(rng: SplitMix64, qid: str) -> ChoiceQuery | None:
+        edge = rng.choice(all_edges)
+        nonholding = [
+            r
+            for r in all_relations
+            if not graph.has_link(edge.src, r, edge.dst)
+            and not graph.has_link(edge.dst, r, edge.src)
+        ]
+        if len(nonholding) < n_options - 1:
+            return None
+        options = [edge.relation] + rng.sample(nonholding, n_options - 1)
+        rng.shuffle(options)
+        return ChoiceQuery(
+            qid, edge.src, edge.dst, tuple(options), options.index(edge.relation)
+        )
+
+    blocked = (
+        "ontology smaller than n_options" if len(graph.ontology) < n_options
+        else "graph has no edges" if graph.edge_count == 0
+        else None
+    )
+    return _generate(seed, count, "choice", blocked, draft)
 
 
 def generate_path(
@@ -224,22 +231,12 @@ def generate_path(
 ) -> list[PathQuery]:
     """Sample connected Person pairs; the key is the exhaustive simple-path
     set up to max_edges."""
-    rng = SplitMix64(seed)
     persons = [n for n in graph.sorted_nodes() if n.category == PERSON]
-    if len(persons) < 2:
-        raise GenerationError("insufficient structure: fewer than two Person nodes")
-    queries: list[PathQuery] = []
-    for qnum in range(1, count + 1):
-        for _ in range(ATTEMPT_BUDGET):
-            pair = rng.sample(persons, 2)
-            source, target = pair
-            key = enumerate_paths(graph, source, target, max_edges)
-            if not key:
-                continue
-            queries.append(
-                PathQuery(f"Q.C.{qnum}", source, target, max_edges, frozenset(key))
-            )
-            break
-        else:
-            raise _insufficient(f"path query {qnum}")
-    return queries
+
+    def draft(rng: SplitMix64, qid: str) -> PathQuery | None:
+        source, target = rng.sample(persons, 2)
+        key = oracle_key(graph, PathQuery(qid, source, target, max_edges, frozenset()))
+        return PathQuery(qid, source, target, max_edges, key) if key else None
+
+    blocked = "fewer than two Person nodes" if len(persons) < 2 else None
+    return _generate(seed, count, "path", blocked, draft)

@@ -367,3 +367,66 @@ def test_answer_rejects_a_file_without_queries(tmp_path, capsys, root):
     assert code == 1
     assert capsys.readouterr().err == f"error: queries: {root} document without a Query\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, low",
+    [("--count-a", "-2", 0), ("--count-b", "-1", 0), ("--count-c", "-1", 0),
+     ("--n-options", "0", 1), ("--max-edges", "0", 1), ("--max-edges", "-1", 1),
+     ("--count-a", "two", 0)],
+)
+def test_gen_queries_bad_numbers_are_usage_errors(tmp_path, capsys, flag, value, low):
+    out = tmp_path / "out"
+    code = main(["gen-queries", *graph_args(), flag, value, "--out", str(out)])
+    assert code == 2
+    assert (
+        f"argument {flag}: expected an integer >= {low}, got {value!r}"
+        in capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "graph, ontology, counts, written",
+    [
+        # one node: too small for any type
+        ("1 Person:A\n#\n", "Friend of | Friend of\n",
+         ["--count-a", "0", "--count-b", "0", "--count-c", "0"], 0),
+        # two relations, fewer than the default five options of a choice query
+        ("1 Person:A\n2 Person:B\n3 Person:C\n4 Person:D\n#\n"
+         "1 2 Friend of\n2 3 Friend of\n3 4 Spouse of\n4 1 Friend of\n",
+         "Friend of | Friend of\nSpouse of | Spouse of\n", ["--count-b", "0"], 2),
+    ],
+    ids=["one node", "two relations"],
+)
+def test_a_count_of_zero_needs_no_structure(tmp_path, capsys, graph, ontology, counts, written):
+    (tmp_path / "g.tgf").write_text(graph)
+    (tmp_path / "o.ont").write_text(ontology)
+    out = tmp_path / "out"
+    code = main(["gen-queries", "--graph", str(tmp_path / "g.tgf"),
+                 "--ontology", str(tmp_path / "o.ont"), *counts, "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert (
+        f"wrote {written} query files and {written} key files to {out}"
+        in capsys.readouterr().out
+    )
+
+
+def test_names_the_query_files_cannot_carry_are_refused(tmp_path, capsys):
+    # "Works_at" would come back from a query file as "Works at"
+    ont = tmp_path / "o.ont"
+    ont.write_text(Path(ONT).read_text() + "Works_at | Employs\n")
+    out = tmp_path / "out"
+    code = main(["gen-queries", "--graph", GRAPH, "--ontology", str(ont), "--out", str(out)])
+    assert code == 1
+    line = len(Path(ONT).read_text().splitlines()) + 1
+    assert capsys.readouterr().err == (
+        f"error: ontology: line {line}: relation 'Works_at' contains '_', "
+        "which query files read as a space\n"
+    )
+    assert not out.exists()
+    # a node named Unknown_1 would be read back from a query file as a variable
+    graph = tmp_path / "g.tgf"
+    graph.write_text(Path(GRAPH).read_text().replace("Person:Lenny", "Person:Unknown_1"))
+    assert main(["validate-graph", *graph_args(str(graph))]) == 1
+    assert "node Person:Unknown_1 is named like a query variable" in capsys.readouterr().err

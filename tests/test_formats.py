@@ -305,3 +305,50 @@ def test_edge_problems_are_told_apart_by_kind_not_by_text(fmt):
          "Person:Bob -[Parent of]-> Person:duplicate "
          "restates Person:duplicate -[Child of]-> Person:Bob"),
     ]
+
+
+NODE_TEXT = {
+    "tgf": "1 Person:{name}\n2 Person:B\n#\n1 2 Spouse of\n",
+    "xgml": 'graph [\n node [ id 1 label "Person:{name}" ]\n node [ id 2 label "Person:B" ]\n'
+            ' edge [ source 1 target 2 label "Spouse of" ]\n]\n',
+}
+
+
+@pytest.mark.parametrize("fmt", ["tgf", "xgml"])
+@pytest.mark.parametrize("name", ["Unknown_1", "Unknown_012"])
+def test_a_node_named_like_a_query_variable_is_an_error(fmt, name):
+    # query files read Unknown_<n> as a variable, never as a node
+    g, diags = parse_graph(NODE_TEXT[fmt].format(name=name), ONT, fmt)
+    assert g is None
+    assert str(diags[0]) == (
+        f"error: line {1 if fmt == 'tgf' else 2}: node Person:{name} is named like a "
+        "query variable (Unknown_<n>)"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["tgf", "xgml"])
+@pytest.mark.parametrize("name", ["Unknown_", "Unknown_x", "Unknown_1a", "Unknown_\u0663"])
+def test_a_node_name_that_is_not_a_variable_is_kept(fmt, name):
+    g, diags = parse_graph(NODE_TEXT[fmt].format(name=name), ONT, fmt)
+    assert not diags
+    assert person(name) in g.nodes
+
+
+NEW_RELATION_TEXT = {
+    "tgf": "1 Person:A\n2 Person:B\n#\n1 2 {relation}\n",
+    "xgml": 'graph [\n node [ id 1 label "Person:A" ]\n node [ id 2 label "Person:B" ]\n'
+            ' edge [ source 1 target 2 label "{relation}" ]\n]\n',
+}
+
+
+@pytest.mark.parametrize("fmt", ["tgf", "xgml"])
+def test_a_new_relation_with_an_underscore_is_an_error(fmt):
+    text = NEW_RELATION_TEXT[fmt].format(relation="Knows_well")
+    g, diags = parse_graph(text, ONT, fmt, allow_new_relations=True)
+    assert g is None
+    assert [str(d) for d in diags] == [
+        "error: line 4: relation 'Knows_well' contains '_', which query files read as a space"
+    ]
+    text = NEW_RELATION_TEXT[fmt].format(relation="Knows well")
+    g, diags = parse_graph(text, ONT, fmt, allow_new_relations=True)
+    assert g is not None and g.ontology.inverse_of("Knows well") == "Knows well"

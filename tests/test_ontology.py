@@ -47,6 +47,9 @@ def test_unknown_relation_named_in_error():
         ont.inverse_of("Owns")
 
 
+UNDERSCORE = "^line {}: relation '{}' contains '_', which query files read as a space$"
+
+
 @pytest.mark.parametrize(
     "text,match",
     [
@@ -56,6 +59,11 @@ def test_unknown_relation_named_in_error():
         ("A of | B of\nB of | C of\n", "non-involutive"),
         ("A of |\n", "empty relation label"),
         ("A of\n", "expected"),
+        # query files write a space in a relation as '_', so '_' cannot round-trip
+        ("Works_at | Employs\n", UNDERSCORE.format(1, "Works_at")),
+        ("# comment\nEmploys | Works_at\n", UNDERSCORE.format(2, "Works_at")),
+        ("Friend of | Friend of\nBest_friend of | Best_friend of\n",
+         UNDERSCORE.format(2, "Best_friend of")),
     ],
 )
 def test_load_errors(text, match):

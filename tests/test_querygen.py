@@ -10,6 +10,7 @@ from kgbench.querygen import (
     generate_choice,
     generate_fill,
     generate_path,
+    oracle_key,
 )
 from kgbench.scoring import validate_path
 
@@ -116,7 +117,74 @@ def test_generation_on_random_graphs(seed):
     try:
         for q in generate_fill(g, seed, 2):
             assert solve_pattern(g, list(q.triples)) == set(q.key)
+            assert oracle_key(g, q) == q.key
         for q in generate_choice(g, seed, 2, n_options=2):
             assert answer_choice(g, q.subject, q.object, list(q.options)) == {q.key}
+            assert oracle_key(g, q) == q.key
+        for q in generate_path(g, seed, 2, max_edges=3):
+            assert oracle_key(g, q) == q.key
     except GenerationError:
         pass  # degenerate random graphs may legitimately fail
+
+
+def _graph(ontology: str, nodes: str, edges: list[tuple[str, str, str]] = ()):
+    g = KnowledgeGraph(load_ontology(ontology))
+    for name in nodes:
+        g = g.add_node(person(name))
+    for a, r, b in edges:
+        g = g.add_edge(person(a), r, person(b))
+    return g
+
+
+# (graph, generator call, the full "insufficient structure" message)
+TOO_SMALL = [
+    pytest.param(_graph("Friend of | Friend of", "AB", [("A", "Friend of", "B")]),
+                 lambda g, n: generate_fill(g, 1, n), "graph is too small", id="fill"),
+    pytest.param(_graph("Friend of | Friend of", "AB", [("A", "Friend of", "B")]),
+                 lambda g, n: generate_choice(g, 1, n), "ontology smaller than n_options",
+                 id="choice-ontology"),
+    pytest.param(_graph("Friend of | Friend of", "AB"),
+                 lambda g, n: generate_choice(g, 1, n, n_options=1), "graph has no edges",
+                 id="choice-edges"),
+    pytest.param(_graph("Friend of | Friend of", "A"),
+                 lambda g, n: generate_path(g, 1, n), "fewer than two Person nodes", id="path"),
+]
+
+
+@pytest.mark.parametrize("graph, generate, message", TOO_SMALL)
+def test_structural_precheck_message(graph, generate, message):
+    with pytest.raises(GenerationError) as exc:
+        generate(graph, 1)
+    assert str(exc.value) == f"insufficient structure: {message}"
+
+
+@pytest.mark.parametrize("graph, generate, message", TOO_SMALL)
+def test_a_count_of_zero_needs_no_structure(graph, generate, message):
+    assert generate(graph, 0) == []
+
+
+FRIENDS = "Friend of | Friend of\nSpouse of | Spouse of"
+
+
+@pytest.mark.parametrize(
+    "generate, what",
+    [
+        # no sample has more than three nodes to hide three of
+        (lambda: generate_fill(
+            _graph(FRIENDS, "ABC", [("A", "Friend of", "B"), ("B", "Friend of", "C")]),
+            1, 1, vars_per_query=3), "fill"),
+        # both relations hold between the only pair: no distractor is left
+        (lambda: generate_choice(
+            _graph(FRIENDS, "AB", [("A", "Friend of", "B"), ("A", "Spouse of", "B")]),
+            1, 1, n_options=2), "choice"),
+        # the two Person nodes are not connected
+        (lambda: generate_path(_graph(FRIENDS, "AB"), 1, 1), "path"),
+    ],
+    ids=["fill", "choice", "path"],
+)
+def test_attempt_budget_message(generate, what):
+    with pytest.raises(GenerationError) as exc:
+        generate()
+    assert str(exc.value) == (
+        f"insufficient structure: could not generate {what} query 1 within 1000 attempts"
+    )
