@@ -15,7 +15,7 @@ from pathlib import Path as FsPath
 from . import formats, protocol, scoring
 from .graph import KnowledgeGraph, NodeId
 from .ontology import OntologyError, load_ontology
-from .oracle import OracleError
+from .oracle import OracleError, PathBudgetError
 from .querygen import (
     ChoiceQuery,
     FillQuery,
@@ -134,6 +134,8 @@ def cmd_answer(args) -> int:
     out = FsPath(args.out)
     try:
         keyed = [replace(q, key=oracle_key(graph, q)) for q in queries]
+    except PathBudgetError as exc:
+        raise CliError(str(exc), EXIT_CONTENT) from None
     except ValueError as exc:
         raise CliError(f"query/graph mismatch: {exc}", EXIT_CONTENT) from None
     _write_file(out, protocol.emit_oracle_submission(keyed, args.team))

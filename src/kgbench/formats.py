@@ -12,9 +12,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .graph import DuplicateEdgeError, Edge, GraphError, KnowledgeGraph, NodeId
+from .graph import (
+    VARIABLE_RULE,
+    DuplicateEdgeError,
+    Edge,
+    GraphError,
+    KnowledgeGraph,
+    NodeId,
+    is_variable_name,
+)
 from .ontology import UNDERSCORE_RULE, RelationOntology, canonical_label
-from .oracle import is_variable_name
 
 WARNING = "warning"
 ERROR = "error"
@@ -67,7 +74,7 @@ class _GraphAssembler:
             self.error(line, str(exc))
             return
         if is_variable_name(node.name):
-            self.error(line, f"node {node} is named like a query variable (Unknown_<n>)")
+            self.error(line, VARIABLE_RULE.format(node))
             return
         if node in self.declared:
             self.warn(line, f"node {node} declared more than once; merged")

@@ -18,6 +18,9 @@ from .ontology import RelationOntology, canonical_label
 PERSON = "Person"
 ENTITY = "Entity"
 LOCATION = "Location"
+VARIABLE_PREFIX = "Unknown_"
+# query files read a node of this name back as a variable
+VARIABLE_RULE = "node {} is named like a query variable (Unknown_<n>)"
 
 
 class GraphError(ValueError):
@@ -26,6 +29,12 @@ class GraphError(ValueError):
 
 class DuplicateEdgeError(GraphError):
     """An edge, or its inverse-direction restatement, is already stored."""
+
+
+def is_variable_name(name: str) -> bool:
+    """`Unknown_` followed by ASCII [0-9]+."""
+    suffix = name[len(VARIABLE_PREFIX):]
+    return name.startswith(VARIABLE_PREFIX) and suffix.isascii() and suffix.isdigit()
 
 
 @dataclass(frozen=True, order=True)
@@ -79,6 +88,11 @@ class KnowledgeGraph:
     ontology: RelationOntology
     nodes: frozenset[NodeId] = frozenset()
     edges: frozenset[Edge] = frozenset()
+
+    def __post_init__(self):
+        for node in self.nodes:
+            if is_variable_name(node.name):
+                raise GraphError(VARIABLE_RULE.format(node))
 
     @property
     def node_count(self) -> int:

@@ -27,7 +27,8 @@ def canonical_label(raw: str) -> str:
 
 @dataclass(frozen=True)
 class RelationOntology:
-    """Immutable set of relation labels plus their inverse involution."""
+    """Immutable set of relation labels plus their inverse involution.  No
+    label contains '_'."""
 
     inverse: Mapping[str, str] = field(default_factory=dict)
 
@@ -36,6 +37,8 @@ class RelationOntology:
         for r, i in inv.items():
             if not r or not i:
                 raise OntologyError("empty relation label")
+            if "_" in r:
+                raise OntologyError(UNDERSCORE_RULE.format(r))
             if inv.get(i) != r:
                 raise OntologyError(
                     f"inverse map is not an involution at {r!r} -> {i!r}"

@@ -5,19 +5,31 @@ their inverse-labeled reversals) and is exhaustive by construction: the
 pattern matcher enumerates injective variable bindings, the path enumerator
 walks every simple route.  Scorers and generators are tested against these
 results.
+
+The path enumerator prunes only what cannot reach the target: one BFS from
+the target gives each node's hop distance to it, and the search never
+enters a node from which the target is further away than the edges left.
+Its cost follows the number of paths it returns rather than the size of the
+graph around the source.  That number is capped at PATH_BUDGET per call;
+past the cap it raises PathBudgetError rather than return a truncated key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import GraphError, KnowledgeGraph, NodeId
+from .graph import KnowledgeGraph, NodeId
 
-VARIABLE_PREFIX = "Unknown_"
+# the most simple paths one enumerate_paths call may return
+PATH_BUDGET = 10_000
 
 
 class OracleError(ValueError):
     pass
+
+
+class PathBudgetError(OracleError):
+    """More than PATH_BUDGET paths between one pair: a key is never cut."""
 
 
 @dataclass(frozen=True)
@@ -69,12 +81,6 @@ class Path:
             for node, rel in zip(self.nodes, self.relations + ("",))
             for part in (node.canonical, rel)
         )
-
-
-def is_variable_name(name: str) -> bool:
-    """`Unknown_` followed by ASCII [0-9]+."""
-    suffix = name[len(VARIABLE_PREFIX):]
-    return name.startswith(VARIABLE_PREFIX) and suffix.isascii() and suffix.isdigit()
 
 
 def pattern_variables(triples: list[PatternTriple]) -> list[Variable]:
@@ -175,6 +181,24 @@ def solve_pattern(
     return results
 
 
+def _distances_to(
+    graph: KnowledgeGraph, target: NodeId, limit: int
+) -> dict[NodeId, int]:
+    """Traversal-view hop distance to `target` of every node at most `limit`
+    hops from it, by breadth-first search from `target`."""
+    distance = {target: 0}
+    frontier = [target]
+    for hops in range(1, limit + 1):
+        reached = []
+        for node in frontier:
+            for other, _ in graph.neighbors(node):
+                if other not in distance:
+                    distance[other] = hops
+                    reached.append(other)
+        frontier = reached
+    return distance
+
+
 def enumerate_paths(
     graph: KnowledgeGraph,
     source: NodeId,
@@ -183,27 +207,42 @@ def enumerate_paths(
 ) -> list[Path]:
     """All simple traversal-view paths from source to target, up to
     max_edges when given, by depth-first search with backtracking.
-    Deterministic order: sorted by (length, node/relation sequence)."""
+    Deterministic order: sorted by (length, node/relation sequence).
+
+    The search enters a node only when its hop distance to the target, read
+    from one BFS cut off at max_edges - 1 hops, fits in the edges left, so
+    no branch too far from the target is walked.  More than PATH_BUDGET
+    paths raise PathBudgetError as soon as the first one too many is found."""
     if source == target:
         raise OracleError("source and target must differ")
     for n in (source, target):
         if n not in graph.nodes:
             raise OracleError(f"unknown node: {n}")
+    # a simple path has at most node_count - 1 edges, so that bound is "none"
+    bound = graph.node_count - 1 if max_edges is None else max_edges
+    if bound <= 0:
+        return []
+    distance = _distances_to(graph, target, bound - 1)
     results: list[Path] = []
     visited = {source}
     node_stack = [source]
     rel_stack: list[str] = []
 
     def dfs(current: NodeId) -> None:
-        if max_edges is not None and len(rel_stack) >= max_edges:
-            return
+        left = bound - len(rel_stack) - 1  # edges left after the next step
         for other, rel in graph.neighbors(current):
             if other == target:
+                if len(results) == PATH_BUDGET:
+                    raise PathBudgetError(
+                        f"more than {PATH_BUDGET} paths from {source} to {target} "
+                        "(the path budget); a key is never truncated"
+                    )
                 results.append(
                     Path(tuple(node_stack) + (target,), tuple(rel_stack) + (rel,))
                 )
                 continue
-            if other in visited:
+            # a node with no distance is more than bound - 1 hops away
+            if other in visited or distance.get(other, bound) > left:
                 continue
             visited.add(other)
             node_stack.append(other)

@@ -38,8 +38,8 @@ import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
-from .graph import GraphError, NodeId
-from .oracle import OracleError, Path, PatternTriple, Variable, is_variable_name
+from .graph import GraphError, NodeId, is_variable_name
+from .oracle import OracleError, Path, PatternTriple, Variable
 from .querygen import Binding, ChoiceQuery, FillQuery, PathQuery, Query
 
 

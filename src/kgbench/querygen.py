@@ -16,6 +16,7 @@ from .graph import PERSON, KnowledgeGraph, NodeId
 from .oracle import (
     OracleError,
     Path,
+    PathBudgetError,
     PatternTriple,
     Variable,
     answer_choice,
@@ -82,7 +83,10 @@ def oracle_key(
                 f"{query.id}: expected exactly one correct option, got {len(correct)}"
             )
         return correct.pop()
-    paths = enumerate_paths(graph, query.source, query.target, query.max_edges)
+    try:
+        paths = enumerate_paths(graph, query.source, query.target, query.max_edges)
+    except PathBudgetError as exc:
+        raise PathBudgetError(f"{query.id}: {exc}") from None
     return frozenset(paths)
 
 
@@ -230,12 +234,16 @@ def generate_path(
     max_edges: int = 8,
 ) -> list[PathQuery]:
     """Sample connected Person pairs; the key is the exhaustive simple-path
-    set up to max_edges."""
+    set up to max_edges.  A pair with more paths than the oracle's
+    PATH_BUDGET is rejected like an unconnected one."""
     persons = [n for n in graph.sorted_nodes() if n.category == PERSON]
 
     def draft(rng: SplitMix64, qid: str) -> PathQuery | None:
         source, target = rng.sample(persons, 2)
-        key = oracle_key(graph, PathQuery(qid, source, target, max_edges, frozenset()))
+        try:
+            key = oracle_key(graph, PathQuery(qid, source, target, max_edges, frozenset()))
+        except PathBudgetError:
+            return None
         return PathQuery(qid, source, target, max_edges, key) if key else None
 
     blocked = "fewer than two Person nodes" if len(persons) < 2 else None

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from kgbench import cli, oracle
 from kgbench.cli import main
 from kgbench.graph import person
 from kgbench.protocol import emit_query_xml
-from kgbench.querygen import ChoiceQuery
+from kgbench.querygen import ChoiceQuery, PathQuery
 
 SRC = Path(__file__).parent.parent / "src"
 DATA = SRC / "kgbench" / "data"
@@ -289,6 +290,55 @@ def test_self_check_rejects_a_wrong_key(tmp_path, optimize, generator, altered, 
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr == f"error: self-check failed: {message}\n"
     assert "self-check passed" not in proc.stdout
+    assert not out.exists()
+
+
+def test_answer_over_the_path_budget(tmp_path, capsys, monkeypatch):
+    # Homer and Bart have more than one path within four edges
+    monkeypatch.setattr(oracle, "PATH_BUDGET", 1)
+    queries = tmp_path / "queries_c.xml"
+    query = PathQuery("Q.C.1", person("Homer"), person("Bart"), 4, frozenset())
+    queries.write_text(emit_query_xml([query]))
+    out = tmp_path / "sub_c.xml"
+    code = main(["answer", *graph_args(), "--queries", str(queries), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: Q.C.1: more than 1 paths from Person:Homer to Person:Bart "
+        "(the path budget); a key is never truncated\n"
+    )
+    assert not out.exists()
+
+
+def test_self_check_over_the_path_budget(tmp_path, capsys, monkeypatch):
+    # the generator keys its queries under the real budget, the self-check
+    # recomputes them under a budget of 1
+    generate_path = cli.generate_path
+
+    def generate_then_lower_the_budget(*args, **kwargs):
+        queries = generate_path(*args, **kwargs)
+        monkeypatch.setattr(oracle, "PATH_BUDGET", 1)
+        return queries
+
+    monkeypatch.setattr(cli, "generate_path", generate_then_lower_the_budget)
+    out = tmp_path / "out"
+    code = main(["gen-queries", *graph_args(), "--seed", "7", "--count-a", "0",
+                 "--count-b", "0", "--count-c", "1", "--max-edges", "8", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: self-check failed: Q.C.1: more than 1 paths from ")
+    assert err.endswith(" (the path budget); a key is never truncated\n")
+    assert not out.exists()
+
+
+def test_gen_queries_with_every_pair_over_the_path_budget(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "PATH_BUDGET", 0)
+    out = tmp_path / "out"
+    code = main(["gen-queries", *graph_args(), "--count-a", "0", "--count-b", "0",
+                 "--count-c", "1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: insufficient structure: could not generate path query 1 within 1000 attempts\n"
+    )
     assert not out.exists()
 
 

@@ -1,16 +1,19 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import naive_solve_pattern, random_graph, reference_enumerate_paths
-from kgbench.graph import KnowledgeGraph, entity, person
+from kgbench.graph import KnowledgeGraph, entity, is_variable_name, person
 from kgbench.ontology import load_ontology
+from kgbench import oracle
 from kgbench.oracle import (
     OracleError,
     Path,
+    PathBudgetError,
     PatternTriple,
     Variable,
     answer_choice,
     enumerate_paths,
-    is_variable_name,
     solve_pattern,
 )
 from kgbench.rng import SplitMix64
@@ -147,6 +150,69 @@ def test_unbounded_on_acyclic_fixture():
     # A-B-C is the only route; traversal is undirected so the tree gives one
     assert len(enumerate_paths(g, person("A"), person("C"), None)) == 1
     assert len(enumerate_paths(g, person("C"), person("D"), None)) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    edges=st.integers(0, 18),
+    ends=st.tuples(st.integers(0, 13), st.integers(0, 12)),
+    bound=st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 6, 7, 8, None]),
+)
+def test_pruned_paths_equal_the_reference(seed, edges, ends, bound):
+    # sparse graphs often put the target in another component than the source
+    g = random_graph(seed, max_nodes=14, max_edges=edges)
+    nodes = g.sorted_nodes()
+    source = nodes[ends[0] % len(nodes)]
+    target = nodes[(ends[0] + 1 + ends[1] % (len(nodes) - 1)) % len(nodes)]
+    expected = sorted(
+        reference_enumerate_paths(g, source, target, bound),
+        key=lambda p: (p.length, p.sort_key()),
+    )
+    assert enumerate_paths(g, source, target, bound) == expected
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_a_bound_below_one_finds_no_path(simpsons, bound):
+    # Homer and Marge are adjacent, so only the bound rules out a path
+    assert enumerate_paths(simpsons, person("Homer"), person("Marge"), 1)
+    assert enumerate_paths(simpsons, person("Homer"), person("Marge"), bound) == []
+
+
+def test_pruning_skips_a_clique_with_no_route_to_the_target(monkeypatch):
+    # the unpruned search expands every simple path of the clique, about 3e4
+    ont = load_ontology("Friend of | Friend of")
+    clique = [person(f"C{i}") for i in range(9)]
+    g = KnowledgeGraph(ont)
+    for node in [person("S"), person("T"), person("U"), *clique]:
+        g = g.add_node(node)
+    g = g.add_edge(person("S"), "Friend of", clique[0])
+    for i, a in enumerate(clique):
+        for b in clique[i + 1:]:
+            g = g.add_edge(a, "Friend of", b)
+    g = g.add_edge(person("T"), "Friend of", person("U"))
+    calls = []
+    neighbors = KnowledgeGraph.neighbors
+    monkeypatch.setattr(
+        KnowledgeGraph, "neighbors", lambda self, node: calls.append(node) or neighbors(self, node)
+    )
+    assert enumerate_paths(g, person("S"), person("T"), 8) == []
+    assert len(calls) <= 5, len(calls)
+
+
+def test_path_budget(simpsons, monkeypatch):
+    homer, bart = person("Homer"), person("Bart")
+    paths = enumerate_paths(simpsons, homer, bart, 4)
+    assert len(paths) > 1
+    monkeypatch.setattr(oracle, "PATH_BUDGET", len(paths))
+    assert enumerate_paths(simpsons, homer, bart, 4) == paths
+    monkeypatch.setattr(oracle, "PATH_BUDGET", len(paths) - 1)
+    with pytest.raises(PathBudgetError) as exc:
+        enumerate_paths(simpsons, homer, bart, 4)
+    assert str(exc.value) == (
+        f"more than {len(paths) - 1} paths from Person:Homer to Person:Bart "
+        "(the path budget); a key is never truncated"
+    )
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -1,8 +1,9 @@
 import pytest
 
 from helpers import random_graph
-from kgbench.graph import KnowledgeGraph, person
-from kgbench.ontology import load_ontology
+from kgbench import oracle
+from kgbench.graph import GraphError, KnowledgeGraph, person
+from kgbench.ontology import OntologyError, RelationOntology, load_ontology
 from kgbench.oracle import answer_choice, enumerate_paths, solve_pattern
 from kgbench.protocol import emit_query_xml
 from kgbench.querygen import (
@@ -188,3 +189,43 @@ def test_attempt_budget_message(generate, what):
     assert str(exc.value) == (
         f"insufficient structure: could not generate {what} query 1 within 1000 attempts"
     )
+
+
+def test_a_pair_over_the_path_budget_is_skipped(simpsons, monkeypatch):
+    queries = generate_path(simpsons, 3, 4, max_edges=5)
+    budget = max(len(q.key) for q in queries) - 1
+    monkeypatch.setattr(oracle, "PATH_BUDGET", budget)
+    skipped = generate_path(simpsons, 3, 4, max_edges=5)
+    assert len(skipped) == 4
+    assert skipped != queries
+    for q in skipped:
+        assert len(q.key) <= budget
+        assert oracle_key(simpsons, q) == q.key
+
+
+def test_every_pair_over_the_path_budget(monkeypatch):
+    # A and B are linked twice, so each of the two pairs has two paths
+    monkeypatch.setattr(oracle, "PATH_BUDGET", 1)
+    g = _graph(FRIENDS, "AB", [("A", "Friend of", "B"), ("A", "Spouse of", "B")])
+    with pytest.raises(GenerationError) as exc:
+        generate_path(g, 1, 1)
+    assert str(exc.value) == (
+        "insufficient structure: could not generate path query 1 within 1000 attempts"
+    )
+
+
+def test_names_query_files_cannot_carry_are_refused_where_they_are_built():
+    # a two-node graph like this one used to give a choice key whose option
+    # read back as "Works at", or a query whose node read back as a variable
+    with pytest.raises(OntologyError) as exc:
+        RelationOntology({"Works_at": "Employs", "Employs": "Works_at"})
+    assert str(exc.value) == "relation 'Works_at' contains '_', which query files read as a space"
+    ontology = load_ontology("Works at | Employs")
+    with pytest.raises(OntologyError, match="contains '_'"):
+        ontology.extended("Lives_with", "Lives_with")
+    graph = KnowledgeGraph(ontology).add_node(person("A"))
+    with pytest.raises(GraphError) as exc:
+        graph.add_node(person("Unknown_1"))
+    assert str(exc.value) == "node Person:Unknown_1 is named like a query variable (Unknown_<n>)"
+    with pytest.raises(GraphError, match="query variable"):
+        KnowledgeGraph.build(ontology, [person("A"), person("Unknown_2")], [])
