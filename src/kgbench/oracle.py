@@ -206,7 +206,8 @@ def enumerate_paths(
     max_edges: int | None = None,
 ) -> list[Path]:
     """All simple traversal-view paths from source to target, up to
-    max_edges when given, by depth-first search with backtracking.
+    max_edges when given (a bound past node_count - 1 is none), by
+    depth-first search with backtracking.
     Deterministic order: sorted by (length, node/relation sequence).
 
     The search enters a node only when its hop distance to the target, read
@@ -218,8 +219,10 @@ def enumerate_paths(
     for n in (source, target):
         if n not in graph.nodes:
             raise OracleError(f"unknown node: {n}")
-    # a simple path has at most node_count - 1 edges, so that bound is "none"
-    bound = graph.node_count - 1 if max_edges is None else max_edges
+    # a simple path has at most node_count - 1 edges: no bound, or a larger
+    # one, is that bound
+    longest = graph.node_count - 1
+    bound = longest if max_edges is None else min(max_edges, longest)
     if bound <= 0:
         return []
     distance = _distances_to(graph, target, bound - 1)

@@ -309,6 +309,36 @@ def test_answer_over_the_path_budget(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_a_huge_path_bound_finishes(tmp_path, simpsons):
+    # bounds past the longest simple path, from a query file or the flag,
+    # give the unbounded keys at once
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    huge, longest = 10**12, simpsons.node_count - 1
+    subs = []
+    for bound in (huge, longest):
+        queries = tmp_path / f"queries_{bound}.xml"
+        query = PathQuery("Q.C.1", person("Homer"), person("Bart"), bound, frozenset())
+        queries.write_text(emit_query_xml([query]))
+        out = tmp_path / f"sub_{bound}.xml"
+        proc = subprocess.run(
+            [sys.executable, "-m", "kgbench.cli", "answer", *graph_args(),
+             "--queries", str(queries), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        subs.append(out.read_text())
+    assert subs[0] == subs[1]
+    assert subs[0].count("<Path") > 1
+    proc = subprocess.run(
+        [sys.executable, "-m", "kgbench.cli", "gen-queries", *graph_args(),
+         "--seed", "7", "--count-a", "0", "--count-b", "0", "--count-c", "2",
+         "--max-edges", str(huge), "--out", str(tmp_path / "q")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "self-check passed" in proc.stdout
+
+
 def test_self_check_over_the_path_budget(tmp_path, capsys, monkeypatch):
     # the generator keys its queries under the real budget, the self-check
     # recomputes them under a budget of 1

@@ -157,7 +157,7 @@ def test_unbounded_on_acyclic_fixture():
     seed=st.integers(0, 2**32),
     edges=st.integers(0, 18),
     ends=st.tuples(st.integers(0, 13), st.integers(0, 12)),
-    bound=st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 6, 7, 8, None]),
+    bound=st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 10**12, None]),
 )
 def test_pruned_paths_equal_the_reference(seed, edges, ends, bound):
     # sparse graphs often put the target in another component than the source
@@ -177,6 +177,14 @@ def test_a_bound_below_one_finds_no_path(simpsons, bound):
     # Homer and Marge are adjacent, so only the bound rules out a path
     assert enumerate_paths(simpsons, person("Homer"), person("Marge"), 1)
     assert enumerate_paths(simpsons, person("Homer"), person("Marge"), bound) == []
+
+
+def test_a_bound_past_the_longest_simple_path_is_no_bound(simpsons):
+    # a query file may carry any bound; no simple path has node_count edges
+    homer, bart = person("Homer"), person("Bart")
+    unbounded = enumerate_paths(simpsons, homer, bart, None)
+    assert enumerate_paths(simpsons, homer, bart, simpsons.node_count - 1) == unbounded
+    assert enumerate_paths(simpsons, homer, bart, 10**12) == unbounded
 
 
 def test_pruning_skips_a_clique_with_no_route_to_the_target(monkeypatch):
