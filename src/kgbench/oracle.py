@@ -6,6 +6,10 @@ pattern matcher enumerates injective variable bindings, the path enumerator
 walks every simple route.  Scorers and generators are tested against these
 results.
 
+The pattern matcher plans before it searches: each triple is attached to
+its later end in variable order and checked once, when that end is bound,
+as the set of nodes it reaches from its other end.
+
 The path enumerator prunes only what cannot reach the target: one BFS from
 the target gives each node's hop distance to it, and the search never
 enters a node from which the target is further away than the edges left.
@@ -111,70 +115,56 @@ def solve_pattern(
     triple is a traversal-view edge.  Bindings are returned as frozensets of
     (name, node) pairs so result sets are directly comparable.
 
-    Backtracking search with per-triple candidate filtering; must agree
+    Variables are bound in first-appearance order, and each triple is
+    checked once, when its later end is bound: a variable's candidates are
+    the nodes its attached triples reach from their bound ends.  Must agree
     with naive enumeration over all node tuples (see tests).
     """
     _check_pattern(graph, triples)
     variables = pattern_variables(triples)
+    order = {v.name: i for i, v in enumerate(variables)}
     constants = {
         end
         for t in triples
         for end in (t.subject, t.object)
         if isinstance(end, NodeId)
     }
+    # attached[i]: (other end, relation as read from it) for each triple
+    # whose later end is variable i; a constant is bound before any variable
+    attached: list[list[tuple[NodeId | Variable, str]]] = [[] for _ in variables]
+    for t in triples:
+        s, o = t.subject, t.object
+        s_at = order[s.name] if isinstance(s, Variable) else -1
+        o_at = order[o.name] if isinstance(o, Variable) else -1
+        if s_at == o_at == -1:
+            if not graph.has_link(s, t.relation, o):
+                return set()
+        elif s_at == o_at:
+            return set()  # one variable at both ends: the graph has no self-loops
+        elif o_at > s_at:
+            attached[o_at].append((s, t.relation))
+        else:
+            attached[s_at].append((o, graph.ontology.inverse_of(t.relation)))
 
     results: set[frozenset[tuple[str, NodeId]]] = set()
 
-    def satisfied(t: PatternTriple, binding: dict[str, NodeId]) -> bool | None:
-        """True/False when both ends are resolved, None when still open."""
-        s = binding.get(t.subject.name) if isinstance(t.subject, Variable) else t.subject
-        o = binding.get(t.object.name) if isinstance(t.object, Variable) else t.object
-        if s is None or o is None:
-            return None
-        if s == o:
-            return False
-        return graph.has_link(s, t.relation, o)
-
-    def candidates(var: Variable, binding: dict[str, NodeId]) -> list[NodeId]:
-        pool: set[NodeId] | None = None
-        for t in triples:
-            for this_end, other_end, forward in (
-                (t.subject, t.object, True),
-                (t.object, t.subject, False),
-            ):
-                if not (isinstance(this_end, Variable) and this_end.name == var.name):
-                    continue
-                anchor = (
-                    binding.get(other_end.name)
-                    if isinstance(other_end, Variable)
-                    else other_end
-                )
-                if anchor is None:
-                    continue
-                # neighbors of the anchor under the triple's relation, read
-                # from the correct side
-                rel = t.relation if not forward else graph.ontology.inverse_of(t.relation)
-                found = {
-                    other for other, r in graph.neighbors(anchor) if r == rel
-                }
-                pool = found if pool is None else pool & found
-        if pool is None:
-            pool = set(graph.nodes)
-        if var.category is not None:
-            pool = {n for n in pool if n.category == var.category}
-        used = set(binding.values()) | constants
-        return sorted(pool - used, key=lambda n: n.canonical)
-
     def search(idx: int, binding: dict[str, NodeId]) -> None:
         if idx == len(variables):
-            if all(satisfied(t, binding) for t in triples):
-                results.add(frozenset(binding.items()))
+            results.add(frozenset(binding.items()))
             return
+        pool: set[NodeId] | None = None
+        for end, relation in attached[idx]:
+            anchor = binding[end.name] if isinstance(end, Variable) else end
+            found = {other for other, r in graph.neighbors(anchor) if r == relation}
+            pool = found if pool is None else pool & found
+        if pool is None:
+            pool = set(graph.nodes)
         var = variables[idx]
-        for node in candidates(var, binding):
+        if var.category is not None:
+            pool = {n for n in pool if n.category == var.category}
+        for node in pool - constants - set(binding.values()):
             binding[var.name] = node
-            if all(satisfied(t, binding) is not False for t in triples):
-                search(idx + 1, binding)
+            search(idx + 1, binding)
             del binding[var.name]
 
     search(0, {})

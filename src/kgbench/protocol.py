@@ -342,7 +342,7 @@ def _read_document(text: str, keyed: bool) -> tuple[list[Query], dict[str, str]]
                 set(ends) == {"Source", "Target"},
                 f"{qid}: path query needs Source and Target",
             )
-            max_edges = _decimal(qel.get("max_edges", "8"), f"{qid}: bad max_edges")
+            max_edges = _decimal(qel.get("max_edges"), f"{qid}: bad max_edges")
             source, target = ends["Source"], ends["Target"]
             queries.append(PathQuery(qid, source, target, max_edges, frozenset(paths)))
     return queries, dict(root.attrib)

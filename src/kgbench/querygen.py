@@ -27,6 +27,8 @@ from .oracle import (
 from .rng import SplitMix64
 
 ATTEMPT_BUDGET = 1000
+FILL_TRIPLES = 3  # edges sampled per fill pattern
+FILL_VARIABLES = 2  # of their nodes, hidden behind Unknown_1, Unknown_2
 _LETTER = {"fill": "A", "choice": "B", "path": "C"}  # query ids are Q.<letter>.<n>
 
 Binding = frozenset[tuple[str, NodeId]]
@@ -152,27 +154,22 @@ def generate_fill(
     graph: KnowledgeGraph,
     seed: int,
     count: int,
-    vars_per_query: int = 2,
-    triples_per_query: int = 3,
     require_unique: bool = False,
 ) -> list[FillQuery]:
-    """Sample connected subgraphs, replace nodes with variables, keep
-    patterns whose oracle key is non-empty (and unique when required)."""
-    if not (1 <= vars_per_query <= 3):
-        raise ValueError("vars_per_query must be in 1..3")
-    if not (1 <= triples_per_query <= 6):
-        raise ValueError("triples_per_query must be in 1..6")
+    """Sample connected subgraphs of FILL_TRIPLES edges, replace FILL_VARIABLES
+    of their nodes with variables, keep patterns whose oracle key is
+    non-empty (and unique when required)."""
 
     def draft(rng: SplitMix64, qid: str) -> FillQuery | None:
-        edges = _sample_connected_edges(graph, rng, triples_per_query)
+        edges = _sample_connected_edges(graph, rng, FILL_TRIPLES)
         nodes_in_order: list[NodeId] = []
         for a, _, b in edges:
             for n in (a, b):
                 if n not in nodes_in_order:
                     nodes_in_order.append(n)
-        if len(nodes_in_order) <= vars_per_query:
+        if len(nodes_in_order) <= FILL_VARIABLES:
             return None
-        hidden = rng.sample(nodes_in_order, vars_per_query)
+        hidden = rng.sample(nodes_in_order, FILL_VARIABLES)
         var_for = {
             node: Variable(f"Unknown_{i}", node.category)
             for i, node in enumerate(hidden, start=1)

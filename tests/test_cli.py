@@ -24,33 +24,28 @@ def graph_args(graph=GRAPH, fmt="tgf"):
     return ["--graph", graph, "--format", fmt, "--ontology", ONT]
 
 
+def pipeline_commands(out, seed=42):
+    """gen-queries, answer for each type, then score, all writing under out."""
+    return [
+        ["gen-queries", *graph_args(), "--seed", str(seed), "--count-a", "3",
+         "--count-b", "3", "--count-c", "2", "--max-edges", "4",
+         "--require-unique", "--out", str(out)],
+        *(
+            ["answer", *graph_args(), "--queries", str(out / f"queries_{t}.xml"),
+             "--out", str(out / f"sub_{t}.xml")]
+            for t in "abc"
+        ),
+        ["score", *graph_args(),
+         "--keys", *(str(out / f"keys_{t}.xml") for t in "abc"),
+         "--submissions", *(str(out / f"sub_{t}.xml") for t in "abc"),
+         "--out", str(out / "report")],
+    ]
+
+
 def run_pipeline(tmp_path, seed=42):
     out = tmp_path / f"run{seed}"
-    assert (
-        main(
-            ["gen-queries", *graph_args(), "--seed", str(seed), "--count-a", "3",
-             "--count-b", "3", "--count-c", "2", "--max-edges", "4",
-             "--require-unique", "--out", str(out)]
-        )
-        == 0
-    )
-    for t in "abc":
-        assert (
-            main(
-                ["answer", *graph_args(), "--queries", str(out / f"queries_{t}.xml"),
-                 "--out", str(out / f"sub_{t}.xml")]
-            )
-            == 0
-        )
-    assert (
-        main(
-            ["score", *graph_args(),
-             "--keys", *(str(out / f"keys_{t}.xml") for t in "abc"),
-             "--submissions", *(str(out / f"sub_{t}.xml") for t in "abc"),
-             "--out", str(out / "report")]
-        )
-        == 0
-    )
+    for argv in pipeline_commands(out, seed):
+        assert main(argv) == 0
     return out
 
 
@@ -120,6 +115,24 @@ def test_pipeline_determinism(tmp_path):
     names += ["report/report.json", "report/report.txt"]
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_pipeline_determinism_across_hash_seeds(tmp_path):
+    # set and dict order follows the string hash, which differs per process
+    # unless PYTHONHASHSEED pins it; no output may depend on it
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / hash_seed
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed}
+        for argv in pipeline_commands(out):
+            proc = subprocess.run(
+                [sys.executable, "-m", "kgbench.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+        outputs.append({f.relative_to(out): f.read_bytes() for f in out.rglob("*.*")})
+    assert len(outputs[0]) == 11  # queries, keys, submissions per type; report
+    assert outputs[0] == outputs[1]
 
 
 def test_query_files_leak_no_keys(tmp_path):

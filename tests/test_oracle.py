@@ -3,7 +3,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import naive_solve_pattern, random_graph, reference_enumerate_paths
-from kgbench.graph import KnowledgeGraph, entity, is_variable_name, person
+from kgbench.graph import (
+    ENTITY,
+    LOCATION,
+    PERSON,
+    KnowledgeGraph,
+    entity,
+    is_variable_name,
+    person,
+)
 from kgbench.ontology import load_ontology
 from kgbench import oracle
 from kgbench.oracle import (
@@ -240,6 +248,44 @@ def test_solve_matches_naive(seed):
             else:
                 ends.append(rng.choice(nodes))
         triples.append(PatternTriple(ends[0], rng.choice(relations), ends[1]))
+    assert solve_pattern(g, triples) == naive_solve_pattern(g, triples)
+
+
+@st.composite
+def patterns(draw):
+    """A random graph and a pattern over it.  A variable may carry a
+    category, and one name may appear with two; a triple may be two
+    constants that hold or fail, or one variable at both ends.  All triples but at most one read
+    a stored edge, forward or backward, with either end kept or made a
+    variable, so that patterns often have solutions."""
+    g = random_graph(draw(st.integers(0, 2**32)), max_nodes=7, max_edges=14)
+    variable = st.builds(
+        Variable,
+        st.sampled_from(["Unknown_1", "Unknown_2", "Unknown_3"]),
+        st.sampled_from([None, PERSON, ENTITY, LOCATION]),
+    )
+    end = st.one_of(st.sampled_from(g.sorted_nodes()), variable)
+    free = st.builds(PatternTriple, end, st.sampled_from(sorted(g.ontology.relations)), end)
+    triples = draw(st.lists(free, min_size=0 if g.edge_count else 1, max_size=1))
+    if g.edge_count:
+
+        def read(e, forward, subject, object):
+            s, r, o = (
+                (e.src, e.relation, e.dst) if forward
+                else (e.dst, g.ontology.inverse_of(e.relation), e.src)
+            )
+            return PatternTriple(subject or s, r, object or o)
+
+        hidden = st.one_of(st.none(), variable)
+        on_edge = st.builds(read, st.sampled_from(g.sorted_edges()), st.booleans(), hidden, hidden)
+        triples += draw(st.lists(on_edge, min_size=1 - len(triples), max_size=4 - len(triples)))
+    return g, draw(st.permutations(triples))
+
+
+@settings(max_examples=300, deadline=None)
+@given(patterns())
+def test_solve_matches_naive_on_any_pattern(pattern):
+    g, triples = pattern
     assert solve_pattern(g, triples) == naive_solve_pattern(g, triples)
 
 

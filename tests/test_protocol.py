@@ -163,20 +163,24 @@ def test_key_payload_is_unknown_in_query_files(simpsons):
         assert parse_key_xml(key_text)[0] == queries
 
 
-@pytest.mark.parametrize("bad", ["\u00b2", "\u0663", "-1", " 1", "1_0", ""])
+# None: the attribute removed
+@pytest.mark.parametrize("bad", ["\u00b2", "\u0663", "-1", " 1", "1_0", "", None])
 def test_numeric_attributes_are_ascii_decimal(bad):
+    def attribute(name):
+        return "" if bad is None else f' {name}="{bad}"'
+
     choice = emit_query_xml([ChoiceQuery("Q.B.1", person("A"), person("B"), ("X",), 0)])
     with pytest.raises(ProtocolError, match="Option without a numeric index"):
-        parse_query_xml(choice.replace('index="1"', f'index="{bad}"'))
+        parse_query_xml(choice.replace(' index="1"', attribute("index")))
     key = emit_key_xml([ChoiceQuery("Q.B.1", person("A"), person("B"), ("X",), 0)])
     with pytest.raises(ProtocolError, match="Correct without a numeric index"):
-        parse_key_xml(key.replace('<Correct index="1"', f'<Correct index="{bad}"'))
+        parse_key_xml(key.replace('<Correct index="1"', "<Correct" + attribute("index")))
     for text, parse in (
         (emit_query_xml([PATH_QUERY]), parse_query_xml),
         (emit_key_xml([PATH_QUERY]), parse_key_xml),
     ):
-        with pytest.raises(ProtocolError, match="bad max_edges"):
-            parse(text.replace('max_edges="4"', f'max_edges="{bad}"'))
+        with pytest.raises(ProtocolError, match="Q.C.1: bad max_edges"):
+            parse(text.replace(' max_edges="4"', attribute("max_edges")))
 
 
 def test_malformed_node_id_is_a_protocol_error():

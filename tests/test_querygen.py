@@ -38,7 +38,7 @@ def test_fill_unique_flag(simpsons):
 def test_fill_worked_example_pattern_is_producible(simpsons):
     # some seed must produce a 2-variable unique-key query; the worked
     # 4-triple example itself is solvable on this fixture (see oracle tests)
-    queries = generate_fill(simpsons, 1, 10, vars_per_query=2, require_unique=True)
+    queries = generate_fill(simpsons, 1, 10, require_unique=True)
     assert all(len(q.variables) == 2 for q in queries)
 
 
@@ -170,10 +170,10 @@ FRIENDS = "Friend of | Friend of\nSpouse of | Spouse of"
 @pytest.mark.parametrize(
     "generate, what",
     [
-        # no sample has more than three nodes to hide three of
+        # every sample is one edge, with no node left over once two are hidden
         (lambda: generate_fill(
-            _graph(FRIENDS, "ABC", [("A", "Friend of", "B"), ("B", "Friend of", "C")]),
-            1, 1, vars_per_query=3), "fill"),
+            _graph(FRIENDS, "ABCD", [("A", "Friend of", "B"), ("C", "Friend of", "D")]),
+            1, 1), "fill"),
         # both relations hold between the only pair: no distractor is left
         (lambda: generate_choice(
             _graph(FRIENDS, "AB", [("A", "Friend of", "B"), ("A", "Spouse of", "B")]),
