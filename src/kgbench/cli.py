@@ -14,7 +14,7 @@ from pathlib import Path as FsPath
 
 from . import formats, protocol, scoring
 from .graph import KnowledgeGraph, NodeId
-from .ontology import OntologyError, load_ontology
+from .ontology import XML_CHAR_RULE, OntologyError, load_ontology, non_xml_char
 from .oracle import OracleError, PathBudgetError
 from .querygen import (
     ChoiceQuery,
@@ -280,6 +280,13 @@ def _at_least(low: int):
     return parse
 
 
+def _xml_text(text: str) -> str:
+    """argparse type: text a submission file can carry; else a usage error."""
+    if char := non_xml_char(text):
+        raise argparse.ArgumentTypeError(XML_CHAR_RULE.format(repr(text), char))
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kgbench",
@@ -307,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("answer", help="produce the oracle's perfect submission")
     _add_graph_args(p)
     p.add_argument("--queries", required=True, help="query XML file")
-    p.add_argument("--team", default="oracle")
+    p.add_argument("--team", type=_xml_text, default="oracle")
     p.add_argument("--out", required=True, help="submission output file")
     p.set_defaults(func=cmd_answer)
 

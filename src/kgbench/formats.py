@@ -21,7 +21,13 @@ from .graph import (
     NodeId,
     is_variable_name,
 )
-from .ontology import UNDERSCORE_RULE, RelationOntology, canonical_label
+from .ontology import (
+    UNDERSCORE_RULE,
+    XML_CHAR_RULE,
+    RelationOntology,
+    canonical_label,
+    non_xml_char,
+)
 
 WARNING = "warning"
 ERROR = "error"
@@ -76,6 +82,9 @@ class _GraphAssembler:
         if is_variable_name(node.name):
             self.error(line, VARIABLE_RULE.format(node))
             return
+        if char := non_xml_char(node.canonical):
+            self.error(line, XML_CHAR_RULE.format(f"node {node.canonical!r}", char))
+            return
         if node in self.declared:
             self.warn(line, f"node {node} declared more than once; merged")
         self.declared.add(node)
@@ -95,6 +104,9 @@ class _GraphAssembler:
                 return
             if "_" in relation:
                 self.error(line, UNDERSCORE_RULE.format(relation))
+                return
+            if char := non_xml_char(relation):
+                self.error(line, XML_CHAR_RULE.format(f"relation {relation!r}", char))
                 return
             self.ontology = self.ontology.extended(relation, relation)
             self.warn(line, f"relation {relation!r} not in ontology; assumed self-inverse")

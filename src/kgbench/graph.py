@@ -13,7 +13,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .ontology import RelationOntology, canonical_label
+from .ontology import XML_CHAR_RULE, RelationOntology, canonical_label, non_xml_char
 
 PERSON = "Person"
 ENTITY = "Entity"
@@ -93,6 +93,8 @@ class KnowledgeGraph:
         for node in self.nodes:
             if is_variable_name(node.name):
                 raise GraphError(VARIABLE_RULE.format(node))
+            if char := non_xml_char(node.canonical):
+                raise GraphError(XML_CHAR_RULE.format(f"node {node.canonical!r}", char))
 
     @property
     def node_count(self) -> int:
@@ -118,7 +120,9 @@ class KnowledgeGraph:
                 problems.append(exc)
             else:
                 kept.add(edge)
-        return replace(graph, edges=frozenset(kept)), problems
+        # set on the graph made above, so its nodes are checked once, not again
+        object.__setattr__(graph, "edges", frozenset(kept))
+        return graph, problems
 
     def add_node(self, node: NodeId) -> "KnowledgeGraph":
         """Idempotent; returns a new graph with the node present."""

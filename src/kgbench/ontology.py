@@ -7,6 +7,7 @@ inverse map is a total involution over the relation set.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
@@ -17,6 +18,15 @@ class OntologyError(ValueError):
 
 # query, key and submission files write a space in a relation as '_'
 UNDERSCORE_RULE = "relation {!r} contains '_', which query files read as a space"
+# the characters outside XML 1.0's Char production, which no XML file can carry
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+XML_CHAR_RULE = "{} contains {!r}, which XML files cannot carry"
+
+
+def non_xml_char(text: str) -> str | None:
+    """The first character of `text` that XML 1.0 cannot carry, if any."""
+    match = _NOT_XML_CHAR.search(text)
+    return match and match.group()
 
 
 def canonical_label(raw: str) -> str:
@@ -39,6 +49,8 @@ class RelationOntology:
                 raise OntologyError("empty relation label")
             if "_" in r:
                 raise OntologyError(UNDERSCORE_RULE.format(r))
+            if char := non_xml_char(r):
+                raise OntologyError(XML_CHAR_RULE.format(f"relation {r!r}", char))
             if inv.get(i) != r:
                 raise OntologyError(
                     f"inverse map is not an involution at {r!r} -> {i!r}"
@@ -101,6 +113,9 @@ def load_ontology(text: str) -> RelationOntology:
         for label in (r, i):
             if "_" in label:
                 raise OntologyError(f"line {lineno}: {UNDERSCORE_RULE.format(label)}")
+            if char := non_xml_char(label):
+                rule = XML_CHAR_RULE.format(f"relation {label!r}", char)
+                raise OntologyError(f"line {lineno}: {rule}")
         if r in pairs:
             if pairs[r] == i:
                 raise OntologyError(f"line {lineno}: duplicate relation {r!r}")

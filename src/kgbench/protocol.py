@@ -30,17 +30,32 @@ Submission files (root carries a required team attribute):
 Relation labels encode spaces as underscores inside "Relation:..." text;
 node names keep literal spaces.  Variables are recognized by the
 "Unknown_<n>" name pattern after the category prefix.
+
+Writing and reading
+-------------------
+One line writer, `_Writer`, writes every document, byte for byte as
+ElementTree's `indent` and `tostring` would: two spaces of indent per depth,
+attributes in the order given, `<Tag attrs />` for an element without
+children; text escapes &, < and >, and an attribute also '"', CR, LF and TAB.
+Names XML 1.0 cannot carry are refused where they enter (graph files,
+ontologies, `--team`).  ElementTree only reads, and each read decodes every
+distinct node or relation text once, in a memo owned by that call.
 """
 
 from __future__ import annotations
 
 import math
 import xml.etree.ElementTree as ET
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from .graph import GraphError, NodeId, is_variable_name
 from .oracle import OracleError, Path, PatternTriple, Variable
 from .querygen import Binding, ChoiceQuery, FillQuery, PathQuery, Query
+
+
+T = TypeVar("T")
 
 
 class ProtocolError(ValueError):
@@ -102,6 +117,12 @@ def encode_node_ref(ref: NodeId | Variable) -> str:
     return ref.canonical
 
 
+def _concrete(ref: NodeId | Variable, text: str) -> NodeId:
+    if isinstance(ref, Variable):
+        raise ProtocolError(f"variable where a concrete node was expected: {text!r}")
+    return ref
+
+
 def decode_node_ref(text: str) -> NodeId | Variable:
     try:
         node = NodeId.parse(text)
@@ -113,34 +134,100 @@ def decode_node_ref(text: str) -> NodeId | Variable:
     return node
 
 
-def decode_node(text: str) -> NodeId:
-    ref = decode_node_ref(text)
-    if isinstance(ref, Variable):
-        raise ProtocolError(f"variable where a concrete node was expected: {text!r}")
-    return ref
+def _escape_text(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _document(root: ET.Element, header_comment: str | None = None) -> str:
-    ET.indent(root)
-    body = ET.tostring(root, encoding="unicode")
-    header = '<?xml version="1.0" encoding="UTF-8"?>\n'
-    if header_comment:
-        header += f"<!-- {header_comment} -->\n"
-    return header + body + "\n"
+def _escape_attribute(value: str) -> str:
+    """As ElementTree does: also '"', and the CR, LF and TAB a parser would
+    read back as spaces."""
+    value = _escape_text(value).replace('"', "&quot;")
+    return value.replace("\r", "&#13;").replace("\n", "&#10;").replace("\t", "&#09;")
 
 
-def _path_element(path: Path, index: int) -> ET.Element:
-    el = ET.Element("Path", {"index": str(index)})
-    ET.SubElement(el, "Source").text = path.source.canonical
+class _Writer:
+    """One XML document written line by line, with the bytes ElementTree's
+    `indent` and `tostring` give: two spaces per depth, one element per line,
+    `<Tag attrs>text</Tag>` for a leaf and `<Tag attrs />` for an element
+    that ends with no children."""
+
+    def __init__(self, comment: str | None = None):
+        self._lines = ['<?xml version="1.0" encoding="UTF-8"?>']
+        if comment:
+            self._lines.append(f"<!-- {comment} -->")
+        self._open: list[tuple[str, int]] = []  # (tag, index of its start line)
+        # an attribute-less leaf's line, escaped and indented once per document
+        self._leaves: dict[tuple[int, str, str], str] = {}
+
+    def _head(self, tag: str, attrs: dict[str, str] | None) -> str:
+        head = "  " * len(self._open) + "<" + tag
+        for name, value in (attrs or {}).items():
+            head += f' {name}="{_escape_attribute(value)}"'
+        return head
+
+    def start(self, tag: str, attrs: dict[str, str] | None = None) -> None:
+        self._lines.append(self._head(tag, attrs) + ">")
+        self._open.append((tag, len(self._lines) - 1))
+
+    def end(self) -> None:
+        tag, start = self._open.pop()
+        if start == len(self._lines) - 1:
+            self._lines[start] = self._lines[start][:-1] + " />"
+        else:
+            self._lines.append(f"{'  ' * len(self._open)}</{tag}>")
+
+    def leaf(self, tag: str, text: str, attrs: dict[str, str] | None = None) -> None:
+        if attrs:
+            line = f"{self._head(tag, attrs)}>{_escape_text(text)}</{tag}>"
+        else:
+            key = (len(self._open), tag, text)
+            line = self._leaves.get(key)
+            if line is None:
+                line = f"{self._head(tag, None)}>{_escape_text(text)}</{tag}>"
+                self._leaves[key] = line
+        self._lines.append(line)
+
+    def text(self) -> str:
+        return "\n".join(self._lines) + "\n"
+
+
+def _write_path(out: _Writer, path: Path, index: int) -> None:
+    out.start("Path", {"index": str(index)})
+    out.leaf("Source", path.source.canonical)
     for rel, node in zip(path.relations[:-1], path.nodes[1:-1]):
-        ET.SubElement(el, "Edge").text = encode_relation(rel)
-        ET.SubElement(el, "Node").text = node.canonical
-    ET.SubElement(el, "Edge").text = encode_relation(path.relations[-1])
-    ET.SubElement(el, "Target").text = path.target.canonical
-    return el
+        out.leaf("Edge", encode_relation(rel))
+        out.leaf("Node", node.canonical)
+    out.leaf("Edge", encode_relation(path.relations[-1]))
+    out.leaf("Target", path.target.canonical)
+    out.end()
 
 
-def _parse_path_element(el: ET.Element) -> Path:
+def _decoded_once(decode: Callable[[str], T]) -> Callable[[str], T]:
+    """`decode` with each distinct text decoded once.  A text that fails to
+    decode is not kept, so each occurrence reports."""
+    done: dict[str, T] = {}
+
+    def lookup(text: str) -> T:
+        try:
+            return done[text]
+        except KeyError:
+            value = done[text] = decode(text)
+            return value
+
+    return lookup
+
+
+class _Decoder:
+    """The node and relation decoders of one document, which is untrusted
+    and so owns its memos; equal texts decode to one shared value."""
+
+    def __init__(self):
+        self.node_ref = _decoded_once(decode_node_ref)
+        self.node = _decoded_once(lambda text: _concrete(self.node_ref(text), text))
+        self.relation = _decoded_once(decode_relation)
+
+
+def _parse_path_element(el: ET.Element, decoded: _Decoder) -> Path:
     children = list(el)
     if len(children) < 3 or len(children) % 2 == 0:
         raise ProtocolError("path must alternate Source/Edge/Node/.../Target")
@@ -151,8 +238,8 @@ def _parse_path_element(el: ET.Element) -> Path:
         raise ProtocolError(
             f"path elements out of order: got {tags}, expected {expected}"
         )
-    nodes = [decode_node(c.text or "") for c in children if c.tag != "Edge"]
-    relations = [decode_relation(c.text or "") for c in children if c.tag == "Edge"]
+    nodes = [decoded.node(c.text or "") for c in children if c.tag != "Edge"]
+    relations = [decoded.relation(c.text or "") for c in children if c.tag == "Edge"]
     return Path(tuple(nodes), tuple(relations))
 
 
@@ -205,48 +292,48 @@ def _query_type(queries: list[Query]) -> type:
     return kinds.pop()
 
 
-def _write_query(qel: ET.Element, q: Query, keyed: bool) -> None:
-    """A query's elements, then in a key file its payload."""
+def _write_query(out: _Writer, q: Query, keyed: bool) -> None:
+    """A query's element: its query elements, then in a key file its payload."""
     if isinstance(q, FillQuery):
+        out.start("Query", {"id": q.id})
         for t in q.triples:
-            tel = ET.SubElement(qel, "Triple")
-            ET.SubElement(tel, "Subject").text = encode_node_ref(t.subject)
-            ET.SubElement(tel, "Pred").text = encode_relation(t.relation)
-            ET.SubElement(tel, "Object").text = encode_node_ref(t.object)
-        if not keyed:
-            return
-        for i, binding in enumerate(_sorted_bindings(q.key), start=1):
-            bel = ET.SubElement(qel, "Binding", {"index": str(i)})
+            out.start("Triple")
+            out.leaf("Subject", encode_node_ref(t.subject))
+            out.leaf("Pred", encode_relation(t.relation))
+            out.leaf("Object", encode_node_ref(t.object))
+            out.end()
+        for i, binding in enumerate(_sorted_bindings(q.key) if keyed else (), start=1):
+            out.start("Binding", {"index": str(i)})
             for name, node in sorted(binding):
-                vel = ET.SubElement(bel, "Var", {"name": name})
-                vel.text = node.canonical
+                out.leaf("Var", node.canonical, {"name": name})
+            out.end()
     elif isinstance(q, ChoiceQuery):
-        ET.SubElement(qel, "Subject").text = q.subject.canonical
-        ET.SubElement(qel, "Pred").text = "Relation:Unknown_1"
-        ET.SubElement(qel, "Object").text = q.object.canonical
+        out.start("Query", {"id": q.id})
+        out.leaf("Subject", q.subject.canonical)
+        out.leaf("Pred", "Relation:Unknown_1")
+        out.leaf("Object", q.object.canonical)
         for i, option in enumerate(q.options, start=1):
-            oel = ET.SubElement(qel, "Option", {"index": str(i)})
-            oel.text = encode_relation(option)
+            out.leaf("Option", encode_relation(option), {"index": str(i)})
         if keyed:
-            cel = ET.SubElement(qel, "Correct", {"index": str(q.key + 1)})
-            cel.text = encode_relation(q.options[q.key])
+            correct = encode_relation(q.options[q.key])
+            out.leaf("Correct", correct, {"index": str(q.key + 1)})
     else:
-        qel.set("max_edges", str(q.max_edges))
-        ET.SubElement(qel, "Source").text = q.source.canonical
-        ET.SubElement(qel, "Target").text = q.target.canonical
-        if not keyed:
-            return
-        for i, path in enumerate(_sorted_paths(q.key), start=1):
-            qel.append(_path_element(path, i))
+        out.start("Query", {"id": q.id, "max_edges": str(q.max_edges)})
+        out.leaf("Source", q.source.canonical)
+        out.leaf("Target", q.target.canonical)
+        for i, path in enumerate(_sorted_paths(q.key) if keyed else (), start=1):
+            _write_path(out, path, i)
+    out.end()
 
 
 def _emit_document(queries: list[Query], keyed: bool, params: dict[str, str]) -> str:
     root_tag = _ROOT_FOR_TYPE[_query_type(queries)] + ("Key" if keyed else "")
-    root = ET.Element(root_tag, dict(sorted(params.items())))
+    out = _Writer(CONFIDENTIAL_COMMENT if keyed else None)
+    out.start(root_tag, dict(sorted(params.items())))
     for q in queries:
-        qel = ET.SubElement(root, "Query", {"id": q.id})
-        _write_query(qel, q, keyed)
-    return _document(root, CONFIDENTIAL_COMMENT if keyed else None)
+        _write_query(out, q, keyed)
+    out.end()
+    return out.text()
 
 
 def _read_document(text: str, keyed: bool) -> tuple[list[Query], dict[str, str]]:
@@ -254,6 +341,7 @@ def _read_document(text: str, keyed: bool) -> tuple[list[Query], dict[str, str]]
     _require(len(root) > 0, f"{root.tag} document without a Query")
     queries: list[Query] = []
     seen: set[str] = set()
+    decoded = _Decoder()
     for qel in root:
         _require(qel.tag == "Query", f"unknown element {qel.tag!r}")
         qid = qel.get("id")
@@ -272,9 +360,9 @@ def _read_document(text: str, keyed: bool) -> tuple[list[Query], dict[str, str]]
                     )
                     triples.append(
                         PatternTriple(
-                            decode_node_ref(parts["Subject"]),
-                            decode_relation(parts["Pred"]),
-                            decode_node_ref(parts["Object"]),
+                            decoded.node_ref(parts["Subject"]),
+                            decoded.relation(parts["Pred"]),
+                            decoded.node_ref(parts["Object"]),
                         )
                     )
                 elif cel.tag == "Binding" and keyed:
@@ -283,7 +371,7 @@ def _read_document(text: str, keyed: bool) -> tuple[list[Query], dict[str, str]]
                         _require(vel.tag == "Var", f"unknown element {vel.tag!r}")
                         name = vel.get("name")
                         _require(bool(name), "Var without a name")
-                        pairs.append((name, decode_node(vel.text or "")))
+                        pairs.append((name, decoded.node(vel.text or "")))
                     bindings.add(frozenset(pairs))
                 else:
                     raise ProtocolError(f"unknown element {cel.tag!r} in {qid}")
@@ -300,7 +388,7 @@ def _read_document(text: str, keyed: bool) -> tuple[list[Query], dict[str, str]]
                     if cel.tag == "Correct":
                         correct.append(index)
                     else:
-                        options.append((index, decode_relation(cel.text or "")))
+                        options.append((index, decoded.relation(cel.text or "")))
                 elif cel.tag in ("Subject", "Pred", "Object"):
                     parts[cel.tag] = cel.text or ""
                 else:
@@ -322,8 +410,8 @@ def _read_document(text: str, keyed: bool) -> tuple[list[Query], dict[str, str]]
             queries.append(
                 ChoiceQuery(
                     qid,
-                    decode_node(parts["Subject"]),
-                    decode_node(parts["Object"]),
+                    decoded.node(parts["Subject"]),
+                    decoded.node(parts["Object"]),
                     tuple(label for _, label in options),
                     correct[0] - 1 if correct else -1,
                 )
@@ -333,9 +421,9 @@ def _read_document(text: str, keyed: bool) -> tuple[list[Query], dict[str, str]]
             paths = set()
             for cel in qel:
                 if cel.tag in ("Source", "Target"):
-                    ends[cel.tag] = decode_node(cel.text or "")
+                    ends[cel.tag] = decoded.node(cel.text or "")
                 elif cel.tag == "Path" and keyed:
-                    paths.add(_parse_path_element(cel))
+                    paths.add(_parse_path_element(cel, decoded))
                 else:
                     raise ProtocolError(f"unknown element {cel.tag!r} in {qid}")
             _require(
@@ -377,35 +465,40 @@ def parse_key_xml(text: str) -> tuple[list[Query], dict[str, str]]:
 
 
 def emit_submission_a(sub: SubmissionA) -> str:
-    root = ET.Element(_ROOT_FOR_TYPE[FillQuery], {"team": sub.team})
+    out = _Writer()
+    out.start(_ROOT_FOR_TYPE[FillQuery], {"team": sub.team})
     for qid in sorted(sub.answers):
-        qel = ET.SubElement(root, "Query", {"id": qid})
+        out.start("Query", {"id": qid})
         for var in sorted(sub.answers[qid]):
             for rank, (node, conf) in enumerate(sub.answers[qid][var], start=1):
-                ael = ET.SubElement(
-                    qel,
-                    "Answer",
-                    {"var": var, "rank": str(rank), "confidence": f"{conf:g}"},
-                )
-                ael.text = node.canonical
-    return _document(root)
+                attrs = {"var": var, "rank": str(rank), "confidence": f"{conf:g}"}
+                out.leaf("Answer", node.canonical, attrs)
+        out.end()
+    out.end()
+    return out.text()
 
 
 def emit_submission_b(sub: SubmissionB) -> str:
-    root = ET.Element(_ROOT_FOR_TYPE[ChoiceQuery], {"team": sub.team})
+    out = _Writer()
+    out.start(_ROOT_FOR_TYPE[ChoiceQuery], {"team": sub.team})
     for qid in sorted(sub.answers):
-        qel = ET.SubElement(root, "Query", {"id": qid})
-        ET.SubElement(qel, "Answer").text = encode_relation(sub.answers[qid])
-    return _document(root)
+        out.start("Query", {"id": qid})
+        out.leaf("Answer", encode_relation(sub.answers[qid]))
+        out.end()
+    out.end()
+    return out.text()
 
 
 def emit_submission_c(sub: SubmissionC) -> str:
-    root = ET.Element(_ROOT_FOR_TYPE[PathQuery], {"team": sub.team})
+    out = _Writer()
+    out.start(_ROOT_FOR_TYPE[PathQuery], {"team": sub.team})
     for qid in sorted(sub.answers):
-        qel = ET.SubElement(root, "Query", {"id": qid})
+        out.start("Query", {"id": qid})
         for i, path in enumerate(sub.answers[qid], start=1):
-            qel.append(_path_element(path, i))
-    return _document(root)
+            _write_path(out, path, i)
+        out.end()
+    out.end()
+    return out.text()
 
 
 def emit_oracle_submission(queries: list[Query], team: str) -> str:
@@ -441,6 +534,7 @@ def parse_submission_xml(
     _require(team is not None, "submission root must carry a team attribute")
     by_id = {q.id: q for q in expected if type(q) is kind}
     diagnostics: list[Diagnostic] = []
+    decoded = _Decoder()
 
     def warn(where: str, message: str) -> None:
         diagnostics.append(Diagnostic("warning", where, message))
@@ -476,7 +570,7 @@ def parse_submission_xml(
                 declared.setdefault(var, []).append((order, ael.get("rank")))
                 try:
                     conf = float(ael.get("confidence", "nan"))
-                    node = decode_node(ael.text or "")
+                    node = decoded.node(ael.text or "")
                 except (ValueError, GraphError, ProtocolError) as exc:
                     warn(qid, f"unparseable answer dropped: {exc}")
                     continue
@@ -503,7 +597,7 @@ def parse_submission_xml(
                 warn(qid, f"expected exactly one Answer, got {len(answers)}; dropped")
                 continue
             try:
-                sub.answers[qid] = decode_relation(answers[0].text or "")
+                sub.answers[qid] = decoded.relation(answers[0].text or "")
             except ProtocolError as exc:
                 warn(qid, f"unparseable answer dropped: {exc}")
         else:
@@ -512,7 +606,7 @@ def parse_submission_xml(
                     warn(qid, f"ignored element {pel.tag!r}")
                     continue
                 try:
-                    path = _parse_path_element(pel)
+                    path = _parse_path_element(pel, decoded)
                 except (ProtocolError, GraphError, OracleError) as exc:
                     warn(qid, f"unparseable path dropped: {exc}")
                     continue

@@ -4,11 +4,25 @@ reference implementations the optimized code is checked against."""
 from __future__ import annotations
 
 import itertools
+import xml.etree.ElementTree as ET
 
 from kgbench.formats import _LBRACKET, _RBRACKET, ERROR, ParseDiagnostic
 from kgbench.graph import ENTITY, LOCATION, PERSON, GraphError, KnowledgeGraph, NodeId
 from kgbench.ontology import RelationOntology
 from kgbench.oracle import Path, PatternTriple, Variable
+from kgbench.protocol import (
+    _ROOT_FOR_TYPE,
+    CONFIDENTIAL_COMMENT,
+    SubmissionA,
+    SubmissionB,
+    SubmissionC,
+    _query_type,
+    _sorted_bindings,
+    _sorted_paths,
+    encode_node_ref,
+    encode_relation,
+)
+from kgbench.querygen import ChoiceQuery, FillQuery, PathQuery, Query
 from kgbench.rng import SplitMix64
 
 
@@ -179,3 +193,88 @@ def naive_tokenize_xgml(text: str):
             except ValueError:
                 tokens.append((line, word))
     return tokens, diagnostics
+
+
+# --- the ElementTree emitter, the reference for kgbench.protocol's writer ---
+
+
+def _reference_document(root: ET.Element, header_comment: str | None = None) -> str:
+    ET.indent(root)
+    body = ET.tostring(root, encoding="unicode")
+    header = '<?xml version="1.0" encoding="UTF-8"?>\n'
+    if header_comment:
+        header += f"<!-- {header_comment} -->\n"
+    return header + body + "\n"
+
+
+def _reference_path(path: Path, index: int) -> ET.Element:
+    el = ET.Element("Path", {"index": str(index)})
+    ET.SubElement(el, "Source").text = path.source.canonical
+    for rel, node in zip(path.relations[:-1], path.nodes[1:-1]):
+        ET.SubElement(el, "Edge").text = encode_relation(rel)
+        ET.SubElement(el, "Node").text = node.canonical
+    ET.SubElement(el, "Edge").text = encode_relation(path.relations[-1])
+    ET.SubElement(el, "Target").text = path.target.canonical
+    return el
+
+
+def _reference_query(qel: ET.Element, q: Query, keyed: bool) -> None:
+    if isinstance(q, FillQuery):
+        for t in q.triples:
+            tel = ET.SubElement(qel, "Triple")
+            ET.SubElement(tel, "Subject").text = encode_node_ref(t.subject)
+            ET.SubElement(tel, "Pred").text = encode_relation(t.relation)
+            ET.SubElement(tel, "Object").text = encode_node_ref(t.object)
+        if not keyed:
+            return
+        for i, binding in enumerate(_sorted_bindings(q.key), start=1):
+            bel = ET.SubElement(qel, "Binding", {"index": str(i)})
+            for name, node in sorted(binding):
+                ET.SubElement(bel, "Var", {"name": name}).text = node.canonical
+    elif isinstance(q, ChoiceQuery):
+        ET.SubElement(qel, "Subject").text = q.subject.canonical
+        ET.SubElement(qel, "Pred").text = "Relation:Unknown_1"
+        ET.SubElement(qel, "Object").text = q.object.canonical
+        for i, option in enumerate(q.options, start=1):
+            ET.SubElement(qel, "Option", {"index": str(i)}).text = encode_relation(option)
+        if keyed:
+            cel = ET.SubElement(qel, "Correct", {"index": str(q.key + 1)})
+            cel.text = encode_relation(q.options[q.key])
+    else:
+        qel.set("max_edges", str(q.max_edges))
+        ET.SubElement(qel, "Source").text = q.source.canonical
+        ET.SubElement(qel, "Target").text = q.target.canonical
+        if not keyed:
+            return
+        for i, path in enumerate(_sorted_paths(q.key), start=1):
+            qel.append(_reference_path(path, i))
+
+
+def reference_emit_document(
+    queries: list[Query], keyed: bool, params: dict[str, str] | None = None
+) -> str:
+    """A query file, or with `keyed` a key file, as ElementTree writes it."""
+    root_tag = _ROOT_FOR_TYPE[_query_type(queries)] + ("Key" if keyed else "")
+    root = ET.Element(root_tag, dict(sorted((params or {}).items())))
+    for q in queries:
+        _reference_query(ET.SubElement(root, "Query", {"id": q.id}), q, keyed)
+    return _reference_document(root, CONFIDENTIAL_COMMENT if keyed else None)
+
+
+def reference_emit_submission(sub: SubmissionA | SubmissionB | SubmissionC) -> str:
+    """A submission file as ElementTree writes it."""
+    kind = {SubmissionA: FillQuery, SubmissionB: ChoiceQuery, SubmissionC: PathQuery}
+    root = ET.Element(_ROOT_FOR_TYPE[kind[type(sub)]], {"team": sub.team})
+    for qid in sorted(sub.answers):
+        qel = ET.SubElement(root, "Query", {"id": qid})
+        if isinstance(sub, SubmissionA):
+            for var in sorted(sub.answers[qid]):
+                for rank, (node, conf) in enumerate(sub.answers[qid][var], start=1):
+                    attrs = {"var": var, "rank": str(rank), "confidence": f"{conf:g}"}
+                    ET.SubElement(qel, "Answer", attrs).text = node.canonical
+        elif isinstance(sub, SubmissionB):
+            ET.SubElement(qel, "Answer").text = encode_relation(sub.answers[qid])
+        else:
+            for i, path in enumerate(sub.answers[qid], start=1):
+                qel.append(_reference_path(path, i))
+    return _reference_document(root)

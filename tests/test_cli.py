@@ -523,3 +523,27 @@ def test_names_the_query_files_cannot_carry_are_refused(tmp_path, capsys):
     graph.write_text(Path(GRAPH).read_text().replace("Person:Lenny", "Person:Unknown_1"))
     assert main(["validate-graph", *graph_args(str(graph))]) == 1
     assert "node Person:Unknown_1 is named like a query variable" in capsys.readouterr().err
+
+
+def test_names_xml_cannot_carry_are_refused(tmp_path, capsys):
+    # a node or team name with U+0001 would give files `answer` and `score` refuse
+    graph = tmp_path / "g.tgf"
+    graph.write_text(Path(GRAPH).read_text().replace("Person:Lenny", "Person:Len\x01ny"))
+    assert main(["validate-graph", *graph_args(str(graph))]) == 1
+    assert (
+        "node 'Person:Len\\x01ny' contains '\\x01', which XML files cannot carry"
+        in capsys.readouterr().err
+    )
+    queries = tmp_path / "queries_c.xml"
+    queries.write_text(emit_query_xml([PathQuery(
+        "Q.C.1", person("Homer"), person("Lenny"), 2, frozenset()
+    )]))
+    out = tmp_path / "sub_c.xml"
+    code = main(["answer", *graph_args(), "--queries", str(queries),
+                 "--team", "t\x01", "--out", str(out)])
+    assert code == 2
+    assert (
+        "argument --team: 't\\x01' contains '\\x01', which XML files cannot carry"
+        in capsys.readouterr().err
+    )
+    assert not out.exists()

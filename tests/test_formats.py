@@ -334,6 +334,22 @@ def test_a_node_name_that_is_not_a_variable_is_kept(fmt, name):
     assert person(name) in g.nodes
 
 
+# characters outside XML 1.0's Char production
+NOT_XML = ["\x01", "\x08", "\x0e", "\x1b", "\ufffe", "\uffff"]
+
+
+@pytest.mark.parametrize("fmt", ["tgf", "xgml"])
+@pytest.mark.parametrize("char", NOT_XML)
+def test_a_node_name_xml_cannot_carry_is_an_error(fmt, char):
+    # such a node would be written into query files that no parser reads back
+    g, diags = parse_graph(NODE_TEXT[fmt].format(name=f"Len{char}ny"), ONT, fmt)
+    assert g is None
+    assert str(diags[0]) == (
+        f"error: line {1 if fmt == 'tgf' else 2}: node {f'Person:Len{char}ny'!r} "
+        f"contains {char!r}, which XML files cannot carry"
+    )
+
+
 NEW_RELATION_TEXT = {
     "tgf": "1 Person:A\n2 Person:B\n#\n1 2 {relation}\n",
     "xgml": 'graph [\n node [ id 1 label "Person:A" ]\n node [ id 2 label "Person:B" ]\n'
@@ -348,6 +364,13 @@ def test_a_new_relation_with_an_underscore_is_an_error(fmt):
     assert g is None
     assert [str(d) for d in diags] == [
         "error: line 4: relation 'Knows_well' contains '_', which query files read as a space"
+    ]
+    text = NEW_RELATION_TEXT[fmt].format(relation="Knows\x01well")
+    g, diags = parse_graph(text, ONT, fmt, allow_new_relations=True)
+    assert g is None
+    assert [str(d) for d in diags] == [
+        "error: line 4: relation 'Knows\\x01well' contains '\\x01', which XML files "
+        "cannot carry"
     ]
     text = NEW_RELATION_TEXT[fmt].format(relation="Knows well")
     g, diags = parse_graph(text, ONT, fmt, allow_new_relations=True)

@@ -197,3 +197,14 @@ def test_build_matches_fold(order, repeats, edges):
     built, problems = KnowledgeGraph.build(ONT, nodes, edges)
     assert built == folded
     assert [str(p) for p in problems] == messages
+
+
+@pytest.mark.parametrize("char", ["\x01", "\ufffe"])
+def test_a_node_xml_cannot_carry_is_refused(char):
+    with pytest.raises(GraphError) as exc:
+        empty().add_node(person(f"Len{char}ny"))
+    assert str(exc.value) == (
+        f"node {f'Person:Len{char}ny'!r} contains {char!r}, which XML files cannot carry"
+    )
+    with pytest.raises(GraphError, match="XML files cannot carry"):
+        KnowledgeGraph.build(ONT, [person("A"), NodeId(f"P{char}", "B")], [])

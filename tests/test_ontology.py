@@ -48,6 +48,7 @@ def test_unknown_relation_named_in_error():
 
 
 UNDERSCORE = "^line {}: relation '{}' contains '_', which query files read as a space$"
+NOT_XML = r"^line {}: relation 'Works\\x01at' contains '\\x01', which XML files cannot carry$"
 
 
 @pytest.mark.parametrize(
@@ -64,6 +65,9 @@ UNDERSCORE = "^line {}: relation '{}' contains '_', which query files read as a 
         ("# comment\nEmploys | Works_at\n", UNDERSCORE.format(2, "Works_at")),
         ("Friend of | Friend of\nBest_friend of | Best_friend of\n",
          UNDERSCORE.format(2, "Best_friend of")),
+        # a label XML cannot carry would be written into unreadable query files
+        ("Works\x01at | Employs\n", NOT_XML.format(1)),
+        ("# comment\nEmploys | Works\x01at\n", NOT_XML.format(2)),
     ],
 )
 def test_load_errors(text, match):
@@ -117,3 +121,16 @@ def test_loaded_ontologies_are_involutions(text):
 def test_emit_load_round_trip(text):
     ont = load_ontology(text)
     assert load_ontology(emit_ontology(ont)) == ont
+
+
+@pytest.mark.parametrize("char", ["\x01", "\x1b", "\ufffe", "\uffff"])
+def test_a_relation_xml_cannot_carry_is_refused(char):
+    with pytest.raises(OntologyError) as exc:
+        RelationOntology({f"Works{char}at": "Employs", "Employs": f"Works{char}at"})
+    assert str(exc.value) == (
+        f"relation {f'Works{char}at'!r} contains {char!r}, which XML files cannot carry"
+    )
+    with pytest.raises(OntologyError, match="XML files cannot carry"):
+        load_ontology("Works at | Employs").extended(f"Lives{char}with", "Lives with")
+    # TAB, LF and CR are XML characters; canonical labels fold them to spaces
+    assert "Lives with" in RelationOntology({}).extended("Lives\twith", "Lives\twith")

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kgbench.graph import entity, person
+from helpers import reference_emit_document, reference_emit_submission
+from kgbench.graph import NodeId, entity, is_variable_name, person
+from kgbench.ontology import canonical_label, non_xml_char
 from kgbench.oracle import Path, PatternTriple, Variable
 from kgbench.protocol import (
     ProtocolError,
@@ -435,3 +437,191 @@ def test_submissions_hold_only_ids_of_their_own_type(text):
     for d in diagnostics:
         if d.where in QUERY_IDS and d.where not in own:
             assert d.message == "submission references an unknown query id; ignored"
+
+
+# --- the writer against the ElementTree reference ---------------------------
+
+# canonical labels (trimmed, single spaces) with XML's special characters and
+# non-ASCII text; a category has no ':', a relation no '_'
+NAME_CHARS = ["a", "Z", "0", " ", "&", "<", ">", '"', "'", "é", "中", "\U0001f600", "_", ":"]
+
+
+def _labels(chars):
+    return st.text(st.sampled_from(chars), min_size=1, max_size=6).map(
+        canonical_label
+    ).filter(bool)
+
+
+CATEGORIES = _labels([c for c in NAME_CHARS if c != ":"])
+RELATIONS = _labels([c for c in NAME_CHARS if c != "_"])
+NODES = st.builds(NodeId, CATEGORIES, _labels(NAME_CHARS)).filter(
+    lambda n: not is_variable_name(n.name)
+)
+VARIABLES = st.builds(
+    Variable,
+    st.integers(1, 3).map(lambda n: f"Unknown_{n}"),
+    st.one_of(st.none(), CATEGORIES.filter(lambda c: c != "Any")),
+)
+# attribute values: any text XML carries, most often its special characters
+XML_TEXTS = st.text(
+    st.one_of(
+        st.sampled_from(["&", "<", ">", '"', "'", "\t", "\r", "\n", "é"]),
+        st.characters(blacklist_categories=("Cs",)).filter(lambda c: not non_xml_char(c)),
+    ),
+    max_size=6,
+)
+DOCUMENT_IDS = st.lists(XML_TEXTS.filter(bool), min_size=1, max_size=3, unique=True)
+
+
+def _paths(draw, source, target, count):
+    paths = []
+    for _ in range(count):
+        inner = draw(st.lists(NODES, max_size=3))
+        nodes = (source, *inner, target)
+        relations = tuple(draw(st.lists(RELATIONS, min_size=len(nodes) - 1,
+                                        max_size=len(nodes) - 1)))
+        paths.append(Path(nodes, relations))
+    return paths
+
+
+@st.composite
+def query_lists(draw):
+    """Queries of one type, with keys, under distinct ids."""
+    kind = draw(st.sampled_from([FillQuery, ChoiceQuery, PathQuery]))
+    queries = []
+    for qid in draw(DOCUMENT_IDS):
+        if kind is FillQuery:
+            ends = st.one_of(NODES, VARIABLES)
+            triples = tuple(draw(st.lists(
+                st.builds(PatternTriple, ends, RELATIONS, ends), min_size=1, max_size=3
+            )))
+            names = sorted({e.name for t in triples for e in (t.subject, t.object)
+                            if isinstance(e, Variable)})
+            bindings = draw(st.lists(
+                st.builds(lambda nodes: frozenset(zip(names, nodes)),
+                          st.lists(NODES, min_size=len(names), max_size=len(names))),
+                max_size=3,
+            ))
+            queries.append(FillQuery(qid, triples, frozenset(bindings)))
+        elif kind is ChoiceQuery:
+            options = tuple(draw(st.lists(RELATIONS, min_size=1, max_size=3)))
+            key = draw(st.integers(0, len(options) - 1))
+            queries.append(ChoiceQuery(qid, draw(NODES), draw(NODES), options, key))
+        else:
+            source, target = draw(NODES), draw(NODES)
+            key = frozenset(_paths(draw, source, target, draw(st.integers(0, 3))))
+            queries.append(PathQuery(qid, source, target, draw(st.integers(1, 9)), key))
+    return queries
+
+
+@st.composite
+def submissions(draw):
+    """A submission of each type, possibly with no queries, a fill query with
+    no answers or a variable with an empty answer list; and the queries it
+    answers."""
+    team = draw(XML_TEXTS)
+    ids = draw(st.lists(XML_TEXTS.filter(bool), max_size=3, unique=True))
+    kind = draw(st.sampled_from([FillQuery, ChoiceQuery, PathQuery]))
+    if kind is FillQuery:
+        answers = {}
+        for qid in ids:
+            answers[qid] = {}
+            for n in range(1, draw(st.integers(0, 2)) + 1):
+                # confidences in ranked order, as a parser reads them back
+                confidences = sorted(
+                    draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), max_size=3)),
+                    reverse=True,
+                )
+                answers[qid][f"Unknown_{n}"] = [(draw(NODES), c) for c in confidences]
+        expected = [
+            FillQuery(qid, tuple(PatternTriple(Variable(var), "R", draw(NODES))
+                                 for var in answers[qid]), frozenset())
+            for qid in ids
+        ]
+        return SubmissionA(team, answers), expected
+    if kind is ChoiceQuery:
+        answers = {qid: draw(RELATIONS) for qid in ids}
+        expected = [ChoiceQuery(qid, draw(NODES), draw(NODES), ("R",), 0) for qid in ids]
+        return SubmissionB(team, answers), expected
+    answers, expected = {}, []
+    for qid in ids:
+        source, target = draw(NODES), draw(NODES)
+        answers[qid] = _paths(draw, source, target, draw(st.integers(0, 3)))
+        expected.append(PathQuery(qid, source, target, 4, frozenset()))
+    return SubmissionC(team, answers), expected
+
+
+@given(query_lists(), st.dictionaries(st.sampled_from(["seed", "count_a", "note"]),
+                                      XML_TEXTS))
+def test_query_and_key_files_are_written_as_elementtree_writes_them(queries, params):
+    text = emit_query_xml(queries)
+    assert text == reference_emit_document(queries, False)
+    parsed = parse_query_xml(text)
+    assert parsed == queries
+    assert [q.key for q in parsed] == [
+        -1 if isinstance(q, ChoiceQuery) else frozenset() for q in queries
+    ]
+    text = emit_key_xml(queries, params)
+    assert text == reference_emit_document(queries, True, params)
+    parsed, parsed_params = parse_key_xml(text)
+    assert (parsed, parsed_params) == (queries, params)
+    assert [q.key for q in parsed] == [q.key for q in queries]
+
+
+@given(submissions())
+def test_submissions_are_written_as_elementtree_writes_them(case):
+    sub, expected = case
+    emit = {SubmissionA: emit_submission_a, SubmissionB: emit_submission_b,
+            SubmissionC: emit_submission_c}[type(sub)]
+    text = emit(sub)
+    assert text == reference_emit_submission(sub)
+    parsed, diagnostics = parse_submission_xml(text, expected)
+    assert not diagnostics
+    assert parsed.team == sub.team
+    if isinstance(sub, SubmissionA):  # a variable without answers is not written
+        assert parsed.answers == {
+            qid: {var: ranked for var, ranked in per_var.items() if ranked}
+            for qid, per_var in sub.answers.items()
+        }
+    else:
+        assert parsed.answers == sub.answers
+
+
+def test_the_writer_escapes_as_elementtree_does():
+    sub = SubmissionC('a&b<c>"d\'\t\r\né', {'Q"1': [Path(
+        (NodeId("A&<>", "x\"'y"), NodeId("中", "n")), ("R & <S>",)
+    )]})
+    assert emit_submission_c(sub) == reference_emit_submission(sub)
+    assert '<QC team="a&amp;b&lt;c&gt;&quot;d\'&#09;&#13;&#10;é">' in emit_submission_c(sub)
+    assert "<Source>A&amp;&lt;&gt;:x\"'y</Source>" in emit_submission_c(sub)
+    assert emit_submission_a(SubmissionA("t", {})) == (
+        '<?xml version="1.0" encoding="UTF-8"?>\n<QA team="t" />\n'
+    )
+    assert '<Query id="Q.A.1" />' in emit_submission_a(
+        SubmissionA("t", {"Q.A.1": {"Unknown_1": []}})
+    )
+
+
+def test_each_malformed_text_reports_every_time():
+    # one valid and two malformed texts, each repeated: decoded once when
+    # valid, one diagnostic per occurrence when not
+    n = 3
+    path = (
+        '<Path><Source>Person:Superintendent Chalmers</Source><Edge>{}</Edge>'
+        "<Target>{}</Target></Path>"
+    )
+    text = (
+        '<QC team="t"><Query id="Q.C.1">'
+        + path.format("Relation:Friend_of", "Person:Lenny") * n
+        + path.format("Friend_of", "Person:Lenny") * n
+        + path.format("Relation:Friend_of", "Lenny") * n
+        + "</Query></QC>"
+    )
+    parsed, diagnostics = parse_submission_xml(text, [PATH_QUERY])
+    assert [d.message for d in diagnostics] == (
+        ["unparseable path dropped: expected 'Relation:...' text, got 'Friend_of'"] * n
+        + ["unparseable path dropped: node id without a category prefix: 'Lenny'"] * n
+    )
+    kept = parsed.answers["Q.C.1"]
+    assert len(kept) == n
+    assert len({id(node) for p in kept for node in p.nodes}) == 2  # shared NodeIds
