@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path as FsPath
 
 from . import formats, protocol, scoring
-from .graph import KnowledgeGraph, NodeId
+from .graph import KnowledgeGraph
 from .ontology import XML_CHAR_RULE, OntologyError, load_ontology, non_xml_char
 from .oracle import OracleError, PathBudgetError
 from .querygen import (
@@ -236,19 +236,19 @@ def cmd_stats(args) -> int:
 
 
 def _component_count(graph: KnowledgeGraph) -> int:
-    seen: set[NodeId] = set()
+    rows = graph.index.rows
+    seen = [False] * len(rows)
     components = 0
-    for node in graph.sorted_nodes():
-        if node in seen:
+    for node in range(len(rows)):
+        if seen[node]:
             continue
         components += 1
         stack = [node]
-        seen.add(node)
+        seen[node] = True
         while stack:
-            current = stack.pop()
-            for other, _ in graph.neighbors(current):
-                if other not in seen:
-                    seen.add(other)
+            for other, _ in rows[stack.pop()]:
+                if not seen[other]:
+                    seen[other] = True
                     stack.append(other)
     return components
 

@@ -5,6 +5,14 @@ Each semantic link is stored once, in one chosen direction; traversal
 exposes the reverse direction under the inverse relation label.  Graphs are
 immutable values: `build` makes one from node and edge lists in one pass, and
 the add_* methods return new graphs.
+
+The traversal view lives in one index per graph, built in one pass over the
+edges the first time a caller traverses.  It numbers the nodes in canonical
+order, so the searches in `oracle` and `scoring` run on ints and integer
+order is canonical order.  It holds, per node, the sorted row of
+(other, relation) links, and per (node, relation) the set of nodes reached,
+which answers `has_link` and `degree_by_relation` with one lookup.  The rows
+as NodeIds, which `neighbors` returns, are made in the same pass.
 """
 
 from __future__ import annotations
@@ -83,6 +91,23 @@ class Edge:
     dst: NodeId
 
 
+@dataclass(frozen=True, eq=False)
+class TraversalIndex:
+    """The traversal view with nodes numbered in canonical order, so that
+    search runs on ints: node i is `nodes[i]`, and sorting numbers sorts
+    canonical ids.  Read-only; built by `KnowledgeGraph.index`."""
+
+    nodes: tuple[NodeId, ...]
+    number: dict[NodeId, int]
+    # rows[i]: (other, relation-as-traversed) for each link of node i,
+    # sorted, which is the neighbors() order
+    rows: tuple[tuple[tuple[int, str], ...], ...]
+    # (i, relation) -> the nodes node i reaches via relation
+    links: dict[tuple[int, str], set[int]]
+    # rows as NodeIds, what neighbors() returns
+    neighbors: dict[NodeId, tuple[tuple[NodeId, str], ...]]
+
+
 @dataclass(frozen=True)
 class KnowledgeGraph:
     ontology: RelationOntology
@@ -159,21 +184,43 @@ class KnowledgeGraph:
             )
 
     @cached_property
-    def _adjacency(self) -> dict[NodeId, tuple[tuple[NodeId, str], ...]]:
-        adj: dict[NodeId, list[tuple[NodeId, str]]] = {n: [] for n in self.nodes}
-        for e in self.edges:
-            adj[e.src].append((e.dst, e.relation))
-            adj[e.dst].append((e.src, self.ontology.inverse_of(e.relation)))
-        return {
-            n: tuple(sorted(pairs, key=lambda p: (p[0].canonical, p[1])))
-            for n, pairs in adj.items()
-        }
+    def index(self) -> TraversalIndex:
+        """The traversal index, built at first use and kept for the graph's
+        life; building it is left out of `build`, since not every command
+        traverses."""
+        nodes = self.sorted_nodes()
+        number = {node: i for i, node in enumerate(nodes)}
+        inverse = self.ontology.inverse
+        rows: list[list[tuple[int, str]]] = [[] for _ in nodes]
+        links: dict[tuple[int, str], set[int]] = {}
+        for edge in self.edges:
+            src, dst, relation = number[edge.src], number[edge.dst], edge.relation
+            back = inverse[relation]
+            rows[src].append((dst, relation))
+            rows[dst].append((src, back))
+            links.setdefault((src, relation), set()).add(dst)
+            links.setdefault((dst, back), set()).add(src)
+        for row in rows:
+            row.sort()
+        return TraversalIndex(
+            nodes,
+            number,
+            tuple(map(tuple, rows)),
+            links,
+            {node: tuple([(nodes[i], r) for i, r in row]) for node, row in zip(nodes, rows)},
+        )
+
+    def _number(self, node: NodeId) -> int:
+        try:
+            return self.index.number[node]
+        except KeyError:
+            raise GraphError(f"unknown node: {node}") from None
 
     def neighbors(self, node: NodeId) -> tuple[tuple[NodeId, str], ...]:
         """Traversal-view neighbors of `node` as (other, relation-as-traversed)
         pairs, sorted by canonical id then relation."""
         try:
-            return self._adjacency[node]
+            return self.index.neighbors[node]
         except KeyError:
             raise GraphError(f"unknown node: {node}") from None
 
@@ -181,14 +228,15 @@ class KnowledgeGraph:
         """True iff (src, relation, dst) is a traversal-view edge."""
         if relation not in self.ontology:
             raise GraphError(f"unknown relation: {relation!r}")
-        return (dst, relation) in self.neighbors(src)
+        index = self.index
+        return index.number.get(dst) in index.links.get((self._number(src), relation), ())
 
     def degree_by_relation(self, node: NodeId, relation: str) -> int:
         """Number of traversal-view neighbors reached from `node` via
         `relation`."""
         if relation not in self.ontology:
             raise GraphError(f"unknown relation: {relation!r}")
-        return sum(1 for _, r in self.neighbors(node) if r == relation)
+        return len(self.index.links.get((self._number(node), relation), ()))
 
     @cached_property
     def _sorted_nodes(self) -> tuple[NodeId, ...]:

@@ -121,17 +121,19 @@ def solve_pattern(
     with naive enumeration over all node tuples (see tests).
     """
     _check_pattern(graph, triples)
+    index = graph.index
     variables = pattern_variables(triples)
     order = {v.name: i for i, v in enumerate(variables)}
+
+    def ref(end: NodeId | Variable) -> int | Variable:
+        return end if isinstance(end, Variable) else index.number[end]
+
     constants = {
-        end
-        for t in triples
-        for end in (t.subject, t.object)
-        if isinstance(end, NodeId)
+        ref(end) for t in triples for end in (t.subject, t.object) if isinstance(end, NodeId)
     }
     # attached[i]: (other end, relation as read from it) for each triple
     # whose later end is variable i; a constant is bound before any variable
-    attached: list[list[tuple[NodeId | Variable, str]]] = [[] for _ in variables]
+    attached: list[list[tuple[int | Variable, str]]] = [[] for _ in variables]
     for t in triples:
         s, o = t.subject, t.object
         s_at = order[s.name] if isinstance(s, Variable) else -1
@@ -142,26 +144,26 @@ def solve_pattern(
         elif s_at == o_at:
             return set()  # one variable at both ends: the graph has no self-loops
         elif o_at > s_at:
-            attached[o_at].append((s, t.relation))
+            attached[o_at].append((ref(s), t.relation))
         else:
-            attached[s_at].append((o, graph.ontology.inverse_of(t.relation)))
+            attached[s_at].append((ref(o), graph.ontology.inverse_of(t.relation)))
 
     results: set[frozenset[tuple[str, NodeId]]] = set()
 
-    def search(idx: int, binding: dict[str, NodeId]) -> None:
+    def search(idx: int, binding: dict[str, int]) -> None:
         if idx == len(variables):
-            results.add(frozenset(binding.items()))
+            results.add(frozenset((name, index.nodes[i]) for name, i in binding.items()))
             return
-        pool: set[NodeId] | None = None
+        pool: set[int] | None = None
         for end, relation in attached[idx]:
             anchor = binding[end.name] if isinstance(end, Variable) else end
-            found = {other for other, r in graph.neighbors(anchor) if r == relation}
+            found = index.links.get((anchor, relation), set())
             pool = found if pool is None else pool & found
         if pool is None:
-            pool = set(graph.nodes)
+            pool = set(range(len(index.nodes)))
         var = variables[idx]
         if var.category is not None:
-            pool = {n for n in pool if n.category == var.category}
+            pool = {i for i in pool if index.nodes[i].category == var.category}
         for node in pool - constants - set(binding.values()):
             binding[var.name] = node
             search(idx + 1, binding)
@@ -172,17 +174,19 @@ def solve_pattern(
 
 
 def _distances_to(
-    graph: KnowledgeGraph, target: NodeId, limit: int
-) -> dict[NodeId, int]:
-    """Traversal-view hop distance to `target` of every node at most `limit`
-    hops from it, by breadth-first search from `target`."""
-    distance = {target: 0}
+    rows: tuple[tuple[tuple[int, str], ...], ...], target: int, limit: int
+) -> list[int]:
+    """Traversal-view hop distance to `target` of every node, by
+    breadth-first search from `target` over the index rows; limit + 1 for a
+    node more than `limit` hops away."""
+    distance = [limit + 1] * len(rows)
+    distance[target] = 0
     frontier = [target]
     for hops in range(1, limit + 1):
         reached = []
         for node in frontier:
-            for other, _ in graph.neighbors(node):
-                if other not in distance:
+            for other, _ in rows[node]:
+                if distance[other] > hops:
                     distance[other] = hops
                     reached.append(other)
         frontier = reached
@@ -215,39 +219,40 @@ def enumerate_paths(
     bound = longest if max_edges is None else min(max_edges, longest)
     if bound <= 0:
         return []
-    distance = _distances_to(graph, target, bound - 1)
-    results: list[Path] = []
-    visited = {source}
-    node_stack = [source]
-    rel_stack: list[str] = []
+    index = graph.index
+    rows = index.rows
+    start, goal = index.number[source], index.number[target]
+    # reach[i]: node i's distance to the goal, or bound when it is further
+    # than bound - 1 or already on the path: either way too far to enter
+    reach = _distances_to(rows, goal, bound - 1)
+    reach[start] = bound
+    found: list[tuple[int | str, ...]] = []
+    route: list[int | str] = [start]  # node, relation, node, ..., as walked
 
-    def dfs(current: NodeId) -> None:
-        left = bound - len(rel_stack) - 1  # edges left after the next step
-        for other, rel in graph.neighbors(current):
-            if other == target:
-                if len(results) == PATH_BUDGET:
+    def dfs(current: int, left: int) -> None:
+        # left: edges left after the next step
+        for other, rel in rows[current]:
+            if other == goal:
+                if len(found) == PATH_BUDGET:
                     raise PathBudgetError(
                         f"more than {PATH_BUDGET} paths from {source} to {target} "
                         "(the path budget); a key is never truncated"
                     )
-                results.append(
-                    Path(tuple(node_stack) + (target,), tuple(rel_stack) + (rel,))
-                )
-                continue
-            # a node with no distance is more than bound - 1 hops away
-            if other in visited or distance.get(other, bound) > left:
-                continue
-            visited.add(other)
-            node_stack.append(other)
-            rel_stack.append(rel)
-            dfs(other)
-            rel_stack.pop()
-            node_stack.pop()
-            visited.remove(other)
+                found.append((*route, rel, goal))
+            elif reach[other] <= left:
+                distance = reach[other]
+                reach[other] = bound
+                route.extend((rel, other))
+                dfs(other, left - 1)
+                del route[-2:]
+                reach[other] = distance
 
-    dfs(source)
-    results.sort(key=lambda p: (p.length, p.sort_key()))
-    return results
+    dfs(start, bound - 1)
+    # numbers sort as canonical ids, so this is the (length, sort_key) order
+    found.sort()
+    found.sort(key=len)
+    nodes = index.nodes
+    return [Path(tuple([nodes[i] for i in p[::2]]), p[1::2]) for p in found]
 
 
 def answer_choice(

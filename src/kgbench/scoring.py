@@ -93,14 +93,16 @@ def validate_path(graph: KnowledgeGraph, query: PathQuery, path: Path) -> PathVe
         return PathVerdict(
             False, f"length {path.length} exceeds bound {query.max_edges}"
         )
-    for i, (a, rel, b) in enumerate(
-        zip(path.nodes[:-1], path.relations, path.nodes[1:]), start=1
-    ):
-        if a not in graph.nodes:
+    index = graph.index
+    numbers = [index.number.get(node) for node in path.nodes]
+    for i, rel in enumerate(path.relations, start=1):
+        a, b = path.nodes[i - 1], path.nodes[i]
+        if numbers[i - 1] is None:
             return PathVerdict(False, f"node {a} not in graph")
-        if b not in graph.nodes:
+        if numbers[i] is None:
             return PathVerdict(False, f"node {b} not in graph")
-        if rel not in graph.ontology or not graph.has_link(a, rel, b):
+        # a relation outside the ontology has no links
+        if numbers[i] not in index.links.get((numbers[i - 1], rel), ()):
             return PathVerdict(False, f"edge {i} ({a} -[{rel}]-> {b}) not in graph")
     return PathVerdict(True)
 

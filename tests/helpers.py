@@ -24,6 +24,7 @@ from kgbench.protocol import (
 )
 from kgbench.querygen import ChoiceQuery, FillQuery, PathQuery, Query
 from kgbench.rng import SplitMix64
+from kgbench.scoring import PathVerdict
 
 
 def random_ontology(rng: SplitMix64, n_pairs: int = 4) -> RelationOntology:
@@ -70,9 +71,21 @@ def random_graph(
     return graph
 
 
+def naive_traversal(graph: KnowledgeGraph) -> set[tuple[NodeId, str, NodeId]]:
+    """Every traversal-view link (src, relation, dst), read from the stored
+    edges and the ontology alone: each edge as stored, and reversed under
+    its inverse label."""
+    links = set()
+    for e in graph.edges:
+        links.add((e.src, e.relation, e.dst))
+        links.add((e.dst, graph.ontology.inverse_of(e.relation), e.src))
+    return links
+
+
 def naive_solve_pattern(graph: KnowledgeGraph, triples: list[PatternTriple]):
     """The specification of the pattern matcher: enumerate every |V|^k
     assignment, keep injective ones under which all triples hold."""
+    links = naive_traversal(graph)
     variables = []
     for t in triples:
         for end in (t.subject, t.object):
@@ -103,7 +116,7 @@ def naive_solve_pattern(graph: KnowledgeGraph, triples: list[PatternTriple]):
         ok = True
         for t in triples:
             s, o = resolve(t.subject), resolve(t.object)
-            if s == o or not graph.has_link(s, t.relation, o):
+            if s == o or (s, t.relation, o) not in links:
                 ok = False
                 break
         if ok:
@@ -116,18 +129,43 @@ def reference_enumerate_paths(
 ) -> set[Path]:
     """Iterative worklist path enumerator, structured differently from the
     recursive DFS it is compared against."""
+    steps: dict[NodeId, list[tuple[str, NodeId]]] = {}
+    for a, rel, b in naive_traversal(graph):
+        steps.setdefault(a, []).append((rel, b))
     results: set[Path] = set()
     work: list[tuple[tuple[NodeId, ...], tuple[str, ...]]] = [((source,), ())]
     while work:
         nodes, rels = work.pop()
         if max_edges is not None and len(rels) >= max_edges:
             continue
-        for other, rel in graph.neighbors(nodes[-1]):
+        for rel, other in steps.get(nodes[-1], []):
             if other == target:
                 results.add(Path(nodes + (other,), rels + (rel,)))
             elif other not in nodes:
                 work.append((nodes + (other,), rels + (rel,)))
     return results
+
+
+def naive_validate_path(graph: KnowledgeGraph, query: PathQuery, path: Path) -> PathVerdict:
+    """The specification of scoring.validate_path: the same checks in the
+    same order, each step looked up among naive_traversal's links."""
+    links = naive_traversal(graph)
+    if path.source != query.source:
+        return PathVerdict(False, f"source is {path.source}, query asks {query.source}")
+    if path.target != query.target:
+        return PathVerdict(False, f"target is {path.target}, query asks {query.target}")
+    if len(set(path.nodes)) != len(path.nodes):
+        return PathVerdict(False, "not simple: a node repeats")
+    if path.length > query.max_edges:
+        return PathVerdict(False, f"length {path.length} exceeds bound {query.max_edges}")
+    for i in range(1, path.length + 1):
+        a, rel, b = path.nodes[i - 1], path.relations[i - 1], path.nodes[i]
+        for node in (a, b):
+            if node not in graph.nodes:
+                return PathVerdict(False, f"node {node} not in graph")
+        if (a, rel, b) not in links:
+            return PathVerdict(False, f"edge {i} ({a} -[{rel}]-> {b}) not in graph")
+    return PathVerdict(True)
 
 
 def naive_tokenize_xgml(text: str):

@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_graph
+from helpers import naive_traversal, random_graph
 from kgbench.graph import Edge, GraphError, KnowledgeGraph, NodeId, entity, person
 from kgbench.ontology import load_ontology
 
@@ -113,6 +113,40 @@ def test_neighbors_deterministic_and_duplicate_free(seed):
         pairs = g.neighbors(node)
         assert list(pairs) == sorted(pairs, key=lambda p: (p[0].canonical, p[1]))
         assert len(set(pairs)) == len(pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32), edges=st.integers(0, 18))
+def test_traversal_queries_equal_the_reference(seed, edges):
+    g = random_graph(seed, max_edges=edges)
+    links = naive_traversal(g)
+    nodes = g.sorted_nodes()
+    stranger = person("Stranger")
+    for node in nodes:
+        row = sorted(((o, r) for s, r, o in links if s == node), key=lambda p: (p[0].canonical, p[1]))
+        assert g.neighbors(node) == tuple(row)
+        for rel in sorted(g.ontology.relations):
+            assert g.degree_by_relation(node, rel) == sum(1 for _, r in row if r == rel)
+            for other in nodes:
+                assert g.has_link(node, rel, other) is ((node, rel, other) in links)
+            assert g.has_link(node, rel, stranger) is False
+    rel = sorted(g.ontology.relations)[0]
+    for call in (
+        lambda: g.neighbors(stranger),
+        lambda: g.has_link(stranger, rel, nodes[0]),
+        lambda: g.degree_by_relation(stranger, rel),
+    ):
+        with pytest.raises(GraphError) as exc:
+            call()
+        assert str(exc.value) == "unknown node: Person:Stranger"
+    for call in (
+        lambda: g.has_link(nodes[0], "Owns", nodes[-1]),
+        lambda: g.has_link(stranger, "Owns", nodes[0]),
+        lambda: g.degree_by_relation(nodes[0], "Owns"),
+    ):
+        with pytest.raises(GraphError) as exc:
+            call()
+        assert str(exc.value) == "unknown relation: 'Owns'"
 
 
 def test_order_independence():

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from helpers import naive_validate_path, random_graph, reference_enumerate_paths
 from kgbench.graph import entity, person
 from kgbench.oracle import Path, PatternTriple, Variable, enumerate_paths
 from kgbench.protocol import SubmissionA, SubmissionB
@@ -182,6 +185,53 @@ def test_validate_path_endpoints_and_bound(simpsons):
         ("Superintendent at", "Studied at by", "Child of", "Spouse of", "Friend of"),
     )
     assert "bound" in validate_path(simpsons, query, five_edges).reason
+
+
+MUTATIONS = ["relation", "inverse", "repeat", "foreign", "over-bound", "swap"]
+
+
+@st.composite
+def mutated_paths(draw):
+    """A random graph, a path query over it, and one of its keyed paths
+    after up to three mutations."""
+    g = random_graph(draw(st.integers(0, 2**32)), max_nodes=8, max_edges=14)
+    assume(g.edge_count)
+    edge = draw(st.sampled_from(g.sorted_edges()))
+    source = edge.src
+    target = draw(st.sampled_from([n for n in g.sorted_nodes() if n != source]))
+    if not reference_enumerate_paths(g, source, target, None):
+        target = edge.dst
+    bound = draw(st.integers(1, 6))
+    routes = reference_enumerate_paths(g, source, target, None)
+    key = frozenset(p for p in routes if p.length <= bound)
+    path = draw(st.sampled_from(sorted(key or routes, key=lambda p: (p.length, p.sort_key()))))
+    nodes, rels = list(path.nodes), list(path.relations)
+    relations = sorted(g.ontology.relations) + ["Owns"]
+    for mutation in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
+        step = draw(st.integers(0, len(rels) - 1))
+        # an inner node when there is one, else the target
+        at = draw(st.integers(1, len(nodes) - 2)) if len(nodes) > 2 else 1
+        if mutation == "relation":
+            rels[step] = draw(st.sampled_from(relations))
+        elif mutation == "inverse" and rels[step] in g.ontology:
+            rels[step] = g.ontology.inverse_of(rels[step])
+        elif mutation == "repeat":
+            nodes[at] = nodes[draw(st.integers(0, len(nodes) - 1))]
+        elif mutation == "foreign":
+            nodes[at] = person("Stranger")
+        elif mutation == "over-bound":
+            bound = len(rels) - 1
+        elif mutation == "swap":
+            nodes[0], nodes[-1] = nodes[-1], nodes[0]
+    query = PathQuery("Q.C.1", source, target, bound, key)
+    return g, query, Path(tuple(nodes), tuple(rels))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_paths())
+def test_validate_path_equals_the_reference(case):
+    g, query, path = case
+    assert validate_path(g, query, path) == naive_validate_path(g, query, path)
 
 
 def test_score_paths_perfect(simpsons):
