@@ -12,7 +12,7 @@ order, so the searches in `oracle` and `scoring` run on ints and integer
 order is canonical order.  It holds, per node, the sorted row of
 (other, relation) links, and per (node, relation) the set of nodes reached,
 which answers `has_link` and `degree_by_relation` with one lookup.  The rows
-as NodeIds, which `neighbors` returns, are made in the same pass.
+as NodeIds, which `neighbors` returns, are made once, at its first call.
 """
 
 from __future__ import annotations
@@ -104,8 +104,13 @@ class TraversalIndex:
     rows: tuple[tuple[tuple[int, str], ...], ...]
     # (i, relation) -> the nodes node i reaches via relation
     links: dict[tuple[int, str], set[int]]
-    # rows as NodeIds, what neighbors() returns
-    neighbors: dict[NodeId, tuple[tuple[NodeId, str], ...]]
+
+    @cached_property
+    def neighbors(self) -> dict[NodeId, tuple[tuple[NodeId, str], ...]]:
+        """The rows as NodeIds, which `KnowledgeGraph.neighbors` returns;
+        made at its first call, since the searches never need them."""
+        nodes = self.nodes
+        return {node: tuple([(nodes[i], r) for i, r in row]) for node, row in zip(nodes, self.rows)}
 
 
 @dataclass(frozen=True)
@@ -202,13 +207,7 @@ class KnowledgeGraph:
             links.setdefault((dst, back), set()).add(src)
         for row in rows:
             row.sort()
-        return TraversalIndex(
-            nodes,
-            number,
-            tuple(map(tuple, rows)),
-            links,
-            {node: tuple([(nodes[i], r) for i, r in row]) for node, row in zip(nodes, rows)},
-        )
+        return TraversalIndex(nodes, number, tuple(map(tuple, rows)), links)
 
     def _number(self, node: NodeId) -> int:
         try:

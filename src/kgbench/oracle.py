@@ -16,6 +16,13 @@ enters a node from which the target is further away than the edges left.
 Its cost follows the number of paths it returns rather than the size of the
 graph around the source.  That number is capped at PATH_BUDGET per call;
 past the cap it raises PathBudgetError rather than return a truncated key.
+
+Both searches run on the graph's traversal index (`KnowledgeGraph.index`),
+where nodes are ints numbered in canonical order: the BFS and the DFS walk
+its rows, and the pattern matcher takes a variable's candidates from its
+per-(node, relation) sets.  NodeIds go in and come out; each path is made a
+`Path` once, after the int routes are sorted, which sorts them as
+`sort_key` would because numbers follow canonical order.
 """
 
 from __future__ import annotations
