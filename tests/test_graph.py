@@ -123,7 +123,9 @@ def test_traversal_queries_equal_the_reference(seed, edges):
     nodes = g.sorted_nodes()
     stranger = person("Stranger")
     for node in nodes:
-        row = sorted(((o, r) for s, r, o in links if s == node), key=lambda p: (p[0].canonical, p[1]))
+        row = sorted(
+            ((o, r) for s, r, o in links if s == node), key=lambda p: (p[0].canonical, p[1])
+        )
         assert g.neighbors(node) == tuple(row)
         for rel in sorted(g.ontology.relations):
             assert g.degree_by_relation(node, rel) == sum(1 for _, r in row if r == rel)
