@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import naive_traversal, random_graph
 from kgbench import cli, oracle
 from kgbench.cli import main
 from kgbench.graph import person
@@ -84,6 +85,20 @@ def test_stats_format_independent(capsys):
     tgf_out = capsys.readouterr().out
     main(["stats", *graph_args(XGML, "xgml")])
     assert capsys.readouterr().out == tgf_out
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_component_count_matches_a_reference(seed):
+    # sparse, so most graphs have several components and isolated nodes
+    g = random_graph(seed, max_edges=6)
+    component = {node: {node} for node in g.nodes}
+    for a, _, b in naive_traversal(g):
+        if component[a] is not component[b]:
+            merged = component[a] | component[b]
+            for node in merged:
+                component[node] = merged
+    expected = len({id(nodes) for nodes in component.values()})
+    assert cli._component_count(g) == expected
 
 
 def test_gen_insufficient_structure(tmp_path, capsys):
