@@ -3,23 +3,25 @@ bidirectional traversal view.
 
 Each semantic link is stored once, in one chosen direction; traversal
 exposes the reverse direction under the inverse relation label.  Graphs are
-immutable values: `build` makes one from node and edge lists in one pass, and
-the add_* methods return new graphs.
+immutable values, made by `build` from node and edge lists in one pass.
+`NodeId` and `Edge` are tuples, so hashing and equality run in C wherever a
+node or an edge enters a set or a dict.
 
 The traversal view lives in one index per graph, built in one pass over the
 edges the first time a caller traverses.  It numbers the nodes in canonical
-order, so the searches in `oracle` and `scoring` run on ints and integer
-order is canonical order.  It holds, per node, the sorted row of
-(other, relation) links, and per (node, relation) the set of nodes reached,
-which answers `has_link` and `degree_by_relation` with one lookup.  The rows
-as NodeIds, which `neighbors` returns, are made once, at its first call.
+order, so the searches in `oracle`, `scoring` and `querygen` run on ints and
+integer order is canonical order, the one node order.  It holds, per node,
+the sorted row of (other, relation) links, and per (node, relation) the set
+of nodes reached, which answers `has_link` and `degree_by_relation` with one
+lookup.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .ontology import XML_CHAR_RULE, RelationOntology, canonical_label, non_xml_char
 
@@ -45,16 +47,33 @@ def is_variable_name(name: str) -> bool:
     return name.startswith(VARIABLE_PREFIX) and suffix.isascii() and suffix.isdigit()
 
 
-@dataclass(frozen=True, order=True)
-class NodeId:
-    """Typed node identity; canonical rendering is "<Category>:<name>"."""
-
+class _NodeFields(NamedTuple):
     category: str
     name: str
 
-    def __post_init__(self):
-        if not self.category or not self.name:
+
+class NodeId(_NodeFields):
+    """Typed node identity; canonical rendering is "<Category>:<name>".
+
+    A tuple subclass: a NodeId equals, and hashes as, its `(category, name)`
+    tuple, and unpacks as one.  Graphs hold only NodeIds (`build` refuses
+    anything else), and nodes are ordered by canonical text, never by
+    tuple comparison.  The category holds no ':', so the canonical text
+    names one node and `parse` reads it back."""
+
+    __slots__ = ()
+
+    def __new__(cls, category: str, name: str) -> "NodeId":
+        if not category or not name:
             raise GraphError("node category and name must be non-empty")
+        if ":" in category:
+            raise GraphError(f"node category {category!r} contains ':'")
+        return tuple.__new__(cls, (category, name))
+
+    @classmethod
+    def _make(cls, iterable) -> "NodeId":
+        # namedtuple's _make, which _replace calls, would skip the checks
+        return cls(*iterable)
 
     @property
     def canonical(self) -> str:
@@ -84,8 +103,9 @@ def entity(name: str) -> NodeId:
     return NodeId(ENTITY, name)
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
+class Edge(NamedTuple):
+    """A stored directed edge; equals its `(src, relation, dst)` tuple."""
+
     src: NodeId
     relation: str
     dst: NodeId
@@ -105,13 +125,6 @@ class TraversalIndex:
     # (i, relation) -> the nodes node i reaches via relation
     links: dict[tuple[int, str], set[int]]
 
-    @cached_property
-    def neighbors(self) -> dict[NodeId, tuple[tuple[NodeId, str], ...]]:
-        """The rows as NodeIds, which `KnowledgeGraph.neighbors` returns;
-        made at its first call, since the searches never need them."""
-        nodes = self.nodes
-        return {node: tuple([(nodes[i], r) for i, r in row]) for node, row in zip(nodes, self.rows)}
-
 
 @dataclass(frozen=True)
 class KnowledgeGraph:
@@ -121,6 +134,8 @@ class KnowledgeGraph:
 
     def __post_init__(self):
         for node in self.nodes:
+            if not isinstance(node, NodeId):
+                raise GraphError(f"not a NodeId: {node!r}")
             if is_variable_name(node.name):
                 raise GraphError(VARIABLE_RULE.format(node))
             if char := non_xml_char(node.canonical):
@@ -138,12 +153,18 @@ class KnowledgeGraph:
     def build(
         cls, ontology: RelationOntology, nodes: Iterable[NodeId], edges: Iterable[Edge]
     ) -> tuple[KnowledgeGraph, list[GraphError]]:
-        """The graph of `nodes` and of each edge that `add_edge`, applied in
-        order, would accept; plus one GraphError per rejected edge, in order."""
+        """The graph of `nodes` and of each edge in `edges` that may join the
+        edges kept before it, plus one GraphError per rejected edge, in order.
+        An edge is rejected for a self-loop, an unknown endpoint or relation,
+        or for restating a kept edge, as given or in the inverse direction
+        (DuplicateEdgeError).  A node that is not a NodeId, or an edge that
+        is not an Edge, raises GraphError."""
         graph = cls(ontology, frozenset(nodes))
         kept: set[Edge] = set()
         problems: list[GraphError] = []
         for edge in edges:
+            if not isinstance(edge, Edge):
+                raise GraphError(f"not an Edge: {edge!r}")
             try:
                 graph._check_edge(edge, kept)
             except GraphError as exc:
@@ -154,21 +175,7 @@ class KnowledgeGraph:
         object.__setattr__(graph, "edges", frozenset(kept))
         return graph, problems
 
-    def add_node(self, node: NodeId) -> "KnowledgeGraph":
-        """Idempotent; returns a new graph with the node present."""
-        if node in self.nodes:
-            return self
-        return replace(self, nodes=self.nodes | {node})
-
-    def add_edge(self, src: NodeId, relation: str, dst: NodeId) -> "KnowledgeGraph":
-        """Add a stored directed edge.  Rejects self-loops, unknown endpoints
-        or relations, and duplicates (including the inverse-direction
-        restatement of an existing edge)."""
-        edge = Edge(src, relation, dst)
-        self._check_edge(edge, self.edges)
-        return replace(self, edges=self.edges | {edge})
-
-    def _check_edge(self, edge: Edge, edges: set[Edge] | frozenset[Edge]) -> None:
+    def _check_edge(self, edge: Edge, edges: set[Edge]) -> None:
         """Raise GraphError unless `edge` may join `edges` in this graph."""
         src, relation, dst = edge.src, edge.relation, edge.dst
         if src == dst:
@@ -218,10 +225,9 @@ class KnowledgeGraph:
     def neighbors(self, node: NodeId) -> tuple[tuple[NodeId, str], ...]:
         """Traversal-view neighbors of `node` as (other, relation-as-traversed)
         pairs, sorted by canonical id then relation."""
-        try:
-            return self.index.neighbors[node]
-        except KeyError:
-            raise GraphError(f"unknown node: {node}") from None
+        index = self.index
+        nodes = index.nodes
+        return tuple([(nodes[i], r) for i, r in index.rows[self._number(node)]])
 
     def has_link(self, src: NodeId, relation: str, dst: NodeId) -> bool:
         """True iff (src, relation, dst) is a traversal-view edge."""

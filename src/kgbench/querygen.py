@@ -96,29 +96,28 @@ def _sample_connected_edges(
     graph: KnowledgeGraph, rng: SplitMix64, count: int
 ) -> list[tuple[NodeId, str, NodeId]]:
     """Random connected set of traversal-view edges grown from a seed node.
-    Edges are returned in traversal orientation (as walked)."""
-    start = rng.choice(graph.sorted_nodes())
-    chosen: list[tuple[NodeId, str, NodeId]] = []
-    taken: set[tuple[NodeId, str, NodeId]] = set()
+    Edges are returned in traversal orientation (as walked).  The draws run
+    on index numbers, so the fringe is sorted in canonical order."""
+    index = graph.index
+    rows, inverse = index.rows, graph.ontology.inverse
+    start = rng.choice(range(len(index.nodes)))
+    chosen: list[tuple[int, str, int]] = []
+    taken: set[tuple[int, str, int]] = set()
     frontier = [start]
     while len(chosen) < count:
         fringe = sorted(
-            {
-                (node, rel, other)
-                for node in frontier
-                for other, rel in graph.neighbors(node)
-            }
-            - taken
+            {(node, rel, other) for node in frontier for other, rel in rows[node]} - taken
         )
         if not fringe:
             break
         a, r, b = rng.choice(fringe)
         chosen.append((a, r, b))
         taken.add((a, r, b))
-        taken.add((b, graph.ontology.inverse_of(r), a))
+        taken.add((b, inverse[r], a))
         if b not in frontier:
             frontier.append(b)
-    return chosen
+    nodes = index.nodes
+    return [(nodes[a], r, nodes[b]) for a, r, b in chosen]
 
 
 def _generate(

@@ -7,7 +7,7 @@ import itertools
 import xml.etree.ElementTree as ET
 
 from kgbench.formats import _LBRACKET, _RBRACKET, ERROR, ParseDiagnostic
-from kgbench.graph import ENTITY, LOCATION, PERSON, GraphError, KnowledgeGraph, NodeId
+from kgbench.graph import ENTITY, LOCATION, PERSON, Edge, KnowledgeGraph, NodeId
 from kgbench.ontology import RelationOntology
 from kgbench.oracle import Path, PatternTriple, Variable
 from kgbench.protocol import (
@@ -54,21 +54,86 @@ def random_graph(
         NodeId(categories[rng.randrange(len(categories))], f"N{i}")
         for i in range(n_nodes)
     ]
-    graph = KnowledgeGraph(ontology)
-    for node in nodes:
-        graph = graph.add_node(node)
     relations = sorted(ontology.relations)
+    edges = []
     for _ in range(rng.randrange(max_edges + 1)):
         a = rng.choice(nodes)
         b = rng.choice(nodes)
-        r = rng.choice(relations)
-        if a == b:
-            continue
-        try:
-            graph = graph.add_edge(a, r, b)
-        except GraphError:
-            pass
+        edges.append(Edge(a, rng.choice(relations), b))
+    # the edges build rejects (self-loops, restatements) are left out
+    return KnowledgeGraph.build(ontology, nodes, edges)[0]
+
+
+def built(
+    ontology: RelationOntology,
+    nodes: list[NodeId],
+    edges: list[tuple[NodeId, str, NodeId]] = (),
+) -> KnowledgeGraph:
+    """KnowledgeGraph.build of `nodes` and `edges`, each edge given as a
+    (src, relation, dst) triple; every edge must be kept."""
+    graph, problems = KnowledgeGraph.build(ontology, nodes, [Edge(*e) for e in edges])
+    assert not problems, [str(p) for p in problems]
     return graph
+
+
+def reference_build(
+    ontology: RelationOntology, nodes: list[NodeId], edges: list[Edge]
+) -> tuple[KnowledgeGraph, list[tuple[bool, str]]]:
+    """The specification of KnowledgeGraph.build, one edge at a time: the
+    graph of the edges kept, and for each rejected edge, in order, whether
+    it restates a kept one and its message."""
+    declared = set(nodes)
+    kept: list[Edge] = []
+    problems = []
+    for edge in edges:
+        src, rel, dst = edge
+        if src == dst:
+            problems.append((False, f"self-loop on {src}"))
+        elif src not in declared or dst not in declared:
+            unknown = src if src not in declared else dst
+            problems.append((False, f"unknown endpoint: {unknown}"))
+        elif rel not in ontology:
+            problems.append((False, f"unknown relation: {rel!r}"))
+        elif edge in kept:
+            problems.append((True, f"duplicate edge: {src} -[{rel}]-> {dst}"))
+        elif (dst, ontology.inverse_of(rel), src) in kept:
+            problems.append((True, (
+                f"inverse-duplicate edge: {src} -[{rel}]-> {dst} "
+                f"restates {dst} -[{ontology.inverse_of(rel)}]-> {src}"
+            )))
+        else:
+            kept.append(edge)
+    return KnowledgeGraph(ontology, frozenset(declared), frozenset(kept)), problems
+
+
+def reference_sample_connected_edges(
+    graph: KnowledgeGraph, rng: SplitMix64, count: int
+) -> list[tuple[NodeId, str, NodeId]]:
+    """querygen._sample_connected_edges on NodeIds, with the fringe sorted
+    as (category, name) tuples: the same draws as the index version on any
+    graph where no category is a prefix of another."""
+    start = rng.choice(graph.sorted_nodes())
+    chosen: list[tuple[NodeId, str, NodeId]] = []
+    taken: set[tuple[NodeId, str, NodeId]] = set()
+    frontier = [start]
+    while len(chosen) < count:
+        fringe = sorted(
+            {
+                (node, rel, other)
+                for node in frontier
+                for other, rel in graph.neighbors(node)
+            }
+            - taken
+        )
+        if not fringe:
+            break
+        a, r, b = rng.choice(fringe)
+        chosen.append((a, r, b))
+        taken.add((a, r, b))
+        taken.add((b, graph.ontology.inverse_of(r), a))
+        if b not in frontier:
+            frontier.append(b)
+    return chosen
 
 
 def naive_traversal(graph: KnowledgeGraph) -> set[tuple[NodeId, str, NodeId]]:

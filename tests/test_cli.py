@@ -25,18 +25,18 @@ def graph_args(graph=GRAPH, fmt="tgf"):
     return ["--graph", graph, "--format", fmt, "--ontology", ONT]
 
 
-def pipeline_commands(out, seed=42):
+def pipeline_commands(out, seed=42, graph=GRAPH):
     """gen-queries, answer for each type, then score, all writing under out."""
     return [
-        ["gen-queries", *graph_args(), "--seed", str(seed), "--count-a", "3",
+        ["gen-queries", *graph_args(graph), "--seed", str(seed), "--count-a", "3",
          "--count-b", "3", "--count-c", "2", "--max-edges", "4",
          "--require-unique", "--out", str(out)],
         *(
-            ["answer", *graph_args(), "--queries", str(out / f"queries_{t}.xml"),
+            ["answer", *graph_args(graph), "--queries", str(out / f"queries_{t}.xml"),
              "--out", str(out / f"sub_{t}.xml")]
             for t in "abc"
         ),
-        ["score", *graph_args(),
+        ["score", *graph_args(graph),
          "--keys", *(str(out / f"keys_{t}.xml") for t in "abc"),
          "--submissions", *(str(out / f"sub_{t}.xml") for t in "abc"),
          "--out", str(out / "report")],
@@ -132,22 +132,42 @@ def test_pipeline_determinism(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
-def test_pipeline_determinism_across_hash_seeds(tmp_path):
-    # set and dict order follows the string hash, which differs per process
-    # unless PYTHONHASHSEED pins it; no output may depend on it
+def outputs_across_hash_seeds(tmp_path, graph=GRAPH):
+    """The pipeline's output files, run once under each of two hash seeds."""
     outputs = []
     for hash_seed in ("0", "1"):
         out = tmp_path / hash_seed
         env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed}
-        for argv in pipeline_commands(out):
+        for argv in pipeline_commands(out, graph=graph):
             proc = subprocess.run(
                 [sys.executable, "-m", "kgbench.cli", *argv],
                 capture_output=True, text=True, env=env, timeout=120,
             )
             assert proc.returncode == 0, proc.stderr
         outputs.append({f.relative_to(out): f.read_bytes() for f in out.rglob("*.*")})
+    return outputs
+
+
+def test_pipeline_determinism_across_hash_seeds(tmp_path):
+    # set and dict order follows the string hash, which differs per process
+    # unless PYTHONHASHSEED pins it; no output may depend on it
+    outputs = outputs_across_hash_seeds(tmp_path)
     assert len(outputs[0]) == 11  # queries, keys, submissions per type; report
     assert outputs[0] == outputs[1]
+
+
+def test_pipeline_determinism_with_a_category_prefix(tmp_path):
+    # Person2:Homer sorts before Person:Bart by canonical text, but after it
+    # as a (category, name) tuple; every order in the pipeline is canonical
+    text = Path(GRAPH).read_text(encoding="utf-8")
+    for name in ("Homer", "Lenny", "Lisa"):
+        text = text.replace(f"Person:{name}", f"Person2:{name}")
+    graph = tmp_path / "prefix.tgf"
+    graph.write_text(text, encoding="utf-8")
+    outputs = outputs_across_hash_seeds(tmp_path, str(graph))
+    assert len(outputs[0]) == 11
+    assert outputs[0] == outputs[1]
+    assert any(b"Person2:Homer" in data for data in outputs[0].values())
 
 
 def test_query_files_leak_no_keys(tmp_path):

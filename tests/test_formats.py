@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import naive_tokenize_xgml, random_graph
+from helpers import built, naive_tokenize_xgml, random_graph
 from kgbench.datasets import simpsons_graph, simpsons_ontology
 from kgbench.formats import (
     _tokenize_xgml,
@@ -88,8 +88,7 @@ def test_emit_tgf_empty():
 
 
 def test_emit_tgf_two_node():
-    g = KnowledgeGraph(ONT).add_node(person("A")).add_node(person("B"))
-    g = g.add_edge(person("A"), "Spouse of", person("B"))
+    g = built(ONT, [person("A"), person("B")], [(person("A"), "Spouse of", person("B"))])
     text = emit_tgf(g)
     assert len(text.strip().splitlines()) == 4
     assert text.endswith("\n")
@@ -213,8 +212,7 @@ def test_xgml_unknown_keys_warn():
 
 
 def test_xgml_quoted_escapes_and_spaces():
-    g = KnowledgeGraph(ONT).add_node(person('He said "hi"'))
-    g = g.add_node(person("Springfield Elementary"))
+    g = built(ONT, [person('He said "hi"'), person("Springfield Elementary")])
     g2, diags = parse_xgml(emit_xgml(g), ONT)
     assert g2 == g
 

@@ -2,8 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_traversal, random_graph
-from kgbench.graph import Edge, GraphError, KnowledgeGraph, NodeId, entity, person
+from helpers import built, naive_traversal, random_graph, reference_build
+from kgbench.graph import (
+    DuplicateEdgeError,
+    Edge,
+    GraphError,
+    KnowledgeGraph,
+    NodeId,
+    entity,
+    person,
+)
 from kgbench.ontology import load_ontology
 
 ONT = load_ontology(
@@ -32,55 +40,117 @@ def test_node_id_parse():
         NodeId.parse(":empty")
 
 
-def test_add_node_idempotent():
-    g = empty().add_node(person("Homer"))
+def test_a_category_with_a_colon_is_refused():
+    # both would render as Person:x:y, and parse reads that text as the second
+    with pytest.raises(GraphError) as exc:
+        NodeId("Person:x", "y")
+    assert str(exc.value) == "node category 'Person:x' contains ':'"
+    assert NodeId("Person", "x:y") == NodeId.parse("Person:x:y")
+    for make in (
+        lambda: NodeId._make(("Person:x", "y")),
+        lambda: person("y")._replace(category="Person:x"),
+    ):
+        with pytest.raises(GraphError, match="contains ':'"):
+            make()
+    for category, name in [("", "a"), ("Person", "")]:
+        with pytest.raises(GraphError, match="must be non-empty"):
+            NodeId(category, name)
+
+
+def test_node_and_edge_equal_their_tuples():
+    homer, marge = person("Homer"), person("Marge")
+    assert homer == ("Person", "Homer") and hash(homer) == hash(("Person", "Homer"))
+    category, name = homer
+    assert (category, name) == (homer.category, homer.name)
+    assert repr(homer) == "NodeId(category='Person', name='Homer')"
+    assert str(homer) == "Person:Homer"
+    edge = Edge(marge, "Spouse of", homer)
+    assert edge == (marge, "Spouse of", homer)
+    assert edge == (("Person", "Marge"), "Spouse of", ("Person", "Homer"))
+    assert hash(edge) == hash((marge, "Spouse of", homer))
+
+
+def test_build_refuses_what_is_not_a_node_or_an_edge():
+    with pytest.raises(GraphError) as exc:
+        KnowledgeGraph.build(ONT, [person("A"), ("Person", "B")], [])
+    assert str(exc.value) == "not a NodeId: ('Person', 'B')"
+    raw_edge = (person("A"), "Friend of", person("B"))
+    with pytest.raises(GraphError) as exc:
+        KnowledgeGraph.build(ONT, [person("A"), person("B")], [raw_edge])
+    assert str(exc.value) == (
+        "not an Edge: (NodeId(category='Person', name='A'), 'Friend of', "
+        "NodeId(category='Person', name='B'))"
+    )
+
+
+def test_build_merges_repeated_nodes():
+    g = built(ONT, [person("Homer"), person("Homer")])
     assert g.node_count == 1
-    assert g.add_node(person("Homer")).node_count == 1
-    assert g.add_node(person("Marge")).node_count == 2
-    assert empty().node_count == 0  # value semantics
+    assert built(ONT, [person("Homer"), person("Marge"), person("Homer")]).node_count == 2
+    assert g.nodes == {person("Homer")}
+    assert empty().node_count == 0
 
 
-def test_add_edge_and_duplicates():
-    g = empty().add_node(person("Marge")).add_node(person("Homer"))
-    g = g.add_edge(person("Marge"), "Spouse of", person("Homer"))
-    with pytest.raises(GraphError, match="duplicate"):
-        g.add_edge(person("Marge"), "Spouse of", person("Homer"))
-    # symmetric relation restated in the other direction
-    with pytest.raises(GraphError, match="duplicate"):
-        g.add_edge(person("Homer"), "Spouse of", person("Marge"))
+def test_build_drops_duplicate_edges():
+    marge, homer = person("Marge"), person("Homer")
+    g, problems = KnowledgeGraph.build(
+        ONT,
+        [marge, homer],
+        # the same edge, then the symmetric relation restated the other way
+        [Edge(marge, "Spouse of", homer)] * 2 + [Edge(homer, "Spouse of", marge)],
+    )
+    assert g.edges == {Edge(marge, "Spouse of", homer)}
+    assert [type(p) for p in problems] == [DuplicateEdgeError] * 2
+    assert [str(p) for p in problems] == [
+        "duplicate edge: Person:Marge -[Spouse of]-> Person:Homer",
+        "inverse-duplicate edge: Person:Homer -[Spouse of]-> Person:Marge "
+        "restates Person:Marge -[Spouse of]-> Person:Homer",
+    ]
 
 
 def test_inverse_duplicate_asymmetric():
-    g = empty().add_node(person("Bart")).add_node(person("Homer"))
-    g = g.add_edge(person("Bart"), "Child of", person("Homer"))
-    with pytest.raises(GraphError, match="duplicate"):
-        g.add_edge(person("Homer"), "Parent of", person("Bart"))
+    bart, homer = person("Bart"), person("Homer")
+    g, problems = KnowledgeGraph.build(
+        ONT, [bart, homer], [Edge(bart, "Child of", homer), Edge(homer, "Parent of", bart)]
+    )
+    assert g.edge_count == 1
+    assert len(problems) == 1 and isinstance(problems[0], DuplicateEdgeError)
+    assert "duplicate" in str(problems[0])
 
 
 def test_multigraph_distinct_relations_allowed():
-    g = empty().add_node(person("Lenny")).add_node(person("Carl"))
-    g = g.add_edge(person("Lenny"), "Colleague of", person("Carl"))
-    g = g.add_edge(person("Lenny"), "Friend of", person("Carl"))
+    lenny, carl = person("Lenny"), person("Carl")
+    g = built(ONT, [lenny, carl], [(lenny, "Colleague of", carl), (lenny, "Friend of", carl)])
     assert g.edge_count == 2
 
 
-def test_add_edge_errors():
-    g = empty().add_node(person("Bart")).add_node(entity("School"))
-    with pytest.raises(GraphError, match="self-loop"):
-        g.add_edge(person("Bart"), "Friend of", person("Bart"))
-    with pytest.raises(GraphError, match="unknown endpoint"):
-        g.add_edge(person("Bart"), "Friend of", person("Nelson"))
-    with pytest.raises(GraphError, match="unknown relation"):
-        g.add_edge(person("Bart"), "Owns", entity("School"))
-    g = g.add_edge(person("Bart"), "Student of", entity("School"))
-    assert g.edge_count == 1
+def test_build_edge_errors():
+    bart, school = person("Bart"), entity("School")
+    g, problems = KnowledgeGraph.build(
+        ONT,
+        [bart, school],
+        [
+            Edge(bart, "Friend of", bart),
+            Edge(bart, "Friend of", person("Nelson")),
+            Edge(person("Nelson"), "Friend of", bart),
+            Edge(bart, "Owns", school),
+            Edge(bart, "Student of", school),
+        ],
+    )
+    assert g.edges == {Edge(bart, "Student of", school)}
+    assert not any(isinstance(p, DuplicateEdgeError) for p in problems)
+    assert [str(p) for p in problems] == [
+        "self-loop on Person:Bart",
+        "unknown endpoint: Person:Nelson",
+        "unknown endpoint: Person:Nelson",
+        "unknown relation: 'Owns'",
+    ]
 
 
 def test_neighbors_both_directions():
-    g = empty().add_node(person("Marge")).add_node(person("Bart")).add_node(person("Lisa"))
-    g = g.add_edge(person("Marge"), "Parent of", person("Bart"))
-    g = g.add_edge(person("Marge"), "Parent of", person("Lisa"))
-    assert g.neighbors(person("Marge")) == (
+    marge, bart, lisa = person("Marge"), person("Bart"), person("Lisa")
+    g = built(ONT, [marge, bart, lisa], [(marge, "Parent of", bart), (marge, "Parent of", lisa)])
+    assert g.neighbors(marge) == (
         (person("Bart"), "Parent of"),
         (person("Lisa"), "Parent of"),
     )
@@ -90,7 +160,7 @@ def test_neighbors_both_directions():
 
 
 def test_isolated_node_and_unknown_node():
-    g = empty().add_node(person("Maggie"))
+    g = built(ONT, [person("Maggie")])
     assert g.neighbors(person("Maggie")) == ()
     with pytest.raises(GraphError, match="unknown node"):
         g.neighbors(person("Nelson"))
@@ -157,17 +227,7 @@ def test_order_independence():
         (person("A"), "Parent of", person("B")),
         (person("B"), "Friend of", person("C")),
     ]
-    g1 = empty()
-    for n in nodes:
-        g1 = g1.add_node(n)
-    for e in edges:
-        g1 = g1.add_edge(*e)
-    g2 = empty()
-    for n in reversed(nodes):
-        g2 = g2.add_node(n)
-    for e in reversed(edges):
-        g2 = g2.add_edge(*e)
-    assert g1 == g2
+    assert built(ONT, nodes, edges) == built(ONT, nodes[::-1], edges[::-1])
 
 
 def test_degree_matches_bruteforce(simpsons):
@@ -221,24 +281,16 @@ def salted_edges(draw):
 )
 def test_build_matches_fold(order, repeats, edges):
     nodes = order + repeats
-    folded = empty()
-    messages = []
-    for n in nodes:
-        folded = folded.add_node(n)
-    for e in edges:
-        try:
-            folded = folded.add_edge(e.src, e.relation, e.dst)
-        except GraphError as exc:
-            messages.append(str(exc))
-    built, problems = KnowledgeGraph.build(ONT, nodes, edges)
-    assert built == folded
-    assert [str(p) for p in problems] == messages
+    folded, expected = reference_build(ONT, nodes, edges)
+    built_graph, problems = KnowledgeGraph.build(ONT, nodes, edges)
+    assert built_graph == folded
+    assert [(isinstance(p, DuplicateEdgeError), str(p)) for p in problems] == expected
 
 
 @pytest.mark.parametrize("char", ["\x01", "\ufffe"])
 def test_a_node_xml_cannot_carry_is_refused(char):
     with pytest.raises(GraphError) as exc:
-        empty().add_node(person(f"Len{char}ny"))
+        KnowledgeGraph.build(ONT, [person(f"Len{char}ny")], [])
     assert str(exc.value) == (
         f"node {f'Person:Len{char}ny'!r} contains {char!r}, which XML files cannot carry"
     )

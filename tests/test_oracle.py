@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_solve_pattern, random_graph, reference_enumerate_paths
+from helpers import built, naive_solve_pattern, random_graph, reference_enumerate_paths
 from kgbench.graph import (
     ENTITY,
     LOCATION,
@@ -111,8 +111,7 @@ def test_path_worked_example(simpsons):
 
 def test_two_node_single_path():
     ont = load_ontology("Friend of | Friend of")
-    g = KnowledgeGraph(ont).add_node(person("A")).add_node(person("B"))
-    g = g.add_edge(person("A"), "Friend of", person("B"))
+    g = built(ont, [person("A"), person("B")], [(person("A"), "Friend of", person("B"))])
     paths = enumerate_paths(g, person("A"), person("B"))
     assert paths == [Path((person("A"), person("B")), ("Friend of",))]
 
@@ -151,12 +150,8 @@ def test_path_monotonicity(seed):
 
 def test_unbounded_on_acyclic_fixture():
     ont = load_ontology("Child of | Parent of")
-    g = KnowledgeGraph(ont)
-    for name in "ABCD":
-        g = g.add_node(person(name))
-    g = g.add_edge(person("A"), "Child of", person("B"))
-    g = g.add_edge(person("B"), "Child of", person("C"))
-    g = g.add_edge(person("B"), "Child of", person("D"))
+    a, b, c, d = map(person, "ABCD")
+    g = built(ont, [a, b, c, d], [(a, "Child of", b), (b, "Child of", c), (b, "Child of", d)])
     # A-B-C is the only route; traversal is undirected so the tree gives one
     assert len(enumerate_paths(g, person("A"), person("C"), None)) == 1
     assert len(enumerate_paths(g, person("C"), person("D"), None)) == 1
@@ -201,14 +196,10 @@ def test_pruning_skips_a_clique_with_no_route_to_the_target(monkeypatch):
     # the unpruned search expands every simple path of the clique, about 3e4
     ont = load_ontology("Friend of | Friend of")
     clique = [person(f"C{i}") for i in range(9)]
-    g = KnowledgeGraph(ont)
-    for node in [person("S"), person("T"), person("U"), *clique]:
-        g = g.add_node(node)
-    g = g.add_edge(person("S"), "Friend of", clique[0])
-    for i, a in enumerate(clique):
-        for b in clique[i + 1:]:
-            g = g.add_edge(a, "Friend of", b)
-    g = g.add_edge(person("T"), "Friend of", person("U"))
+    edges = [(person("S"), "Friend of", clique[0])]
+    edges += [(a, "Friend of", b) for i, a in enumerate(clique) for b in clique[i + 1:]]
+    edges.append((person("T"), "Friend of", person("U")))
+    g = built(ont, [person("S"), person("T"), person("U"), *clique], edges)
     # count the index rows the search reads, the BFS's included
     calls = []
 

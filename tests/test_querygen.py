@@ -1,18 +1,22 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_graph
+from helpers import built, random_graph, reference_sample_connected_edges
 from kgbench import oracle
-from kgbench.graph import GraphError, KnowledgeGraph, person
+from kgbench.graph import GraphError, KnowledgeGraph, NodeId, person
 from kgbench.ontology import OntologyError, RelationOntology, load_ontology
 from kgbench.oracle import answer_choice, enumerate_paths, solve_pattern
 from kgbench.protocol import emit_query_xml
 from kgbench.querygen import (
     GenerationError,
+    _sample_connected_edges,
     generate_choice,
     generate_fill,
     generate_path,
     oracle_key,
 )
+from kgbench.rng import SplitMix64
 from kgbench.scoring import validate_path
 
 
@@ -44,8 +48,7 @@ def test_fill_worked_example_pattern_is_producible(simpsons):
 
 def test_fill_too_small():
     ont = load_ontology("Friend of | Friend of")
-    g = KnowledgeGraph(ont).add_node(person("A")).add_node(person("B"))
-    g = g.add_edge(person("A"), "Friend of", person("B"))
+    g = built(ont, [person("A"), person("B")], [(person("A"), "Friend of", person("B"))])
     with pytest.raises(GenerationError, match="insufficient structure"):
         generate_fill(g, 1, 1)
 
@@ -71,8 +74,7 @@ def test_choice_degenerate_single_option(simpsons):
 
 def test_choice_ontology_too_small(simpsons):
     ont = load_ontology("Friend of | Friend of")
-    g = KnowledgeGraph(ont).add_node(person("A")).add_node(person("B"))
-    g = g.add_edge(person("A"), "Friend of", person("B"))
+    g = built(ont, [person("A"), person("B")], [(person("A"), "Friend of", person("B"))])
     with pytest.raises(GenerationError, match="insufficient structure"):
         generate_choice(g, 1, 1, n_options=5)
 
@@ -105,7 +107,7 @@ def test_path_determinism(simpsons):
 
 def test_path_no_person_pair():
     ont = load_ontology("Friend of | Friend of")
-    g = KnowledgeGraph(ont).add_node(person("A"))
+    g = built(ont, [person("A")])
     with pytest.raises(GenerationError, match="insufficient structure"):
         generate_path(g, 1, 1)
 
@@ -128,13 +130,31 @@ def test_generation_on_random_graphs(seed):
         pass  # degenerate random graphs may legitimately fail
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    edges=st.integers(0, 18),
+    draws=st.integers(0, 2**64 - 1),
+    counts=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+)
+def test_sampling_on_the_index_matches_the_node_reference(seed, edges, draws, counts):
+    # random_graph's categories are Person, Entity and Location, none a
+    # prefix of another, so canonical order is (category, name) order there
+    g = random_graph(seed, max_edges=edges)
+    rng, reference = SplitMix64(draws), SplitMix64(draws)
+    for count in counts:
+        sample = _sample_connected_edges(g, rng, count)
+        assert sample == reference_sample_connected_edges(g, reference, count)
+        assert all(type(n) is NodeId for a, _, b in sample for n in (a, b))
+    assert rng.next_u64() == reference.next_u64()  # the same number of draws
+
+
 def _graph(ontology: str, nodes: str, edges: list[tuple[str, str, str]] = ()):
-    g = KnowledgeGraph(load_ontology(ontology))
-    for name in nodes:
-        g = g.add_node(person(name))
-    for a, r, b in edges:
-        g = g.add_edge(person(a), r, person(b))
-    return g
+    return built(
+        load_ontology(ontology),
+        [person(name) for name in nodes],
+        [(person(a), r, person(b)) for a, r, b in edges],
+    )
 
 
 # (graph, generator call, the full "insufficient structure" message)
@@ -223,9 +243,8 @@ def test_names_query_files_cannot_carry_are_refused_where_they_are_built():
     ontology = load_ontology("Works at | Employs")
     with pytest.raises(OntologyError, match="contains '_'"):
         ontology.extended("Lives_with", "Lives_with")
-    graph = KnowledgeGraph(ontology).add_node(person("A"))
     with pytest.raises(GraphError) as exc:
-        graph.add_node(person("Unknown_1"))
+        KnowledgeGraph(ontology, frozenset([person("A"), person("Unknown_1")]))
     assert str(exc.value) == "node Person:Unknown_1 is named like a query variable (Unknown_<n>)"
     with pytest.raises(GraphError, match="query variable"):
         KnowledgeGraph.build(ontology, [person("A"), person("Unknown_2")], [])
