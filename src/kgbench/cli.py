@@ -14,7 +14,7 @@ from pathlib import Path as FsPath
 
 from . import formats, protocol, scoring
 from .graph import KnowledgeGraph
-from .ontology import XML_CHAR_RULE, OntologyError, load_ontology, non_xml_char
+from .ontology import XML_CHAR_RULE, OntologyError, is_decimal, load_ontology, non_xml_char
 from .oracle import OracleError, PathBudgetError
 from .querygen import (
     ChoiceQuery,
@@ -202,7 +202,10 @@ def cmd_score(args) -> int:
             report.fill.append(scoring.score_fill(q, fill_sub))
         elif isinstance(q, PathQuery):
             submitted = path_sub.answers.get(q.id, [])
-            report.paths.append(scoring.score_paths(graph, q, submitted))
+            try:
+                report.paths.append(scoring.score_paths(graph, q, submitted))
+            except OracleError as exc:
+                raise CliError(str(exc), EXIT_CONTENT) from None
     choice_queries = [q for q in key_queries if isinstance(q, ChoiceQuery)]
     # a choice file scored against no choice keys still reports zero queries
     if choice_queries or protocol.SubmissionB in subs:
@@ -267,14 +270,12 @@ def _add_graph_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _at_least(low: int):
-    """argparse type: an integer >= low; anything else is a usage error."""
+    """argparse type: an ASCII-decimal integer >= low; anything else is a
+    usage error."""
 
     def parse(text: str) -> int:
-        try:
-            if int(text) >= low:
-                return int(text)
-        except ValueError:
-            pass
+        if is_decimal(text) and int(text) >= low:
+            return int(text)
         raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
 
     return parse

@@ -3,8 +3,10 @@ oriented) and XGML (GML-style bracketed key/value blocks).
 
 Both parsers are total: they never raise on arbitrary input text but return
 ``(graph-or-None, diagnostics)``.  Error diagnostics mean no graph is
-returned; warnings accompany a returned graph.  Both emitters are
-deterministic and round-trip exactly through their parser.
+returned; warnings accompany a returned graph.  The name rules live in the
+types (`check_node`, `check_label`); the parsers only add a line number to
+their errors.  Both emitters are deterministic, and every graph that can be
+constructed round-trips exactly through their parser.
 """
 
 from __future__ import annotations
@@ -12,22 +14,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .graph import (
-    VARIABLE_RULE,
-    DuplicateEdgeError,
-    Edge,
-    GraphError,
-    KnowledgeGraph,
-    NodeId,
-    is_variable_name,
-)
-from .ontology import (
-    UNDERSCORE_RULE,
-    XML_CHAR_RULE,
-    RelationOntology,
-    canonical_label,
-    non_xml_char,
-)
+from .graph import DuplicateEdgeError, Edge, GraphError, KnowledgeGraph, NodeId, check_node
+from .ontology import OntologyError, RelationOntology, canonical_label, is_decimal
 
 WARNING = "warning"
 ERROR = "error"
@@ -45,11 +33,6 @@ class ParseDiagnostic:
 
 def has_errors(diagnostics: list[ParseDiagnostic]) -> bool:
     return any(d.severity == ERROR for d in diagnostics)
-
-
-def _is_decimal(text: str) -> bool:
-    """ASCII [0-9]+ only; str.isdigit() alone also accepts '²' and '٣'."""
-    return text.isascii() and text.isdigit()
 
 
 class _GraphAssembler:
@@ -76,14 +59,9 @@ class _GraphAssembler:
             return
         try:
             node = NodeId.parse(label)
+            check_node(node)
         except GraphError as exc:
             self.error(line, str(exc))
-            return
-        if is_variable_name(node.name):
-            self.error(line, VARIABLE_RULE.format(node))
-            return
-        if char := non_xml_char(node.canonical):
-            self.error(line, XML_CHAR_RULE.format(f"node {node.canonical!r}", char))
             return
         if node in self.declared:
             self.warn(line, f"node {node} declared more than once; merged")
@@ -102,13 +80,11 @@ class _GraphAssembler:
             if not self.allow_new_relations:
                 self.error(line, f"relation {relation!r} not in ontology")
                 return
-            if "_" in relation:
-                self.error(line, UNDERSCORE_RULE.format(relation))
+            try:
+                self.ontology = self.ontology.extended(relation, relation)
+            except OntologyError as exc:
+                self.error(line, str(exc))
                 return
-            if char := non_xml_char(relation):
-                self.error(line, XML_CHAR_RULE.format(f"relation {relation!r}", char))
-                return
-            self.ontology = self.ontology.extended(relation, relation)
             self.warn(line, f"relation {relation!r} not in ontology; assumed self-inverse")
         self.edges.append(
             Edge(self.nodes_by_fileid[src_id], relation, self.nodes_by_fileid[dst_id])
@@ -151,7 +127,7 @@ def parse_tgf(
             continue
         parts = line.split(None, 1)
         if not seen_separator:
-            if len(parts) != 2 or not _is_decimal(parts[0]):
+            if len(parts) != 2 or not is_decimal(parts[0]):
                 asm.error(lineno, f"malformed node line: {line!r}")
                 continue
             asm.add_node(lineno, int(parts[0]), parts[1])
@@ -159,8 +135,8 @@ def parse_tgf(
             parts = line.split(None, 2)
             if (
                 len(parts) != 3
-                or not _is_decimal(parts[0])
-                or not _is_decimal(parts[1])
+                or not is_decimal(parts[0])
+                or not is_decimal(parts[1])
             ):
                 asm.error(lineno, f"malformed edge line: {line!r}")
                 continue
@@ -207,7 +183,7 @@ def _tokenize_xgml(text: str) -> tuple[list[tuple[int, object]], list[ParseDiagn
         if "\n" in space:  # `line += 0` would give each token its own int
             line += space.count("\n")
         if word:
-            if _is_decimal(word):
+            if is_decimal(word):
                 tokens.append((line, int(word)))
             # float() accepts no all-letter word but inf, nan and infinity
             elif not word.isalpha() or word.lower() in ("inf", "nan", "infinity"):

@@ -19,18 +19,16 @@ lookup.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-from .ontology import XML_CHAR_RULE, RelationOntology, canonical_label, non_xml_char
+from .ontology import XML_CHAR_RULE, RelationOntology, canonical_label, is_decimal, non_xml_char
 
 PERSON = "Person"
 ENTITY = "Entity"
 LOCATION = "Location"
 VARIABLE_PREFIX = "Unknown_"
-# query files read a node of this name back as a variable
-VARIABLE_RULE = "node {} is named like a query variable (Unknown_<n>)"
 
 
 class GraphError(ValueError):
@@ -43,8 +41,7 @@ class DuplicateEdgeError(GraphError):
 
 def is_variable_name(name: str) -> bool:
     """`Unknown_` followed by ASCII [0-9]+."""
-    suffix = name[len(VARIABLE_PREFIX):]
-    return name.startswith(VARIABLE_PREFIX) and suffix.isascii() and suffix.isdigit()
+    return name.startswith(VARIABLE_PREFIX) and is_decimal(name[len(VARIABLE_PREFIX):])
 
 
 class _NodeFields(NamedTuple):
@@ -103,6 +100,20 @@ def entity(name: str) -> NodeId:
     return NodeId(ENTITY, name)
 
 
+def check_node(node: NodeId) -> None:
+    """The one node rule, beyond NodeId's own: category and name trimmed
+    with single spaces (readers collapse whitespace), a name that is not
+    `Unknown_<n>` (a query variable) and text XML can carry; else GraphError."""
+    if not isinstance(node, NodeId):
+        raise GraphError(f"not a NodeId: {node!r}")
+    if canonical_label(node.category) != node.category or canonical_label(node.name) != node.name:
+        raise GraphError(f"node {node.canonical!r} is not trimmed with single spaces")
+    if is_variable_name(node.name):
+        raise GraphError(f"node {node} is named like a query variable (Unknown_<n>)")
+    if char := non_xml_char(node.canonical):
+        raise GraphError(XML_CHAR_RULE.format(f"node {node.canonical!r}", char))
+
+
 class Edge(NamedTuple):
     """A stored directed edge; equals its `(src, relation, dst)` tuple."""
 
@@ -128,18 +139,17 @@ class TraversalIndex:
 
 @dataclass(frozen=True)
 class KnowledgeGraph:
+    """Made from an ontology and nodes that pass `check_node`; edges enter
+    only through `build`, which checks each one, so every graph round-trips
+    through the writers.  `dataclasses.replace` gives a graph without edges."""
+
     ontology: RelationOntology
     nodes: frozenset[NodeId] = frozenset()
-    edges: frozenset[Edge] = frozenset()
+    edges: frozenset[Edge] = field(default=frozenset(), init=False)
 
     def __post_init__(self):
         for node in self.nodes:
-            if not isinstance(node, NodeId):
-                raise GraphError(f"not a NodeId: {node!r}")
-            if is_variable_name(node.name):
-                raise GraphError(VARIABLE_RULE.format(node))
-            if char := non_xml_char(node.canonical):
-                raise GraphError(XML_CHAR_RULE.format(f"node {node.canonical!r}", char))
+            check_node(node)
 
     @property
     def node_count(self) -> int:
@@ -157,8 +167,9 @@ class KnowledgeGraph:
         edges kept before it, plus one GraphError per rejected edge, in order.
         An edge is rejected for a self-loop, an unknown endpoint or relation,
         or for restating a kept edge, as given or in the inverse direction
-        (DuplicateEdgeError).  A node that is not a NodeId, or an edge that
-        is not an Edge, raises GraphError."""
+        (DuplicateEdgeError).  A node that fails `check_node`, or an edge
+        that is not an Edge, raises GraphError.  This is the only way edges
+        enter a graph."""
         graph = cls(ontology, frozenset(nodes))
         kept: set[Edge] = set()
         problems: list[GraphError] = []
@@ -171,7 +182,6 @@ class KnowledgeGraph:
                 problems.append(exc)
             else:
                 kept.add(edge)
-        # set on the graph made above, so its nodes are checked once, not again
         object.__setattr__(graph, "edges", frozenset(kept))
         return graph, problems
 

@@ -16,8 +16,6 @@ class OntologyError(ValueError):
     pass
 
 
-# query, key and submission files write a space in a relation as '_'
-UNDERSCORE_RULE = "relation {!r} contains '_', which query files read as a space"
 # the characters outside XML 1.0's Char production, which no XML file can carry
 _NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 XML_CHAR_RULE = "{} contains {!r}, which XML files cannot carry"
@@ -29,32 +27,46 @@ def non_xml_char(text: str) -> str | None:
     return match and match.group()
 
 
+def is_decimal(text: str) -> bool:
+    """ASCII [0-9]+ only; str.isdigit() alone also accepts '²' and '٣'."""
+    return text.isascii() and text.isdigit()
+
+
 def canonical_label(raw: str) -> str:
     """Trim and collapse internal whitespace; comparison is then exact and
     case-sensitive."""
     return " ".join(raw.split())
 
 
+def check_label(label: str) -> None:
+    """The one relation-label rule, so that every reader gives the label
+    back: non-empty, trimmed with single spaces, no '_', no '|' or leading
+    '#' (ontology file syntax), only XML characters; else OntologyError."""
+    if not label:
+        raise OntologyError("empty relation label")
+    if canonical_label(label) != label:
+        raise OntologyError(f"relation {label!r} is not trimmed with single spaces")
+    if "_" in label:
+        raise OntologyError(f"relation {label!r} contains '_', which query files read as a space")
+    if "|" in label or label.startswith("#"):
+        raise OntologyError(f"relation {label!r} has ontology file syntax ('|' or a leading '#')")
+    if char := non_xml_char(label):
+        raise OntologyError(XML_CHAR_RULE.format(f"relation {label!r}", char))
+
+
 @dataclass(frozen=True)
 class RelationOntology:
-    """Immutable set of relation labels plus their inverse involution.  No
-    label contains '_'."""
+    """Immutable set of relation labels plus their inverse involution.  Every
+    label passes `check_label`."""
 
     inverse: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         inv = dict(self.inverse)
         for r, i in inv.items():
-            if not r or not i:
-                raise OntologyError("empty relation label")
-            if "_" in r:
-                raise OntologyError(UNDERSCORE_RULE.format(r))
-            if char := non_xml_char(r):
-                raise OntologyError(XML_CHAR_RULE.format(f"relation {r!r}", char))
+            check_label(r)
             if inv.get(i) != r:
-                raise OntologyError(
-                    f"inverse map is not an involution at {r!r} -> {i!r}"
-                )
+                raise OntologyError(f"inverse map is not an involution at {r!r} -> {i!r}")
         object.__setattr__(self, "inverse", inv)
 
     @property
@@ -81,23 +93,18 @@ class RelationOntology:
         no-op, a conflicting redefinition is an error."""
         r = canonical_label(relation)
         i = canonical_label(inverse)
-        if not r or not i:
-            raise OntologyError("empty relation label")
         merged = dict(self.inverse)
         for label, inv in ((r, i), (i, r)):
-            if label in merged and merged[label] != inv:
-                raise OntologyError(
-                    f"conflicting inverse for {label!r}: "
-                    f"{merged[label]!r} vs {inv!r}"
-                )
-            merged[label] = inv
+            if (old := merged.setdefault(label, inv)) != inv:
+                raise OntologyError(f"conflicting inverse for {label!r}: {old!r} vs {inv!r}")
         return RelationOntology(merged)
 
 
 def load_ontology(text: str) -> RelationOntology:
     """Parse the ontology file format: one `<relation> | <inverse>` pair per
     line, `#` comment lines, blank lines ignored.  Self-inverse relations
-    repeat the label; no label may contain '_'."""
+    repeat the label; each label is canonicalised, then must pass
+    `check_label`."""
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -108,14 +115,11 @@ def load_ontology(text: str) -> RelationOntology:
         left, _, right = line.partition("|")
         r = canonical_label(left)
         i = canonical_label(right)
-        if not r or not i:
-            raise OntologyError(f"line {lineno}: empty relation label")
-        for label in (r, i):
-            if "_" in label:
-                raise OntologyError(f"line {lineno}: {UNDERSCORE_RULE.format(label)}")
-            if char := non_xml_char(label):
-                rule = XML_CHAR_RULE.format(f"relation {label!r}", char)
-                raise OntologyError(f"line {lineno}: {rule}")
+        try:
+            check_label(r)
+            check_label(i)
+        except OntologyError as exc:
+            raise OntologyError(f"line {lineno}: {exc}") from None
         if r in pairs:
             if pairs[r] == i:
                 raise OntologyError(f"line {lineno}: duplicate relation {r!r}")

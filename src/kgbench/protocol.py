@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from typing import TypeVar
 
 from .graph import GraphError, NodeId, is_variable_name
+from .ontology import is_decimal
 from .oracle import OracleError, Path, PatternTriple, Variable
 from .querygen import Binding, ChoiceQuery, FillQuery, PathQuery, Query
 
@@ -256,8 +257,7 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _decimal(text: str | None, message: str) -> int:
-    """ASCII [0-9]+ only; str.isdigit() alone also accepts '²' and '٣'."""
-    _require(text is not None and text.isascii() and text.isdigit(), message)
+    _require(text is not None and is_decimal(text), message)
     return int(text)
 
 

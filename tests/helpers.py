@@ -78,10 +78,10 @@ def built(
 
 def reference_build(
     ontology: RelationOntology, nodes: list[NodeId], edges: list[Edge]
-) -> tuple[KnowledgeGraph, list[tuple[bool, str]]]:
+) -> tuple[frozenset[NodeId], frozenset[Edge], list[tuple[bool, str]]]:
     """The specification of KnowledgeGraph.build, one edge at a time: the
-    graph of the edges kept, and for each rejected edge, in order, whether
-    it restates a kept one and its message."""
+    nodes, the edges kept, and for each rejected edge, in order, whether it
+    restates a kept one and its message."""
     declared = set(nodes)
     kept: list[Edge] = []
     problems = []
@@ -103,7 +103,7 @@ def reference_build(
             )))
         else:
             kept.append(edge)
-    return KnowledgeGraph(ontology, frozenset(declared), frozenset(kept)), problems
+    return frozenset(declared), frozenset(kept), problems
 
 
 def reference_sample_connected_edges(

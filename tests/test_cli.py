@@ -501,7 +501,10 @@ def test_answer_rejects_a_file_without_queries(tmp_path, capsys, root):
     "flag, value, low",
     [("--count-a", "-2", 0), ("--count-b", "-1", 0), ("--count-c", "-1", 0),
      ("--n-options", "0", 1), ("--max-edges", "0", 1), ("--max-edges", "-1", 1),
-     ("--count-a", "two", 0)],
+     ("--count-a", "two", 0),
+     # ASCII decimals only, as in every file the referee reads
+     ("--count-a", "\u0663", 0), ("--count-b", "+5", 0), ("--max-edges", "1_0", 1),
+     ("--count-c", " 2", 0)],
 )
 def test_gen_queries_bad_numbers_are_usage_errors(tmp_path, capsys, flag, value, low):
     out = tmp_path / "out"
@@ -582,3 +585,42 @@ def test_names_xml_cannot_carry_are_refused(tmp_path, capsys):
         in capsys.readouterr().err
     )
     assert not out.exists()
+
+
+def test_a_key_without_a_valid_path_fails_loudly(tmp_path, capsys):
+    # the oracle's own submission against a key with one path cut: every
+    # key holds all valid paths, so the key or the graph is wrong
+    out = tmp_path / "out"
+    assert main(["gen-queries", *graph_args(), "--seed", "7", "--count-a", "0",
+                 "--count-b", "0", "--count-c", "3", "--max-edges", "4",
+                 "--out", str(out)]) == 0
+    assert main(["answer", *graph_args(), "--queries", str(out / "queries_c.xml"),
+                 "--out", str(out / "sub_c.xml")]) == 0
+    key = (out / "keys_c.xml").read_text()
+    start = key.index('    <Path index="1">')
+    end = key.index("</Path>\n", start) + len("</Path>\n")
+    cut = tmp_path / "keys_cut.xml"
+    cut.write_text(key[:start] + key[end:])
+    capsys.readouterr()
+    code = main(["score", *graph_args(), "--keys", str(cut),
+                 "--submissions", str(out / "sub_c.xml"), "--out", str(tmp_path / "report")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: Q.C.1: the valid path Person:Marge -[Spouse of]-> Person:Homer "
+        "-[Friend of]-> Person:Lenny is not in the key, so the key or the graph is wrong\n"
+    )
+    assert not (tmp_path / "report").exists()
+
+
+def test_a_blank_new_relation_is_an_error_not_a_crash(tmp_path, capsys):
+    graph = tmp_path / "g.xgml"
+    graph.write_text(
+        'graph [\n node [ id 1 label "Person:A" ]\n node [ id 2 label "Person:B" ]\n'
+        ' edge [ source 1 target 2 label " " ]\n]\n'
+    )
+    code = main(["validate-graph", *graph_args(str(graph), "xgml"), "--allow-new-relations"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"{graph}: error: line 4: empty relation label\n"
+        f"error: graph {graph} failed to parse\n"
+    )

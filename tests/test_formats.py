@@ -250,8 +250,9 @@ def test_parsers_never_crash_on_noise(seed):
     text = _random_bytes_text(seed, 200)
     ont = simpsons_ontology()
     for parser in (parse_tgf, parse_xgml):
-        graph, diags = parser(text, ont)
-        assert graph is None or not has_errors(diags)
+        for allow_new_relations in (False, True):
+            graph, diags = parser(text, ont, allow_new_relations)
+            assert graph is None or not has_errors(diags)
 
 
 XGML_PIECES = [

@@ -1,0 +1,81 @@
+"""Every name the constructors accept is read back as written: through the
+two graph formats, the ontology file, and query and key files."""
+
+from dataclasses import replace
+
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
+
+from kgbench.formats import emit_tgf, emit_xgml, parse_tgf, parse_xgml
+from kgbench.graph import PERSON, Edge, GraphError, KnowledgeGraph, NodeId
+from kgbench.ontology import (
+    OntologyError,
+    RelationOntology,
+    canonical_label,
+    emit_ontology,
+    load_ontology,
+)
+from kgbench.oracle import PatternTriple, Variable
+from kgbench.protocol import emit_key_xml, parse_key_xml
+from kgbench.querygen import ChoiceQuery, FillQuery, PathQuery, oracle_key
+
+# runs of whitespace, the characters some file gives a meaning to, names
+# like a query variable, and characters XML cannot carry
+PIECES = [
+    "a", "Z", "0", "é", " ", "  ", "\t", "\xa0", "\u2028", "_", ":", "|", "#",
+    '"', "\\", "&", "<", "Unknown_", "1", "\x01", "\ufffe",
+]
+RAW = st.lists(st.sampled_from(PIECES), max_size=5).map("".join)
+# half the draws canonical, so that the constructors accept many of them
+NAMES = st.one_of(RAW, RAW.map(canonical_label))
+
+
+KNOWS = RelationOntology({"Knows": "Knows"})
+A, B = NodeId(PERSON, "A"), NodeId(PERSON, "B")
+
+
+def assert_read_back(ontology: RelationOntology, a: NodeId, relation: str, b: NodeId):
+    """The graph of a -[relation]-> b comes back from each writer as written,
+    and the keys written from it name what the oracle finds in it."""
+    graph, problems = KnowledgeGraph.build(ontology, [a, b], [Edge(a, relation, b)])
+    assert not problems
+    assert parse_tgf(emit_tgf(graph), ontology) == (graph, [])
+    assert parse_xgml(emit_xgml(graph), ontology) == (graph, [])
+    assert load_ontology(emit_ontology(ontology)) == ontology
+    queries = [
+        FillQuery("Q.A.1", (PatternTriple(Variable("Unknown_1"), relation, b),), frozenset()),
+        ChoiceQuery("Q.B.1", a, b, (relation,), 0),
+        PathQuery("Q.C.1", a, b, 1, frozenset()),
+    ]
+    for query in queries:
+        keyed = replace(query, key=oracle_key(graph, query))
+        (parsed,), _ = parse_key_xml(emit_key_xml([keyed]))
+        assert parsed == keyed and parsed.key == keyed.key
+        assert oracle_key(graph, parsed) == keyed.key
+
+
+@settings(max_examples=300, deadline=None)
+@given(NAMES, NAMES)
+def test_every_node_the_constructors_accept_is_read_back(category, name):
+    try:
+        node = NodeId(category, name)
+        KnowledgeGraph(KNOWS, frozenset([node]))
+    except GraphError:
+        event("refused")
+        return
+    assume(node != B)
+    event("accepted")
+    assert_read_back(KNOWS, node, "Knows", B)
+
+
+@settings(max_examples=300, deadline=None)
+@given(NAMES, st.one_of(st.none(), NAMES))
+def test_every_relation_the_constructors_accept_is_read_back(relation, inverse):
+    inverse = relation if inverse is None else inverse
+    try:
+        ontology = RelationOntology({relation: inverse, inverse: relation})
+    except OntologyError:
+        event("refused")
+        return
+    event("accepted")
+    assert_read_back(ontology, A, relation, B)

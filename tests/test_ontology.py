@@ -68,6 +68,9 @@ NOT_XML = r"^line {}: relation 'Works\\x01at' contains '\\x01', which XML files 
         # a label XML cannot carry would be written into unreadable query files
         ("Works\x01at | Employs\n", NOT_XML.format(1)),
         ("# comment\nEmploys | Works\x01at\n", NOT_XML.format(2)),
+        # emit_ontology would write a line that splits elsewhere, or a comment
+        ("A of | 0|B\n", r"^line 1: relation '0\|B' has ontology file syntax"),
+        ("A of | #B\n", r"^line 1: relation '#B' has ontology file syntax"),
     ],
 )
 def test_load_errors(text, match):
@@ -134,3 +137,30 @@ def test_a_relation_xml_cannot_carry_is_refused(char):
         load_ontology("Works at | Employs").extended(f"Lives{char}with", "Lives with")
     # TAB, LF and CR are XML characters; canonical labels fold them to spaces
     assert "Lives with" in RelationOntology({}).extended("Lives\twith", "Lives\twith")
+
+
+@pytest.mark.parametrize(
+    "label, rule",
+    [
+        ("Knows ", "is not trimmed with single spaces"),
+        ("Knows  well", "is not trimmed with single spaces"),
+        ("Knows\xa0well", "is not trimmed with single spaces"),
+        ("Knows|well", "has ontology file syntax ('|' or a leading '#')"),
+        ("#Knows", "has ontology file syntax ('|' or a leading '#')"),
+    ],
+)
+def test_a_label_the_readers_would_change_is_refused(label, rule):
+    # {"Knows ": "Knows "} once failed its own emit/load round trip
+    with pytest.raises(OntologyError) as exc:
+        RelationOntology({label: label})
+    assert str(exc.value) == f"relation {label!r} {rule}"
+    with pytest.raises(OntologyError) as exc:
+        RelationOntology({"Knows": label, label: "Knows"})
+    assert str(exc.value) == f"relation {label!r} {rule}"
+    assert "Knows#well" in RelationOntology({"Knows#well": "Knows#well"})
+
+
+def test_extend_refuses_an_empty_label():
+    with pytest.raises(OntologyError) as exc:
+        load_ontology("Knows | Knows").extended(" ", " ")
+    assert str(exc.value) == "empty relation label"

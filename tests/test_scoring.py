@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from helpers import naive_validate_path, random_graph, reference_enumerate_paths
 from kgbench.graph import entity, person
-from kgbench.oracle import Path, PatternTriple, Variable, enumerate_paths
+from kgbench.oracle import OracleError, Path, PatternTriple, Variable, enumerate_paths
 from kgbench.protocol import SubmissionA, SubmissionB
 from kgbench.querygen import ChoiceQuery, FillQuery, PathQuery
 from kgbench.rng import SplitMix64
@@ -264,6 +264,24 @@ def test_duplicate_spam_lowers_precision(simpsons):
     score = score_paths(simpsons, query, [one] * 5)
     assert score.recall == 1 / 3
     assert score.precision == 1 / 5
+
+
+def test_a_valid_path_missing_from_the_key_is_an_error(simpsons):
+    # the key holds every valid path, so a cut key must not quietly lower
+    # a perfect submission's precision
+    query = chalmers_query(simpsons)
+    paths = sorted(query.key, key=lambda p: p.sort_key())
+    cut = PathQuery(query.id, query.source, query.target, query.max_edges, frozenset(paths[1:]))
+    with pytest.raises(OracleError) as exc:
+        score_paths(simpsons, cut, paths)
+    steps = "".join(f" -[{r}]-> {n}" for r, n in zip(paths[0].relations, paths[0].nodes[1:]))
+    assert str(exc.value) == (
+        f"{query.id}: the valid path {paths[0].source}{steps} is not in the key, "
+        "so the key or the graph is wrong"
+    )
+    # an invalid path is only scored as one, whatever the key holds
+    invalid = Path((query.source, query.target), ("Friend of",))
+    assert score_paths(simpsons, cut, [invalid]).precision == 0.0
 
 
 def test_path_order_invariance(simpsons):
