@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .formats import has_errors, parse_graph
-from .graph import KnowledgeGraph
+from .formats import ERROR, parse_graph
+from .graph import GraphError, KnowledgeGraph
 from .ontology import RelationOntology, load_ontology
 
 
@@ -28,5 +28,7 @@ def simpsons_ontology() -> RelationOntology:
 def simpsons_graph(fmt: str = "tgf") -> KnowledgeGraph:
     """The Simpsons world, read from its bundled "tgf" or "xgml" file."""
     graph, diags = parse_graph(_read(f"simpsons.{fmt}"), simpsons_ontology(), fmt)
-    assert graph is not None and not has_errors(diags)
+    errors = [str(d) for d in diags if d.severity == ERROR]
+    if graph is None or errors:
+        raise GraphError(f"bundled simpsons.{fmt} does not load: {'; '.join(errors)}")
     return graph

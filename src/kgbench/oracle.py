@@ -20,16 +20,16 @@ past the cap it raises PathBudgetError rather than return a truncated key.
 Both searches run on the graph's traversal index (`KnowledgeGraph.index`),
 where nodes are ints numbered in canonical order: the BFS and the DFS walk
 its rows, and the pattern matcher takes a variable's candidates from its
-per-(node, relation) sets.  NodeIds go in and come out; each path is made a
-`Path` once, after the int routes are sorted, which sorts them as
-`sort_key` would because numbers follow canonical order.
+per-(node, relation) sets.  NodeIds go in and come out, in canonical order,
+the order keys are held and written in: the int results are sorted once, as
+numbers follow canonical order, and only then made bindings and `Path`s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import KnowledgeGraph, NodeId
+from .graph import GraphError, KnowledgeGraph, NodeId, check_node, is_variable_name
 
 # the most simple paths one enumerate_paths call may return
 PATH_BUDGET = 10_000
@@ -46,10 +46,26 @@ class PathBudgetError(OracleError):
 @dataclass(frozen=True)
 class Variable:
     """A pattern hole, e.g. Unknown_1; category restricts the nodes it may
-    bind (None = any category)."""
+    bind (None = any category).  A query file writes it as the node
+    "<category>:<name>", "Any:<name>" for None, so the name must be
+    `Unknown_<n>` and the category one `check_node` accepts, other than
+    "Any"; else OracleError."""
 
     name: str
     category: str | None = None
+
+    def __post_init__(self):
+        if not is_variable_name(self.name):
+            raise OracleError(f"variable name {self.name!r} is not Unknown_<n>")
+        if self.category == "Any":
+            raise OracleError(f"{self.name}: category 'Any' is how query files write None")
+        if self.category is not None:
+            try:
+                check_node(NodeId(self.category, "x"))  # the category's part of the rule
+            except GraphError:
+                raise OracleError(
+                    f"{self.name}: category {self.category!r} is not a node category"
+                ) from None
 
 
 @dataclass(frozen=True)
@@ -86,13 +102,6 @@ class Path:
     def target(self) -> NodeId:
         return self.nodes[-1]
 
-    def sort_key(self):
-        return tuple(
-            part
-            for node, rel in zip(self.nodes, self.relations + ("",))
-            for part in (node.canonical, rel)
-        )
-
 
 def pattern_variables(triples: list[PatternTriple]) -> list[Variable]:
     """Distinct variables in first-appearance order."""
@@ -117,10 +126,11 @@ def _check_pattern(graph: KnowledgeGraph, triples: list[PatternTriple]) -> None:
 
 def solve_pattern(
     graph: KnowledgeGraph, triples: list[PatternTriple]
-) -> set[frozenset[tuple[str, NodeId]]]:
+) -> list[frozenset[tuple[str, NodeId]]]:
     """All injective bindings (variable name -> node) under which every
-    triple is a traversal-view edge.  Bindings are returned as frozensets of
-    (name, node) pairs so result sets are directly comparable.
+    triple is a traversal-view edge, each a frozenset of (name, node) pairs,
+    once each.  Canonical order: by the nodes' canonical texts, taken in
+    variable-name order.
 
     Variables are bound in first-appearance order, and each triple is
     checked once, when its later end is bound: a variable's candidates are
@@ -147,19 +157,20 @@ def solve_pattern(
         o_at = order[o.name] if isinstance(o, Variable) else -1
         if s_at == o_at == -1:
             if not graph.has_link(s, t.relation, o):
-                return set()
+                return []
         elif s_at == o_at:
-            return set()  # one variable at both ends: the graph has no self-loops
+            return []  # one variable at both ends: the graph has no self-loops
         elif o_at > s_at:
             attached[o_at].append((ref(s), t.relation))
         else:
             attached[s_at].append((ref(o), graph.ontology.inverse_of(t.relation)))
 
-    results: set[frozenset[tuple[str, NodeId]]] = set()
+    names = sorted(order)
+    results: list[tuple[int, ...]] = []  # per binding, its numbers in name order
 
     def search(idx: int, binding: dict[str, int]) -> None:
         if idx == len(variables):
-            results.add(frozenset((name, index.nodes[i]) for name, i in binding.items()))
+            results.append(tuple([binding[name] for name in names]))
             return
         pool: set[int] | None = None
         for end, relation in attached[idx]:
@@ -177,7 +188,8 @@ def solve_pattern(
             del binding[var.name]
 
     search(0, {})
-    return results
+    # numbers sort as canonical ids
+    return [frozenset(zip(names, [index.nodes[i] for i in row])) for row in sorted(results)]
 
 
 def _distances_to(
@@ -209,7 +221,8 @@ def enumerate_paths(
     """All simple traversal-view paths from source to target, up to
     max_edges when given (a bound past node_count - 1 is none), by
     depth-first search with backtracking.
-    Deterministic order: sorted by (length, node/relation sequence).
+    Canonical order: by length, then by the canonical texts of the nodes
+    and the relations, read along the path.
 
     The search enters a node only when its hop distance to the target, read
     from one BFS cut off at max_edges - 1 hops, fits in the edges left, so
@@ -255,7 +268,7 @@ def enumerate_paths(
                 reach[other] = distance
 
     dfs(start, bound - 1)
-    # numbers sort as canonical ids, so this is the (length, sort_key) order
+    # numbers sort as canonical ids, so this is canonical order
     found.sort()
     found.sort(key=len)
     nodes = index.nodes

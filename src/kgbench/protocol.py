@@ -52,8 +52,8 @@ from typing import TypeVar
 
 from .graph import GraphError, NodeId, is_variable_name
 from .ontology import is_decimal
-from .oracle import OracleError, Path, PatternTriple, Variable
-from .querygen import Binding, ChoiceQuery, FillQuery, PathQuery, Query
+from .oracle import OracleError, Path, PatternTriple, Variable, pattern_variables
+from .querygen import ChoiceQuery, FillQuery, PathQuery, Query
 
 
 T = TypeVar("T")
@@ -276,12 +276,10 @@ def _load_root(text: str, suffix: str) -> tuple[ET.Element, type]:
     return root, _TYPE_FOR_ROOT[root.tag.removesuffix(suffix)]
 
 
-def _sorted_bindings(key: frozenset[Binding]) -> list[Binding]:
-    return sorted(key, key=lambda b: sorted((n, v.canonical) for n, v in b))
-
-
-def _sorted_paths(key: frozenset[Path]) -> list[Path]:
-    return sorted(key, key=lambda p: (p.length, p.sort_key()))
+def _once(items: list[T], qid: str, tag: str) -> tuple[T, ...]:
+    """A key's items in file order, each once: a repeat would lower recall."""
+    _require(len(set(items)) == len(items), f"{qid}: a {tag} appears twice")
+    return tuple(items)
 
 
 def _query_type(queries: list[Query]) -> type:
@@ -302,7 +300,7 @@ def _write_query(out: _Writer, q: Query, keyed: bool) -> None:
             out.leaf("Pred", encode_relation(t.relation))
             out.leaf("Object", encode_node_ref(t.object))
             out.end()
-        for i, binding in enumerate(_sorted_bindings(q.key) if keyed else (), start=1):
+        for i, binding in enumerate(q.key if keyed else (), start=1):
             out.start("Binding", {"index": str(i)})
             for name, node in sorted(binding):
                 out.leaf("Var", node.canonical, {"name": name})
@@ -321,7 +319,7 @@ def _write_query(out: _Writer, q: Query, keyed: bool) -> None:
         out.start("Query", {"id": q.id, "max_edges": str(q.max_edges)})
         out.leaf("Source", q.source.canonical)
         out.leaf("Target", q.target.canonical)
-        for i, path in enumerate(_sorted_paths(q.key) if keyed else (), start=1):
+        for i, path in enumerate(q.key if keyed else (), start=1):
             _write_path(out, path, i)
     out.end()
 
@@ -350,7 +348,7 @@ def _read_document(text: str, keyed: bool) -> tuple[list[Query], dict[str, str]]
         seen.add(qid)
         if kind is FillQuery:
             triples = []
-            bindings = set()
+            bindings = []
             for cel in qel:
                 if cel.tag == "Triple":
                     parts = {c.tag: (c.text or "") for c in cel}
@@ -372,21 +370,28 @@ def _read_document(text: str, keyed: bool) -> tuple[list[Query], dict[str, str]]
                         name = vel.get("name")
                         _require(bool(name), "Var without a name")
                         pairs.append((name, decoded.node(vel.text or "")))
-                    bindings.add(frozenset(pairs))
+                    bindings.append(pairs)
                 else:
                     raise ProtocolError(f"unknown element {cel.tag!r} in {qid}")
             _require(bool(triples), f"{qid}: fill query without triples")
-            queries.append(FillQuery(qid, tuple(triples), frozenset(bindings)))
+            names = sorted(v.name for v in pattern_variables(triples))
+            for pairs in bindings:
+                _require(
+                    sorted(name for name, _ in pairs) == names,
+                    f"{qid}: a Binding names each of {', '.join(names)} once",
+                )
+            key = _once([frozenset(pairs) for pairs in bindings], qid, "Binding")
+            queries.append(FillQuery(qid, tuple(triples), key))
         elif kind is ChoiceQuery:
             parts: dict[str, str] = {}
             options: list[tuple[int, str]] = []
-            correct: list[int] = []
+            correct: list[tuple[int, str]] = []
             for cel in qel:
                 if cel.tag == "Option" or (cel.tag == "Correct" and keyed):
                     message = f"{qid}: {cel.tag} without a numeric index"
                     index = _decimal(cel.get("index"), message)
                     if cel.tag == "Correct":
-                        correct.append(index)
+                        correct.append((index, cel.text or ""))
                     else:
                         options.append((index, decoded.relation(cel.text or "")))
                 elif cel.tag in ("Subject", "Pred", "Object"):
@@ -405,25 +410,29 @@ def _read_document(text: str, keyed: bool) -> tuple[list[Query], dict[str, str]]
                 [i for i, _ in options] == list(range(1, len(options) + 1)),
                 f"{qid}: option indices must be 1..n",
             )
-            in_range = all(1 <= i <= len(options) for i in correct)
-            _require(in_range, f"{qid}: Correct index out of range")
+            for index, text in correct:
+                _require(1 <= index <= len(options), f"{qid}: Correct index out of range")
+                _require(
+                    decoded.relation(text) == options[index - 1][1],
+                    f"{qid}: Correct text {text!r} is not option {index}",
+                )
             queries.append(
                 ChoiceQuery(
                     qid,
                     decoded.node(parts["Subject"]),
                     decoded.node(parts["Object"]),
                     tuple(label for _, label in options),
-                    correct[0] - 1 if correct else -1,
+                    correct[0][0] - 1 if correct else -1,
                 )
             )
         else:
             ends: dict[str, NodeId] = {}
-            paths = set()
+            paths = []
             for cel in qel:
                 if cel.tag in ("Source", "Target"):
                     ends[cel.tag] = decoded.node(cel.text or "")
                 elif cel.tag == "Path" and keyed:
-                    paths.add(_parse_path_element(cel, decoded))
+                    paths.append(_parse_path_element(cel, decoded))
                 else:
                     raise ProtocolError(f"unknown element {cel.tag!r} in {qid}")
             _require(
@@ -432,7 +441,7 @@ def _read_document(text: str, keyed: bool) -> tuple[list[Query], dict[str, str]]
             )
             max_edges = _decimal(qel.get("max_edges"), f"{qid}: bad max_edges")
             source, target = ends["Source"], ends["Target"]
-            queries.append(PathQuery(qid, source, target, max_edges, frozenset(paths)))
+            queries.append(PathQuery(qid, source, target, max_edges, _once(paths, qid, "Path")))
     return queries, dict(root.attrib)
 
 
@@ -510,12 +519,12 @@ def emit_oracle_submission(queries: list[Query], team: str) -> str:
         answers = {q.id: q.options[q.key] for q in queries}
         return emit_submission_b(SubmissionB(team, answers))
     if kind is PathQuery:
-        answers = {q.id: _sorted_paths(q.key) for q in queries}
+        answers = {q.id: list(q.key) for q in queries}
         return emit_submission_c(SubmissionC(team, answers))
     fill_answers = {}
     for q in queries:
         nodes: dict[str, dict[NodeId, float]] = {v: {} for v in q.variables}
-        for binding in _sorted_bindings(q.key):
+        for binding in q.key:
             for name, node in binding:
                 nodes[name][node] = 1.0
         fill_answers[q.id] = {v: list(ranked.items()) for v, ranked in nodes.items()}

@@ -42,7 +42,7 @@ class GenerationError(RuntimeError):
 class FillQuery:
     id: str
     triples: tuple[PatternTriple, ...]
-    key: frozenset[Binding] = field(compare=False)
+    key: tuple[Binding, ...] = field(compare=False)
 
     @property
     def variables(self) -> list[str]:
@@ -64,7 +64,7 @@ class PathQuery:
     source: NodeId
     target: NodeId
     max_edges: int
-    key: frozenset[Path] = field(compare=False)
+    key: tuple[Path, ...] = field(compare=False)
 
 
 Query = FillQuery | ChoiceQuery | PathQuery
@@ -72,12 +72,13 @@ Query = FillQuery | ChoiceQuery | PathQuery
 
 def oracle_key(
     graph: KnowledgeGraph, query: Query
-) -> frozenset[Binding] | int | frozenset[Path]:
+) -> tuple[Binding, ...] | int | tuple[Path, ...]:
     """The oracle's key for `query`, in the form the query stores it: the
-    binding set, the index of the one option that holds (OracleError unless
-    exactly one does), or the path set."""
+    bindings or paths, once each in canonical order as key files list them,
+    or the index of the one option that holds (OracleError unless exactly
+    one does)."""
     if isinstance(query, FillQuery):
-        return frozenset(solve_pattern(graph, list(query.triples)))
+        return tuple(solve_pattern(graph, list(query.triples)))
     if isinstance(query, ChoiceQuery):
         correct = answer_choice(graph, query.subject, query.object, list(query.options))
         if len(correct) != 1:
@@ -89,7 +90,7 @@ def oracle_key(
         paths = enumerate_paths(graph, query.source, query.target, query.max_edges)
     except PathBudgetError as exc:
         raise PathBudgetError(f"{query.id}: {exc}") from None
-    return frozenset(paths)
+    return tuple(paths)
 
 
 def _sample_connected_edges(
@@ -176,7 +177,7 @@ def generate_fill(
         triples = tuple(
             PatternTriple(var_for.get(a, a), r, var_for.get(b, b)) for a, r, b in edges
         )
-        key = oracle_key(graph, FillQuery(qid, triples, frozenset()))
+        key = oracle_key(graph, FillQuery(qid, triples, ()))
         if not key or (require_unique and len(key) != 1):
             return None
         return FillQuery(qid, triples, key)
@@ -237,7 +238,7 @@ def generate_path(
     def draft(rng: SplitMix64, qid: str) -> PathQuery | None:
         source, target = rng.sample(persons, 2)
         try:
-            key = oracle_key(graph, PathQuery(qid, source, target, max_edges, frozenset()))
+            key = oracle_key(graph, PathQuery(qid, source, target, max_edges, ()))
         except PathBudgetError:
             return None
         return PathQuery(qid, source, target, max_edges, key) if key else None

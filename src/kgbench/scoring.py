@@ -128,17 +128,18 @@ def score_paths(
     """Recall over the key from distinct valid matches; precision over all
     submitted entries, duplicates counted.  The key holds every valid path,
     so a valid path missing from it proves the key or the graph wrong:
-    OracleError, never a quiet score."""
+    OracleError naming the first such path submitted, never a quiet score."""
     verdicts = tuple(validate_path(graph, query, p) for p in submitted)
     matched = {p for p, v in zip(submitted, verdicts) if v.valid}
-    if not matched <= query.key:
-        path = min(matched - query.key, key=Path.sort_key)
+    key = set(query.key)
+    if not matched <= key:
+        path = next(p for p in submitted if p in matched and p not in key)
         steps = "".join(f" -[{r}]-> {n}" for r, n in zip(path.relations, path.nodes[1:]))
         raise OracleError(
             f"{query.id}: the valid path {path.source}{steps} is not in the key, "
             "so the key or the graph is wrong"
         )
-    recall = len(matched) / len(query.key) if query.key else 0.0
+    recall = len(matched) / len(key) if key else 0.0
     precision = len(matched) / len(submitted) if submitted else 0.0
     return PathScore(query.id, recall, precision, f1_score(precision, recall), verdicts)
 

@@ -17,8 +17,6 @@ from kgbench.protocol import (
     SubmissionB,
     SubmissionC,
     _query_type,
-    _sorted_bindings,
-    _sorted_paths,
     encode_node_ref,
     encode_relation,
 )
@@ -211,6 +209,23 @@ def reference_enumerate_paths(
     return results
 
 
+def canonical_bindings(bindings) -> list:
+    """Bindings in the order key files list them: by their nodes' canonical
+    texts, taken in variable-name order."""
+    return sorted(bindings, key=lambda b: [node.canonical for _, node in sorted(b)])
+
+
+def canonical_paths(paths) -> list[Path]:
+    """Paths in the order key files list them: by length, then by the
+    canonical texts of the nodes and relations read along the path."""
+
+    def texts(path: Path) -> list[str]:
+        names = [node.canonical for node in path.nodes]
+        return [text for step in zip(names, path.relations) for text in step] + names[-1:]
+
+    return sorted(paths, key=lambda p: (p.length, texts(p)))
+
+
 def naive_validate_path(graph: KnowledgeGraph, query: PathQuery, path: Path) -> PathVerdict:
     """The specification of scoring.validate_path: the same checks in the
     same order, each step looked up among naive_traversal's links."""
@@ -330,7 +345,7 @@ def _reference_query(qel: ET.Element, q: Query, keyed: bool) -> None:
             ET.SubElement(tel, "Object").text = encode_node_ref(t.object)
         if not keyed:
             return
-        for i, binding in enumerate(_sorted_bindings(q.key), start=1):
+        for i, binding in enumerate(q.key, start=1):
             bel = ET.SubElement(qel, "Binding", {"index": str(i)})
             for name, node in sorted(binding):
                 ET.SubElement(bel, "Var", {"name": name}).text = node.canonical
@@ -349,7 +364,7 @@ def _reference_query(qel: ET.Element, q: Query, keyed: bool) -> None:
         ET.SubElement(qel, "Target").text = q.target.canonical
         if not keyed:
             return
-        for i, path in enumerate(_sorted_paths(q.key), start=1):
+        for i, path in enumerate(q.key, start=1):
             qel.append(_reference_path(path, i))
 
 

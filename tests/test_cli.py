@@ -317,12 +317,15 @@ sys.exit(cli.main(sys.argv[1:]))
     [
         ("generate_choice", "replace(q, key=(q.key + 1) % len(q.options))",
          "Q.B.1: key differs from the oracle's"),
-        ("generate_path", "replace(q, key=frozenset())",
+        ("generate_path", "replace(q, key=())",
+         "Q.C.1: key differs from the oracle's"),
+        # a key holds the oracle's order, which key files are written in
+        ("generate_path", "replace(q, key=q.key[::-1])",
          "Q.C.1: key differs from the oracle's"),
         ("generate_choice", "replace(q, options=q.options + (q.options[q.key],))",
          "Q.B.1: expected exactly one correct option, got 2"),
     ],
-    ids=["wrong option", "no paths", "two correct options"],
+    ids=["wrong option", "no paths", "paths out of order", "two correct options"],
 )
 def test_self_check_rejects_a_wrong_key(tmp_path, optimize, generator, altered, message):
     # the check must hold under python -O, which drops assert statements
@@ -345,7 +348,7 @@ def test_answer_over_the_path_budget(tmp_path, capsys, monkeypatch):
     # Homer and Bart have more than one path within four edges
     monkeypatch.setattr(oracle, "PATH_BUDGET", 1)
     queries = tmp_path / "queries_c.xml"
-    query = PathQuery("Q.C.1", person("Homer"), person("Bart"), 4, frozenset())
+    query = PathQuery("Q.C.1", person("Homer"), person("Bart"), 4, ())
     queries.write_text(emit_query_xml([query]))
     out = tmp_path / "sub_c.xml"
     code = main(["answer", *graph_args(), "--queries", str(queries), "--out", str(out)])
@@ -365,7 +368,7 @@ def test_a_huge_path_bound_finishes(tmp_path, simpsons):
     subs = []
     for bound in (huge, longest):
         queries = tmp_path / f"queries_{bound}.xml"
-        query = PathQuery("Q.C.1", person("Homer"), person("Bart"), bound, frozenset())
+        query = PathQuery("Q.C.1", person("Homer"), person("Bart"), bound, ())
         queries.write_text(emit_query_xml([query]))
         out = tmp_path / f"sub_{bound}.xml"
         proc = subprocess.run(
@@ -574,7 +577,7 @@ def test_names_xml_cannot_carry_are_refused(tmp_path, capsys):
     )
     queries = tmp_path / "queries_c.xml"
     queries.write_text(emit_query_xml([PathQuery(
-        "Q.C.1", person("Homer"), person("Lenny"), 2, frozenset()
+        "Q.C.1", person("Homer"), person("Lenny"), 2, ()
     )]))
     out = tmp_path / "sub_c.xml"
     code = main(["answer", *graph_args(), "--queries", str(queries),

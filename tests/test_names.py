@@ -3,6 +3,8 @@ two graph formats, the ontology file, and query and key files."""
 
 from dataclasses import replace
 
+import pytest
+
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
@@ -15,8 +17,8 @@ from kgbench.ontology import (
     emit_ontology,
     load_ontology,
 )
-from kgbench.oracle import PatternTriple, Variable
-from kgbench.protocol import emit_key_xml, parse_key_xml
+from kgbench.oracle import OracleError, PatternTriple, Variable
+from kgbench.protocol import emit_key_xml, emit_query_xml, parse_key_xml, parse_query_xml
 from kgbench.querygen import ChoiceQuery, FillQuery, PathQuery, oracle_key
 
 # runs of whitespace, the characters some file gives a meaning to, names
@@ -43,9 +45,9 @@ def assert_read_back(ontology: RelationOntology, a: NodeId, relation: str, b: No
     assert parse_xgml(emit_xgml(graph), ontology) == (graph, [])
     assert load_ontology(emit_ontology(ontology)) == ontology
     queries = [
-        FillQuery("Q.A.1", (PatternTriple(Variable("Unknown_1"), relation, b),), frozenset()),
+        FillQuery("Q.A.1", (PatternTriple(Variable("Unknown_1"), relation, b),), ()),
         ChoiceQuery("Q.B.1", a, b, (relation,), 0),
-        PathQuery("Q.C.1", a, b, 1, frozenset()),
+        PathQuery("Q.C.1", a, b, 1, ()),
     ]
     for query in queries:
         keyed = replace(query, key=oracle_key(graph, query))
@@ -79,3 +81,37 @@ def test_every_relation_the_constructors_accept_is_read_back(relation, inverse):
         return
     event("accepted")
     assert_read_back(ontology, A, relation, B)
+
+
+@settings(max_examples=300, deadline=None)
+@given(NAMES, st.one_of(st.none(), st.just("Any"), NAMES))
+def test_every_variable_the_constructor_accepts_is_read_back(name, category):
+    try:
+        variable = Variable(name, category)
+    except OracleError:
+        event("refused")
+        return
+    event("accepted")
+    query = FillQuery("Q.A.1", (PatternTriple(variable, "Knows", B),), ())
+    assert parse_query_xml(emit_query_xml([query])) == [query]
+
+
+@pytest.mark.parametrize(
+    "name, category, message",
+    [
+        # read back as Variable("Unknown_1", None), which matches other nodes
+        ("Unknown_1", "Any", "Unknown_1: category 'Any' is how query files write None"),
+        # read back as the node Person:X
+        ("X", "Person", "variable name 'X' is not Unknown_<n>"),
+        ("Unknown_x", None, "variable name 'Unknown_x' is not Unknown_<n>"),
+        # read back with the category Person
+        ("Unknown_1", " Person", "Unknown_1: category ' Person' is not a node category"),
+        ("Unknown_1", "", "Unknown_1: category '' is not a node category"),
+        ("Unknown_1", "Per:son", "Unknown_1: category 'Per:son' is not a node category"),
+        ("Unknown_1", "Per\x01son", "Unknown_1: category 'Per\\x01son' is not a node category"),
+    ],
+)
+def test_a_variable_query_files_cannot_read_back_is_refused(name, category, message):
+    with pytest.raises(OracleError) as exc:
+        Variable(name, category)
+    assert str(exc.value) == message

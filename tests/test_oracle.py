@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import built, naive_solve_pattern, random_graph, reference_enumerate_paths
+from helpers import (
+    built,
+    canonical_bindings,
+    canonical_paths,
+    naive_solve_pattern,
+    random_graph,
+    reference_enumerate_paths,
+)
 from kgbench.graph import (
     ENTITY,
     LOCATION,
@@ -26,6 +33,7 @@ from kgbench.oracle import (
     enumerate_paths,
     solve_pattern,
 )
+from kgbench.querygen import FillQuery, PathQuery, oracle_key
 from kgbench.rng import SplitMix64
 
 X = Variable("Unknown_1")
@@ -43,23 +51,23 @@ def simpsons_pattern():
 
 def test_fill_worked_example(simpsons):
     result = solve_pattern(simpsons, simpsons_pattern())
-    assert result == {
+    assert result == [
         frozenset(
             {("Unknown_1", person("Homer")), ("Unknown_2", person("Ned Flanders"))}
         )
-    }
+    ]
 
 
 def test_single_triple_spouse(simpsons):
     result = solve_pattern(simpsons, [PatternTriple(X, "Spouse of", person("Marge"))])
-    assert result == {frozenset({("Unknown_1", person("Homer"))})}
+    assert result == [frozenset({("Unknown_1", person("Homer"))})]
 
 
 def test_no_match_is_empty(simpsons):
     result = solve_pattern(
         simpsons, [PatternTriple(X, "Spouse of", person("Lenny"))]
     )
-    assert result == set()
+    assert result == []
 
 
 def test_pattern_errors(simpsons):
@@ -80,7 +88,7 @@ def test_category_filter(simpsons):
         [PatternTriple(Variable("Unknown_1", "Entity"), "Attends", entity("Church"))],
     )
     assert len(anywhere) == 2  # Homer and Principal Skinner
-    assert persons_only == set()
+    assert persons_only == []
 
 
 def test_path_worked_example(simpsons):
@@ -170,10 +178,7 @@ def test_pruned_paths_equal_the_reference(seed, edges, ends, bound):
     nodes = g.sorted_nodes()
     source = nodes[ends[0] % len(nodes)]
     target = nodes[(ends[0] + 1 + ends[1] % (len(nodes) - 1)) % len(nodes)]
-    expected = sorted(
-        reference_enumerate_paths(g, source, target, bound),
-        key=lambda p: (p.length, p.sort_key()),
-    )
+    expected = canonical_paths(reference_enumerate_paths(g, source, target, bound))
     assert enumerate_paths(g, source, target, bound) == expected
 
 
@@ -246,7 +251,8 @@ def test_solve_matches_naive(seed):
             else:
                 ends.append(rng.choice(nodes))
         triples.append(PatternTriple(ends[0], rng.choice(relations), ends[1]))
-    assert solve_pattern(g, triples) == naive_solve_pattern(g, triples)
+    # the same bindings, each once, in canonical order
+    assert solve_pattern(g, triples) == canonical_bindings(naive_solve_pattern(g, triples))
 
 
 @st.composite
@@ -284,7 +290,23 @@ def patterns(draw):
 @given(patterns())
 def test_solve_matches_naive_on_any_pattern(pattern):
     g, triples = pattern
-    assert solve_pattern(g, triples) == naive_solve_pattern(g, triples)
+    # the same bindings, each once, in canonical order
+    assert solve_pattern(g, triples) == canonical_bindings(naive_solve_pattern(g, triples))
+
+
+@settings(max_examples=300, deadline=None)
+@given(patterns(), st.data())
+def test_oracle_keys_are_tuples_in_canonical_order(pattern, data):
+    g, triples = pattern
+    key = oracle_key(g, FillQuery("Q.A.1", tuple(triples), ()))
+    assert type(key) is tuple
+    # each binding once, in the order of the reference sort
+    assert list(key) == canonical_bindings(set(key))
+    source, target = data.draw(st.permutations(g.sorted_nodes()))[:2]
+    bound = data.draw(st.integers(1, 6))
+    key = oracle_key(g, PathQuery("Q.C.1", source, target, bound, ()))
+    assert type(key) is tuple
+    assert list(key) == canonical_paths(set(key))
 
 
 def test_answer_choice_worked_example(simpsons):

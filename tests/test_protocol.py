@@ -1,5 +1,6 @@
 import copy
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path as FsPath
 
 import pytest
@@ -42,7 +43,7 @@ X = Variable("Unknown_1", "Person")
 SPOUSE_QUERY = FillQuery(
     "Q.A.1",
     (PatternTriple(X, "Spouse of", person("Marge")),),
-    frozenset({frozenset({("Unknown_1", person("Homer"))})}),
+    (frozenset({("Unknown_1", person("Homer"))}),),
 )
 
 PATH_QUERY = PathQuery(
@@ -50,7 +51,7 @@ PATH_QUERY = PathQuery(
     person("Superintendent Chalmers"),
     person("Lenny"),
     4,
-    frozenset(),
+    (),
 )
 
 CHALMERS_PATH = Path(
@@ -108,7 +109,7 @@ def test_query_round_trip_fill():
     assert len(parsed) == 1
     assert parsed[0].id == SPOUSE_QUERY.id
     assert parsed[0].triples == SPOUSE_QUERY.triples
-    assert parsed[0].key == frozenset()  # keyless
+    assert parsed[0].key == ()  # keyless
 
 
 def test_query_round_trip_choice_and_path():
@@ -214,6 +215,73 @@ def test_key_round_trips(simpsons):
         assert "CONFIDENTIAL" in text
 
 
+def test_a_key_file_keeps_the_order_it_was_written_in(simpsons):
+    # the codec neither sorts nor merges: a key held in another order than
+    # the oracle's is read back in that order
+    for queries in (generate_fill(simpsons, 3, 3), generate_path(simpsons, 5, 2, 4)):
+        backwards = [replace(q, key=q.key[::-1]) for q in queries]
+        assert [q.key for q in backwards] != [q.key for q in queries]
+        parsed, _ = parse_key_xml(emit_key_xml(backwards))
+        assert [q.key for q in parsed] == [q.key for q in backwards]
+
+
+def test_a_repeated_binding_or_path_is_refused():
+    # a tuple would keep the repeat and lower recall without an error
+    fill = replace(SPOUSE_QUERY, key=SPOUSE_QUERY.key * 2)
+    with pytest.raises(ProtocolError, match=r"^Q\.A\.1: a Binding appears twice$"):
+        parse_key_xml(emit_key_xml([fill]))
+    paths = replace(PATH_QUERY, key=(CHALMERS_PATH, CHALMERS_PATH))
+    with pytest.raises(ProtocolError, match=r"^Q\.C\.1: a Path appears twice$"):
+        parse_key_xml(emit_key_xml([paths]))
+    # the same Vars in another order are the same binding
+    text = (
+        '<QAKey><Query id="Q.A.1"><Triple><Subject>Person:Unknown_1</Subject>'
+        "<Pred>Relation:Spouse_of</Pred><Object>Person:Unknown_2</Object></Triple>"
+        '<Binding index="1"><Var name="Unknown_1">Person:Homer</Var>'
+        '<Var name="Unknown_2">Person:Marge</Var></Binding>'
+        '<Binding index="2"><Var name="Unknown_2">Person:Marge</Var>'
+        '<Var name="Unknown_1">Person:Homer</Var></Binding>'
+        "</Query></QAKey>"
+    )
+    with pytest.raises(ProtocolError, match="a Binding appears twice"):
+        parse_key_xml(text)
+
+
+def test_a_correct_that_is_not_its_option_is_refused():
+    text = (GOLDEN / "keys_b.xml").read_text(encoding="utf-8")
+    good = '<Correct index="3">Relation:Parent_of</Correct>'
+    assert text.count(good) == 1
+    parse_key_xml(text.replace(good, '<Correct index="3"> Relation: Parent_of </Correct>'))
+    # option 2's text under index 3
+    broken = text.replace(good, '<Correct index="3">Relation:Neighbor_of</Correct>')
+    with pytest.raises(ProtocolError, match="Correct text 'Relation:Neighbor_of' is not option 3"):
+        parse_key_xml(broken)
+    with pytest.raises(ProtocolError) as exc:
+        parse_key_xml(text.replace(good, '<Correct index="3">Relation:Nonsense_here</Correct>'))
+    assert str(exc.value) == "Q.B.1: Correct text 'Relation:Nonsense_here' is not option 3"
+
+
+@pytest.mark.parametrize(
+    "var, replacement",
+    [
+        # Person:Bart would silently stop counting for Unknown_2
+        ('<Var name="Unknown_2">Person:Bart</Var>', '<Var name="Unknown_9">Person:Bart</Var>'),
+        ('<Var name="Unknown_2">Person:Bart</Var>', ""),
+        ('<Var name="Unknown_2">Person:Bart</Var>', '<Var name="Unknown_1">Person:Bart</Var>'),
+        (
+            '<Var name="Unknown_2">Person:Bart</Var>',
+            '<Var name="Unknown_2">Person:Bart</Var><Var name="Unknown_2">Person:Bart</Var>',
+        ),
+    ],
+)
+def test_a_binding_names_each_variable_of_its_query_once(var, replacement):
+    text = (GOLDEN / "keys_a.xml").read_text(encoding="utf-8")
+    assert text.index(var) < text.index('<Query id="Q.A.2">')
+    with pytest.raises(ProtocolError) as exc:
+        parse_key_xml(text.replace(var, replacement, 1))
+    assert str(exc.value) == "Q.A.1: a Binding names each of Unknown_1, Unknown_2 once"
+
+
 def test_submission_round_trip_a():
     sub = SubmissionA(
         "team1",
@@ -269,7 +337,7 @@ def test_submission_a_rank_check_covers_dropped_answers():
     two_vars = FillQuery(
         "Q.A.1",
         (PatternTriple(X, "Spouse of", Variable("Unknown_2", "Person")),),
-        frozenset(),
+        (),
     )
     text = (
         '<QA team="t"><Query id="Q.A.1">'
@@ -497,19 +565,20 @@ def query_lists(draw):
             )))
             names = sorted({e.name for t in triples for e in (t.subject, t.object)
                             if isinstance(e, Variable)})
+            # each binding once, in any order: the codec keeps the order held
             bindings = draw(st.lists(
                 st.builds(lambda nodes: frozenset(zip(names, nodes)),
                           st.lists(NODES, min_size=len(names), max_size=len(names))),
-                max_size=3,
+                max_size=3, unique=True,
             ))
-            queries.append(FillQuery(qid, triples, frozenset(bindings)))
+            queries.append(FillQuery(qid, triples, tuple(bindings)))
         elif kind is ChoiceQuery:
             options = tuple(draw(st.lists(RELATIONS, min_size=1, max_size=3)))
             key = draw(st.integers(0, len(options) - 1))
             queries.append(ChoiceQuery(qid, draw(NODES), draw(NODES), options, key))
         else:
             source, target = draw(NODES), draw(NODES)
-            key = frozenset(_paths(draw, source, target, draw(st.integers(0, 3))))
+            key = tuple(dict.fromkeys(_paths(draw, source, target, draw(st.integers(0, 3)))))
             queries.append(PathQuery(qid, source, target, draw(st.integers(1, 9)), key))
     return queries
 
@@ -535,7 +604,7 @@ def submissions(draw):
                 answers[qid][f"Unknown_{n}"] = [(draw(NODES), c) for c in confidences]
         expected = [
             FillQuery(qid, tuple(PatternTriple(Variable(var), "R", draw(NODES))
-                                 for var in answers[qid]), frozenset())
+                                 for var in answers[qid]), ())
             for qid in ids
         ]
         return SubmissionA(team, answers), expected
@@ -547,7 +616,7 @@ def submissions(draw):
     for qid in ids:
         source, target = draw(NODES), draw(NODES)
         answers[qid] = _paths(draw, source, target, draw(st.integers(0, 3)))
-        expected.append(PathQuery(qid, source, target, 4, frozenset()))
+        expected.append(PathQuery(qid, source, target, 4, ()))
     return SubmissionC(team, answers), expected
 
 
@@ -559,7 +628,7 @@ def test_query_and_key_files_are_written_as_elementtree_writes_them(queries, par
     parsed = parse_query_xml(text)
     assert parsed == queries
     assert [q.key for q in parsed] == [
-        -1 if isinstance(q, ChoiceQuery) else frozenset() for q in queries
+        -1 if isinstance(q, ChoiceQuery) else () for q in queries
     ]
     text = emit_key_xml(queries, params)
     assert text == reference_emit_document(queries, True, params)

@@ -30,7 +30,7 @@ def test_fill_deterministic(simpsons):
 
 def test_fill_keys_match_oracle(simpsons):
     for q in generate_fill(simpsons, 7, 6, require_unique=False):
-        assert solve_pattern(simpsons, list(q.triples)) == set(q.key)
+        assert list(q.key) == solve_pattern(simpsons, list(q.triples))
         assert q.key
 
 
@@ -95,7 +95,7 @@ def test_path_queries(simpsons):
     assert len(queries) == 4
     for q in queries:
         assert q.source.category == "Person" and q.target.category == "Person"
-        assert set(q.key) == set(enumerate_paths(simpsons, q.source, q.target, 5))
+        assert list(q.key) == enumerate_paths(simpsons, q.source, q.target, 5)
         assert q.key
         for p in q.key:
             assert validate_path(simpsons, q, p).valid
@@ -119,7 +119,7 @@ def test_generation_on_random_graphs(seed):
         return
     try:
         for q in generate_fill(g, seed, 2):
-            assert solve_pattern(g, list(q.triples)) == set(q.key)
+            assert list(q.key) == solve_pattern(g, list(q.triples))
             assert oracle_key(g, q) == q.key
         for q in generate_choice(g, seed, 2, n_options=2):
             assert answer_choice(g, q.subject, q.object, list(q.options)) == {q.key}

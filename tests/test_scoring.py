@@ -2,7 +2,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_validate_path, random_graph, reference_enumerate_paths
+from helpers import canonical_paths, naive_validate_path, random_graph, reference_enumerate_paths
 from kgbench.graph import entity, person
 from kgbench.oracle import OracleError, Path, PatternTriple, Variable, enumerate_paths
 from kgbench.protocol import SubmissionA, SubmissionB
@@ -37,16 +37,14 @@ def three_var_query():
     triples = tuple(
         PatternTriple(v, "Friend of", person("Anchor")) for v in (v1, v2, v3)
     )
-    key = frozenset(
-        {
-            frozenset(
-                {
-                    ("Unknown_1", person("A1")),
-                    ("Unknown_2", person("A2")),
-                    ("Unknown_3", person("A3")),
-                }
-            )
-        }
+    key = (
+        frozenset(
+            {
+                ("Unknown_1", person("A1")),
+                ("Unknown_2", person("A2")),
+                ("Unknown_3", person("A3")),
+            }
+        ),
     )
     return FillQuery("Q.A.1", triples, key)
 
@@ -95,11 +93,9 @@ def test_mrr_perfect_and_empty():
 
 def test_multi_binding_key_any_counts():
     v = Variable("Unknown_1")
-    key = frozenset(
-        {
-            frozenset({("Unknown_1", person("A"))}),
-            frozenset({("Unknown_1", person("B"))}),
-        }
+    key = (
+        frozenset({("Unknown_1", person("A"))}),
+        frozenset({("Unknown_1", person("B"))}),
     )
     query = FillQuery(
         "Q.A.1", (PatternTriple(v, "Friend of", person("C")),), key
@@ -131,7 +127,7 @@ def test_accuracy():
 
 def chalmers_query(simpsons):
     source, target = person("Superintendent Chalmers"), person("Lenny")
-    key = frozenset(enumerate_paths(simpsons, source, target, 4))
+    key = tuple(enumerate_paths(simpsons, source, target, 4))
     return PathQuery("Q.C.1", source, target, 4, key)
 
 
@@ -164,7 +160,7 @@ def test_validate_path_worked_example(simpsons):
         ),
         ("Supervisor of", "Attends", "Attended By", "Attends"),
     )
-    bad_query = PathQuery("Q.C.2", person("Superintendent Chalmers"), entity("Church"), 6, frozenset())
+    bad_query = PathQuery("Q.C.2", person("Superintendent Chalmers"), entity("Church"), 6, ())
     verdict = validate_path(simpsons, bad_query, looping)
     assert not verdict.valid and "simple" in verdict.reason
 
@@ -203,8 +199,8 @@ def mutated_paths(draw):
         target = edge.dst
     bound = draw(st.integers(1, 6))
     routes = reference_enumerate_paths(g, source, target, None)
-    key = frozenset(p for p in routes if p.length <= bound)
-    path = draw(st.sampled_from(sorted(key or routes, key=lambda p: (p.length, p.sort_key()))))
+    key = tuple(canonical_paths(p for p in routes if p.length <= bound))
+    path = draw(st.sampled_from(key or canonical_paths(routes)))
     nodes, rels = list(path.nodes), list(path.relations)
     relations = sorted(g.ontology.relations) + ["Owns"]
     for mutation in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
@@ -236,7 +232,7 @@ def test_validate_path_equals_the_reference(case):
 
 def test_score_paths_perfect(simpsons):
     query = chalmers_query(simpsons)
-    score = score_paths(simpsons, query, sorted(query.key, key=lambda p: p.sort_key()))
+    score = score_paths(simpsons, query, query.key)
     assert (score.recall, score.precision, score.f1) == (1.0, 1.0, 1.0)
 
 
@@ -250,7 +246,7 @@ def test_score_paths_derived_f1(simpsons):
     # 2 keyed paths + 2 invalid entries against a 3-path key:
     # recall 2/3, precision 2/4, F1 = 2*(1/2 * 2/3)/(1/2 + 2/3) = 4/7
     query = chalmers_query(simpsons)
-    keyed = sorted(query.key, key=lambda p: p.sort_key())[:2]
+    keyed = list(query.key[:2])
     invalid = Path((person("Superintendent Chalmers"), person("Lenny")), ("Friend of",))
     score = score_paths(simpsons, query, keyed + [invalid, invalid])
     assert abs(score.recall - 2 / 3) < 1e-12
@@ -260,7 +256,7 @@ def test_score_paths_derived_f1(simpsons):
 
 def test_duplicate_spam_lowers_precision(simpsons):
     query = chalmers_query(simpsons)
-    one = sorted(query.key, key=lambda p: p.sort_key())[0]
+    one = query.key[0]
     score = score_paths(simpsons, query, [one] * 5)
     assert score.recall == 1 / 3
     assert score.precision == 1 / 5
@@ -270,15 +266,17 @@ def test_a_valid_path_missing_from_the_key_is_an_error(simpsons):
     # the key holds every valid path, so a cut key must not quietly lower
     # a perfect submission's precision
     query = chalmers_query(simpsons)
-    paths = sorted(query.key, key=lambda p: p.sort_key())
-    cut = PathQuery(query.id, query.source, query.target, query.max_edges, frozenset(paths[1:]))
-    with pytest.raises(OracleError) as exc:
-        score_paths(simpsons, cut, paths)
-    steps = "".join(f" -[{r}]-> {n}" for r, n in zip(paths[0].relations, paths[0].nodes[1:]))
-    assert str(exc.value) == (
-        f"{query.id}: the valid path {paths[0].source}{steps} is not in the key, "
-        "so the key or the graph is wrong"
-    )
+    paths = list(query.key)
+    cut = PathQuery(query.id, query.source, query.target, query.max_edges, query.key[2:])
+    # the error names the first missing path in submission order
+    for submitted, named in ((paths, paths[0]), (paths[::-1], paths[1])):
+        with pytest.raises(OracleError) as exc:
+            score_paths(simpsons, cut, submitted)
+        steps = "".join(f" -[{r}]-> {n}" for r, n in zip(named.relations, named.nodes[1:]))
+        assert str(exc.value) == (
+            f"{query.id}: the valid path {named.source}{steps} is not in the key, "
+            "so the key or the graph is wrong"
+        )
     # an invalid path is only scored as one, whatever the key holds
     invalid = Path((query.source, query.target), ("Friend of",))
     assert score_paths(simpsons, cut, [invalid]).precision == 0.0
@@ -286,7 +284,7 @@ def test_a_valid_path_missing_from_the_key_is_an_error(simpsons):
 
 def test_path_order_invariance(simpsons):
     query = chalmers_query(simpsons)
-    paths = sorted(query.key, key=lambda p: p.sort_key())
+    paths = list(query.key)
     rng = SplitMix64(1)
     fwd = score_paths(simpsons, query, paths)
     shuffled = list(paths)
