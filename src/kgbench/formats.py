@@ -1,6 +1,12 @@
 """Readers and writers for the two graph interchange formats: TGF (line
 oriented) and XGML (GML-style bracketed key/value blocks).
 
+The XGML subset: a value is a `[...]` block, an ASCII [0-9]+ int, a float,
+a word, or a quoted string with `\\"` and `\\\\` escapes; `#` comments run
+to the end of the line; lines count `\\n` only, and a quoted string's line
+is the line it ends on; in the graph block `directed` is ignored and other
+keys warn.  One pass reads it; tests/helpers.py keeps the old reader.
+
 Both parsers are total: they never raise on arbitrary input text but return
 ``(graph-or-None, diagnostics)``.  Error diagnostics mean no graph is
 returned; warnings accompany a returned graph.  The name rules live in the
@@ -161,99 +167,46 @@ def emit_tgf(graph: KnowledgeGraph) -> str:
 # --- XGML --------------------------------------------------------------
 
 
-_LBRACKET = object()
-_RBRACKET = object()
-# whitespace, then a comment, a bracket, a quoted string (closing quote
-# optional), a word or the end: \Z keeps n trailing blanks from costing O(n^2)
+# whitespace, then a node or edge block as emitters write it (its fields in
+# order, an ASCII [0-9]+ id, a quoted label without escapes), a comment, a
+# bracket, a quoted string (closing quote optional), a word or the end: \Z
+# keeps n trailing blanks from costing O(n^2)
 _XGML_TOKEN = re.compile(
-    r'(\s*)(?:#[^\n]*|([\[\]])|("[^"\\]*(?:\\["\\]?[^"\\]*)*)(")?|([^\s\[\]"#]+)|\Z)'
+    r'(\s*)(?:node\s*\[\s*id\s+([0-9]+)\s+label\s*"([^"\\]*)"\s*\]'
+    r'|edge\s*\[\s*source\s+([0-9]+)\s+target\s+([0-9]+)\s+label\s*"([^"\\]*)"\s*\]'
+    r'|#[^\n]*|([\[\]])|("[^"\\]*(?:\\["\\]?[^"\\]*)*)(")?|([^\s\[\]"#]+)|\Z)'
 )
 
 
-def _tokenize_xgml(text: str) -> tuple[list[tuple[int, object]], list[ParseDiagnostic]]:
-    """Tokens are (line, value): value is '['/']' sentinels, str keys, int
-    (ASCII [0-9]+ only), float, or quoted strings (returned as ('str',
-    content)).  A quoted string's line is the line it ends on."""
-    tokens: list[tuple[int, object]] = []
-    diagnostics: list[ParseDiagnostic] = []
-    line = 1
-    # finditer, not findall: a list of all matches doubles a load's peak memory
-    for match in _XGML_TOKEN.finditer(text):
-        space, bracket, quoted, closed, word = match.groups()
-        if "\n" in space:  # `line += 0` would give each token its own int
-            line += space.count("\n")
-        if word:
-            if is_decimal(word):
-                tokens.append((line, int(word)))
-            # float() accepts no all-letter word but inf, nan and infinity
-            elif not word.isalpha() or word.lower() in ("inf", "nan", "infinity"):
-                try:
-                    tokens.append((line, float(word)))
-                except ValueError:
-                    tokens.append((line, word))
-            else:
-                tokens.append((line, word))
-        elif bracket:
-            tokens.append((line, _LBRACKET if bracket == "[" else _RBRACKET))
-        elif quoted:
-            if "\n" in quoted:
-                line += quoted.count("\n")
-            if not closed:
-                diagnostics.append(
-                    ParseDiagnostic(ERROR, line, "unterminated quoted string")
-                )
-            if "\\" in quoted:
-                quoted = re.sub(r'\\(["\\])', r"\1", quoted)
-            tokens.append((line, ("str", quoted[1:])))
-    return tokens, diagnostics
+def _xgml_value(word: str):
+    """int when ASCII [0-9]+, else float when float() takes it, else str."""
+    if is_decimal(word):
+        return int(word)
+    # float() accepts no all-letter word but inf, nan and infinity
+    if not word.isalpha() or word.lower() in ("inf", "nan", "infinity"):
+        try:
+            return float(word)
+        except ValueError:
+            pass
+    return word
 
 
-def _as_written(tok) -> str:
-    """A token that is not a key, as the text shows it: '[', "quoted", 3.0."""
-    if tok is _LBRACKET:
-        return "'['"
-    return _quote(tok[1]) if isinstance(tok, tuple) else repr(tok)
-
-
-def _parse_xgml_block(tokens, asm: _GraphAssembler):
-    """Parse the top-level `key value` list until a top-level ']' or the end;
-    returns (entries, closed).  Entries are (line, key, value) where value
-    may be a nested list.  Open blocks live on an explicit stack, so nesting
-    depth is not bounded by the recursion limit."""
-    entries = []
-    stack = []  # (enclosing entries, key line, key, '[' line) per open block
-    pos, n = 0, len(tokens)
-    while pos < n:
-        line, tok = tokens[pos]
-        pos += 1
-        if tok is _RBRACKET:
-            if not stack:
-                return entries, True
-            parent, kline, key, _ = stack.pop()
-            parent.append((kline, key, entries))
-            entries = parent
-            continue
-        if not isinstance(tok, str):
-            asm.error(line, f"expected a key, got {_as_written(tok)}")
-            continue
-        if pos >= n:
-            asm.error(line, f"key {tok!r} without a value")
-            break
-        vline, vtok = tokens[pos]
-        pos += 1
-        if vtok is _LBRACKET:
-            stack.append((entries, line, tok, vline))
-            entries = []
-        elif vtok is _RBRACKET:
-            asm.error(vline, f"key {tok!r} without a value")
+def _xgml_fields(asm: _GraphAssembler, line: int, key: str, entries: list) -> None:
+    """Feed a node or edge block of the graph body, as (line, key, value)
+    entries, to the assembler."""
+    names = ("id", "label") if key == "node" else ("source", "target", "label")
+    fields = []
+    for name in names:
+        values = [v for _, k, v in entries if k == name]
+        if len(values) == 1 and isinstance(values[0], str if name == "label" else int):
+            fields.append(values[0])
         else:
-            entries.append((line, tok, vtok[1] if isinstance(vtok, tuple) else vtok))
-    while stack:  # blocks the text never closed, innermost first
-        parent, kline, key, vline = stack.pop()
-        asm.error(vline, "unbalanced brackets")
-        parent.append((kline, key, entries))
-        entries = parent
-    return entries, False
+            asm.error(line, f"{key} needs exactly one {name}")
+    for eline, ekey, _ in entries:
+        if ekey not in names:
+            asm.warn(eline, f"ignored {key} key {ekey!r}")
+    if len(fields) == len(names):
+        (asm.add_node if key == "node" else asm.add_edge)(line, *fields)
 
 
 def parse_xgml(
@@ -263,57 +216,104 @@ def parse_xgml(
 ) -> tuple[KnowledgeGraph | None, list[ParseDiagnostic]]:
     """Minimal XGML subset: a `graph [...]` block containing `node [ id,
     label ]` and `edge [ source, target, label ]` blocks.  Other keys are
-    ignored with a warning."""
-    tokens, diagnostics = _tokenize_xgml(text)
+    ignored with a warning.  One scan: a block of the graph as emitters write
+    it is one match, anything else is read token by token.  Errors in the
+    text's structure are listed before those of its graph."""
     asm = _GraphAssembler(ontology, allow_new_relations)
-    asm.diagnostics.extend(diagnostics)
-    top, closed = _parse_xgml_block(tokens, asm)
-    if closed:
-        asm.error(0, "unbalanced brackets at top level")
-    graph_blocks = [(ln, v) for ln, k, v in top if k == "graph"]
-    for ln, k, _ in top:
-        if k != "graph":
-            asm.warn(ln, f"ignored top-level key {k!r}")
-    if len(graph_blocks) != 1 or not isinstance(graph_blocks[0][1], list):
-        asm.error(0, "expected exactly one graph [...] block")
-        return None, asm.diagnostics
-    _, body = graph_blocks[0]
+    errors: list[ParseDiagnostic] = []
+    top: list = []  # (key line, key, value) per top-level entry
+    body: list = []  # entries of the latest top-level graph block, fed to asm; none yet
+    entries = top  # of the innermost open block, or None; a block's value is its entries
+    stack = []  # (key line, key, '[' line, enclosing entries) per open block
+    pending = None  # (line, key) of a key still without its value
+    closed = False  # a top-level ']' ended the reading; the rest is only scanned
+    line, pos, end = 1, 0, len(text)
 
-    def scalar(entries, key, kind, line, where):
-        values = [v for _, k, v in entries if k == key]
-        if len(values) != 1 or not isinstance(values[0], kind):
-            asm.error(line, f"{where} needs exactly one {key}")
-            return None
-        return values[0]
+    def complete(kline: int, key: str, value) -> None:
+        if entries is None:
+            return
+        if entries is not body:
+            entries.append((kline, key, value))
+        elif key in ("node", "edge"):
+            if isinstance(value, list):
+                _xgml_fields(asm, kline, key, value)
+            else:
+                asm.error(kline, f"{key} must be a [...] block")
+        elif key != "directed":
+            asm.warn(kline, f"ignored graph key {key!r}")
 
-    for line, key, value in body:
-        if key == "node":
-            if not isinstance(value, list):
-                asm.error(line, "node must be a [...] block")
+    while True:
+        m = _XGML_TOKEN.match(text, pos)
+        pos = m.end()
+        space, node, label, src, dst, relation, bracket, quoted, shut, word = m.groups()
+        if "\n" in space:
+            line += space.count("\n")
+        if node or src:
+            if entries is body and pending is None:
+                if node:
+                    asm.add_node(line, int(node), label)
+                else:
+                    asm.add_edge(line, int(src), int(dst), relation)
+                line += text.count("\n", m.end(1), pos)
                 continue
-            node_id = scalar(value, "id", int, line, "node")
-            label = scalar(value, "label", str, line, "node")
-            for eline, ekey, _ in value:
-                if ekey not in ("id", "label"):
-                    asm.warn(eline, f"ignored node key {ekey!r}")
-            if node_id is not None and label is not None:
-                asm.add_node(line, node_id, label)
-        elif key == "edge":
-            if not isinstance(value, list):
-                asm.error(line, "edge must be a [...] block")
-                continue
-            src = scalar(value, "source", int, line, "edge")
-            dst = scalar(value, "target", int, line, "edge")
-            label = scalar(value, "label", str, line, "edge")
-            for eline, ekey, _ in value:
-                if ekey not in ("source", "target", "label"):
-                    asm.warn(eline, f"ignored edge key {ekey!r}")
-            if src is not None and dst is not None and label is not None:
-                asm.add_edge(line, src, dst, label)
-        elif key == "directed":
+            word = "node" if node else "edge"  # the rest token by token
+            pos = m.end(1) + len(word)
+        if word:
+            value = _xgml_value(word)
+        elif quoted:
+            if "\n" in quoted:
+                line += quoted.count("\n")
+            if not shut:  # the text's last token, and its first diagnostic
+                errors.insert(0, ParseDiagnostic(ERROR, line, "unterminated quoted string"))
+            value = re.sub(r'\\(["\\])', r"\1", quoted[1:]) if "\\" in quoted else quoted[1:]
+        elif not bracket:  # a comment, or the end
+            if pos == end:
+                break
             continue
+        if closed:
+            continue
+        if pending:
+            (kline, key), pending = pending, None
+            if bracket == "[":
+                stack.append((kline, key, line, entries))
+                if entries is top and key == "graph":
+                    entries = body = []
+                else:  # of the rest, only the graph's node and edge blocks keep entries
+                    entries = [] if entries is body and key in ("node", "edge") else None
+            elif bracket:
+                errors.append(ParseDiagnostic(ERROR, line, f"key {key!r} without a value"))
+            else:
+                complete(kline, key, value)
+        elif bracket == "]":
+            if not stack:
+                closed = True
+                continue
+            kline, key, _, parent = stack.pop()
+            value, entries = entries, parent
+            complete(kline, key, value)
+        elif word and isinstance(value, str):
+            pending = (line, value)
         else:
-            asm.warn(line, f"ignored graph key {key!r}")
+            written = "'['" if bracket else _quote(value) if quoted else repr(value)
+            errors.append(ParseDiagnostic(ERROR, line, f"expected a key, got {written}"))
+    if pending:
+        errors.append(ParseDiagnostic(ERROR, pending[0], f"key {pending[1]!r} without a value"))
+    while stack:  # blocks the text never closed, innermost first
+        kline, key, bline, parent = stack.pop()
+        errors.append(ParseDiagnostic(ERROR, bline, "unbalanced brackets"))
+        value, entries = entries, parent
+        complete(kline, key, value)
+    if closed:
+        errors.append(ParseDiagnostic(ERROR, 0, "unbalanced brackets at top level"))
+    errors += [
+        ParseDiagnostic(WARNING, kline, f"ignored top-level key {key!r}")
+        for kline, key, _ in top if key != "graph"
+    ]
+    graphs = [value for _, key, value in top if key == "graph"]
+    if len(graphs) != 1 or not isinstance(graphs[0], list):
+        errors.append(ParseDiagnostic(ERROR, 0, "expected exactly one graph [...] block"))
+        return None, errors
+    asm.diagnostics[:0] = errors
     return asm.build(), asm.diagnostics
 
 

@@ -276,9 +276,9 @@ def _load_root(text: str, suffix: str) -> tuple[ET.Element, type]:
     return root, _TYPE_FOR_ROOT[root.tag.removesuffix(suffix)]
 
 
-def _once(items: list[T], qid: str, tag: str) -> tuple[T, ...]:
+def _once(items: list[T], tag: str) -> tuple[T, ...]:
     """A key's items in file order, each once: a repeat would lower recall."""
-    _require(len(set(items)) == len(items), f"{qid}: a {tag} appears twice")
+    _require(len(set(items)) == len(items), f"a {tag} appears twice")
     return tuple(items)
 
 
@@ -334,6 +334,105 @@ def _emit_document(queries: list[Query], keyed: bool, params: dict[str, str]) ->
     return out.text()
 
 
+def _read_query(
+    qel: ET.Element, qid: str, kind: type, keyed: bool, decoded: _Decoder
+) -> Query:
+    """One Query element of a document; its errors do not name it."""
+    if kind is FillQuery:
+        triples = []
+        bindings = []
+        for cel in qel:
+            if cel.tag == "Triple":
+                parts = {c.tag: (c.text or "") for c in cel}
+                _require(
+                    set(parts) == {"Subject", "Pred", "Object"},
+                    "Triple needs Subject/Pred/Object",
+                )
+                triples.append(
+                    PatternTriple(
+                        decoded.node_ref(parts["Subject"]),
+                        decoded.relation(parts["Pred"]),
+                        decoded.node_ref(parts["Object"]),
+                    )
+                )
+            elif cel.tag == "Binding" and keyed:
+                pairs = []
+                for vel in cel:
+                    _require(vel.tag == "Var", f"unknown element {vel.tag!r}")
+                    name = vel.get("name")
+                    _require(bool(name), "Var without a name")
+                    pairs.append((name, decoded.node(vel.text or "")))
+                bindings.append(pairs)
+            else:
+                raise ProtocolError(f"unknown element {cel.tag!r}")
+        _require(bool(triples), "fill query without triples")
+        names = sorted(v.name for v in pattern_variables(triples))
+        for pairs in bindings:
+            _require(
+                sorted(name for name, _ in pairs) == names,
+                f"a Binding names each of {', '.join(names)} once",
+            )
+        key = _once([frozenset(pairs) for pairs in bindings], "Binding")
+        return FillQuery(qid, tuple(triples), key)
+    if kind is ChoiceQuery:
+        parts: dict[str, str] = {}
+        options: list[tuple[int, str]] = []
+        correct: list[tuple[int, str]] = []
+        for cel in qel:
+            if cel.tag == "Option" or (cel.tag == "Correct" and keyed):
+                message = f"{cel.tag} without a numeric index"
+                index = _decimal(cel.get("index"), message)
+                if cel.tag == "Correct":
+                    correct.append((index, cel.text or ""))
+                else:
+                    options.append((index, decoded.relation(cel.text or "")))
+            elif cel.tag in ("Subject", "Pred", "Object"):
+                parts[cel.tag] = cel.text or ""
+            else:
+                raise ProtocolError(f"unknown element {cel.tag!r}")
+        _require(
+            set(parts) == {"Subject", "Pred", "Object"},
+            "choice query needs Subject/Pred/Object",
+        )
+        if keyed:
+            _require(len(correct) == 1, "need exactly one Correct")
+        _require(bool(options), "choice query without options")
+        options.sort()
+        _require(
+            [i for i, _ in options] == list(range(1, len(options) + 1)),
+            "option indices must be 1..n",
+        )
+        for index, text in correct:
+            _require(1 <= index <= len(options), "Correct index out of range")
+            _require(
+                decoded.relation(text) == options[index - 1][1],
+                f"Correct text {text!r} is not option {index}",
+            )
+        return ChoiceQuery(
+            qid,
+            decoded.node(parts["Subject"]),
+            decoded.node(parts["Object"]),
+            tuple(label for _, label in options),
+            correct[0][0] - 1 if correct else -1,
+        )
+    ends: dict[str, NodeId] = {}
+    paths = []
+    for cel in qel:
+        if cel.tag in ("Source", "Target"):
+            ends[cel.tag] = decoded.node(cel.text or "")
+        elif cel.tag == "Path" and keyed:
+            paths.append(_parse_path_element(cel, decoded))
+        else:
+            raise ProtocolError(f"unknown element {cel.tag!r}")
+    _require(
+        set(ends) == {"Source", "Target"},
+        "path query needs Source and Target",
+    )
+    max_edges = _decimal(qel.get("max_edges"), "bad max_edges")
+    source, target = ends["Source"], ends["Target"]
+    return PathQuery(qid, source, target, max_edges, _once(paths, "Path"))
+
+
 def _read_document(text: str, keyed: bool) -> tuple[list[Query], dict[str, str]]:
     root, kind = _load_root(text, "Key" if keyed else "")
     _require(len(root) > 0, f"{root.tag} document without a Query")
@@ -346,102 +445,10 @@ def _read_document(text: str, keyed: bool) -> tuple[list[Query], dict[str, str]]
         _require(bool(qid), "Query without an id attribute")
         _require(qid not in seen, f"duplicate query id {qid!r}")
         seen.add(qid)
-        if kind is FillQuery:
-            triples = []
-            bindings = []
-            for cel in qel:
-                if cel.tag == "Triple":
-                    parts = {c.tag: (c.text or "") for c in cel}
-                    _require(
-                        set(parts) == {"Subject", "Pred", "Object"},
-                        f"{qid}: Triple needs Subject/Pred/Object",
-                    )
-                    triples.append(
-                        PatternTriple(
-                            decoded.node_ref(parts["Subject"]),
-                            decoded.relation(parts["Pred"]),
-                            decoded.node_ref(parts["Object"]),
-                        )
-                    )
-                elif cel.tag == "Binding" and keyed:
-                    pairs = []
-                    for vel in cel:
-                        _require(vel.tag == "Var", f"unknown element {vel.tag!r}")
-                        name = vel.get("name")
-                        _require(bool(name), "Var without a name")
-                        pairs.append((name, decoded.node(vel.text or "")))
-                    bindings.append(pairs)
-                else:
-                    raise ProtocolError(f"unknown element {cel.tag!r} in {qid}")
-            _require(bool(triples), f"{qid}: fill query without triples")
-            names = sorted(v.name for v in pattern_variables(triples))
-            for pairs in bindings:
-                _require(
-                    sorted(name for name, _ in pairs) == names,
-                    f"{qid}: a Binding names each of {', '.join(names)} once",
-                )
-            key = _once([frozenset(pairs) for pairs in bindings], qid, "Binding")
-            queries.append(FillQuery(qid, tuple(triples), key))
-        elif kind is ChoiceQuery:
-            parts: dict[str, str] = {}
-            options: list[tuple[int, str]] = []
-            correct: list[tuple[int, str]] = []
-            for cel in qel:
-                if cel.tag == "Option" or (cel.tag == "Correct" and keyed):
-                    message = f"{qid}: {cel.tag} without a numeric index"
-                    index = _decimal(cel.get("index"), message)
-                    if cel.tag == "Correct":
-                        correct.append((index, cel.text or ""))
-                    else:
-                        options.append((index, decoded.relation(cel.text or "")))
-                elif cel.tag in ("Subject", "Pred", "Object"):
-                    parts[cel.tag] = cel.text or ""
-                else:
-                    raise ProtocolError(f"unknown element {cel.tag!r} in {qid}")
-            _require(
-                set(parts) == {"Subject", "Pred", "Object"},
-                f"{qid}: choice query needs Subject/Pred/Object",
-            )
-            if keyed:
-                _require(len(correct) == 1, f"{qid}: need exactly one Correct")
-            _require(bool(options), f"{qid}: choice query without options")
-            options.sort()
-            _require(
-                [i for i, _ in options] == list(range(1, len(options) + 1)),
-                f"{qid}: option indices must be 1..n",
-            )
-            for index, text in correct:
-                _require(1 <= index <= len(options), f"{qid}: Correct index out of range")
-                _require(
-                    decoded.relation(text) == options[index - 1][1],
-                    f"{qid}: Correct text {text!r} is not option {index}",
-                )
-            queries.append(
-                ChoiceQuery(
-                    qid,
-                    decoded.node(parts["Subject"]),
-                    decoded.node(parts["Object"]),
-                    tuple(label for _, label in options),
-                    correct[0][0] - 1 if correct else -1,
-                )
-            )
-        else:
-            ends: dict[str, NodeId] = {}
-            paths = []
-            for cel in qel:
-                if cel.tag in ("Source", "Target"):
-                    ends[cel.tag] = decoded.node(cel.text or "")
-                elif cel.tag == "Path" and keyed:
-                    paths.append(_parse_path_element(cel, decoded))
-                else:
-                    raise ProtocolError(f"unknown element {cel.tag!r} in {qid}")
-            _require(
-                set(ends) == {"Source", "Target"},
-                f"{qid}: path query needs Source and Target",
-            )
-            max_edges = _decimal(qel.get("max_edges"), f"{qid}: bad max_edges")
-            source, target = ends["Source"], ends["Target"]
-            queries.append(PathQuery(qid, source, target, max_edges, _once(paths, qid, "Path")))
+        try:
+            queries.append(_read_query(qel, qid, kind, keyed, decoded))
+        except ProtocolError as exc:  # each error inside a query names it once
+            raise ProtocolError(f"{qid}: {exc}") from None
     return queries, dict(root.attrib)
 
 

@@ -4,11 +4,12 @@ reference implementations the optimized code is checked against."""
 from __future__ import annotations
 
 import itertools
+import re
 import xml.etree.ElementTree as ET
 
-from kgbench.formats import _LBRACKET, _RBRACKET, ERROR, ParseDiagnostic
+from kgbench.formats import ERROR, ParseDiagnostic, _GraphAssembler, _quote
 from kgbench.graph import ENTITY, LOCATION, PERSON, Edge, KnowledgeGraph, NodeId
-from kgbench.ontology import RelationOntology
+from kgbench.ontology import RelationOntology, is_decimal
 from kgbench.oracle import Path, PatternTriple, Variable
 from kgbench.protocol import (
     _ROOT_FOR_TYPE,
@@ -248,9 +249,169 @@ def naive_validate_path(graph: KnowledgeGraph, query: PathQuery, path: Path) -> 
     return PathVerdict(True)
 
 
+# --- XGML: the reader kgbench.formats.parse_xgml replaced, kept as its reference
+
+
+_LBRACKET = object()
+_RBRACKET = object()
+# whitespace, then a comment, a bracket, a quoted string (closing quote
+# optional), a word or the end: \Z keeps n trailing blanks from costing O(n^2)
+_XGML_TOKEN = re.compile(
+    r'(\s*)(?:#[^\n]*|([\[\]])|("[^"\\]*(?:\\["\\]?[^"\\]*)*)(")?|([^\s\[\]"#]+)|\Z)'
+)
+
+
+def reference_tokenize_xgml(text: str) -> tuple[list[tuple[int, object]], list[ParseDiagnostic]]:
+    """Tokens are (line, value): value is '['/']' sentinels, str keys, int
+    (ASCII [0-9]+ only), float, or quoted strings (returned as ('str',
+    content)).  A quoted string's line is the line it ends on."""
+    tokens: list[tuple[int, object]] = []
+    diagnostics: list[ParseDiagnostic] = []
+    line = 1
+    # finditer, not findall: a list of all matches doubles a load's peak memory
+    for match in _XGML_TOKEN.finditer(text):
+        space, bracket, quoted, closed, word = match.groups()
+        if "\n" in space:  # `line += 0` would give each token its own int
+            line += space.count("\n")
+        if word:
+            if is_decimal(word):
+                tokens.append((line, int(word)))
+            # float() accepts no all-letter word but inf, nan and infinity
+            elif not word.isalpha() or word.lower() in ("inf", "nan", "infinity"):
+                try:
+                    tokens.append((line, float(word)))
+                except ValueError:
+                    tokens.append((line, word))
+            else:
+                tokens.append((line, word))
+        elif bracket:
+            tokens.append((line, _LBRACKET if bracket == "[" else _RBRACKET))
+        elif quoted:
+            if "\n" in quoted:
+                line += quoted.count("\n")
+            if not closed:
+                diagnostics.append(
+                    ParseDiagnostic(ERROR, line, "unterminated quoted string")
+                )
+            if "\\" in quoted:
+                quoted = re.sub(r'\\(["\\])', r"\1", quoted)
+            tokens.append((line, ("str", quoted[1:])))
+    return tokens, diagnostics
+
+
+def _as_written(tok) -> str:
+    """A token that is not a key, as the text shows it: '[', "quoted", 3.0."""
+    if tok is _LBRACKET:
+        return "'['"
+    return _quote(tok[1]) if isinstance(tok, tuple) else repr(tok)
+
+
+def _parse_xgml_block(tokens, asm: _GraphAssembler):
+    """Parse the top-level `key value` list until a top-level ']' or the end;
+    returns (entries, closed).  Entries are (line, key, value) where value
+    may be a nested list.  Open blocks live on an explicit stack, so nesting
+    depth is not bounded by the recursion limit."""
+    entries = []
+    stack = []  # (enclosing entries, key line, key, '[' line) per open block
+    pos, n = 0, len(tokens)
+    while pos < n:
+        line, tok = tokens[pos]
+        pos += 1
+        if tok is _RBRACKET:
+            if not stack:
+                return entries, True
+            parent, kline, key, _ = stack.pop()
+            parent.append((kline, key, entries))
+            entries = parent
+            continue
+        if not isinstance(tok, str):
+            asm.error(line, f"expected a key, got {_as_written(tok)}")
+            continue
+        if pos >= n:
+            asm.error(line, f"key {tok!r} without a value")
+            break
+        vline, vtok = tokens[pos]
+        pos += 1
+        if vtok is _LBRACKET:
+            stack.append((entries, line, tok, vline))
+            entries = []
+        elif vtok is _RBRACKET:
+            asm.error(vline, f"key {tok!r} without a value")
+        else:
+            entries.append((line, tok, vtok[1] if isinstance(vtok, tuple) else vtok))
+    while stack:  # blocks the text never closed, innermost first
+        parent, kline, key, vline = stack.pop()
+        asm.error(vline, "unbalanced brackets")
+        parent.append((kline, key, entries))
+        entries = parent
+    return entries, False
+
+
+def reference_parse_xgml(
+    text: str,
+    ontology: RelationOntology,
+    allow_new_relations: bool = False,
+) -> tuple[KnowledgeGraph | None, list[ParseDiagnostic]]:
+    """Minimal XGML subset: a `graph [...]` block containing `node [ id,
+    label ]` and `edge [ source, target, label ]` blocks.  Other keys are
+    ignored with a warning."""
+    tokens, diagnostics = reference_tokenize_xgml(text)
+    asm = _GraphAssembler(ontology, allow_new_relations)
+    asm.diagnostics.extend(diagnostics)
+    top, closed = _parse_xgml_block(tokens, asm)
+    if closed:
+        asm.error(0, "unbalanced brackets at top level")
+    graph_blocks = [(ln, v) for ln, k, v in top if k == "graph"]
+    for ln, k, _ in top:
+        if k != "graph":
+            asm.warn(ln, f"ignored top-level key {k!r}")
+    if len(graph_blocks) != 1 or not isinstance(graph_blocks[0][1], list):
+        asm.error(0, "expected exactly one graph [...] block")
+        return None, asm.diagnostics
+    _, body = graph_blocks[0]
+
+    def scalar(entries, key, kind, line, where):
+        values = [v for _, k, v in entries if k == key]
+        if len(values) != 1 or not isinstance(values[0], kind):
+            asm.error(line, f"{where} needs exactly one {key}")
+            return None
+        return values[0]
+
+    for line, key, value in body:
+        if key == "node":
+            if not isinstance(value, list):
+                asm.error(line, "node must be a [...] block")
+                continue
+            node_id = scalar(value, "id", int, line, "node")
+            label = scalar(value, "label", str, line, "node")
+            for eline, ekey, _ in value:
+                if ekey not in ("id", "label"):
+                    asm.warn(eline, f"ignored node key {ekey!r}")
+            if node_id is not None and label is not None:
+                asm.add_node(line, node_id, label)
+        elif key == "edge":
+            if not isinstance(value, list):
+                asm.error(line, "edge must be a [...] block")
+                continue
+            src = scalar(value, "source", int, line, "edge")
+            dst = scalar(value, "target", int, line, "edge")
+            label = scalar(value, "label", str, line, "edge")
+            for eline, ekey, _ in value:
+                if ekey not in ("source", "target", "label"):
+                    asm.warn(eline, f"ignored edge key {ekey!r}")
+            if src is not None and dst is not None and label is not None:
+                asm.add_edge(line, src, dst, label)
+        elif key == "directed":
+            continue
+        else:
+            asm.warn(line, f"ignored graph key {key!r}")
+    return asm.build(), asm.diagnostics
+
+
+
 def naive_tokenize_xgml(text: str):
     """Char-by-char XGML scanner, the reference for
-    kgbench.formats._tokenize_xgml: same (tokens, diagnostics).  A word is an
+    reference_tokenize_xgml: same (tokens, diagnostics).  A word is an
     int when it is ASCII [0-9]+, else a float when float() accepts it, else
     a str key."""
     tokens = []

@@ -274,6 +274,21 @@ def test_score_rejects_two_files_of_one_type(tmp_path, capsys):
     assert not (tmp_path / "rep").exists()
 
 
+def test_score_names_the_query_of_a_malformed_key(tmp_path, capsys):
+    keys = tmp_path / "keys_b.xml"
+    good = '<Correct index="3">Relation:Parent_of</Correct>'
+    bad = good.replace("Relation:", "")
+    keys.write_text((GOLDEN / "keys_b.xml").read_text().replace(good, bad))
+    code = main(
+        ["score", *graph_args(), "--keys", str(keys), "--submissions", str(GOLDEN / "sub_b.xml"),
+         "--out", str(tmp_path / "rep")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{keys}: Q.B.1: expected 'Relation:...' text, got 'Parent_of'" in err
+    assert not (tmp_path / "rep").exists()
+
+
 @pytest.mark.parametrize("case", ["same file twice", "copy", "id across types"])
 def test_score_rejects_duplicate_key_files(tmp_path, capsys, case):
     # every query of a repeated key file used to be scored, and counted, twice

@@ -5,13 +5,18 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import built, naive_tokenize_xgml, random_graph
+from helpers import (
+    built,
+    naive_tokenize_xgml,
+    random_graph,
+    reference_parse_xgml,
+    reference_tokenize_xgml,
+)
 from kgbench.datasets import simpsons_graph, simpsons_ontology
 from kgbench.formats import (
-    _tokenize_xgml,
     emit_tgf,
     emit_xgml,
     has_errors,
@@ -190,6 +195,14 @@ def test_xgml_diagnostics_are_the_same_in_every_process():
             ' node [ id 3 label "Person:B" ]\n node [ id 4 label "Person:A" ]\n]\n',
             (3, 5),
         ),
+        (  # blocks as emit_xgml lays them out, four lines each
+            parse_xgml,
+            "graph [\n" + "".join(
+                f'\tnode [\n\t\tid {i}\n\t\tlabel "Person:{name}"\n\t]\n'
+                for i, name in enumerate("AABA", start=1)
+            ) + "]\n",
+            (6, 14),
+        ),
     ],
 )
 def test_repeated_label_warns_once_per_repeat(parser, text, lines):
@@ -264,16 +277,120 @@ XGML_PIECES = [
 @given(st.lists(st.sampled_from(XGML_PIECES), max_size=40).map("".join))
 def test_tokenizer_matches_naive_reference(text):
     # repr, because a NaN token is unequal to itself
-    assert repr(_tokenize_xgml(text)) == repr(naive_tokenize_xgml(text))
+    assert repr(reference_tokenize_xgml(text)) == repr(naive_tokenize_xgml(text))
+
+
+_GAPS = st.sampled_from(["", " ", "  ", "\n", "\t", "\r\n", "\xa0", " # note [ ] \"\n"])
+_IDS = st.sampled_from(["0", "1", "2", "007", "1.5", "nan", "1_0", "٣", "+1", "x", '"1"'])
+_LABELS = st.sampled_from([
+    '"Person:A"', '"Person:B"', '"Person:A"', '"Location:Café ²"', '"Person:Two\nlines"',
+    '"Person:\\"Q\\""', '"Entity:back\\\\slash"', "Person:Bare", '""', "12", "inf",
+    '"Spouse of"', '"Child  of"', '"Made up"', '"Made_up"', '"Person:Unknown_1"',
+])
+_EXTRAS = st.sampled_from([
+    "id 3", 'label "Person:C"', "source 0", "target 2", "x 1", "graphics [ w 1 h [ ] ]",
+    "3 4", '"key" 1', "id", "label ]", "[ ]", "directed 1",
+])
+
+
+@st.composite
+def _xgml_block(draw) -> str:
+    """A node or edge block: as emitters write it (style 0), with odd blanks
+    and values (1), or also with fields dropped, added, repeated, nested or
+    reordered (2)."""
+    kind = draw(st.sampled_from(["node", "edge"]))
+    style = draw(st.integers(0, 2))
+    ids = st.sampled_from(["0", "1", "2", "007"]) if style == 0 else _IDS
+    labels = _LABELS.filter(lambda label: "\\" not in label) if style == 0 else _LABELS
+    gaps = st.sampled_from([" ", "\n\t\t", "\r\n  "]) if style == 0 else _GAPS
+    names = ["id"] if kind == "node" else ["source", "target"]
+    fields = [f"{name} {draw(ids)}" for name in names] + [f"label {draw(labels)}"]
+    if style == 2:
+        fields = [f for f in fields if draw(st.integers(0, 4))]
+        fields += draw(st.lists(_EXTRAS, max_size=3))
+        fields = draw(st.permutations(fields))
+    inner = "".join(draw(gaps) + field.replace(" ", draw(gaps) or " ", 1) for field in fields)
+    return f"{kind}{draw(gaps)}[{inner}{draw(gaps)}]"
+
+
+_KEYS = st.sampled_from(["graph", "graph", "x", "node", "edge", "label", "id", "directed"])
+# blocks nest in blocks, and a node or edge block may stand where a key or a
+# value is due, so the one-match path meets every state the reader can be in
+_XGML_ITEMS = st.recursive(
+    st.one_of(
+        _xgml_block(),
+        st.builds("{} {}".format, _KEYS, _xgml_block()),
+        st.sampled_from(XGML_PIECES + ["]", "directed 1", "x 1", "label"]),
+    ),
+    lambda items: st.builds(
+        lambda key, gap, inner, close: f"{key}{gap}[{gap}{gap.join(inner)}{close}",
+        _KEYS, _GAPS, st.lists(items, max_size=6), st.sampled_from(["\n]", " ]", "]", ""]),
+    ),
+    max_leaves=16,
+)
+_XGML_TEXTS = st.builds(
+    lambda items, gap, tail: gap.join(items) + tail,
+    st.lists(_XGML_ITEMS, max_size=4),
+    _GAPS,
+    st.sampled_from(["", "\n", "]", '\n"unterminated\n', ' "open']),
+)
+
+
+@settings(max_examples=300)
+@given(text=_XGML_TEXTS)
+def test_xgml_reader_matches_the_reference(text):
+    # the same graph, and the same diagnostics in the same order
+    for allow_new_relations in (False, True):
+        assert repr(parse_xgml(text, ONT, allow_new_relations)) == repr(
+            reference_parse_xgml(text, ONT, allow_new_relations)
+        )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'x [ node [ id 1 label "Person:A" ] ]\ngraph [ ]',
+        'graph [ label node [ id 1 label "Person:A" ] ]',
+        'graph [ x [ node [ id 1 label "Person:A" ] ] ]',
+        'node [ id 1 label "Person:A" ] graph [ ]',
+        'graph [ ] ] node [ id 1 label "Person:A" ]',
+    ],
+    ids=["in another top-level block", "as a value", "nested in the graph", "top level",
+         "after the end"],
+)
+def test_an_emitted_block_is_a_node_only_in_the_graph(text):
+    g, diags = parse_xgml(text, ONT)
+    assert g is None or g.node_count == 0
+    assert repr((g, diags)) == repr(reference_parse_xgml(text, ONT))
 
 
 def test_tokenizer_is_linear_on_long_blank_runs():
     # the scanner must not backtrack over a blank run that no token follows
     text = "graph [ ]" + " \t\n" * 10_000
     start = time.perf_counter()
-    tokens, diags = _tokenize_xgml(text)
+    g, diags = parse_xgml(text, ONT)
     assert time.perf_counter() - start < 2.0
-    assert len(tokens) == 3 and not diags
+    assert g == KnowledgeGraph(ONT) and not diags
+
+
+@pytest.mark.parametrize(
+    "text, lines",
+    [
+        # 10^5 ignored keys in one node block: one warning each
+        (
+            'graph [\nnode [ id 0 label "Person:A"' + "\nx 1" * 100_000 + " ]\n]\n",
+            range(3, 100_003),
+        ),
+        # 10^5 stray ']': each a key's missing value
+        ("graph [\n" + "x\n]\n" * 100_000 + "]\n", range(3, 200_003, 2)),
+    ],
+    ids=["ignored keys", "stray brackets"],
+)
+def test_xgml_line_numbers_are_linear_in_the_text(text, lines):
+    start = time.perf_counter()
+    _, diags = parse_xgml(text, ONT)
+    assert time.perf_counter() - start < 2.0
+    assert [d.line for d in diags] == list(lines)
 
 
 def _duplicate_world(fmt: str, *edges: tuple[int, int, str]) -> str:

@@ -282,6 +282,45 @@ def test_a_binding_names_each_variable_of_its_query_once(var, replacement):
     assert str(exc.value) == "Q.A.1: a Binding names each of Unknown_1, Unknown_2 once"
 
 
+@pytest.mark.parametrize(
+    "t, good, bad, message",
+    [
+        ("b", ">Relation:Parent_of</Correct>", ">Parent_of</Correct>",
+         "expected 'Relation:...' text, got 'Parent_of'"),
+        ("b", ">Relation:Neighbor_of</Option>", ">Neighbor_of</Option>",
+         "expected 'Relation:...' text, got 'Neighbor_of'"),
+        ("b", "<Subject>Person:Marge</Subject>", "<Subject>Marge</Subject>",
+         "node id without a category prefix: 'Marge'"),
+        ("b", "<Object>Person:Bart</Object>", "<Object>Person:Unknown_3</Object>",
+         "variable where a concrete node was expected: 'Person:Unknown_3'"),
+        ("a", "<Pred>Relation:Child_of</Pred>", "<Pred>Child_of</Pred>",
+         "expected 'Relation:...' text, got 'Child_of'"),
+        ("a", "<Subject>Person:Unknown_2</Subject>", "<Subject>:Unknown_2</Subject>",
+         "malformed node id: ':Unknown_2'"),
+        ("a", '<Var name="Unknown_2">Person:Bart</Var>', '<Var name="Unknown_2">Bart</Var>',
+         "node id without a category prefix: 'Bart'"),
+        ("a", '<Var name="Unknown_2">', "<Var>", "Var without a name"),
+        ("a", '<Var name="Unknown_2">Person:Bart</Var>', "<Node>Person:Bart</Node>",
+         "unknown element 'Node'"),
+        ("c", "<Edge>Relation:Spouse_of</Edge>", "<Edge>Spouse_of</Edge>",
+         "expected 'Relation:...' text, got 'Spouse_of'"),
+        ("c", "<Node>Person:Homer</Node>", "<Node>Homer</Node>",
+         "node id without a category prefix: 'Homer'"),
+        ("c", "<Edge>Relation:Spouse_of</Edge>", "",
+         "path must alternate Source/Edge/Node/.../Target"),
+    ],
+    ids=["Correct", "Option", "Subject", "Object", "Pred", "Triple", "Var", "Var name",
+         "Binding", "Edge", "Node", "Path"],
+)
+def test_an_error_inside_a_query_names_it_once(t, good, bad, message):
+    # the first query of each golden key file holds `good`
+    text = (GOLDEN / f"keys_{t}.xml").read_text(encoding="utf-8")
+    assert text.index(good) < text.index(f'<Query id="Q.{t.upper()}.2"')
+    with pytest.raises(ProtocolError) as exc:
+        parse_key_xml(text.replace(good, bad, 1))
+    assert str(exc.value) == f"Q.{t.upper()}.1: {message}"
+
+
 def test_submission_round_trip_a():
     sub = SubmissionA(
         "team1",
