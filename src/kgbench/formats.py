@@ -9,10 +9,11 @@ keys warn.  One pass reads it; tests/helpers.py keeps the old reader.
 
 Both parsers are total: they never raise on arbitrary input text but return
 ``(graph-or-None, diagnostics)``.  Error diagnostics mean no graph is
-returned; warnings accompany a returned graph.  The name rules live in the
-types (`check_node`, `check_label`); the parsers only add a line number to
-their errors.  Both emitters are deterministic, and every graph that can be
-constructed round-trips exactly through their parser.
+returned; warnings accompany a returned graph.  The name and edge rules
+live in the types (`NodeId`, `check_label`, `KnowledgeGraph.build`); the
+parsers only add the line of the node or edge to their errors.  Both
+emitters are deterministic, and every graph that can be constructed
+round-trips exactly through their parser.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .graph import DuplicateEdgeError, Edge, GraphError, KnowledgeGraph, NodeId, check_node
+from .graph import DuplicateEdgeError, Edge, GraphError, KnowledgeGraph, NodeId
 from .ontology import OntologyError, RelationOntology, canonical_label, is_decimal
 
 WARNING = "warning"
@@ -51,6 +52,7 @@ class _GraphAssembler:
         self.nodes_by_fileid: dict[int, NodeId] = {}
         self.declared: set[NodeId] = set()
         self.edges: list[Edge] = []
+        self.edge_lines: list[int] = []  # the line of each of `edges`
         self.diagnostics: list[ParseDiagnostic] = []
 
     def error(self, line: int, message: str) -> None:
@@ -65,7 +67,6 @@ class _GraphAssembler:
             return
         try:
             node = NodeId.parse(label)
-            check_node(node)
         except GraphError as exc:
             self.error(line, str(exc))
             return
@@ -95,16 +96,17 @@ class _GraphAssembler:
         self.edges.append(
             Edge(self.nodes_by_fileid[src_id], relation, self.nodes_by_fileid[dst_id])
         )
+        self.edge_lines.append(line)
 
     def build(self) -> KnowledgeGraph | None:
         if has_errors(self.diagnostics):
             return None
         graph, problems = KnowledgeGraph.build(self.ontology, self.declared, self.edges)
-        for exc in problems:
+        for position, exc in problems:
             if isinstance(exc, DuplicateEdgeError):
-                self.warn(0, f"dropped duplicate edge: {exc}")
+                self.warn(self.edge_lines[position], f"dropped duplicate edge: {exc}")
             else:
-                self.error(0, str(exc))
+                self.error(self.edge_lines[position], str(exc))
         if has_errors(self.diagnostics):
             return None
         return graph
@@ -131,8 +133,8 @@ def parse_tgf(
                 asm.error(lineno, "multiple '#' separator lines")
             seen_separator = True
             continue
-        parts = line.split(None, 1)
         if not seen_separator:
+            parts = line.split(None, 1)
             if len(parts) != 2 or not is_decimal(parts[0]):
                 asm.error(lineno, f"malformed node line: {line!r}")
                 continue

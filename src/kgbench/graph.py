@@ -55,8 +55,13 @@ class NodeId(_NodeFields):
     A tuple subclass: a NodeId equals, and hashes as, its `(category, name)`
     tuple, and unpacks as one.  Graphs hold only NodeIds (`build` refuses
     anything else), and nodes are ordered by canonical text, never by
-    tuple comparison.  The category holds no ':', so the canonical text
-    names one node and `parse` reads it back."""
+    tuple comparison.
+
+    The constructor holds the one node rule, so no NodeId exists unchecked:
+    both fields non-empty and trimmed with single spaces (readers collapse
+    whitespace), no ':' in the category (so the canonical text names one
+    node and `parse` reads it back), a name that is not `Unknown_<n>` (a
+    query variable) and text XML can carry; else GraphError."""
 
     __slots__ = ()
 
@@ -65,6 +70,13 @@ class NodeId(_NodeFields):
             raise GraphError("node category and name must be non-empty")
         if ":" in category:
             raise GraphError(f"node category {category!r} contains ':'")
+        text = f"{category}:{name}"
+        if canonical_label(category) != category or canonical_label(name) != name:
+            raise GraphError(f"node {text!r} is not trimmed with single spaces")
+        if is_variable_name(name):
+            raise GraphError(f"node {text} is named like a query variable (Unknown_<n>)")
+        if char := non_xml_char(text):
+            raise GraphError(XML_CHAR_RULE.format(f"node {text!r}", char))
         return tuple.__new__(cls, (category, name))
 
     @classmethod
@@ -100,20 +112,6 @@ def entity(name: str) -> NodeId:
     return NodeId(ENTITY, name)
 
 
-def check_node(node: NodeId) -> None:
-    """The one node rule, beyond NodeId's own: category and name trimmed
-    with single spaces (readers collapse whitespace), a name that is not
-    `Unknown_<n>` (a query variable) and text XML can carry; else GraphError."""
-    if not isinstance(node, NodeId):
-        raise GraphError(f"not a NodeId: {node!r}")
-    if canonical_label(node.category) != node.category or canonical_label(node.name) != node.name:
-        raise GraphError(f"node {node.canonical!r} is not trimmed with single spaces")
-    if is_variable_name(node.name):
-        raise GraphError(f"node {node} is named like a query variable (Unknown_<n>)")
-    if char := non_xml_char(node.canonical):
-        raise GraphError(XML_CHAR_RULE.format(f"node {node.canonical!r}", char))
-
-
 class Edge(NamedTuple):
     """A stored directed edge; equals its `(src, relation, dst)` tuple."""
 
@@ -139,9 +137,9 @@ class TraversalIndex:
 
 @dataclass(frozen=True)
 class KnowledgeGraph:
-    """Made from an ontology and nodes that pass `check_node`; edges enter
-    only through `build`, which checks each one, so every graph round-trips
-    through the writers.  `dataclasses.replace` gives a graph without edges."""
+    """Made from an ontology and NodeIds; edges enter only through `build`,
+    which checks each one, so every graph round-trips through the writers.
+    `dataclasses.replace` gives a graph without edges."""
 
     ontology: RelationOntology
     nodes: frozenset[NodeId] = frozenset()
@@ -149,7 +147,8 @@ class KnowledgeGraph:
 
     def __post_init__(self):
         for node in self.nodes:
-            check_node(node)
+            if not isinstance(node, NodeId):
+                raise GraphError(f"not a NodeId: {node!r}")
 
     @property
     def node_count(self) -> int:
@@ -162,24 +161,24 @@ class KnowledgeGraph:
     @classmethod
     def build(
         cls, ontology: RelationOntology, nodes: Iterable[NodeId], edges: Iterable[Edge]
-    ) -> tuple[KnowledgeGraph, list[GraphError]]:
+    ) -> tuple[KnowledgeGraph, list[tuple[int, GraphError]]]:
         """The graph of `nodes` and of each edge in `edges` that may join the
-        edges kept before it, plus one GraphError per rejected edge, in order.
-        An edge is rejected for a self-loop, an unknown endpoint or relation,
-        or for restating a kept edge, as given or in the inverse direction
-        (DuplicateEdgeError).  A node that fails `check_node`, or an edge
-        that is not an Edge, raises GraphError.  This is the only way edges
-        enter a graph."""
+        edges kept before it, plus, in order, each rejected edge's position
+        in `edges` and its GraphError.  An edge is rejected for a self-loop,
+        an unknown endpoint or relation, or for restating a kept edge, as
+        given or in the inverse direction (DuplicateEdgeError).  A node that
+        is not a NodeId, or an edge that is not an Edge, raises GraphError.
+        This is the only way edges enter a graph."""
         graph = cls(ontology, frozenset(nodes))
         kept: set[Edge] = set()
-        problems: list[GraphError] = []
-        for edge in edges:
+        problems: list[tuple[int, GraphError]] = []
+        for position, edge in enumerate(edges):
             if not isinstance(edge, Edge):
                 raise GraphError(f"not an Edge: {edge!r}")
             try:
                 graph._check_edge(edge, kept)
             except GraphError as exc:
-                problems.append(exc)
+                problems.append((position, exc))
             else:
                 kept.add(edge)
         object.__setattr__(graph, "edges", frozenset(kept))

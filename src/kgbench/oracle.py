@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import GraphError, KnowledgeGraph, NodeId, check_node, is_variable_name
+from .graph import GraphError, KnowledgeGraph, NodeId, is_variable_name
 
 # the most simple paths one enumerate_paths call may return
 PATH_BUDGET = 10_000
@@ -48,8 +48,8 @@ class Variable:
     """A pattern hole, e.g. Unknown_1; category restricts the nodes it may
     bind (None = any category).  A query file writes it as the node
     "<category>:<name>", "Any:<name>" for None, so the name must be
-    `Unknown_<n>` and the category one `check_node` accepts, other than
-    "Any"; else OracleError."""
+    `Unknown_<n>` and the category one `NodeId` accepts, other than "Any";
+    else OracleError."""
 
     name: str
     category: str | None = None
@@ -61,7 +61,7 @@ class Variable:
             raise OracleError(f"{self.name}: category 'Any' is how query files write None")
         if self.category is not None:
             try:
-                check_node(NodeId(self.category, "x"))  # the category's part of the rule
+                NodeId(self.category, "x")  # the category's part of the node rule
             except GraphError:
                 raise OracleError(
                     f"{self.name}: category {self.category!r} is not a node category"

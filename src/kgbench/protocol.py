@@ -46,12 +46,12 @@ from __future__ import annotations
 
 import math
 import xml.etree.ElementTree as ET
-from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cache
 from typing import TypeVar
 
 from .graph import GraphError, NodeId, is_variable_name
-from .ontology import is_decimal
+from .ontology import canonical_label, is_decimal
 from .oracle import OracleError, Path, PatternTriple, Variable, pattern_variables
 from .querygen import ChoiceQuery, FillQuery, PathQuery, Query
 
@@ -125,14 +125,16 @@ def _concrete(ref: NodeId | Variable, text: str) -> NodeId:
 
 
 def decode_node_ref(text: str) -> NodeId | Variable:
+    """A `Variable` for an `Unknown_<n>` name after a category, `Any` for
+    none; else the node `NodeId.parse` reads."""
+    category, sep, name = text.partition(":")
+    category, name = canonical_label(category), canonical_label(name)
+    if sep and category and is_variable_name(name):
+        return Variable(name, None if category == "Any" else category)
     try:
-        node = NodeId.parse(text)
+        return NodeId.parse(text)
     except GraphError as exc:
         raise ProtocolError(str(exc)) from None
-    if is_variable_name(node.name):
-        category = None if node.category == "Any" else node.category
-        return Variable(node.name, category)
-    return node
 
 
 def _escape_text(text: str) -> str:
@@ -203,29 +205,16 @@ def _write_path(out: _Writer, path: Path, index: int) -> None:
     out.end()
 
 
-def _decoded_once(decode: Callable[[str], T]) -> Callable[[str], T]:
-    """`decode` with each distinct text decoded once.  A text that fails to
-    decode is not kept, so each occurrence reports."""
-    done: dict[str, T] = {}
-
-    def lookup(text: str) -> T:
-        try:
-            return done[text]
-        except KeyError:
-            value = done[text] = decode(text)
-            return value
-
-    return lookup
-
-
 class _Decoder:
     """The node and relation decoders of one document, which is untrusted
-    and so owns its memos; equal texts decode to one shared value."""
+    and so owns its memos: each distinct text is decoded once, and equal
+    texts decode to one shared value.  A cache keeps nothing for a call
+    that raises, so each occurrence of a malformed text reports."""
 
     def __init__(self):
-        self.node_ref = _decoded_once(decode_node_ref)
-        self.node = _decoded_once(lambda text: _concrete(self.node_ref(text), text))
-        self.relation = _decoded_once(decode_relation)
+        self.node_ref = cache(decode_node_ref)
+        self.node = cache(lambda text: _concrete(self.node_ref(text), text))
+        self.relation = cache(decode_relation)
 
 
 def _parse_path_element(el: ET.Element, decoded: _Decoder) -> Path:

@@ -8,12 +8,22 @@ import re
 import xml.etree.ElementTree as ET
 
 from kgbench.formats import ERROR, ParseDiagnostic, _GraphAssembler, _quote
-from kgbench.graph import ENTITY, LOCATION, PERSON, Edge, KnowledgeGraph, NodeId
-from kgbench.ontology import RelationOntology, is_decimal
+from kgbench.graph import (
+    ENTITY,
+    LOCATION,
+    PERSON,
+    Edge,
+    GraphError,
+    KnowledgeGraph,
+    NodeId,
+    is_variable_name,
+)
+from kgbench.ontology import RelationOntology, canonical_label, is_decimal, non_xml_char
 from kgbench.oracle import Path, PatternTriple, Variable
 from kgbench.protocol import (
     _ROOT_FOR_TYPE,
     CONFIDENTIAL_COMMENT,
+    ProtocolError,
     SubmissionA,
     SubmissionB,
     SubmissionC,
@@ -71,38 +81,70 @@ def built(
     """KnowledgeGraph.build of `nodes` and `edges`, each edge given as a
     (src, relation, dst) triple; every edge must be kept."""
     graph, problems = KnowledgeGraph.build(ontology, nodes, [Edge(*e) for e in edges])
-    assert not problems, [str(p) for p in problems]
+    assert not problems, [str(p) for _, p in problems]
     return graph
 
 
 def reference_build(
     ontology: RelationOntology, nodes: list[NodeId], edges: list[Edge]
-) -> tuple[frozenset[NodeId], frozenset[Edge], list[tuple[bool, str]]]:
+) -> tuple[frozenset[NodeId], frozenset[Edge], list[tuple[int, bool, str]]]:
     """The specification of KnowledgeGraph.build, one edge at a time: the
-    nodes, the edges kept, and for each rejected edge, in order, whether it
-    restates a kept one and its message."""
+    nodes, the edges kept, and for each rejected edge, in order, its position
+    in `edges`, whether it restates a kept one and its message."""
     declared = set(nodes)
     kept: list[Edge] = []
     problems = []
-    for edge in edges:
+    for position, edge in enumerate(edges):
         src, rel, dst = edge
         if src == dst:
-            problems.append((False, f"self-loop on {src}"))
+            problems.append((position, False, f"self-loop on {src}"))
         elif src not in declared or dst not in declared:
             unknown = src if src not in declared else dst
-            problems.append((False, f"unknown endpoint: {unknown}"))
+            problems.append((position, False, f"unknown endpoint: {unknown}"))
         elif rel not in ontology:
-            problems.append((False, f"unknown relation: {rel!r}"))
+            problems.append((position, False, f"unknown relation: {rel!r}"))
         elif edge in kept:
-            problems.append((True, f"duplicate edge: {src} -[{rel}]-> {dst}"))
+            problems.append((position, True, f"duplicate edge: {src} -[{rel}]-> {dst}"))
         elif (dst, ontology.inverse_of(rel), src) in kept:
-            problems.append((True, (
+            problems.append((position, True, (
                 f"inverse-duplicate edge: {src} -[{rel}]-> {dst} "
                 f"restates {dst} -[{ontology.inverse_of(rel)}]-> {src}"
             )))
         else:
             kept.append(edge)
     return frozenset(declared), frozenset(kept), problems
+
+
+def reference_check_node(category: str, name: str) -> None:
+    """The node rule as two steps held it before `NodeId` held all of it:
+    the constructor's two checks, then `check_node` on the node it made;
+    GraphError with the texts `NodeId` gives."""
+    if not category or not name:
+        raise GraphError("node category and name must be non-empty")
+    if ":" in category:
+        raise GraphError(f"node category {category!r} contains ':'")
+    node = tuple.__new__(NodeId, (category, name))  # unchecked, as the constructor left it
+    if canonical_label(node.category) != node.category or canonical_label(node.name) != node.name:
+        raise GraphError(f"node {node.canonical!r} is not trimmed with single spaces")
+    if is_variable_name(node.name):
+        raise GraphError(f"node {node} is named like a query variable (Unknown_<n>)")
+    if char := non_xml_char(node.canonical):
+        raise GraphError(f"node {node.canonical!r} contains {char!r}, which XML files cannot carry")
+
+
+def reference_decode_node_ref(text: str) -> NodeId | Variable:
+    """decode_node_ref as it read a text before `NodeId` held the node rule:
+    `NodeId.parse`'s checks, then a Variable for an `Unknown_<n>` name and
+    otherwise the node, made without the rest of the rule."""
+    category, sep, name = text.partition(":")
+    if not sep:
+        raise ProtocolError(f"node id without a category prefix: {text!r}")
+    category, name = canonical_label(category), canonical_label(name)
+    if not category or not name:
+        raise ProtocolError(f"malformed node id: {text!r}")
+    if is_variable_name(name):
+        return Variable(name, None if category == "Any" else category)
+    return tuple.__new__(NodeId, (category, name))
 
 
 def reference_sample_connected_edges(

@@ -423,6 +423,26 @@ def test_edge_problems_are_told_apart_by_kind_not_by_text(fmt):
     ]
 
 
+EDGE_LINES = {
+    "tgf": "1 Person:A\n2 Person:B\n#\n1 2 Spouse of\n2 1 Spouse of\n\n1 1 Spouse of\n",
+    "xgml": 'graph [\n node [ id 1 label "Person:A" ]\n node [ id 2 label "Person:B" ]\n'
+            ' edge [ source 1 target 2 label "Spouse of" ]\n'
+            ' edge [ source 2 target 1 label "Spouse of" ]\n\n'
+            ' edge [\n  source 1\n  target 1\n  label "Spouse of"\n ]\n]\n',
+}
+
+
+@pytest.mark.parametrize("fmt", ["tgf", "xgml"])
+def test_an_edge_problem_names_the_line_of_its_edge(fmt):
+    g, diags = parse_graph(EDGE_LINES[fmt], ONT, fmt)
+    assert g is None
+    assert [str(d) for d in diags] == [
+        "warning: line 5: dropped duplicate edge: inverse-duplicate edge: "
+        "Person:B -[Spouse of]-> Person:A restates Person:A -[Spouse of]-> Person:B",
+        "error: line 7: self-loop on Person:A",
+    ]
+
+
 NODE_TEXT = {
     "tgf": "1 Person:{name}\n2 Person:B\n#\n1 2 Spouse of\n",
     "xgml": 'graph [\n node [ id 1 label "Person:{name}" ]\n node [ id 2 label "Person:B" ]\n'

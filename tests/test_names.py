@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_check_node, reference_decode_node_ref
 from kgbench.formats import emit_tgf, emit_xgml, parse_tgf, parse_xgml
 from kgbench.graph import PERSON, Edge, GraphError, KnowledgeGraph, NodeId
 from kgbench.ontology import (
@@ -16,9 +17,17 @@ from kgbench.ontology import (
     canonical_label,
     emit_ontology,
     load_ontology,
+    non_xml_char,
 )
 from kgbench.oracle import OracleError, PatternTriple, Variable
-from kgbench.protocol import emit_key_xml, emit_query_xml, parse_key_xml, parse_query_xml
+from kgbench.protocol import (
+    ProtocolError,
+    decode_node_ref,
+    emit_key_xml,
+    emit_query_xml,
+    parse_key_xml,
+    parse_query_xml,
+)
 from kgbench.querygen import ChoiceQuery, FillQuery, PathQuery, oracle_key
 
 # runs of whitespace, the characters some file gives a meaning to, names
@@ -68,6 +77,55 @@ def test_every_node_the_constructors_accept_is_read_back(category, name):
     assume(node != B)
     event("accepted")
     assert_read_back(KNOWS, node, "Knows", B)
+
+
+# whole names the pieces seldom make: "Any", Unknown_<n>, an XML-less category
+WHOLE = st.sampled_from(["Any", " Any", "Person ", "Unknown_7", " Unknown_07", "P\x01"])
+PARTS = st.one_of(NAMES, WHOLE)
+
+
+@settings(max_examples=500, deadline=None)
+@given(PARTS, PARTS)
+def test_a_node_id_refuses_what_the_two_step_rule_refused(category, name):
+    try:
+        reference_check_node(category, name)
+    except GraphError as exc:
+        event("refused")
+        with pytest.raises(GraphError) as refused:
+            NodeId(category, name)
+        assert str(refused.value) == str(exc)
+    else:
+        event("accepted")
+        assert NodeId(category, name) == (category, name)
+
+
+def decoded(decode, text: str):
+    """What `decode` makes of `text`: its value, or its error's type and text."""
+    try:
+        return decode(text)
+    except (ProtocolError, OracleError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# node texts: with and without ':', with empty parts, "Any:" and Unknown_<n>
+VARIABLE_NAMES = st.sampled_from(["Unknown_7", " Unknown_07 "])
+NODE_TEXTS = st.one_of(RAW, st.tuples(PARTS, st.one_of(PARTS, VARIABLE_NAMES)).map(":".join))
+
+
+@settings(max_examples=500, deadline=None)
+@given(NODE_TEXTS)
+def test_a_node_text_decodes_as_before_unless_xml_cannot_carry_it(text):
+    expected = decoded(reference_decode_node_ref, text)
+    if isinstance(expected, NodeId) and (char := non_xml_char(expected.canonical)):
+        # such a node was made unchecked; no XML text can hold it
+        event("not XML")
+        expected = ("ProtocolError", (
+            f"node {expected.canonical!r} contains {char!r}, which XML files cannot carry"
+        ))
+    else:
+        event(type(expected).__name__)
+    got = decoded(decode_node_ref, text)
+    assert got == expected and type(got) is type(expected)
 
 
 @settings(max_examples=300, deadline=None)
