@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-queries", help="generate query and sealed key files")
     _add_graph_args(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--count-a", type=_at_least(0), default=5)
     p.add_argument("--count-b", type=_at_least(0), default=5)
     p.add_argument("--count-c", type=_at_least(0), default=2)

@@ -29,16 +29,19 @@ ERROR = "error"
 
 
 @dataclass(frozen=True)
-class ParseDiagnostic:
-    severity: str
-    line: int
+class Diagnostic:
+    """A reader's finding: graph readers name a line (`line <n>`), the
+    submission reader a query id or the root's tag."""
+
+    severity: str  # WARNING or ERROR
+    where: str
     message: str
 
     def __str__(self) -> str:
-        return f"{self.severity}: line {self.line}: {self.message}"
+        return f"{self.severity}: {self.where}: {self.message}"
 
 
-def has_errors(diagnostics: list[ParseDiagnostic]) -> bool:
+def has_errors(diagnostics: list[Diagnostic]) -> bool:
     return any(d.severity == ERROR for d in diagnostics)
 
 
@@ -53,13 +56,13 @@ class _GraphAssembler:
         self.declared: set[NodeId] = set()
         self.edges: list[Edge] = []
         self.edge_lines: list[int] = []  # the line of each of `edges`
-        self.diagnostics: list[ParseDiagnostic] = []
+        self.diagnostics: list[Diagnostic] = []
 
     def error(self, line: int, message: str) -> None:
-        self.diagnostics.append(ParseDiagnostic(ERROR, line, message))
+        self.diagnostics.append(Diagnostic(ERROR, f"line {line}", message))
 
     def warn(self, line: int, message: str) -> None:
-        self.diagnostics.append(ParseDiagnostic(WARNING, line, message))
+        self.diagnostics.append(Diagnostic(WARNING, f"line {line}", message))
 
     def add_node(self, line: int, file_id: int, label: str) -> None:
         if file_id in self.nodes_by_fileid:
@@ -119,7 +122,7 @@ def parse_tgf(
     text: str,
     ontology: RelationOntology,
     allow_new_relations: bool = False,
-) -> tuple[KnowledgeGraph | None, list[ParseDiagnostic]]:
+) -> tuple[KnowledgeGraph | None, list[Diagnostic]]:
     """TGF: `<int> <label>` node lines, one `#` separator line, then
     `<int> <int> <relation>` edge lines.  Labels may contain spaces."""
     asm = _GraphAssembler(ontology, allow_new_relations)
@@ -215,14 +218,14 @@ def parse_xgml(
     text: str,
     ontology: RelationOntology,
     allow_new_relations: bool = False,
-) -> tuple[KnowledgeGraph | None, list[ParseDiagnostic]]:
+) -> tuple[KnowledgeGraph | None, list[Diagnostic]]:
     """Minimal XGML subset: a `graph [...]` block containing `node [ id,
     label ]` and `edge [ source, target, label ]` blocks.  Other keys are
     ignored with a warning.  One scan: a block of the graph as emitters write
     it is one match, anything else is read token by token.  Errors in the
     text's structure are listed before those of its graph."""
     asm = _GraphAssembler(ontology, allow_new_relations)
-    errors: list[ParseDiagnostic] = []
+    errors: list[Diagnostic] = []
     top: list = []  # (key line, key, value) per top-level entry
     body: list = []  # entries of the latest top-level graph block, fed to asm; none yet
     entries = top  # of the innermost open block, or None; a block's value is its entries
@@ -266,7 +269,7 @@ def parse_xgml(
             if "\n" in quoted:
                 line += quoted.count("\n")
             if not shut:  # the text's last token, and its first diagnostic
-                errors.insert(0, ParseDiagnostic(ERROR, line, "unterminated quoted string"))
+                errors.insert(0, Diagnostic(ERROR, f"line {line}", "unterminated quoted string"))
             value = re.sub(r'\\(["\\])', r"\1", quoted[1:]) if "\\" in quoted else quoted[1:]
         elif not bracket:  # a comment, or the end
             if pos == end:
@@ -283,7 +286,7 @@ def parse_xgml(
                 else:  # of the rest, only the graph's node and edge blocks keep entries
                     entries = [] if entries is body and key in ("node", "edge") else None
             elif bracket:
-                errors.append(ParseDiagnostic(ERROR, line, f"key {key!r} without a value"))
+                errors.append(Diagnostic(ERROR, f"line {line}", f"key {key!r} without a value"))
             else:
                 complete(kline, key, value)
         elif bracket == "]":
@@ -297,23 +300,24 @@ def parse_xgml(
             pending = (line, value)
         else:
             written = "'['" if bracket else _quote(value) if quoted else repr(value)
-            errors.append(ParseDiagnostic(ERROR, line, f"expected a key, got {written}"))
+            errors.append(Diagnostic(ERROR, f"line {line}", f"expected a key, got {written}"))
     if pending:
-        errors.append(ParseDiagnostic(ERROR, pending[0], f"key {pending[1]!r} without a value"))
+        kline, key = pending
+        errors.append(Diagnostic(ERROR, f"line {kline}", f"key {key!r} without a value"))
     while stack:  # blocks the text never closed, innermost first
         kline, key, bline, parent = stack.pop()
-        errors.append(ParseDiagnostic(ERROR, bline, "unbalanced brackets"))
+        errors.append(Diagnostic(ERROR, f"line {bline}", "unbalanced brackets"))
         value, entries = entries, parent
         complete(kline, key, value)
     if closed:
-        errors.append(ParseDiagnostic(ERROR, 0, "unbalanced brackets at top level"))
+        errors.append(Diagnostic(ERROR, "line 0", "unbalanced brackets at top level"))
     errors += [
-        ParseDiagnostic(WARNING, kline, f"ignored top-level key {key!r}")
+        Diagnostic(WARNING, f"line {kline}", f"ignored top-level key {key!r}")
         for kline, key, _ in top if key != "graph"
     ]
     graphs = [value for _, key, value in top if key == "graph"]
     if len(graphs) != 1 or not isinstance(graphs[0], list):
-        errors.append(ParseDiagnostic(ERROR, 0, "expected exactly one graph [...] block"))
+        errors.append(Diagnostic(ERROR, "line 0", "expected exactly one graph [...] block"))
         return None, errors
     asm.diagnostics[:0] = errors
     return asm.build(), asm.diagnostics
@@ -353,7 +357,7 @@ def parse_graph(
     ontology: RelationOntology,
     fmt: str,
     allow_new_relations: bool = False,
-) -> tuple[KnowledgeGraph | None, list[ParseDiagnostic]]:
+) -> tuple[KnowledgeGraph | None, list[Diagnostic]]:
     if fmt == "tgf":
         return parse_tgf(text, ontology, allow_new_relations)
     if fmt == "xgml":

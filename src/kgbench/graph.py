@@ -11,9 +11,8 @@ The traversal view lives in one index per graph, built in one pass over the
 edges the first time a caller traverses.  It numbers the nodes in canonical
 order, so the searches in `oracle`, `scoring` and `querygen` run on ints and
 integer order is canonical order, the one node order.  It holds, per node,
-the sorted row of (other, relation) links, and per (node, relation) the set
-of nodes reached, which answers `has_link` and `degree_by_relation` with one
-lookup.
+the row of (other, relation) links, and per (node, relation) the set of
+nodes reached, which answers `has_link` with one lookup.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .ontology import XML_CHAR_RULE, RelationOntology, canonical_label, is_decim
 
 PERSON = "Person"
 ENTITY = "Entity"
-LOCATION = "Location"
 VARIABLE_PREFIX = "Unknown_"
 
 
@@ -128,8 +126,8 @@ class TraversalIndex:
 
     nodes: tuple[NodeId, ...]
     number: dict[NodeId, int]
-    # rows[i]: (other, relation-as-traversed) for each link of node i,
-    # sorted, which is the neighbors() order
+    # rows[i]: (other, relation-as-traversed) for each link of node i, in
+    # the edge set's order, so a reader that needs an order sorts
     rows: tuple[tuple[tuple[int, str], ...], ...]
     # (i, relation) -> the nodes node i reaches via relation
     links: dict[tuple[int, str], set[int]]
@@ -221,36 +219,16 @@ class KnowledgeGraph:
             rows[dst].append((src, back))
             links.setdefault((src, relation), set()).add(dst)
             links.setdefault((dst, back), set()).add(src)
-        for row in rows:
-            row.sort()
         return TraversalIndex(nodes, number, tuple(map(tuple, rows)), links)
-
-    def _number(self, node: NodeId) -> int:
-        try:
-            return self.index.number[node]
-        except KeyError:
-            raise GraphError(f"unknown node: {node}") from None
-
-    def neighbors(self, node: NodeId) -> tuple[tuple[NodeId, str], ...]:
-        """Traversal-view neighbors of `node` as (other, relation-as-traversed)
-        pairs, sorted by canonical id then relation."""
-        index = self.index
-        nodes = index.nodes
-        return tuple([(nodes[i], r) for i, r in index.rows[self._number(node)]])
 
     def has_link(self, src: NodeId, relation: str, dst: NodeId) -> bool:
         """True iff (src, relation, dst) is a traversal-view edge."""
         if relation not in self.ontology:
             raise GraphError(f"unknown relation: {relation!r}")
-        index = self.index
-        return index.number.get(dst) in index.links.get((self._number(src), relation), ())
-
-    def degree_by_relation(self, node: NodeId, relation: str) -> int:
-        """Number of traversal-view neighbors reached from `node` via
-        `relation`."""
-        if relation not in self.ontology:
-            raise GraphError(f"unknown relation: {relation!r}")
-        return len(self.index.links.get((self._number(node), relation), ()))
+        number = self.index.number
+        if src not in number:
+            raise GraphError(f"unknown node: {src}")
+        return number.get(dst) in self.index.links.get((number[src], relation), ())
 
     @cached_property
     def _sorted_nodes(self) -> tuple[NodeId, ...]:

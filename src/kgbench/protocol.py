@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import TypeVar
 
+from .formats import WARNING, Diagnostic
 from .graph import GraphError, NodeId, is_variable_name
 from .ontology import canonical_label, is_decimal
 from .oracle import OracleError, Path, PatternTriple, Variable, pattern_variables
@@ -61,16 +62,6 @@ T = TypeVar("T")
 
 class ProtocolError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str  # "warning" | "error"
-    where: str  # query id or element path
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.severity}: {self.where}: {self.message}"
 
 
 @dataclass
@@ -469,38 +460,25 @@ def parse_key_xml(text: str) -> tuple[list[Query], dict[str, str]]:
 # --- submissions -------------------------------------------------------------
 
 
-def emit_submission_a(sub: SubmissionA) -> str:
+def emit_submission(sub: Submission) -> str:
+    """A submission document, its root and answers chosen by its type:
+    queries by id, a fill query's answers by variable and then rank."""
+    kind = {SubmissionA: FillQuery, SubmissionB: ChoiceQuery, SubmissionC: PathQuery}[type(sub)]
     out = _Writer()
-    out.start(_ROOT_FOR_TYPE[FillQuery], {"team": sub.team})
+    out.start(_ROOT_FOR_TYPE[kind], {"team": sub.team})
     for qid in sorted(sub.answers):
+        answers = sub.answers[qid]
         out.start("Query", {"id": qid})
-        for var in sorted(sub.answers[qid]):
-            for rank, (node, conf) in enumerate(sub.answers[qid][var], start=1):
-                attrs = {"var": var, "rank": str(rank), "confidence": f"{conf:g}"}
-                out.leaf("Answer", node.canonical, attrs)
-        out.end()
-    out.end()
-    return out.text()
-
-
-def emit_submission_b(sub: SubmissionB) -> str:
-    out = _Writer()
-    out.start(_ROOT_FOR_TYPE[ChoiceQuery], {"team": sub.team})
-    for qid in sorted(sub.answers):
-        out.start("Query", {"id": qid})
-        out.leaf("Answer", encode_relation(sub.answers[qid]))
-        out.end()
-    out.end()
-    return out.text()
-
-
-def emit_submission_c(sub: SubmissionC) -> str:
-    out = _Writer()
-    out.start(_ROOT_FOR_TYPE[PathQuery], {"team": sub.team})
-    for qid in sorted(sub.answers):
-        out.start("Query", {"id": qid})
-        for i, path in enumerate(sub.answers[qid], start=1):
-            _write_path(out, path, i)
+        if kind is FillQuery:
+            for var in sorted(answers):
+                for rank, (node, conf) in enumerate(answers[var], start=1):
+                    attrs = {"var": var, "rank": str(rank), "confidence": f"{conf:g}"}
+                    out.leaf("Answer", node.canonical, attrs)
+        elif kind is ChoiceQuery:
+            out.leaf("Answer", encode_relation(answers))
+        else:
+            for i, path in enumerate(answers, start=1):
+                _write_path(out, path, i)
         out.end()
     out.end()
     return out.text()
@@ -513,10 +491,10 @@ def emit_oracle_submission(queries: list[Query], team: str) -> str:
     kind = _query_type(queries)
     if kind is ChoiceQuery:
         answers = {q.id: q.options[q.key] for q in queries}
-        return emit_submission_b(SubmissionB(team, answers))
+        return emit_submission(SubmissionB(team, answers))
     if kind is PathQuery:
         answers = {q.id: list(q.key) for q in queries}
-        return emit_submission_c(SubmissionC(team, answers))
+        return emit_submission(SubmissionC(team, answers))
     fill_answers = {}
     for q in queries:
         nodes: dict[str, dict[NodeId, float]] = {v: {} for v in q.variables}
@@ -524,7 +502,7 @@ def emit_oracle_submission(queries: list[Query], team: str) -> str:
             for name, node in binding:
                 nodes[name][node] = 1.0
         fill_answers[q.id] = {v: list(ranked.items()) for v, ranked in nodes.items()}
-    return emit_submission_a(SubmissionA(team, fill_answers))
+    return emit_submission(SubmissionA(team, fill_answers))
 
 
 def parse_submission_xml(
@@ -533,16 +511,18 @@ def parse_submission_xml(
     """Match a submission document against the expected queries of its
     root's type; an id of another type is an unknown query id.  Malformed
     XML is fatal; per-item violations drop only that item with a
-    diagnostic.  Queries with no usable answers are present but empty."""
+    diagnostic, and a repeated query id keeps its first element.  Queries
+    with no usable answers are present but empty."""
     root, kind = _load_root(text, "")
     team = root.get("team")
     _require(team is not None, "submission root must carry a team attribute")
     by_id = {q.id: q for q in expected if type(q) is kind}
     diagnostics: list[Diagnostic] = []
+    seen: set[str] = set()
     decoded = _Decoder()
 
     def warn(where: str, message: str) -> None:
-        diagnostics.append(Diagnostic("warning", where, message))
+        diagnostics.append(Diagnostic(WARNING, where, message))
 
     if kind is FillQuery:
         sub = SubmissionA(team, {qid: {} for qid in by_id})
@@ -559,6 +539,10 @@ def parse_submission_xml(
         if qid not in by_id:
             warn(qid, "submission references an unknown query id; ignored")
             continue
+        if qid in seen:
+            warn(qid, f"duplicate query id {qid!r}; ignored")
+            continue
+        seen.add(qid)
         query = by_id[qid]
         if kind is FillQuery:
             raw: dict[str, list[tuple[int, float, NodeId]]] = {}

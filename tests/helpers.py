@@ -7,10 +7,9 @@ import itertools
 import re
 import xml.etree.ElementTree as ET
 
-from kgbench.formats import ERROR, ParseDiagnostic, _GraphAssembler, _quote
+from kgbench.formats import ERROR, Diagnostic, _GraphAssembler, _quote
 from kgbench.graph import (
     ENTITY,
-    LOCATION,
     PERSON,
     Edge,
     GraphError,
@@ -34,6 +33,8 @@ from kgbench.protocol import (
 from kgbench.querygen import ChoiceQuery, FillQuery, PathQuery, Query
 from kgbench.rng import SplitMix64
 from kgbench.scoring import PathVerdict
+
+LOCATION = "Location"  # a third node category for random graphs
 
 
 def random_ontology(rng: SplitMix64, n_pairs: int = 4) -> RelationOntology:
@@ -153,19 +154,13 @@ def reference_sample_connected_edges(
     """querygen._sample_connected_edges on NodeIds, with the fringe sorted
     as (category, name) tuples: the same draws as the index version on any
     graph where no category is a prefix of another."""
+    links = naive_traversal(graph)
     start = rng.choice(graph.sorted_nodes())
     chosen: list[tuple[NodeId, str, NodeId]] = []
     taken: set[tuple[NodeId, str, NodeId]] = set()
     frontier = [start]
     while len(chosen) < count:
-        fringe = sorted(
-            {
-                (node, rel, other)
-                for node in frontier
-                for other, rel in graph.neighbors(node)
-            }
-            - taken
-        )
+        fringe = sorted({link for link in links if link[0] in frontier} - taken)
         if not fringe:
             break
         a, r, b = rng.choice(fringe)
@@ -303,12 +298,12 @@ _XGML_TOKEN = re.compile(
 )
 
 
-def reference_tokenize_xgml(text: str) -> tuple[list[tuple[int, object]], list[ParseDiagnostic]]:
+def reference_tokenize_xgml(text: str) -> tuple[list[tuple[int, object]], list[Diagnostic]]:
     """Tokens are (line, value): value is '['/']' sentinels, str keys, int
     (ASCII [0-9]+ only), float, or quoted strings (returned as ('str',
     content)).  A quoted string's line is the line it ends on."""
     tokens: list[tuple[int, object]] = []
-    diagnostics: list[ParseDiagnostic] = []
+    diagnostics: list[Diagnostic] = []
     line = 1
     # finditer, not findall: a list of all matches doubles a load's peak memory
     for match in _XGML_TOKEN.finditer(text):
@@ -333,7 +328,7 @@ def reference_tokenize_xgml(text: str) -> tuple[list[tuple[int, object]], list[P
                 line += quoted.count("\n")
             if not closed:
                 diagnostics.append(
-                    ParseDiagnostic(ERROR, line, "unterminated quoted string")
+                    Diagnostic(ERROR, f"line {line}", "unterminated quoted string")
                 )
             if "\\" in quoted:
                 quoted = re.sub(r'\\(["\\])', r"\1", quoted)
@@ -393,7 +388,7 @@ def reference_parse_xgml(
     text: str,
     ontology: RelationOntology,
     allow_new_relations: bool = False,
-) -> tuple[KnowledgeGraph | None, list[ParseDiagnostic]]:
+) -> tuple[KnowledgeGraph | None, list[Diagnostic]]:
     """Minimal XGML subset: a `graph [...]` block containing `node [ id,
     label ]` and `edge [ source, target, label ]` blocks.  Other keys are
     ignored with a warning."""
@@ -497,7 +492,7 @@ def naive_tokenize_xgml(text: str):
                     i += 1
             if not closed:
                 diagnostics.append(
-                    ParseDiagnostic(ERROR, line, "unterminated quoted string")
+                    Diagnostic(ERROR, f"line {line}", "unterminated quoted string")
                 )
             tokens.append((line, ("str", "".join(buf))))
         else:

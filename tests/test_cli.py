@@ -522,7 +522,8 @@ def test_answer_rejects_a_file_without_queries(tmp_path, capsys, root):
      ("--count-a", "two", 0),
      # ASCII decimals only, as in every file the referee reads
      ("--count-a", "\u0663", 0), ("--count-b", "+5", 0), ("--max-edges", "1_0", 1),
-     ("--count-c", " 2", 0)],
+     ("--count-c", " 2", 0),
+     ("--seed", "-1", 0), ("--seed", "\u0663", 0), ("--seed", "1_0", 0), ("--seed", " 5", 0)],
 )
 def test_gen_queries_bad_numbers_are_usage_errors(tmp_path, capsys, flag, value, low):
     out = tmp_path / "out"
@@ -641,4 +642,16 @@ def test_a_blank_new_relation_is_an_error_not_a_crash(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"{graph}: error: line 4: empty relation label\n"
         f"error: graph {graph} failed to parse\n"
+    )
+
+
+def test_a_submission_diagnostic_reads_as_a_graph_diagnostic(tmp_path, capsys):
+    # one Diagnostic type prints `<file>: <severity>: <where>: <message>`
+    sub = tmp_path / "sub_c.xml"
+    sub.write_text('<QC team="x"><Query id="Q.C.999" /></QC>')
+    code = main(["score", *graph_args(), "--keys", str(GOLDEN / "keys_c.xml"),
+                 "--submissions", str(sub), "--out", str(tmp_path / "rep")])
+    assert code == 0
+    assert capsys.readouterr().err == (
+        f"{sub}: warning: Q.C.999: submission references an unknown query id; ignored\n"
     )

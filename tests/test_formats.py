@@ -47,7 +47,7 @@ def test_tgf_missing_separator():
 def test_tgf_undeclared_edge_endpoint():
     g, diags = parse_tgf("1 Person:Homer\n#\n1 9 Spouse of\n", ONT)
     assert g is None
-    assert any("undeclared" in d.message and d.line == 3 for d in diags)
+    assert any("undeclared" in d.message and d.where == "line 3" for d in diags)
 
 
 def test_tgf_label_without_category():
@@ -208,8 +208,8 @@ def test_xgml_diagnostics_are_the_same_in_every_process():
 def test_repeated_label_warns_once_per_repeat(parser, text, lines):
     g, diags = parser(text, ONT)
     assert g is not None and g.node_count == 2
-    assert [(d.severity, d.line, d.message) for d in diags] == [
-        ("warning", line, "node Person:A declared more than once; merged")
+    assert [(d.severity, d.where, d.message) for d in diags] == [
+        ("warning", f"line {line}", "node Person:A declared more than once; merged")
         for line in lines
     ]
 
@@ -390,7 +390,7 @@ def test_xgml_line_numbers_are_linear_in_the_text(text, lines):
     start = time.perf_counter()
     _, diags = parse_xgml(text, ONT)
     assert time.perf_counter() - start < 2.0
-    assert [d.line for d in diags] == list(lines)
+    assert [d.where for d in diags] == [f"line {n}" for n in lines]
 
 
 def _duplicate_world(fmt: str, *edges: tuple[int, int, str]) -> str:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    LOCATION,
     built,
     canonical_bindings,
     canonical_paths,
@@ -14,7 +15,6 @@ from helpers import (
 )
 from kgbench.graph import (
     ENTITY,
-    LOCATION,
     PERSON,
     KnowledgeGraph,
     entity,

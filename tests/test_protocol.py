@@ -20,9 +20,7 @@ from kgbench.protocol import (
     emit_key_xml,
     emit_oracle_submission,
     emit_query_xml,
-    emit_submission_a,
-    emit_submission_b,
-    emit_submission_c,
+    emit_submission,
     encode_relation,
     parse_key_xml,
     parse_query_xml,
@@ -330,7 +328,7 @@ def test_submission_round_trip_a():
             }
         },
     )
-    parsed, diags = parse_submission_xml(emit_submission_a(sub), [SPOUSE_QUERY])
+    parsed, diags = parse_submission_xml(emit_submission(sub), [SPOUSE_QUERY])
     assert not diags
     assert parsed.team == "team1"
     assert parsed.answers == sub.answers
@@ -421,7 +419,7 @@ def test_submission_unknown_query_id_diagnostic():
 def test_submission_b_round_trip():
     choice = ChoiceQuery("Q.B.1", person("A"), person("B"), ("Attends", "Child of"), 0)
     sub = SubmissionB("t", {"Q.B.1": "Attends"})
-    parsed, diags = parse_submission_xml(emit_submission_b(sub), [choice])
+    parsed, diags = parse_submission_xml(emit_submission(sub), [choice])
     assert not diags
     assert parsed.answers == sub.answers
 
@@ -439,7 +437,7 @@ def test_submission_b_multiple_answers_dropped():
 
 def test_submission_c_round_trip_and_checks():
     sub = SubmissionC("t", {"Q.C.1": [CHALMERS_PATH]})
-    text = emit_submission_c(sub)
+    text = emit_submission(sub)
     assert "<Source>Person:Superintendent Chalmers</Source>" in text
     assert "<Edge>Relation:Superintendent_at</Edge>" in text
     assert "<Target>Person:Lenny</Target>" in text
@@ -462,10 +460,34 @@ def test_submission_c_bad_alternation():
 
 def test_submission_c_endpoint_mismatch():
     wrong = Path((person("Homer"), person("Lenny")), ("Friend of",))
-    text = emit_submission_c(SubmissionC("t", {"Q.C.1": [wrong]}))
+    text = emit_submission(SubmissionC("t", {"Q.C.1": [wrong]}))
     parsed, diags = parse_submission_xml(text, [PATH_QUERY])
     assert parsed.answers["Q.C.1"] == []
     assert any("endpoints" in d.message for d in diags)
+
+
+@pytest.mark.parametrize(
+    "first, second, query",
+    [
+        (SubmissionA("t", {"Q.A.1": {"Unknown_1": [(person("Homer"), 0.9)]}}),
+         SubmissionA("t", {"Q.A.1": {"Unknown_1": [(person("Bart"), 1.0)]}}), SPOUSE_QUERY),
+        (SubmissionB("t", {"Q.B.1": "Attends"}), SubmissionB("t", {"Q.B.1": "Child of"}),
+         ChoiceQuery("Q.B.1", person("A"), person("B"), ("Attends", "Child of"), 0)),
+        (SubmissionC("t", {"Q.C.1": [CHALMERS_PATH]}),
+         SubmissionC("t", {"Q.C.1": [CHALMERS_PATH]}), PATH_QUERY),
+    ],
+    ids=["a", "b", "c"],
+)
+def test_a_repeated_query_id_keeps_its_first_element(first, second, query):
+    # the Query elements of `first`, then those of `second`, in one document
+    text = "\n".join(
+        emit_submission(first).splitlines()[:-1] + emit_submission(second).splitlines()[2:]
+    )
+    parsed, diags = parse_submission_xml(text, [query])
+    assert parsed.answers == first.answers
+    assert [str(d) for d in diags] == [
+        f"warning: {query.id}: duplicate query id '{query.id}'; ignored"
+    ]
 
 
 def _noise(seed: int, n: int) -> str:
@@ -679,9 +701,7 @@ def test_query_and_key_files_are_written_as_elementtree_writes_them(queries, par
 @given(submissions())
 def test_submissions_are_written_as_elementtree_writes_them(case):
     sub, expected = case
-    emit = {SubmissionA: emit_submission_a, SubmissionB: emit_submission_b,
-            SubmissionC: emit_submission_c}[type(sub)]
-    text = emit(sub)
+    text = emit_submission(sub)
     assert text == reference_emit_submission(sub)
     parsed, diagnostics = parse_submission_xml(text, expected)
     assert not diagnostics
@@ -699,13 +719,13 @@ def test_the_writer_escapes_as_elementtree_does():
     sub = SubmissionC('a&b<c>"d\'\t\r\né', {'Q"1': [Path(
         (NodeId("A&<>", "x\"'y"), NodeId("中", "n")), ("R & <S>",)
     )]})
-    assert emit_submission_c(sub) == reference_emit_submission(sub)
-    assert '<QC team="a&amp;b&lt;c&gt;&quot;d\'&#09;&#13;&#10;é">' in emit_submission_c(sub)
-    assert "<Source>A&amp;&lt;&gt;:x\"'y</Source>" in emit_submission_c(sub)
-    assert emit_submission_a(SubmissionA("t", {})) == (
+    assert emit_submission(sub) == reference_emit_submission(sub)
+    assert '<QC team="a&amp;b&lt;c&gt;&quot;d\'&#09;&#13;&#10;é">' in emit_submission(sub)
+    assert "<Source>A&amp;&lt;&gt;:x\"'y</Source>" in emit_submission(sub)
+    assert emit_submission(SubmissionA("t", {})) == (
         '<?xml version="1.0" encoding="UTF-8"?>\n<QA team="t" />\n'
     )
-    assert '<Query id="Q.A.1" />' in emit_submission_a(
+    assert '<Query id="Q.A.1" />' in emit_submission(
         SubmissionA("t", {"Q.A.1": {"Unknown_1": []}})
     )
 
