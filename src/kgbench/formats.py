@@ -160,12 +160,11 @@ def parse_tgf(
 def emit_tgf(graph: KnowledgeGraph) -> str:
     """Nodes numbered 1..n in sorted canonical order; edges sorted
     lexicographically; trailing newline."""
-    nodes = graph.sorted_nodes()
-    ids = {node: i for i, node in enumerate(nodes, start=1)}
-    lines = [f"{ids[node]} {node.canonical}" for node in nodes]
+    number = graph.number
+    lines = [f"{i} {node.canonical}" for i, node in enumerate(graph.nodes, start=1)]
     lines.append("#")
-    for e in graph.sorted_edges():
-        lines.append(f"{ids[e.src]} {ids[e.dst]} {e.relation}")
+    for e in graph.sorted_edges:
+        lines.append(f"{number[e.src] + 1} {number[e.dst] + 1} {e.relation}")
     return "\n".join(lines) + "\n"
 
 
@@ -330,21 +329,20 @@ def _quote(s: str) -> str:
 def emit_xgml(graph: KnowledgeGraph) -> str:
     """Same ordering contract as emit_tgf; node ids start at 0 as graph
     editors emit them."""
-    nodes = graph.sorted_nodes()
-    ids = {node: i for i, node in enumerate(nodes)}
+    number = graph.number
     lines = ["graph [", "\tdirected 1"]
-    for node in nodes:
+    for i, node in enumerate(graph.nodes):
         lines += [
             "\tnode [",
-            f"\t\tid {ids[node]}",
+            f"\t\tid {i}",
             f"\t\tlabel {_quote(node.canonical)}",
             "\t]",
         ]
-    for e in graph.sorted_edges():
+    for e in graph.sorted_edges:
         lines += [
             "\tedge [",
-            f"\t\tsource {ids[e.src]}",
-            f"\t\ttarget {ids[e.dst]}",
+            f"\t\tsource {number[e.src]}",
+            f"\t\ttarget {number[e.dst]}",
             f"\t\tlabel {_quote(e.relation)}",
             "\t]",
         ]

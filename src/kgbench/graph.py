@@ -7,12 +7,15 @@ immutable values, made by `build` from node and edge lists in one pass.
 `NodeId` and `Edge` are tuples, so hashing and equality run in C wherever a
 node or an edge enters a set or a dict.
 
+A graph numbers its nodes once, when it is made: `nodes` is the tuple of
+its distinct NodeIds in canonical-text order, and `number` maps each node to
+its position.  Integer order is therefore canonical order, the one node
+order, and the searches in `oracle`, `scoring` and `querygen` run on ints.
+
 The traversal view lives in one index per graph, built in one pass over the
-edges the first time a caller traverses.  It numbers the nodes in canonical
-order, so the searches in `oracle`, `scoring` and `querygen` run on ints and
-integer order is canonical order, the one node order.  It holds, per node,
-the row of (other, relation) links, and per (node, relation) the set of
-nodes reached, which answers `has_link` with one lookup.
+edges the first time a caller traverses.  It holds, per node number, the
+row of (other, relation) links, and per (node, relation) the set of nodes
+reached, which answers `has_link` with one lookup.
 """
 
 from __future__ import annotations
@@ -120,12 +123,9 @@ class Edge(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class TraversalIndex:
-    """The traversal view with nodes numbered in canonical order, so that
-    search runs on ints: node i is `nodes[i]`, and sorting numbers sorts
-    canonical ids.  Read-only; built by `KnowledgeGraph.index`."""
+    """The traversal view on node numbers (`KnowledgeGraph.number`), so that
+    search runs on ints.  Read-only; built by `KnowledgeGraph.index`."""
 
-    nodes: tuple[NodeId, ...]
-    number: dict[NodeId, int]
     # rows[i]: (other, relation-as-traversed) for each link of node i, in
     # the edge set's order, so a reader that needs an order sorts
     rows: tuple[tuple[tuple[int, str], ...], ...]
@@ -135,18 +135,28 @@ class TraversalIndex:
 
 @dataclass(frozen=True)
 class KnowledgeGraph:
-    """Made from an ontology and NodeIds; edges enter only through `build`,
-    which checks each one, so every graph round-trips through the writers.
-    `dataclasses.replace` gives a graph without edges."""
+    """Made from an ontology and any iterable of NodeIds, read once; a
+    repeated node is kept once, and an element that is not a NodeId raises
+    GraphError.  Edges enter only through `build`, which checks each one, so
+    every graph round-trips through the writers.  `dataclasses.replace`
+    gives a graph without edges."""
 
     ontology: RelationOntology
-    nodes: frozenset[NodeId] = frozenset()
+    # the distinct nodes in canonical-text order
+    nodes: tuple[NodeId, ...] = ()
     edges: frozenset[Edge] = field(default=frozenset(), init=False)
+    # number[node]: the node's position in `nodes`
+    number: dict[NodeId, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for node in self.nodes:
+        given = tuple(self.nodes)
+        for node in given:
+            # before the set: a (category, name) tuple equals its NodeId
             if not isinstance(node, NodeId):
                 raise GraphError(f"not a NodeId: {node!r}")
+        nodes = tuple(sorted(set(given), key=lambda n: n.canonical))
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "number", {node: i for i, node in enumerate(nodes)})
 
     @property
     def node_count(self) -> int:
@@ -167,7 +177,7 @@ class KnowledgeGraph:
         given or in the inverse direction (DuplicateEdgeError).  A node that
         is not a NodeId, or an edge that is not an Edge, raises GraphError.
         This is the only way edges enter a graph."""
-        graph = cls(ontology, frozenset(nodes))
+        graph = cls(ontology, nodes)
         kept: set[Edge] = set()
         problems: list[tuple[int, GraphError]] = []
         for position, edge in enumerate(edges):
@@ -187,9 +197,9 @@ class KnowledgeGraph:
         src, relation, dst = edge.src, edge.relation, edge.dst
         if src == dst:
             raise GraphError(f"self-loop on {src}")
-        if src not in self.nodes:
+        if src not in self.number:
             raise GraphError(f"unknown endpoint: {src}")
-        if dst not in self.nodes:
+        if dst not in self.number:
             raise GraphError(f"unknown endpoint: {dst}")
         if relation not in self.ontology:
             raise GraphError(f"unknown relation: {relation!r}")
@@ -207,10 +217,8 @@ class KnowledgeGraph:
         """The traversal index, built at first use and kept for the graph's
         life; building it is left out of `build`, since not every command
         traverses."""
-        nodes = self.sorted_nodes()
-        number = {node: i for i, node in enumerate(nodes)}
-        inverse = self.ontology.inverse
-        rows: list[list[tuple[int, str]]] = [[] for _ in nodes]
+        number, inverse = self.number, self.ontology.inverse
+        rows: list[list[tuple[int, str]]] = [[] for _ in self.nodes]
         links: dict[tuple[int, str], set[int]] = {}
         for edge in self.edges:
             src, dst, relation = number[edge.src], number[edge.dst], edge.relation
@@ -219,34 +227,21 @@ class KnowledgeGraph:
             rows[dst].append((src, back))
             links.setdefault((src, relation), set()).add(dst)
             links.setdefault((dst, back), set()).add(src)
-        return TraversalIndex(nodes, number, tuple(map(tuple, rows)), links)
+        return TraversalIndex(tuple(map(tuple, rows)), links)
 
     def has_link(self, src: NodeId, relation: str, dst: NodeId) -> bool:
         """True iff (src, relation, dst) is a traversal-view edge."""
         if relation not in self.ontology:
             raise GraphError(f"unknown relation: {relation!r}")
-        number = self.index.number
+        number = self.number
         if src not in number:
             raise GraphError(f"unknown node: {src}")
         return number.get(dst) in self.index.links.get((number[src], relation), ())
 
     @cached_property
-    def _sorted_nodes(self) -> tuple[NodeId, ...]:
-        return tuple(sorted(self.nodes, key=lambda n: n.canonical))
-
-    @cached_property
-    def _sorted_edges(self) -> tuple[Edge, ...]:
-        return tuple(
-            sorted(
-                self.edges,
-                key=lambda e: (e.src.canonical, e.relation, e.dst.canonical),
-            )
-        )
-
-    def sorted_nodes(self) -> tuple[NodeId, ...]:
-        """Nodes by canonical id, sorted once per graph."""
-        return self._sorted_nodes
-
     def sorted_edges(self) -> tuple[Edge, ...]:
-        """Edges by canonical (source, relation, target), sorted once per graph."""
-        return self._sorted_edges
+        """Edges by canonical (source, relation, target), sorted once per
+        graph.  Node numbers follow canonical text, which names one node, so
+        sorting on numbers is sorting on text."""
+        number = self.number
+        return tuple(sorted(self.edges, key=lambda e: (number[e.src], e.relation, number[e.dst])))

@@ -17,8 +17,8 @@ Its cost follows the number of paths it returns rather than the size of the
 graph around the source.  That number is capped at PATH_BUDGET per call;
 past the cap it raises PathBudgetError rather than return a truncated key.
 
-Both searches run on the graph's traversal index (`KnowledgeGraph.index`),
-where nodes are ints numbered in canonical order: the BFS and the DFS walk
+Both searches run on node numbers (`KnowledgeGraph.number`, which follow
+canonical order) and the graph's traversal index: the BFS and the DFS walk
 its rows, and the pattern matcher takes a variable's candidates from its
 per-(node, relation) sets.  NodeIds go in and come out, in canonical order,
 the order keys are held and written in: the int results are sorted once, as
@@ -120,7 +120,7 @@ def _check_pattern(graph: KnowledgeGraph, triples: list[PatternTriple]) -> None:
         if t.relation not in graph.ontology:
             raise OracleError(f"unknown relation: {t.relation!r}")
         for end in (t.subject, t.object):
-            if isinstance(end, NodeId) and end not in graph.nodes:
+            if isinstance(end, NodeId) and end not in graph.number:
                 raise OracleError(f"unknown constant: {end}")
 
 
@@ -138,12 +138,12 @@ def solve_pattern(
     with naive enumeration over all node tuples (see tests).
     """
     _check_pattern(graph, triples)
-    index = graph.index
+    nodes, number, links = graph.nodes, graph.number, graph.index.links
     variables = pattern_variables(triples)
     order = {v.name: i for i, v in enumerate(variables)}
 
     def ref(end: NodeId | Variable) -> int | Variable:
-        return end if isinstance(end, Variable) else index.number[end]
+        return end if isinstance(end, Variable) else number[end]
 
     constants = {
         ref(end) for t in triples for end in (t.subject, t.object) if isinstance(end, NodeId)
@@ -175,21 +175,24 @@ def solve_pattern(
         pool: set[int] | None = None
         for end, relation in attached[idx]:
             anchor = binding[end.name] if isinstance(end, Variable) else end
-            found = index.links.get((anchor, relation), set())
+            found = links.get((anchor, relation), set())
             pool = found if pool is None else pool & found
         if pool is None:
-            pool = set(range(len(index.nodes)))
+            pool = set(range(len(nodes)))
         var = variables[idx]
         if var.category is not None:
-            pool = {i for i in pool if index.nodes[i].category == var.category}
+            pool = {i for i in pool if nodes[i].category == var.category}
         for node in pool - constants - set(binding.values()):
             binding[var.name] = node
             search(idx + 1, binding)
             del binding[var.name]
 
-    search(0, {})
+    try:
+        search(0, {})
+    finally:
+        del search  # it refers to itself: a cycle that would keep the links
     # numbers sort as canonical ids
-    return [frozenset(zip(names, [index.nodes[i] for i in row])) for row in sorted(results)]
+    return [frozenset(zip(names, [nodes[i] for i in row])) for row in sorted(results)]
 
 
 def _distances_to(
@@ -231,7 +234,7 @@ def enumerate_paths(
     if source == target:
         raise OracleError("source and target must differ")
     for n in (source, target):
-        if n not in graph.nodes:
+        if n not in graph.number:
             raise OracleError(f"unknown node: {n}")
     # a simple path has at most node_count - 1 edges: no bound, or a larger
     # one, is that bound
@@ -239,9 +242,8 @@ def enumerate_paths(
     bound = longest if max_edges is None else min(max_edges, longest)
     if bound <= 0:
         return []
-    index = graph.index
-    rows = index.rows
-    start, goal = index.number[source], index.number[target]
+    rows = graph.index.rows
+    start, goal = graph.number[source], graph.number[target]
     # reach[i]: node i's distance to the goal, or bound when it is further
     # than bound - 1 or already on the path: either way too far to enter
     reach = _distances_to(rows, goal, bound - 1)
@@ -267,11 +269,14 @@ def enumerate_paths(
                 del route[-2:]
                 reach[other] = distance
 
-    dfs(start, bound - 1)
+    try:
+        dfs(start, bound - 1)
+    finally:
+        del dfs  # it refers to itself: a cycle that would keep every path found
     # numbers sort as canonical ids, so this is canonical order
     found.sort()
     found.sort(key=len)
-    nodes = index.nodes
+    nodes = graph.nodes
     return [Path(tuple([nodes[i] for i in p[::2]]), p[1::2]) for p in found]
 
 
@@ -286,7 +291,7 @@ def answer_choice(
     if not options:
         raise OracleError("empty option list")
     for n in (subject, object):
-        if n not in graph.nodes:
+        if n not in graph.number:
             raise OracleError(f"unknown node: {n}")
     correct = set()
     for i, rel in enumerate(options):

@@ -203,8 +203,9 @@ class _Decoder:
     that raises, so each occurrence of a malformed text reports."""
 
     def __init__(self):
-        self.node_ref = cache(decode_node_ref)
-        self.node = cache(lambda text: _concrete(self.node_ref(text), text))
+        # the lambda holds node_ref, not self: a decoder is no cycle
+        self.node_ref = node_ref = cache(decode_node_ref)
+        self.node = cache(lambda text: _concrete(node_ref(text), text))
         self.relation = cache(decode_relation)
 
 

@@ -98,10 +98,9 @@ def _sample_connected_edges(
 ) -> list[tuple[NodeId, str, NodeId]]:
     """Random connected set of traversal-view edges grown from a seed node.
     Edges are returned in traversal orientation (as walked).  The draws run
-    on index numbers, so the fringe is sorted in canonical order."""
-    index = graph.index
-    rows, inverse = index.rows, graph.ontology.inverse
-    start = rng.choice(range(len(index.nodes)))
+    on node numbers, so the fringe is sorted in canonical order."""
+    rows, inverse = graph.index.rows, graph.ontology.inverse
+    start = rng.choice(range(len(graph.nodes)))
     chosen: list[tuple[int, str, int]] = []
     taken: set[tuple[int, str, int]] = set()
     frontier = [start]
@@ -117,7 +116,7 @@ def _sample_connected_edges(
         taken.add((b, inverse[r], a))
         if b not in frontier:
             frontier.append(b)
-    nodes = index.nodes
+    nodes = graph.nodes
     return [(nodes[a], r, nodes[b]) for a, r, b in chosen]
 
 
@@ -197,7 +196,7 @@ def generate_choice(
     known by construction; the CLI self-check recomputes it independently."""
     if n_options < 1:
         raise ValueError("n_options must be >= 1")
-    all_edges = graph.sorted_edges()
+    all_edges = graph.sorted_edges
     all_relations = sorted(graph.ontology.relations)
 
     def draft(rng: SplitMix64, qid: str) -> ChoiceQuery | None:
@@ -233,7 +232,7 @@ def generate_path(
     """Sample connected Person pairs; the key is the exhaustive simple-path
     set up to max_edges.  A pair with more paths than the oracle's
     PATH_BUDGET is rejected like an unconnected one."""
-    persons = [n for n in graph.sorted_nodes() if n.category == PERSON]
+    persons = [n for n in graph.nodes if n.category == PERSON]
 
     def draft(rng: SplitMix64, qid: str) -> PathQuery | None:
         source, target = rng.sample(persons, 2)

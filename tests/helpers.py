@@ -3,6 +3,7 @@ reference implementations the optimized code is checked against."""
 
 from __future__ import annotations
 
+import gc
 import itertools
 import re
 import xml.etree.ElementTree as ET
@@ -86,12 +87,24 @@ def built(
     return graph
 
 
+def canonical_nodes(graph: KnowledgeGraph) -> list[NodeId]:
+    """The graph's nodes by canonical text, the order `graph.nodes` holds."""
+    return sorted(graph.nodes, key=lambda n: n.canonical)
+
+
+def canonical_edge_key(edge: Edge) -> tuple[str, str, str]:
+    """The canonical edge order, on text: the order `graph.sorted_edges`
+    holds, though it sorts on node numbers."""
+    return (edge.src.canonical, edge.relation, edge.dst.canonical)
+
+
 def reference_build(
     ontology: RelationOntology, nodes: list[NodeId], edges: list[Edge]
-) -> tuple[frozenset[NodeId], frozenset[Edge], list[tuple[int, bool, str]]]:
+) -> tuple[tuple[NodeId, ...], frozenset[Edge], list[tuple[int, bool, str]]]:
     """The specification of KnowledgeGraph.build, one edge at a time: the
-    nodes, the edges kept, and for each rejected edge, in order, its position
-    in `edges`, whether it restates a kept one and its message."""
+    distinct nodes by canonical text, the edges kept, and for each rejected
+    edge, in order, its position in `edges`, whether it restates a kept one
+    and its message."""
     declared = set(nodes)
     kept: list[Edge] = []
     problems = []
@@ -113,7 +126,20 @@ def reference_build(
             )))
         else:
             kept.append(edge)
-    return frozenset(declared), frozenset(kept), problems
+    nodes = tuple(sorted(declared, key=lambda n: n.canonical))
+    return nodes, frozenset(kept), problems
+
+
+def cyclic_garbage(call) -> int:
+    """The objects `call()` leaves that only the cycle collector frees: it
+    runs with the collector off, and a full collection counts them."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 def reference_check_node(category: str, name: str) -> None:
@@ -155,7 +181,7 @@ def reference_sample_connected_edges(
     as (category, name) tuples: the same draws as the index version on any
     graph where no category is a prefix of another."""
     links = naive_traversal(graph)
-    start = rng.choice(graph.sorted_nodes())
+    start = rng.choice(canonical_nodes(graph))
     chosen: list[tuple[NodeId, str, NodeId]] = []
     taken: set[tuple[NodeId, str, NodeId]] = set()
     frontier = [start]
@@ -197,7 +223,7 @@ def naive_solve_pattern(graph: KnowledgeGraph, triples: list[PatternTriple]):
         end for t in triples for end in (t.subject, t.object)
         if isinstance(end, NodeId)
     }
-    nodes = graph.sorted_nodes()
+    nodes = canonical_nodes(graph)
     results = set()
     for combo in itertools.product(nodes, repeat=len(variables)):
         if len(set(combo)) != len(combo):

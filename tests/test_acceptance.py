@@ -126,7 +126,7 @@ def test_criterion_6_oracle_equivalence():
     for seed in range(200):
         g = random_graph(seed, max_nodes=12, max_edges=20)
         rng = SplitMix64(seed * 31 + 1)
-        nodes = g.sorted_nodes()
+        nodes = g.nodes
         relations = sorted(g.ontology.relations)
         n_vars = 1 + rng.randrange(3)
         variables = [Variable(f"Unknown_{i+1}") for i in range(n_vars)]
@@ -146,7 +146,7 @@ def test_criterion_6_oracle_equivalence():
     for seed in range(200):
         g = random_graph(seed + 1000, max_nodes=10, max_edges=18)
         rng = SplitMix64(seed * 17 + 3)
-        nodes = g.sorted_nodes()
+        nodes = g.nodes
         source, target = nodes[0], nodes[-1]
         if source == target:
             continue

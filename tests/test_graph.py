@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import built, naive_traversal, random_graph, reference_build
+from helpers import (
+    built,
+    canonical_edge_key,
+    canonical_nodes,
+    naive_traversal,
+    random_graph,
+    reference_build,
+)
+from kgbench.formats import emit_tgf, parse_tgf
 from kgbench.graph import (
     DuplicateEdgeError,
     Edge,
@@ -15,6 +23,7 @@ from kgbench.graph import (
     person,
 )
 from kgbench.ontology import load_ontology
+from kgbench.querygen import GenerationError, generate_path
 
 ONT = load_ontology(
     "Spouse of | Spouse of\n"
@@ -89,8 +98,45 @@ def test_build_merges_repeated_nodes():
     g = built(ONT, [person("Homer"), person("Homer")])
     assert g.node_count == 1
     assert built(ONT, [person("Homer"), person("Marge"), person("Homer")]).node_count == 2
-    assert g.nodes == {person("Homer")}
+    assert g.nodes == (person("Homer"),)
     assert empty().node_count == 0
+
+
+def test_the_constructor_keeps_each_node_once_in_canonical_order():
+    a, b = person("A"), person("B")
+    g = KnowledgeGraph(ONT, [b, a, a])
+    assert (g.nodes, g.number, g.node_count) == ((a, b), {a: 0, b: 1}, 2)
+    assert emit_tgf(g) == "1 Person:A\n2 Person:B\n#\n"
+    assert parse_tgf(emit_tgf(g), ONT) == (g, [])
+    with pytest.raises(GenerationError, match="fewer than two Person nodes"):
+        generate_path(KnowledgeGraph(ONT, [a, a]), seed=1, count=1)
+    # a set or a generator is read once and held as the tuple
+    assert KnowledgeGraph(ONT, {b, a}).nodes == (a, b)
+    assert KnowledgeGraph(ONT, (n for n in [b, a])).nodes == (a, b)
+    # a (category, name) tuple equals its NodeId: refused before repeats fold
+    for nodes in ([a, ("Person", "A")], [("Person", "A"), a]):
+        with pytest.raises(GraphError, match="not a NodeId"):
+            KnowledgeGraph.build(ONT, nodes, [])
+
+
+# "Per son:x" sorts before "Per:x" as text (" " < ":"), though the tuple
+# ("Per", "x") sorts before ("Per son", "x")
+NUMBERED = st.builds(
+    NodeId, st.sampled_from(["Per", "Per son", "Person", "Entity"]),
+    st.sampled_from(["x", "x y", "x:y", "A", "Z"]),
+)
+
+
+@given(st.lists(NUMBERED, min_size=1, max_size=12), st.data())
+def test_node_numbers_follow_canonical_text(nodes, data):
+    end = st.sampled_from(nodes)
+    edge = st.builds(Edge, end, st.sampled_from(sorted(ONT.relations)), end)
+    g = KnowledgeGraph.build(ONT, nodes, data.draw(st.lists(edge, max_size=20)))[0]
+    assert list(g.nodes) == canonical_nodes(g)
+    assert set(g.nodes) == set(nodes) and len(g.nodes) == len(set(nodes))
+    assert all(g.number[node] == i for i, node in enumerate(g.nodes))
+    assert len(g.number) == len(g.nodes)
+    assert g.sorted_edges == tuple(sorted(g.edges, key=canonical_edge_key))
 
 
 def test_build_drops_duplicate_edges():
@@ -155,7 +201,7 @@ def test_neighbors_both_directions():
     marge, bart, lisa = person("Marge"), person("Bart"), person("Lisa")
     g = built(ONT, [marge, bart, lisa], [(marge, "Parent of", bart), (marge, "Parent of", lisa)])
     index = g.index
-    m, b, li = (index.number[n] for n in (marge, bart, lisa))
+    m, b, li = (g.number[n] for n in (marge, bart, lisa))
     assert sorted(index.rows[m]) == [(b, "Parent of"), (li, "Parent of")]
     assert index.rows[b] == ((m, "Child of"),)
     assert index.links == {
@@ -200,11 +246,11 @@ def test_neighbors_deterministic_and_duplicate_free(seed):
 def test_traversal_queries_equal_the_reference(seed, edges):
     g = random_graph(seed, max_edges=edges)
     links = naive_traversal(g)
-    nodes = g.sorted_nodes()
+    nodes = g.nodes
     stranger = person("Stranger")
     for node in nodes:
-        row = sorted((g.index.number[o], r) for s, r, o in links if s == node)
-        assert sorted(g.index.rows[g.index.number[node]]) == row
+        row = sorted((g.number[o], r) for s, r, o in links if s == node)
+        assert sorted(g.index.rows[g.number[node]]) == row
         for rel in sorted(g.ontology.relations):
             for other in nodes:
                 assert g.has_link(node, rel, other) is ((node, rel, other) in links)
@@ -232,11 +278,10 @@ def test_order_independence():
 
 
 def test_sorted_views_are_cached_tuples(simpsons):
-    assert isinstance(simpsons.sorted_nodes(), tuple)
-    assert isinstance(simpsons.sorted_edges(), tuple)
-    assert simpsons.sorted_nodes() is simpsons.sorted_nodes()
-    assert simpsons.sorted_edges() is simpsons.sorted_edges()
-    assert list(simpsons.sorted_nodes()) == sorted(simpsons.nodes, key=str)
+    assert isinstance(simpsons.nodes, tuple)
+    assert isinstance(simpsons.sorted_edges, tuple)
+    assert simpsons.sorted_edges is simpsons.sorted_edges
+    assert list(simpsons.nodes) == sorted(simpsons.nodes, key=str)
 
 
 # Person:E is never declared, "Owns" is not in ONT
@@ -315,4 +360,4 @@ def test_edges_enter_only_through_build():
     with pytest.raises(TypeError):
         KnowledgeGraph(ONT, frozenset([a, b]), edges=frozenset())
     graph = built(ONT, [a, b], [(a, "Child of", b)])
-    assert dataclasses.replace(graph, nodes=graph.nodes | {person("C")}).edges == frozenset()
+    assert dataclasses.replace(graph, nodes=(*graph.nodes, person("C"))).edges == frozenset()

@@ -9,6 +9,7 @@ from helpers import (
     built,
     canonical_bindings,
     canonical_paths,
+    cyclic_garbage,
     naive_solve_pattern,
     random_graph,
     reference_enumerate_paths,
@@ -134,7 +135,7 @@ def test_path_errors(simpsons):
 @pytest.mark.parametrize("seed", range(50))
 def test_paths_match_reference(seed):
     g = random_graph(seed, max_nodes=8, max_edges=14)
-    nodes = g.sorted_nodes()
+    nodes = g.nodes
     rng = SplitMix64(seed)
     source, target = nodes[0], nodes[-1]
     if source == target:
@@ -148,7 +149,7 @@ def test_paths_match_reference(seed):
 @pytest.mark.parametrize("seed", range(20))
 def test_path_monotonicity(seed):
     g = random_graph(seed, max_nodes=7, max_edges=12)
-    nodes = g.sorted_nodes()
+    nodes = g.nodes
     source, target = nodes[0], nodes[-1]
     for m in range(1, 5):
         assert set(enumerate_paths(g, source, target, m)) <= set(
@@ -175,7 +176,7 @@ def test_unbounded_on_acyclic_fixture():
 def test_pruned_paths_equal_the_reference(seed, edges, ends, bound):
     # sparse graphs often put the target in another component than the source
     g = random_graph(seed, max_nodes=14, max_edges=edges)
-    nodes = g.sorted_nodes()
+    nodes = g.nodes
     source = nodes[ends[0] % len(nodes)]
     target = nodes[(ends[0] + 1 + ends[1] % (len(nodes) - 1)) % len(nodes)]
     expected = canonical_paths(reference_enumerate_paths(g, source, target, bound))
@@ -234,12 +235,28 @@ def test_path_budget(simpsons, monkeypatch):
     )
 
 
+def test_searches_leave_no_cyclic_garbage(simpsons, monkeypatch):
+    # a recursive closure refers to itself; the searches drop theirs, so
+    # the links and the paths found are freed without a full collection
+    homer, bart = person("Homer"), person("Bart")
+    pattern = [PatternTriple(Variable("Unknown_1", PERSON), "Parent of", bart)]
+    assert cyclic_garbage(lambda: solve_pattern(simpsons, pattern)) == 0
+    assert cyclic_garbage(lambda: enumerate_paths(simpsons, homer, bart, 4)) == 0
+    monkeypatch.setattr(oracle, "PATH_BUDGET", 1)
+
+    def over_budget():
+        with pytest.raises(PathBudgetError):
+            enumerate_paths(simpsons, homer, bart, 4)
+
+    assert cyclic_garbage(over_budget) == 0
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_solve_matches_naive(seed):
     g = random_graph(seed, max_nodes=8, max_edges=14)
     rng = SplitMix64(seed + 1)
     relations = sorted(g.ontology.relations)
-    nodes = g.sorted_nodes()
+    nodes = g.nodes
     n_vars = 1 + rng.randrange(3)
     variables = [Variable(f"Unknown_{i+1}") for i in range(n_vars)]
     triples = []
@@ -268,7 +285,7 @@ def patterns(draw):
         st.sampled_from(["Unknown_1", "Unknown_2", "Unknown_3"]),
         st.sampled_from([None, PERSON, ENTITY, LOCATION]),
     )
-    end = st.one_of(st.sampled_from(g.sorted_nodes()), variable)
+    end = st.one_of(st.sampled_from(g.nodes), variable)
     free = st.builds(PatternTriple, end, st.sampled_from(sorted(g.ontology.relations)), end)
     triples = draw(st.lists(free, min_size=0 if g.edge_count else 1, max_size=1))
     if g.edge_count:
@@ -281,7 +298,7 @@ def patterns(draw):
             return PatternTriple(subject or s, r, object or o)
 
         hidden = st.one_of(st.none(), variable)
-        on_edge = st.builds(read, st.sampled_from(g.sorted_edges()), st.booleans(), hidden, hidden)
+        on_edge = st.builds(read, st.sampled_from(g.sorted_edges), st.booleans(), hidden, hidden)
         triples += draw(st.lists(on_edge, min_size=1 - len(triples), max_size=4 - len(triples)))
     return g, draw(st.permutations(triples))
 
@@ -302,7 +319,7 @@ def test_oracle_keys_are_tuples_in_canonical_order(pattern, data):
     assert type(key) is tuple
     # each binding once, in the order of the reference sort
     assert list(key) == canonical_bindings(set(key))
-    source, target = data.draw(st.permutations(g.sorted_nodes()))[:2]
+    source, target = data.draw(st.permutations(g.nodes))[:2]
     bound = data.draw(st.integers(1, 6))
     key = oracle_key(g, PathQuery("Q.C.1", source, target, bound, ()))
     assert type(key) is tuple

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import reference_emit_document, reference_emit_submission
+from helpers import cyclic_garbage, reference_emit_document, reference_emit_submission
 from kgbench.graph import NodeId, entity, is_variable_name, person
 from kgbench.ontology import canonical_label, non_xml_char
 from kgbench.oracle import Path, PatternTriple, Variable
@@ -753,3 +753,9 @@ def test_each_malformed_text_reports_every_time():
     kept = parsed.answers["Q.C.1"]
     assert len(kept) == n
     assert len({id(node) for p in kept for node in p.nodes}) == 2  # shared NodeIds
+
+
+@pytest.mark.parametrize("t", "abc")
+def test_parsing_a_key_leaves_no_cyclic_garbage(t):
+    text = (GOLDEN / f"keys_{t}.xml").read_text(encoding="utf-8")
+    assert cyclic_garbage(lambda: parse_key_xml(text)) == 0

@@ -192,9 +192,9 @@ def mutated_paths(draw):
     after up to three mutations."""
     g = random_graph(draw(st.integers(0, 2**32)), max_nodes=8, max_edges=14)
     assume(g.edge_count)
-    edge = draw(st.sampled_from(g.sorted_edges()))
+    edge = draw(st.sampled_from(g.sorted_edges))
     source = edge.src
-    target = draw(st.sampled_from([n for n in g.sorted_nodes() if n != source]))
+    target = draw(st.sampled_from([n for n in g.nodes if n != source]))
     if not reference_enumerate_paths(g, source, target, None):
         target = edge.dst
     bound = draw(st.integers(1, 6))
