@@ -1,12 +1,14 @@
 """Command-line surface: validate-graph, gen-queries, answer, score, stats.
 
-Exit codes: 0 success, 1 content error (parse failures, insufficient
-structure), 2 I/O or usage error.  All randomness flows from --seed.
+Exit codes: 0 success, 1 content error (parse failures, a file that is not
+UTF-8, insufficient structure), 2 I/O or usage error.  All randomness flows
+from --seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -39,10 +41,13 @@ class CliError(Exception):
 
 
 def _read_file(path: str) -> str:
+    """A file's text; a file that is not UTF-8 is a content error."""
     try:
         return FsPath(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: {exc}", EXIT_CONTENT) from None
 
 
 def _write_file(path: FsPath, text: str) -> None:
@@ -334,16 +339,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command with the cycle collector paused, and put the
+    caller's collector state back afterwards.  A command builds acyclic
+    data: the cyclic garbage it leaves is the same on any input
+    (tests/test_cli.py checks it), so the collector's repeated walks of the
+    growing element trees and indexes would free nothing."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_IO if exc.code not in (0, None) else 0
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ numbers follow canonical order, and only then made bindings and `Path`s.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import GraphError, KnowledgeGraph, NodeId, is_variable_name
 
@@ -78,17 +79,35 @@ class PatternTriple:
     object: NodeId | Variable
 
 
-@dataclass(frozen=True)
-class Path:
-    """Simple route: nodes[0], relations[0], nodes[1], ..., nodes[-1].
-    Relations are as traversed (stored or inverse direction)."""
-
+class _PathFields(NamedTuple):
     nodes: tuple[NodeId, ...]
     relations: tuple[str, ...]
 
-    def __post_init__(self):
-        if len(self.nodes) != len(self.relations) + 1 or not self.relations:
+
+class Path(_PathFields):
+    """Simple route: nodes[0], relations[0], nodes[1], ..., nodes[-1].
+    Relations are as traversed (stored or inverse direction).
+
+    A tuple subclass, as `NodeId` is: a Path equals, and hashes as, its
+    `(nodes, relations)` tuple, so the sets that match submitted paths
+    against a key hash in C.  Paths follow the key's canonical order (see
+    `enumerate_paths`) and are never ordered by tuple comparison.
+
+    The constructor holds the alternation rule, so no Path exists
+    unchecked: one more node than relations, and at least one relation;
+    else OracleError."""
+
+    __slots__ = ()
+
+    def __new__(cls, nodes: tuple[NodeId, ...], relations: tuple[str, ...]) -> "Path":
+        if len(nodes) != len(relations) + 1 or not relations:
             raise OracleError("path must alternate n0, r1, n1, ... with k >= 1")
+        return tuple.__new__(cls, (nodes, relations))
+
+    @classmethod
+    def _make(cls, iterable) -> "Path":
+        # namedtuple's _make, which _replace calls, would skip the check
+        return cls(*iterable)
 
     @property
     def length(self) -> int:

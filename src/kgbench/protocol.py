@@ -200,29 +200,37 @@ class _Decoder:
     """The node and relation decoders of one document, which is untrusted
     and so owns its memos: each distinct text is decoded once, and equal
     texts decode to one shared value.  A cache keeps nothing for a call
-    that raises, so each occurrence of a malformed text reports."""
+    that raises, so each occurrence of a malformed text reports.  The
+    expected tags of a path element are made once per child count."""
 
     def __init__(self):
         # the lambda holds node_ref, not self: a decoder is no cycle
         self.node_ref = node_ref = cache(decode_node_ref)
         self.node = cache(lambda text: _concrete(node_ref(text), text))
         self.relation = cache(decode_relation)
+        self.path_tags = cache(_path_tags)
+
+
+def _path_tags(count: int) -> list[str]:
+    """The tags of a path element with `count` (odd, >= 3) children."""
+    return ["Source"] + ["Edge", "Node"] * ((count - 3) // 2) + ["Edge", "Target"]
 
 
 def _parse_path_element(el: ET.Element, decoded: _Decoder) -> Path:
-    children = list(el)
-    if len(children) < 3 or len(children) % 2 == 0:
+    """Source, then (Edge, Node) pairs, then Edge and Target: the tags are
+    checked, and the texts read once, nodes decoded before relations."""
+    tags = [c.tag for c in el]
+    if len(tags) < 3 or len(tags) % 2 == 0:
         raise ProtocolError("path must alternate Source/Edge/Node/.../Target")
-    inner = (len(children) - 3) // 2
-    expected = ["Source"] + ["Edge", "Node"] * inner + ["Edge", "Target"]
-    tags = [c.tag for c in children]
+    expected = decoded.path_tags(len(tags))
     if tags != expected:
         raise ProtocolError(
             f"path elements out of order: got {tags}, expected {expected}"
         )
-    nodes = [decoded.node(c.text or "") for c in children if c.tag != "Edge"]
-    relations = [decoded.relation(c.text or "") for c in children if c.tag == "Edge"]
-    return Path(tuple(nodes), tuple(relations))
+    texts = [c.text or "" for c in el]
+    return Path(
+        tuple(map(decoded.node, texts[::2])), tuple(map(decoded.relation, texts[1::2]))
+    )
 
 
 # --- query and key files ----------------------------------------------------

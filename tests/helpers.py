@@ -27,6 +27,7 @@ from kgbench.protocol import (
     SubmissionA,
     SubmissionB,
     SubmissionC,
+    _Decoder,
     _query_type,
     encode_node_ref,
     encode_relation,
@@ -620,3 +621,21 @@ def reference_emit_submission(sub: SubmissionA | SubmissionB | SubmissionC) -> s
             for i, path in enumerate(sub.answers[qid], start=1):
                 qel.append(_reference_path(path, i))
     return _reference_document(root)
+
+
+def reference_parse_path_element(el: ET.Element, decoded: _Decoder) -> Path:
+    """A submitted or keyed `Path` element read in several passes: the tags
+    against the expected list, then the nodes, then the relations."""
+    children = list(el)
+    if len(children) < 3 or len(children) % 2 == 0:
+        raise ProtocolError("path must alternate Source/Edge/Node/.../Target")
+    inner = (len(children) - 3) // 2
+    expected = ["Source"] + ["Edge", "Node"] * inner + ["Edge", "Target"]
+    tags = [c.tag for c in children]
+    if tags != expected:
+        raise ProtocolError(
+            f"path elements out of order: got {tags}, expected {expected}"
+        )
+    nodes = [decoded.node(c.text or "") for c in children if c.tag != "Edge"]
+    relations = [decoded.relation(c.text or "") for c in children if c.tag == "Edge"]
+    return Path(tuple(nodes), tuple(relations))

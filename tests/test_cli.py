@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import naive_traversal, random_graph
+from helpers import cyclic_garbage, naive_traversal, random_graph
 from kgbench import cli, oracle
 from kgbench.cli import main
 from kgbench.graph import person
@@ -68,6 +69,19 @@ def test_validate_parse_error(tmp_path, capsys):
 
 def test_validate_missing_file():
     assert main(["validate-graph", *graph_args("/nonexistent/x.tgf")]) == 2
+
+
+@pytest.mark.parametrize("which", ["graph", "ontology"])
+def test_a_file_that_is_not_utf8_is_a_content_error(tmp_path, capsys, which):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"1 Person:A\xff\n#\n")
+    graph, ontology = (str(bad), ONT) if which == "graph" else (GRAPH, str(bad))
+    code = main(["validate-graph", "--graph", graph, "--ontology", ontology])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 10: "
+        "invalid start byte\n"
+    )
 
 
 def test_stats(capsys):
@@ -655,3 +669,83 @@ def test_a_submission_diagnostic_reads_as_a_graph_diagnostic(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"{sub}: warning: Q.C.999: submission references an unknown query id; ignored\n"
     )
+
+
+def grown_simpsons(path: Path, copies: int) -> str:
+    """The Simpsons world `copies` times over, copy k's names ending in k:
+    a graph `copies` times the size, written to `path`."""
+    nodes, edges = Path(GRAPH).read_text(encoding="utf-8").split("#\n")
+    size = len(nodes.splitlines())
+    lines = []
+    for k in range(copies):
+        for line in nodes.splitlines():
+            number, node = line.split(" ", 1)
+            lines.append(f"{int(number) + k * size} {node} {k}")
+    lines.append("#")
+    for k in range(copies):
+        for line in edges.splitlines():
+            a, b, relation = line.split(" ", 2)
+            lines.append(f"{int(a) + k * size} {int(b) + k * size} {relation}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def small_and_large(tmp_path_factory):
+    """The Simpsons world and one 12 times its size, each with the files of
+    one pipeline run in its directory."""
+    worlds = []
+    for copies in (1, 12):
+        out = tmp_path_factory.mktemp(f"copies{copies}")
+        graph = GRAPH if copies == 1 else grown_simpsons(out / "world.tgf", copies)
+        for argv in pipeline_commands(out, seed=3, graph=graph):
+            assert main(argv) == 0
+        absent = PathQuery("Q.C.1", person("Nobody"), person("Homer"), 4, ())
+        (out / "absent.xml").write_text(emit_query_xml([absent]), encoding="utf-8")
+        worlds.append((graph, out))
+    return worlds
+
+
+PIPELINE_CASES = ["gen-queries", "answer a", "answer b", "answer c", "score"]
+
+
+def garbage_case(case: str, graph: str, out: Path) -> tuple[list[str], int]:
+    """The argv of `case` on one world of `small_and_large`, and its exit code."""
+    if case in ("validate-graph", "stats"):
+        return [case, *graph_args(graph)], 0
+    if case in PIPELINE_CASES:
+        return pipeline_commands(out, seed=3, graph=graph)[PIPELINE_CASES.index(case)], 0
+    answer = ["answer", *graph_args(graph), "--queries"]
+    if case == "exit 1":  # a query naming a node not in the graph
+        return [*answer, str(out / "absent.xml"), "--out", str(out / "absent_sub.xml")], 1
+    # exit 2: absent.xml is a file, so no directory can be made under it
+    return [*answer, str(out / "queries_c.xml"), "--out", str(out / "absent.xml" / "s.xml")], 2
+
+
+@pytest.mark.parametrize(
+    "case", ["validate-graph", "stats", *PIPELINE_CASES, "exit 1", "exit 2"]
+)
+def test_cyclic_garbage_does_not_grow_with_the_graph(small_and_large, capsys, case):
+    # commands run with the collector paused, which is safe only while what
+    # they leave for it stays the same on any input; the count itself
+    # differs between Python versions (argparse, json)
+    counts = []
+    for graph, out in small_and_large:
+        argv, code = garbage_case(case, graph, out)
+        assert main(argv) == code  # a first call fills one-time caches
+        counts.append(cyclic_garbage(lambda: main(argv)))
+    assert counts[0] == counts[1], counts
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_pauses_the_collector_and_restores_it(monkeypatch, capsys, enabled):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_stats", lambda args: seen.append(gc.isenabled()) or 0)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["stats", *graph_args()]) == 0
+        after = gc.isenabled()
+    finally:
+        gc.enable()
+    assert seen == [False]
+    assert after is enabled

@@ -125,6 +125,32 @@ def test_two_node_single_path():
     assert paths == [Path((person("A"), person("B")), ("Friend of",))]
 
 
+def test_a_path_equals_and_hashes_as_its_tuple():
+    nodes, relations = (person("A"), person("B")), ("Friend of",)
+    path = Path(nodes, relations)
+    assert path == (nodes, relations) and hash(path) == hash((nodes, relations))
+    assert {path} == {(nodes, relations)}
+    assert (path.source, path.target, path.length) == (person("A"), person("B"), 1)
+    assert repr(path) == f"Path(nodes={nodes!r}, relations=('Friend of',))"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda p: Path(p.nodes, ()),
+        lambda p: Path(p.nodes[:1], p.relations),
+        lambda p: Path._make((p.nodes, p.relations * 2)),
+        lambda p: p._replace(relations=()),
+        lambda p: p._replace(nodes=p.nodes * 2),
+    ],
+    ids=["no relation", "one node", "_make", "_replace relations", "_replace nodes"],
+)
+def test_no_path_skips_the_alternation_check(make):
+    path = Path((person("A"), person("B")), ("Friend of",))
+    with pytest.raises(OracleError, match="path must alternate n0, r1, n1, ... with k >= 1"):
+        make(path)
+
+
 def test_path_errors(simpsons):
     with pytest.raises(OracleError, match="differ"):
         enumerate_paths(simpsons, person("Homer"), person("Homer"))

@@ -7,12 +7,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import cyclic_garbage, reference_emit_document, reference_emit_submission
+from helpers import (
+    cyclic_garbage,
+    reference_emit_document,
+    reference_emit_submission,
+    reference_parse_path_element,
+)
 from kgbench.graph import NodeId, entity, is_variable_name, person
 from kgbench.ontology import canonical_label, non_xml_char
 from kgbench.oracle import Path, PatternTriple, Variable
 from kgbench.protocol import (
     ProtocolError,
+    _Decoder,
+    _parse_path_element,
     SubmissionA,
     SubmissionB,
     SubmissionC,
@@ -317,6 +324,48 @@ def test_an_error_inside_a_query_names_it_once(t, good, bad, message):
     with pytest.raises(ProtocolError) as exc:
         parse_key_xml(text.replace(good, bad, 1))
     assert str(exc.value) == f"Q.{t.upper()}.1: {message}"
+
+
+PATH_TAGS = ["Source", "Edge", "Node", "Target", "Hop"]
+PATH_NODES = ["Person:Homer", "Person:Marge", "Person:Bart"]
+PATH_RELATIONS = ["Relation:Spouse_of", "Relation:Friend_of"]
+BAD_PATH_TEXTS = [
+    "Homer",  # no category prefix
+    "Person:Unknown_1",  # a variable
+    "Spouse_of",  # a relation without its prefix
+    None,
+]
+
+
+@st.composite
+def path_children(draw) -> list[tuple[str, str | None]]:
+    """A path element's children as (tag, text): any tags and texts, or the
+    valid layout with good texts and at most two bad ones."""
+    if draw(st.booleans()):
+        texts = PATH_NODES + PATH_RELATIONS + BAD_PATH_TEXTS
+        child = st.tuples(st.sampled_from(PATH_TAGS), st.sampled_from(texts))
+        return draw(st.lists(child, max_size=9))
+    edges = draw(st.integers(1, 4))
+    tags = ["Source"] + ["Edge", "Node"] * (edges - 1) + ["Edge", "Target"]
+    texts = [draw(st.sampled_from(PATH_RELATIONS if t == "Edge" else PATH_NODES)) for t in tags]
+    for _ in range(draw(st.integers(0, 2))):
+        texts[draw(st.integers(0, len(texts) - 1))] = draw(st.sampled_from(BAD_PATH_TEXTS))
+    return list(zip(tags, texts))
+
+
+@given(path_children())
+def test_path_elements_decode_as_the_reference_does(children):
+    el = ET.Element("Path")
+    for tag, text in children:
+        ET.SubElement(el, tag).text = text
+    outcomes = []
+    for parse in (_parse_path_element, reference_parse_path_element):
+        try:
+            outcomes.append(parse(el, _Decoder()))
+        except Exception as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+    assert type(outcomes[0]) is type(outcomes[1])
 
 
 def test_submission_round_trip_a():
