@@ -19,6 +19,7 @@ from .graph import KnowledgeGraph
 from .ontology import XML_CHAR_RULE, OntologyError, is_decimal, load_ontology, non_xml_char
 from .oracle import OracleError, PathBudgetError
 from .querygen import (
+    LETTER,
     ChoiceQuery,
     FillQuery,
     GenerationError,
@@ -122,8 +123,8 @@ def cmd_gen_queries(args) -> int:
         _self_check(graph, queries)
     print("self-check passed: all keys re-verified against the oracle")
     # a type with no queries gets no files: a document holds at least one
-    typed = [(t, qs) for t, qs in (("a", fill), ("b", choice), ("c", paths)) if qs]
-    for name, queries in typed:
+    typed = {LETTER[type(qs[0])].lower(): qs for qs in (fill, choice, paths) if qs}
+    for name, queries in typed.items():
         _write_file(out / f"queries_{name}.xml", protocol.emit_query_xml(queries))
         _write_file(out / f"keys_{name}.xml", protocol.emit_key_xml(queries, params))
     print(f"wrote {len(typed)} query files and {len(typed)} key files to {out}")
@@ -180,9 +181,9 @@ def cmd_score(args) -> int:
             )
         except (protocol.ProtocolError, ValueError) as exc:
             raise CliError(f"{sub_path}: {exc}", EXIT_CONTENT) from None
-        if type(sub) in subs:
+        if sub.kind in subs:
             raise CliError(
-                f"{subs[type(sub)][0]} and {sub_path} are submissions of the "
+                f"{subs[sub.kind][0]} and {sub_path} are submissions of the "
                 "same query type; score one file per type",
                 EXIT_CONTENT,
             )
@@ -193,13 +194,13 @@ def cmd_score(args) -> int:
                 f"{sub.team!r}; score one team per call",
                 EXIT_CONTENT,
             )
-        subs[type(sub)] = (sub_path, sub)
+        subs[sub.kind] = (sub_path, sub)
         for d in diagnostics:
             print(f"{sub_path}: {d}", file=sys.stderr)
     team = next((s.team for _, s in subs.values() if s.team), "unknown")
-    fill_sub, choice_sub, path_sub = (
-        subs[kind][1] if kind in subs else kind(team)  # empty when no file has it
-        for kind in (protocol.SubmissionA, protocol.SubmissionB, protocol.SubmissionC)
+    fill_sub, choice_sub, path_sub = (  # empty when no file has the type
+        subs[kind][1] if kind in subs else protocol.Submission(kind, team)
+        for kind in (FillQuery, ChoiceQuery, PathQuery)
     )
     report = scoring.ScoreReport(team, params)
     for q in key_queries:
@@ -213,7 +214,7 @@ def cmd_score(args) -> int:
                 raise CliError(str(exc), EXIT_CONTENT) from None
     choice_queries = [q for q in key_queries if isinstance(q, ChoiceQuery)]
     # a choice file scored against no choice keys still reports zero queries
-    if choice_queries or protocol.SubmissionB in subs:
+    if choice_queries or ChoiceQuery in subs:
         report.choice = scoring.score_choice(choice_queries, choice_sub)
 
     out = FsPath(args.out)

@@ -54,7 +54,7 @@ from .formats import WARNING, Diagnostic
 from .graph import GraphError, NodeId, is_variable_name
 from .ontology import canonical_label, is_decimal
 from .oracle import OracleError, Path, PatternTriple, Variable, pattern_variables
-from .querygen import ChoiceQuery, FillQuery, PathQuery, Query
+from .querygen import LETTER, ChoiceQuery, FillQuery, PathQuery, Query
 
 
 T = TypeVar("T")
@@ -64,29 +64,22 @@ class ProtocolError(ValueError):
     pass
 
 
-@dataclass
-class SubmissionA:
-    """Per query, per variable: ranked (node, confidence) answers."""
+@dataclass(frozen=True)
+class Submission:
+    """A team's answers to queries of one type, `kind`, by query id: per
+    variable ranked (node, confidence) pairs (FillQuery), one relation
+    (ChoiceQuery), or paths (PathQuery).  The constructor refuses any other
+    `kind` with ProtocolError, so every Submission can be written."""
 
+    kind: type
     team: str
-    answers: dict[str, dict[str, list[tuple[NodeId, float]]]] = field(
-        default_factory=dict
-    )
+    answers: dict[
+        str, dict[str, list[tuple[NodeId, float]]] | str | list[Path]
+    ] = field(default_factory=dict)
 
-
-@dataclass
-class SubmissionB:
-    team: str
-    answers: dict[str, str] = field(default_factory=dict)  # query id -> relation
-
-
-@dataclass
-class SubmissionC:
-    team: str
-    answers: dict[str, list[Path]] = field(default_factory=dict)
-
-
-Submission = SubmissionA | SubmissionB | SubmissionC
+    def __post_init__(self):
+        if not any(self.kind is kind for kind in LETTER):  # unhashable kinds too
+            raise ProtocolError(f"a submission's kind is a query class, not {self.kind!r}")
 
 
 # --- text and element encodings -------------------------------------------
@@ -235,8 +228,6 @@ def _parse_path_element(el: ET.Element, decoded: _Decoder) -> Path:
 
 # --- query and key files ----------------------------------------------------
 
-_ROOT_FOR_TYPE = {FillQuery: "QA", ChoiceQuery: "QB", PathQuery: "QC"}
-_TYPE_FOR_ROOT = {tag: kind for kind, tag in _ROOT_FOR_TYPE.items()}
 CONFIDENTIAL_COMMENT = "CONFIDENTIAL answer key - do not distribute to participants"
 
 
@@ -257,12 +248,12 @@ def _load_root(text: str, suffix: str) -> tuple[ET.Element, type]:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
         raise ProtocolError(f"malformed XML: {exc}") from None
-    allowed_tags = tuple(tag + suffix for tag in _TYPE_FOR_ROOT)
+    kinds = {f"Q{letter}{suffix}": kind for kind, letter in LETTER.items()}
     _require(
-        root.tag in allowed_tags,
-        f"unexpected root element {root.tag!r}, expected one of {allowed_tags}",
+        root.tag in kinds,
+        f"unexpected root element {root.tag!r}, expected one of {tuple(kinds)}",
     )
-    return root, _TYPE_FOR_ROOT[root.tag.removesuffix(suffix)]
+    return root, kinds[root.tag]
 
 
 def _once(items: list[T], tag: str) -> tuple[T, ...]:
@@ -314,7 +305,7 @@ def _write_query(out: _Writer, q: Query, keyed: bool) -> None:
 
 
 def _emit_document(queries: list[Query], keyed: bool, params: dict[str, str]) -> str:
-    root_tag = _ROOT_FOR_TYPE[_query_type(queries)] + ("Key" if keyed else "")
+    root_tag = "Q" + LETTER[_query_type(queries)] + ("Key" if keyed else "")
     out = _Writer(CONFIDENTIAL_COMMENT if keyed else None)
     out.start(root_tag, dict(sorted(params.items())))
     for q in queries:
@@ -332,7 +323,10 @@ def _read_query(
         bindings = []
         for cel in qel:
             if cel.tag == "Triple":
-                parts = {c.tag: (c.text or "") for c in cel}
+                parts = {}
+                for c in cel:
+                    _require(c.tag not in parts, f"<{c.tag}> appears twice")
+                    parts[c.tag] = c.text or ""
                 _require(
                     set(parts) == {"Subject", "Pred", "Object"},
                     "Triple needs Subject/Pred/Object",
@@ -376,6 +370,7 @@ def _read_query(
                 else:
                     options.append((index, decoded.relation(cel.text or "")))
             elif cel.tag in ("Subject", "Pred", "Object"):
+                _require(cel.tag not in parts, f"<{cel.tag}> appears twice")
                 parts[cel.tag] = cel.text or ""
             else:
                 raise ProtocolError(f"unknown element {cel.tag!r}")
@@ -408,6 +403,7 @@ def _read_query(
     paths = []
     for cel in qel:
         if cel.tag in ("Source", "Target"):
+            _require(cel.tag not in ends, f"<{cel.tag}> appears twice")
             ends[cel.tag] = decoded.node(cel.text or "")
         elif cel.tag == "Path" and keyed:
             paths.append(_parse_path_element(cel, decoded))
@@ -472,18 +468,17 @@ def parse_key_xml(text: str) -> tuple[list[Query], dict[str, str]]:
 def emit_submission(sub: Submission) -> str:
     """A submission document, its root and answers chosen by its type:
     queries by id, a fill query's answers by variable and then rank."""
-    kind = {SubmissionA: FillQuery, SubmissionB: ChoiceQuery, SubmissionC: PathQuery}[type(sub)]
     out = _Writer()
-    out.start(_ROOT_FOR_TYPE[kind], {"team": sub.team})
+    out.start("Q" + LETTER[sub.kind], {"team": sub.team})
     for qid in sorted(sub.answers):
         answers = sub.answers[qid]
         out.start("Query", {"id": qid})
-        if kind is FillQuery:
+        if sub.kind is FillQuery:
             for var in sorted(answers):
                 for rank, (node, conf) in enumerate(answers[var], start=1):
                     attrs = {"var": var, "rank": str(rank), "confidence": f"{conf:g}"}
                     out.leaf("Answer", node.canonical, attrs)
-        elif kind is ChoiceQuery:
+        elif sub.kind is ChoiceQuery:
             out.leaf("Answer", encode_relation(answers))
         else:
             for i, path in enumerate(answers, start=1):
@@ -497,21 +492,17 @@ def emit_oracle_submission(queries: list[Query], team: str) -> str:
     """The submission that answers each query with its key, in key-file
     order: per variable each keyed node once at confidence 1, the correct
     option, or every keyed path."""
-    kind = _query_type(queries)
-    if kind is ChoiceQuery:
-        answers = {q.id: q.options[q.key] for q in queries}
-        return emit_submission(SubmissionB(team, answers))
-    if kind is PathQuery:
-        answers = {q.id: list(q.key) for q in queries}
-        return emit_submission(SubmissionC(team, answers))
-    fill_answers = {}
+    sub = Submission(_query_type(queries), team)
     for q in queries:
-        nodes: dict[str, dict[NodeId, float]] = {v: {} for v in q.variables}
-        for binding in q.key:
-            for name, node in binding:
-                nodes[name][node] = 1.0
-        fill_answers[q.id] = {v: list(ranked.items()) for v, ranked in nodes.items()}
-    return emit_submission(SubmissionA(team, fill_answers))
+        if sub.kind is FillQuery:
+            nodes: dict[str, dict[NodeId, float]] = {v: {} for v in q.variables}
+            for binding in q.key:
+                for name, node in binding:
+                    nodes[name][node] = 1.0
+            sub.answers[q.id] = {v: list(ranked.items()) for v, ranked in nodes.items()}
+        else:
+            sub.answers[q.id] = q.options[q.key] if sub.kind is ChoiceQuery else list(q.key)
+    return emit_submission(sub)
 
 
 def parse_submission_xml(
@@ -533,12 +524,10 @@ def parse_submission_xml(
     def warn(where: str, message: str) -> None:
         diagnostics.append(Diagnostic(WARNING, where, message))
 
-    if kind is FillQuery:
-        sub = SubmissionA(team, {qid: {} for qid in by_id})
-    elif kind is ChoiceQuery:
-        sub = SubmissionB(team)
-    else:
-        sub = SubmissionC(team, {qid: [] for qid in by_id})
+    # a fill or path query is present, and empty, until answered; a choice
+    # query has no empty answer
+    empty = {} if kind is ChoiceQuery else {qid: {} if kind is FillQuery else [] for qid in by_id}
+    sub = Submission(kind, team, empty)
 
     for qel in root:
         if qel.tag != "Query" or not qel.get("id"):
@@ -554,6 +543,7 @@ def parse_submission_xml(
         seen.add(qid)
         query = by_id[qid]
         if kind is FillQuery:
+            variables = set(query.variables)
             raw: dict[str, list[tuple[int, float, NodeId]]] = {}
             declared: dict[str, list[tuple[int, str]]] = {}
             for order, ael in enumerate(qel):
@@ -561,7 +551,7 @@ def parse_submission_xml(
                     warn(qid, f"ignored element {ael.tag!r}")
                     continue
                 var = ael.get("var")
-                if not var or var not in query.variables:
+                if not var or var not in variables:
                     warn(qid, f"answer for unknown variable {var!r}; dropped")
                     continue
                 # the rank check below also covers answers dropped from here on
@@ -590,6 +580,9 @@ def parse_submission_xml(
                         )
                 sub.answers[qid][var] = [(node, conf) for _, conf, node in ordered]
         elif kind is ChoiceQuery:
+            for ael in qel:
+                if ael.tag != "Answer":
+                    warn(qid, f"ignored element {ael.tag!r}")
             answers = [c for c in qel if c.tag == "Answer"]
             if len(answers) != 1:
                 warn(qid, f"expected exactly one Answer, got {len(answers)}; dropped")

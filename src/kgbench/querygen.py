@@ -29,7 +29,6 @@ from .rng import SplitMix64
 ATTEMPT_BUDGET = 1000
 FILL_TRIPLES = 3  # edges sampled per fill pattern
 FILL_VARIABLES = 2  # of their nodes, hidden behind Unknown_1, Unknown_2
-_LETTER = {"fill": "A", "choice": "B", "path": "C"}  # query ids are Q.<letter>.<n>
 
 Binding = frozenset[tuple[str, NodeId]]
 
@@ -68,6 +67,8 @@ class PathQuery:
 
 
 Query = FillQuery | ChoiceQuery | PathQuery
+# a query type's letter: its query ids are Q.<letter>.<n>, its documents' roots Q<letter>
+LETTER = {FillQuery: "A", ChoiceQuery: "B", PathQuery: "C"}
 
 
 def oracle_key(
@@ -123,12 +124,13 @@ def _sample_connected_edges(
 def _generate(
     seed: int,
     count: int,
-    what: str,
+    kind: type,
     blocked: str | None,
     draft: Callable[[SplitMix64, str], Query | None],
 ) -> list[Query]:
-    """The one rejection loop.  Query n is the first of up to ATTEMPT_BUDGET
-    `draft(rng, "Q.<letter>.<n>")` calls that returns a query, not None.
+    """The one rejection loop for queries of class `kind`.  Query n is the
+    first of up to ATTEMPT_BUDGET `draft(rng, "Q.<letter>.<n>")` calls that
+    returns a query, not None.
     `blocked` names a structural shortfall that rules out every query; it
     only counts when a query is asked for."""
     if count > 0 and blocked:
@@ -137,11 +139,12 @@ def _generate(
     queries = []
     for number in range(1, count + 1):
         for _ in range(ATTEMPT_BUDGET):
-            query = draft(rng, f"Q.{_LETTER[what]}.{number}")
+            query = draft(rng, f"Q.{LETTER[kind]}.{number}")
             if query is not None:
                 queries.append(query)
                 break
         else:
+            what = kind.__name__.removesuffix("Query").lower()  # fill, choice, path
             raise GenerationError(
                 f"insufficient structure: could not generate {what} query {number} "
                 f"within {ATTEMPT_BUDGET} attempts"
@@ -182,7 +185,7 @@ def generate_fill(
         return FillQuery(qid, triples, key)
 
     small = graph.node_count < 3 or graph.edge_count < 2
-    return _generate(seed, count, "fill", "graph is too small" if small else None, draft)
+    return _generate(seed, count, FillQuery, "graph is too small" if small else None, draft)
 
 
 def generate_choice(
@@ -220,7 +223,7 @@ def generate_choice(
         else "graph has no edges" if graph.edge_count == 0
         else None
     )
-    return _generate(seed, count, "choice", blocked, draft)
+    return _generate(seed, count, ChoiceQuery, blocked, draft)
 
 
 def generate_path(
@@ -243,4 +246,4 @@ def generate_path(
         return PathQuery(qid, source, target, max_edges, key) if key else None
 
     blocked = "fewer than two Person nodes" if len(persons) < 2 else None
-    return _generate(seed, count, "path", blocked, draft)
+    return _generate(seed, count, PathQuery, blocked, draft)

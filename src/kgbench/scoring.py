@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .graph import KnowledgeGraph, NodeId
 from .oracle import OracleError, Path
-from .protocol import SubmissionA, SubmissionB, SubmissionC
+from .protocol import Submission
 from .querygen import ChoiceQuery, FillQuery, PathQuery
 
 REPORT_VERSION = 1
@@ -37,7 +37,7 @@ class FillScore:
     mrr: float
 
 
-def score_fill(query: FillQuery, sub: SubmissionA) -> FillScore:
+def score_fill(query: FillQuery, sub: Submission) -> FillScore:
     """Per-variable reciprocal ranks, averaged over the query's variables.
     With a multi-binding key, any keyed node for a variable counts."""
     per_var: dict[str, float] = {}
@@ -61,7 +61,7 @@ class ChoiceScore:
         return self.correct / self.total if self.total else 0.0
 
 
-def score_choice(queries: list[ChoiceQuery], sub: SubmissionB) -> ChoiceScore:
+def score_choice(queries: list[ChoiceQuery], sub: Submission) -> ChoiceScore:
     """Fraction of all generated questions answered with the keyed option;
     unanswered counts as wrong."""
     per_query = {

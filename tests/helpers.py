@@ -21,18 +21,15 @@ from kgbench.graph import (
 from kgbench.ontology import RelationOntology, canonical_label, is_decimal, non_xml_char
 from kgbench.oracle import Path, PatternTriple, Variable
 from kgbench.protocol import (
-    _ROOT_FOR_TYPE,
     CONFIDENTIAL_COMMENT,
     ProtocolError,
-    SubmissionA,
-    SubmissionB,
-    SubmissionC,
+    Submission,
     _Decoder,
     _query_type,
     encode_node_ref,
     encode_relation,
 )
-from kgbench.querygen import ChoiceQuery, FillQuery, PathQuery, Query
+from kgbench.querygen import LETTER, ChoiceQuery, FillQuery, PathQuery, Query
 from kgbench.rng import SplitMix64
 from kgbench.scoring import PathVerdict
 
@@ -597,25 +594,24 @@ def reference_emit_document(
     queries: list[Query], keyed: bool, params: dict[str, str] | None = None
 ) -> str:
     """A query file, or with `keyed` a key file, as ElementTree writes it."""
-    root_tag = _ROOT_FOR_TYPE[_query_type(queries)] + ("Key" if keyed else "")
+    root_tag = "Q" + LETTER[_query_type(queries)] + ("Key" if keyed else "")
     root = ET.Element(root_tag, dict(sorted((params or {}).items())))
     for q in queries:
         _reference_query(ET.SubElement(root, "Query", {"id": q.id}), q, keyed)
     return _reference_document(root, CONFIDENTIAL_COMMENT if keyed else None)
 
 
-def reference_emit_submission(sub: SubmissionA | SubmissionB | SubmissionC) -> str:
+def reference_emit_submission(sub: Submission) -> str:
     """A submission file as ElementTree writes it."""
-    kind = {SubmissionA: FillQuery, SubmissionB: ChoiceQuery, SubmissionC: PathQuery}
-    root = ET.Element(_ROOT_FOR_TYPE[kind[type(sub)]], {"team": sub.team})
+    root = ET.Element("Q" + LETTER[sub.kind], {"team": sub.team})
     for qid in sorted(sub.answers):
         qel = ET.SubElement(root, "Query", {"id": qid})
-        if isinstance(sub, SubmissionA):
+        if sub.kind is FillQuery:
             for var in sorted(sub.answers[qid]):
                 for rank, (node, conf) in enumerate(sub.answers[qid][var], start=1):
                     attrs = {"var": var, "rank": str(rank), "confidence": f"{conf:g}"}
                     ET.SubElement(qel, "Answer", attrs).text = node.canonical
-        elif isinstance(sub, SubmissionB):
+        elif sub.kind is ChoiceQuery:
             ET.SubElement(qel, "Answer").text = encode_relation(sub.answers[qid])
         else:
             for i, path in enumerate(sub.answers[qid], start=1):

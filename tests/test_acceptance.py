@@ -22,7 +22,7 @@ from kgbench.oracle import (
     enumerate_paths,
     solve_pattern,
 )
-from kgbench.protocol import SubmissionA, emit_query_xml, parse_query_xml
+from kgbench.protocol import Submission, emit_query_xml, parse_query_xml
 from kgbench.querygen import PathQuery, generate_fill
 from kgbench.rng import SplitMix64
 from kgbench.scoring import score_fill, score_paths, validate_path
@@ -46,7 +46,7 @@ def test_criterion_1_mrr_worked_example():
     from kgbench.querygen import FillQuery
 
     query = FillQuery("Q.A.1", triples, key)
-    sub = SubmissionA(
+    sub = Submission(FillQuery, 
         "t",
         {
             "Q.A.1": {

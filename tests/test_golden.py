@@ -17,8 +17,6 @@ import pytest
 
 from kgbench.cli import main
 from kgbench.protocol import (
-    SubmissionA,
-    SubmissionB,
     emit_key_xml,
     emit_query_xml,
     emit_submission,

@@ -1,6 +1,6 @@
 import copy
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path as FsPath
 
 import pytest
@@ -20,9 +20,7 @@ from kgbench.protocol import (
     ProtocolError,
     _Decoder,
     _parse_path_element,
-    SubmissionA,
-    SubmissionB,
-    SubmissionC,
+    Submission,
     decode_relation,
     emit_key_xml,
     emit_oracle_submission,
@@ -326,6 +324,23 @@ def test_an_error_inside_a_query_names_it_once(t, good, bad, message):
     assert str(exc.value) == f"Q.{t.upper()}.1: {message}"
 
 
+@pytest.mark.parametrize("keyed", [False, True], ids=["queries", "keys"])
+@pytest.mark.parametrize(
+    "t, tag",
+    [("a", "Subject"), ("a", "Pred"), ("a", "Object"), ("b", "Subject"), ("b", "Pred"),
+     ("b", "Object"), ("c", "Source"), ("c", "Target")],
+)
+def test_a_repeated_query_element_is_refused(t, tag, keyed):
+    # one of them would be kept without a word, as the last one was
+    text = (GOLDEN / f"{'keys' if keyed else 'queries'}_{t}.xml").read_text(encoding="utf-8")
+    start = text.index(f"<{tag}>")
+    element = text[start:text.index(f"</{tag}>", start) + len(tag) + 3]
+    assert start < text.index(f'<Query id="Q.{t.upper()}.2"')
+    with pytest.raises(ProtocolError) as exc:
+        (parse_key_xml if keyed else parse_query_xml)(text.replace(element, element * 2, 1))
+    assert str(exc.value) == f"Q.{t.upper()}.1: <{tag}> appears twice"
+
+
 PATH_TAGS = ["Source", "Edge", "Node", "Target", "Hop"]
 PATH_NODES = ["Person:Homer", "Person:Marge", "Person:Bart"]
 PATH_RELATIONS = ["Relation:Spouse_of", "Relation:Friend_of"]
@@ -369,7 +384,7 @@ def test_path_elements_decode_as_the_reference_does(children):
 
 
 def test_submission_round_trip_a():
-    sub = SubmissionA(
+    sub = Submission(FillQuery, 
         "team1",
         {
             "Q.A.1": {
@@ -467,7 +482,7 @@ def test_submission_unknown_query_id_diagnostic():
 
 def test_submission_b_round_trip():
     choice = ChoiceQuery("Q.B.1", person("A"), person("B"), ("Attends", "Child of"), 0)
-    sub = SubmissionB("t", {"Q.B.1": "Attends"})
+    sub = Submission(ChoiceQuery, "t", {"Q.B.1": "Attends"})
     parsed, diags = parse_submission_xml(emit_submission(sub), [choice])
     assert not diags
     assert parsed.answers == sub.answers
@@ -484,8 +499,39 @@ def test_submission_b_multiple_answers_dropped():
     assert any("exactly one Answer" in d.message for d in diags)
 
 
+def test_submission_b_warns_of_each_element_that_is_not_an_answer():
+    choice = ChoiceQuery("Q.B.1", person("A"), person("B"), ("Attends", "Child of"), 0)
+    text = (
+        '<QB team="t"><Query id="Q.B.1"><Junk/><Answer>Relation:Attends</Answer>'
+        "<Path>Relation:Child_of</Path></Query></QB>"
+    )
+    parsed, diags = parse_submission_xml(text, [choice])
+    assert parsed.answers == {"Q.B.1": "Attends"}
+    assert [str(d) for d in diags] == [
+        "warning: Q.B.1: ignored element 'Junk'",
+        "warning: Q.B.1: ignored element 'Path'",
+    ]
+    # the one-Answer rule counts Answer elements alone
+    parsed, diags = parse_submission_xml(text.replace("<Junk/>", "<Answer/>"), [choice])
+    assert parsed.answers == {}
+    assert [str(d) for d in diags] == [
+        "warning: Q.B.1: ignored element 'Path'",
+        "warning: Q.B.1: expected exactly one Answer, got 2; dropped",
+        "warning: Q.B.1: no answer submitted; scored as wrong",
+    ]
+
+
+@pytest.mark.parametrize("kind", [str, None, [], FillQuery | ChoiceQuery | PathQuery])
+def test_a_submission_is_of_one_query_type(kind):
+    with pytest.raises(ProtocolError, match="a submission's kind is a query class"):
+        Submission(kind, "t")
+    sub = Submission(FillQuery, "t")
+    with pytest.raises(FrozenInstanceError):
+        sub.kind = kind
+
+
 def test_submission_c_round_trip_and_checks():
-    sub = SubmissionC("t", {"Q.C.1": [CHALMERS_PATH]})
+    sub = Submission(PathQuery, "t", {"Q.C.1": [CHALMERS_PATH]})
     text = emit_submission(sub)
     assert "<Source>Person:Superintendent Chalmers</Source>" in text
     assert "<Edge>Relation:Superintendent_at</Edge>" in text
@@ -509,7 +555,7 @@ def test_submission_c_bad_alternation():
 
 def test_submission_c_endpoint_mismatch():
     wrong = Path((person("Homer"), person("Lenny")), ("Friend of",))
-    text = emit_submission(SubmissionC("t", {"Q.C.1": [wrong]}))
+    text = emit_submission(Submission(PathQuery, "t", {"Q.C.1": [wrong]}))
     parsed, diags = parse_submission_xml(text, [PATH_QUERY])
     assert parsed.answers["Q.C.1"] == []
     assert any("endpoints" in d.message for d in diags)
@@ -518,12 +564,14 @@ def test_submission_c_endpoint_mismatch():
 @pytest.mark.parametrize(
     "first, second, query",
     [
-        (SubmissionA("t", {"Q.A.1": {"Unknown_1": [(person("Homer"), 0.9)]}}),
-         SubmissionA("t", {"Q.A.1": {"Unknown_1": [(person("Bart"), 1.0)]}}), SPOUSE_QUERY),
-        (SubmissionB("t", {"Q.B.1": "Attends"}), SubmissionB("t", {"Q.B.1": "Child of"}),
+        (Submission(FillQuery, "t", {"Q.A.1": {"Unknown_1": [(person("Homer"), 0.9)]}}),
+         Submission(FillQuery, "t", {"Q.A.1": {"Unknown_1": [(person("Bart"), 1.0)]}}),
+         SPOUSE_QUERY),
+        (Submission(ChoiceQuery, "t", {"Q.B.1": "Attends"}),
+         Submission(ChoiceQuery, "t", {"Q.B.1": "Child of"}),
          ChoiceQuery("Q.B.1", person("A"), person("B"), ("Attends", "Child of"), 0)),
-        (SubmissionC("t", {"Q.C.1": [CHALMERS_PATH]}),
-         SubmissionC("t", {"Q.C.1": [CHALMERS_PATH]}), PATH_QUERY),
+        (Submission(PathQuery, "t", {"Q.C.1": [CHALMERS_PATH]}),
+         Submission(PathQuery, "t", {"Q.C.1": [CHALMERS_PATH]}), PATH_QUERY),
     ],
     ids=["a", "b", "c"],
 )
@@ -717,17 +765,17 @@ def submissions(draw):
                                  for var in answers[qid]), ())
             for qid in ids
         ]
-        return SubmissionA(team, answers), expected
+        return Submission(FillQuery, team, answers), expected
     if kind is ChoiceQuery:
         answers = {qid: draw(RELATIONS) for qid in ids}
         expected = [ChoiceQuery(qid, draw(NODES), draw(NODES), ("R",), 0) for qid in ids]
-        return SubmissionB(team, answers), expected
+        return Submission(ChoiceQuery, team, answers), expected
     answers, expected = {}, []
     for qid in ids:
         source, target = draw(NODES), draw(NODES)
         answers[qid] = _paths(draw, source, target, draw(st.integers(0, 3)))
         expected.append(PathQuery(qid, source, target, 4, ()))
-    return SubmissionC(team, answers), expected
+    return Submission(PathQuery, team, answers), expected
 
 
 @given(query_lists(), st.dictionaries(st.sampled_from(["seed", "count_a", "note"]),
@@ -755,7 +803,7 @@ def test_submissions_are_written_as_elementtree_writes_them(case):
     parsed, diagnostics = parse_submission_xml(text, expected)
     assert not diagnostics
     assert parsed.team == sub.team
-    if isinstance(sub, SubmissionA):  # a variable without answers is not written
+    if sub.kind is FillQuery:  # a variable without answers is not written
         assert parsed.answers == {
             qid: {var: ranked for var, ranked in per_var.items() if ranked}
             for qid, per_var in sub.answers.items()
@@ -765,17 +813,17 @@ def test_submissions_are_written_as_elementtree_writes_them(case):
 
 
 def test_the_writer_escapes_as_elementtree_does():
-    sub = SubmissionC('a&b<c>"d\'\t\r\né', {'Q"1': [Path(
+    sub = Submission(PathQuery, 'a&b<c>"d\'\t\r\né', {'Q"1': [Path(
         (NodeId("A&<>", "x\"'y"), NodeId("中", "n")), ("R & <S>",)
     )]})
     assert emit_submission(sub) == reference_emit_submission(sub)
     assert '<QC team="a&amp;b&lt;c&gt;&quot;d\'&#09;&#13;&#10;é">' in emit_submission(sub)
     assert "<Source>A&amp;&lt;&gt;:x\"'y</Source>" in emit_submission(sub)
-    assert emit_submission(SubmissionA("t", {})) == (
+    assert emit_submission(Submission(FillQuery, "t", {})) == (
         '<?xml version="1.0" encoding="UTF-8"?>\n<QA team="t" />\n'
     )
     assert '<Query id="Q.A.1" />' in emit_submission(
-        SubmissionA("t", {"Q.A.1": {"Unknown_1": []}})
+        Submission(FillQuery, "t", {"Q.A.1": {"Unknown_1": []}})
     )
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from helpers import canonical_paths, naive_validate_path, random_graph, reference_enumerate_paths
 from kgbench.graph import entity, person
 from kgbench.oracle import OracleError, Path, PatternTriple, Variable, enumerate_paths
-from kgbench.protocol import SubmissionA, SubmissionB
+from kgbench.protocol import Submission
 from kgbench.querygen import ChoiceQuery, FillQuery, PathQuery
 from kgbench.rng import SplitMix64
 from kgbench.scoring import (
@@ -52,7 +52,7 @@ def three_var_query():
 def test_mrr_worked_example():
     # correct answers at ranks 2, 1 and 4 -> (1/2 + 1 + 1/4) / 3 = 7/12
     query = three_var_query()
-    sub = SubmissionA(
+    sub = Submission(FillQuery, 
         "t",
         {
             "Q.A.1": {
@@ -78,7 +78,7 @@ def test_mrr_worked_example():
 
 def test_mrr_perfect_and_empty():
     query = three_var_query()
-    perfect = SubmissionA(
+    perfect = Submission(FillQuery, 
         "t",
         {
             "Q.A.1": {
@@ -88,7 +88,7 @@ def test_mrr_perfect_and_empty():
         },
     )
     assert score_fill(query, perfect).mrr == 1.0
-    assert score_fill(query, SubmissionA("t")).mrr == 0.0
+    assert score_fill(query, Submission(FillQuery, "t")).mrr == 0.0
 
 
 def test_multi_binding_key_any_counts():
@@ -100,7 +100,7 @@ def test_multi_binding_key_any_counts():
     query = FillQuery(
         "Q.A.1", (PatternTriple(v, "Friend of", person("C")),), key
     )
-    sub = SubmissionA("t", {"Q.A.1": {"Unknown_1": [(person("B"), 1.0)]}})
+    sub = Submission(FillQuery, "t", {"Q.A.1": {"Unknown_1": [(person("B"), 1.0)]}})
     assert score_fill(query, sub).per_variable["Unknown_1"] == 1.0
 
 
@@ -113,15 +113,15 @@ def make_choices(n):
 
 def test_accuracy():
     queries = make_choices(4)
-    sub = SubmissionB(
+    sub = Submission(ChoiceQuery, 
         "t", {"Q.B.1": "R1", "Q.B.2": "R1", "Q.B.3": "R1", "Q.B.4": "R2"}
     )
     assert score_choice(queries, sub).accuracy == 0.75
-    assert score_choice(queries, SubmissionB("t")).accuracy == 0.0
-    allright = SubmissionB("t", {q.id: "R1" for q in queries})
+    assert score_choice(queries, Submission(ChoiceQuery, "t")).accuracy == 0.0
+    allright = Submission(ChoiceQuery, "t", {q.id: "R1" for q in queries})
     assert score_choice(queries, allright).accuracy == 1.0
     # unanswered counts against the denominator
-    partial = SubmissionB("t", {"Q.B.1": "R1"})
+    partial = Submission(ChoiceQuery, "t", {"Q.B.1": "R1"})
     assert score_choice(queries, partial).accuracy == 0.25
 
 
@@ -304,12 +304,12 @@ def test_f1_properties():
 def test_aggregate_self_consistency(simpsons):
     query = chalmers_query(simpsons)
     path_score = score_paths(simpsons, query, list(query.key))
-    fill_score = score_fill(three_var_query(), SubmissionA("t"))
+    fill_score = score_fill(three_var_query(), Submission(FillQuery, "t"))
     report = ScoreReport(
         "t",
         {"seed": "1"},
         [fill_score],
-        score_choice(make_choices(2), SubmissionB("t", {"Q.B.1": "R1"})),
+        score_choice(make_choices(2), Submission(ChoiceQuery, "t", {"Q.B.1": "R1"})),
         [path_score],
     )
     # single-query aggregates equal the query scores
@@ -329,8 +329,8 @@ def test_aggregate_self_consistency(simpsons):
 
 
 def test_aggregate_two_fill_queries():
-    a = score_fill(three_var_query(), SubmissionA("t"))
-    perfect_sub = SubmissionA(
+    a = score_fill(three_var_query(), Submission(FillQuery, "t"))
+    perfect_sub = Submission(FillQuery, 
         "t",
         {
             "Q.A.1": {
