@@ -23,7 +23,6 @@ from .querygen import (
     ChoiceQuery,
     FillQuery,
     GenerationError,
-    PathQuery,
     generate_choice,
     generate_fill,
     generate_path,
@@ -135,7 +134,7 @@ def cmd_answer(args) -> int:
     graph = _load_graph(args)
     try:
         queries = protocol.parse_query_xml(_read_file(args.queries))
-    except (protocol.ProtocolError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"queries: {exc}", EXIT_CONTENT) from None
     out = FsPath(args.out)
     try:
@@ -158,7 +157,7 @@ def cmd_score(args) -> int:
     for key_path in args.keys:
         try:
             queries, key_params = protocol.parse_key_xml(_read_file(key_path))
-        except (protocol.ProtocolError, ValueError) as exc:
+        except ValueError as exc:
             raise CliError(f"{key_path}: {exc}", EXIT_CONTENT) from None
         for q in queries:
             for what, key in (("the same query type", type(q)), (f"query {q.id!r}", q.id)):
@@ -173,57 +172,50 @@ def cmd_score(args) -> int:
         params.update(key_params)
 
     # one report is one team: at most one file per query type, one team name
-    subs: dict[type, tuple[str, protocol.Submission]] = {}
+    files: dict[type, str] = {}  # query type -> its submission file
+    team = ""
+    answers: dict[str, object] = {}  # query id -> its answer; key_of keeps ids apart
     for sub_path in args.submissions:
         try:
             sub, diagnostics = protocol.parse_submission_xml(
                 _read_file(sub_path), key_queries
             )
-        except (protocol.ProtocolError, ValueError) as exc:
+        except ValueError as exc:
             raise CliError(f"{sub_path}: {exc}", EXIT_CONTENT) from None
-        if sub.kind in subs:
+        if sub.kind in files:
             raise CliError(
-                f"{subs[sub.kind][0]} and {sub_path} are submissions of the "
+                f"{files[sub.kind]} and {sub_path} are submissions of the "
                 "same query type; score one file per type",
                 EXIT_CONTENT,
             )
-        first_path, first = next(iter(subs.values()), (sub_path, sub))
-        if sub.team != first.team:
+        if files and sub.team != team:
             raise CliError(
-                f"{first_path} is team {first.team!r} but {sub_path} is team "
-                f"{sub.team!r}; score one team per call",
+                f"{next(iter(files.values()))} is team {team!r} but {sub_path} "
+                f"is team {sub.team!r}; score one team per call",
                 EXIT_CONTENT,
             )
-        subs[sub.kind] = (sub_path, sub)
+        files[sub.kind], team = sub_path, sub.team
+        answers.update(sub.answers)
         for d in diagnostics:
             print(f"{sub_path}: {d}", file=sys.stderr)
-    team = next((s.team for _, s in subs.values() if s.team), "unknown")
-    fill_sub, choice_sub, path_sub = (  # empty when no file has the type
-        subs[kind][1] if kind in subs else protocol.Submission(kind, team)
-        for kind in (FillQuery, ChoiceQuery, PathQuery)
-    )
-    report = scoring.ScoreReport(team, params)
+    report = scoring.ScoreReport(team or "unknown", params)
     for q in key_queries:
         if isinstance(q, FillQuery):
-            report.fill.append(scoring.score_fill(q, fill_sub))
-        elif isinstance(q, PathQuery):
-            submitted = path_sub.answers.get(q.id, [])
+            report.fill.append(scoring.score_fill(q, answers.get(q.id, {})))
+        elif isinstance(q, ChoiceQuery):
+            report.choice.append(scoring.score_choice(q, answers.get(q.id)))
+        else:
             try:
-                report.paths.append(scoring.score_paths(graph, q, submitted))
+                report.paths.append(scoring.score_paths(graph, q, answers.get(q.id, [])))
             except OracleError as exc:
                 raise CliError(str(exc), EXIT_CONTENT) from None
-    choice_queries = [q for q in key_queries if isinstance(q, ChoiceQuery)]
-    # a choice file scored against no choice keys still reports zero queries
-    if choice_queries or ChoiceQuery in subs:
-        report.choice = scoring.score_choice(choice_queries, choice_sub)
 
     out = FsPath(args.out)
     _write_file(out / "report.json", report.to_json())
     _write_file(out / "report.txt", report.to_text())
     recall, precision, f1 = report.path_macro
     print(f"Type A MRR (mean of query MRRs): {report.fill_mrr_mean:.6f}")
-    if report.choice is not None:
-        print(f"Type B accuracy: {report.choice.accuracy:.6f}")
+    print(f"Type B accuracy: {report.choice_accuracy:.6f}")
     print(f"Type C macro recall/precision/F1: {recall:.6f}/{precision:.6f}/{f1:.6f}")
     print(f"wrote report to {out}")
     return EXIT_OK

@@ -293,8 +293,7 @@ def _write_query(out: _Writer, q: Query, keyed: bool) -> None:
         for i, option in enumerate(q.options, start=1):
             out.leaf("Option", encode_relation(option), {"index": str(i)})
         if keyed:
-            correct = encode_relation(q.options[q.key])
-            out.leaf("Correct", correct, {"index": str(q.key + 1)})
+            out.leaf("Correct", encode_relation(q.correct), {"index": str(q.key + 1)})
     else:
         out.start("Query", {"id": q.id, "max_edges": str(q.max_edges)})
         out.leaf("Source", q.source.canonical)
@@ -386,6 +385,10 @@ def _read_query(
             [i for i, _ in options] == list(range(1, len(options) + 1)),
             "option indices must be 1..n",
         )
+        first: dict[str, int] = {}  # option label -> its first index
+        for index, label in options:
+            at = first.setdefault(label, index)
+            _require(at == index, f"options {at} and {index} are both {label!r}")
         for index, text in correct:
             _require(1 <= index <= len(options), "Correct index out of range")
             _require(
@@ -397,7 +400,7 @@ def _read_query(
             decoded.node(parts["Subject"]),
             decoded.node(parts["Object"]),
             tuple(label for _, label in options),
-            correct[0][0] - 1 if correct else -1,
+            correct[0][0] - 1 if correct else None,
         )
     ends: dict[str, NodeId] = {}
     paths = []
@@ -444,15 +447,15 @@ def emit_query_xml(queries: list[Query]) -> str:
 
 
 def parse_query_xml(text: str) -> list[Query]:
-    """Keyless structural queries for participant-side tooling.  Parsed
-    FillQuery/ChoiceQuery/PathQuery carry empty/zero keys."""
+    """Keyless structural queries for participant-side tooling.  A parsed
+    FillQuery or PathQuery carries an empty key, a ChoiceQuery the key None."""
     return _read_document(text, False)[0]
 
 
 def emit_key_xml(queries: list[Query], params: dict[str, str] | None = None) -> str:
-    """Sealed answer keys.  Key files are self-contained: they restate the
-    query structure alongside the key material, so scoring needs only the
-    key file and the submission."""
+    """Sealed answer keys.  A key file restates the query structure alongside
+    the key material, so scoring needs no query file; it still needs the
+    graph, to check each submitted path."""
     return _emit_document(queries, True, params or {})
 
 
@@ -501,7 +504,7 @@ def emit_oracle_submission(queries: list[Query], team: str) -> str:
                     nodes[name][node] = 1.0
             sub.answers[q.id] = {v: list(ranked.items()) for v, ranked in nodes.items()}
         else:
-            sub.answers[q.id] = q.options[q.key] if sub.kind is ChoiceQuery else list(q.key)
+            sub.answers[q.id] = q.correct if sub.kind is ChoiceQuery else list(q.key)
     return emit_submission(sub)
 
 
@@ -559,7 +562,7 @@ def parse_submission_xml(
                 try:
                     conf = float(ael.get("confidence", "nan"))
                     node = decoded.node(ael.text or "")
-                except (ValueError, GraphError, ProtocolError) as exc:
+                except ValueError as exc:
                     warn(qid, f"unparseable answer dropped: {exc}")
                     continue
                 if not (math.isfinite(conf) and 0.0 <= conf <= 1.0):

@@ -54,7 +54,14 @@ class ChoiceQuery:
     subject: NodeId
     object: NodeId
     options: tuple[str, ...]
-    key: int = field(compare=False)  # index into options
+    key: int | None = field(compare=False)  # index into options; None when keyless
+
+    @property
+    def correct(self) -> str:
+        """The keyed option; OracleError naming the query when it has no key."""
+        if self.key is None:
+            raise OracleError(f"{self.id}: the query has no key")
+        return self.options[self.key]
 
 
 @dataclass(frozen=True)

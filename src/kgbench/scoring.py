@@ -1,6 +1,8 @@
-"""Metrics over parsed submissions: mean reciprocal rank for fill queries,
-accuracy for multiple choice, and path recall/precision/F1 with per-path
-validity verdicts.
+"""Metrics over parsed submissions, one query and its answer at a time:
+mean reciprocal rank for fill queries, accuracy for multiple choice, and
+path recall/precision/F1 with per-path validity verdicts.  Run-level
+numbers are means over each type's list of query scores, so every type is
+reported, with 0 queries when it has no keys.
 
 Conventions (all reported in the score report):
 - a missing or absent correct answer scores reciprocal rank 0;
@@ -12,14 +14,19 @@ Conventions (all reported in the score report):
 from __future__ import annotations
 
 import json
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from .graph import KnowledgeGraph, NodeId
 from .oracle import OracleError, Path
-from .protocol import Submission
 from .querygen import ChoiceQuery, FillQuery, PathQuery
 
 REPORT_VERSION = 1
+
+
+def mean(values: Collection[float]) -> float:
+    """The mean of `values`, summed in order; 0 when there are none."""
+    return sum(values) / len(values) if values else 0.0
 
 
 def reciprocal_rank(key: set[NodeId], answers: list[NodeId]) -> float:
@@ -37,37 +44,29 @@ class FillScore:
     mrr: float
 
 
-def score_fill(query: FillQuery, sub: Submission) -> FillScore:
-    """Per-variable reciprocal ranks, averaged over the query's variables.
-    With a multi-binding key, any keyed node for a variable counts."""
+def score_fill(
+    query: FillQuery, answered: dict[str, list[tuple[NodeId, float]]]
+) -> FillScore:
+    """Per-variable reciprocal ranks of the ranked (node, confidence) pairs
+    answered for each variable, averaged over the query's variables.  With a
+    multi-binding key, any keyed node for a variable counts."""
     per_var: dict[str, float] = {}
-    answered = sub.answers.get(query.id, {})
     for var in query.variables:
         keyed = {node for binding in query.key for name, node in binding if name == var}
         ranked = [node for node, _ in answered.get(var, [])]
         per_var[var] = reciprocal_rank(keyed, ranked)
-    mrr = sum(per_var.values()) / len(per_var) if per_var else 0.0
-    return FillScore(query.id, per_var, mrr)
+    return FillScore(query.id, per_var, mean(per_var.values()))
 
 
 @dataclass(frozen=True)
 class ChoiceScore:
-    total: int
-    correct: int
-    per_query: dict[str, bool]
-
-    @property
-    def accuracy(self) -> float:
-        return self.correct / self.total if self.total else 0.0
+    query_id: str
+    correct: bool
 
 
-def score_choice(queries: list[ChoiceQuery], sub: Submission) -> ChoiceScore:
-    """Fraction of all generated questions answered with the keyed option;
-    unanswered counts as wrong."""
-    per_query = {
-        q.id: sub.answers.get(q.id) == q.options[q.key] for q in queries
-    }
-    return ChoiceScore(len(queries), sum(per_query.values()), per_query)
+def score_choice(query: ChoiceQuery, answer: str | None) -> ChoiceScore:
+    """Whether `answer` is the keyed option; no answer (None) is wrong."""
+    return ChoiceScore(query.id, answer == query.correct)
 
 
 @dataclass(frozen=True)
@@ -151,29 +150,30 @@ class ScoreReport:
     team: str
     parameters: dict[str, str] = field(default_factory=dict)
     fill: list[FillScore] = field(default_factory=list)
-    choice: ChoiceScore | None = None
+    choice: list[ChoiceScore] = field(default_factory=list)
     paths: list[PathScore] = field(default_factory=list)
 
     @property
     def fill_mrr_mean(self) -> float:
         """Run-level mean of per-query MRRs."""
-        return sum(s.mrr for s in self.fill) / len(self.fill) if self.fill else 0.0
+        return mean([s.mrr for s in self.fill])
 
     @property
     def fill_mrr_variables(self) -> float:
         """Run-level mean over every variable's reciprocal rank."""
-        ranks = [rr for s in self.fill for rr in s.per_variable.values()]
-        return sum(ranks) / len(ranks) if ranks else 0.0
+        return mean([rr for s in self.fill for rr in s.per_variable.values()])
+
+    @property
+    def choice_accuracy(self) -> float:
+        """Fraction of the keyed choice queries answered correctly."""
+        return mean([s.correct for s in self.choice])
 
     @property
     def path_macro(self) -> tuple[float, float, float]:
-        if not self.paths:
-            return (0.0, 0.0, 0.0)
-        n = len(self.paths)
         return (
-            sum(s.recall for s in self.paths) / n,
-            sum(s.precision for s in self.paths) / n,
-            sum(s.f1 for s in self.paths) / n,
+            mean([s.recall for s in self.paths]),
+            mean([s.precision for s in self.paths]),
+            mean([s.f1 for s in self.paths]),
         )
 
     def to_json_dict(self) -> dict:
@@ -195,13 +195,11 @@ class ScoreReport:
                     for s in self.fill
                 ],
             },
-            "type_b": None
-            if self.choice is None
-            else {
-                "num_queries": self.choice.total,
-                "correct": self.choice.correct,
-                "accuracy": self.choice.accuracy,
-                "per_query": dict(sorted(self.choice.per_query.items())),
+            "type_b": {
+                "num_queries": len(self.choice),
+                "correct": sum(s.correct for s in self.choice),
+                "accuracy": self.choice_accuracy,
+                "per_query": dict(sorted((s.query_id, s.correct) for s in self.choice)),
             },
             "type_c": {
                 "num_queries": len(self.paths),
@@ -242,13 +240,10 @@ class ScoreReport:
             detail = ", ".join(f"{v}={rr:.4f}" for v, rr in sorted(s.per_variable.items()))
             lines.append(f"    {s.query_id}: mrr={s.mrr:.6f} ({detail})")
         lines.append("")
-        if self.choice is not None:
-            lines.append(
-                f"Type B (choice):  {self.choice.correct}/{self.choice.total} "
-                f"correct, accuracy {self.choice.accuracy:.6f}"
-            )
-        else:
-            lines.append("Type B (choice):  not scored")
+        lines.append(
+            f"Type B (choice):  {sum(s.correct for s in self.choice)}/{len(self.choice)} "
+            f"correct, accuracy {self.choice_accuracy:.6f}"
+        )
         lines.append("")
         lines.append(f"Type C (paths):   {len(self.paths)} queries")
         lines.append(

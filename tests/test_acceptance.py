@@ -22,7 +22,7 @@ from kgbench.oracle import (
     enumerate_paths,
     solve_pattern,
 )
-from kgbench.protocol import Submission, emit_query_xml, parse_query_xml
+from kgbench.protocol import emit_query_xml, parse_query_xml
 from kgbench.querygen import PathQuery, generate_fill
 from kgbench.rng import SplitMix64
 from kgbench.scoring import score_fill, score_paths, validate_path
@@ -46,22 +46,17 @@ def test_criterion_1_mrr_worked_example():
     from kgbench.querygen import FillQuery
 
     query = FillQuery("Q.A.1", triples, key)
-    sub = Submission(FillQuery, 
-        "t",
-        {
-            "Q.A.1": {
-                "Unknown_1": [(person("W"), 0.9), (person("A1"), 0.8)],
-                "Unknown_2": [(person("A2"), 1.0)],
-                "Unknown_3": [
-                    (person("W"), 0.9),
-                    (person("X"), 0.8),
-                    (person("Y"), 0.7),
-                    (person("A3"), 0.6),
-                ],
-            }
-        },
-    )
-    mrr = score_fill(query, sub).mrr
+    answered = {
+        "Unknown_1": [(person("W"), 0.9), (person("A1"), 0.8)],
+        "Unknown_2": [(person("A2"), 1.0)],
+        "Unknown_3": [
+            (person("W"), 0.9),
+            (person("X"), 0.8),
+            (person("Y"), 0.7),
+            (person("A3"), 0.6),
+        ],
+    }
+    mrr = score_fill(query, answered).mrr
     report("1 (MRR ranks 2,1,4 -> 7/12)", abs(mrr - 7 / 12) <= 1e-12)
 
 

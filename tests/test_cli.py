@@ -454,16 +454,22 @@ def test_gen_queries_with_every_pair_over_the_path_budget(tmp_path, capsys, monk
 
 @pytest.mark.parametrize(
     "options, found",
-    [(("Spouse of", "Teacher at"), 0), (("Friend of", "Friend of"), 2)],
+    [(("Spouse of", "Teacher at"), 0), (("Friend of", "Colleague of"), 2)],
     ids=["none holds", "two hold"],
 )
 def test_answer_choice_without_one_correct_option(tmp_path, capsys, options, found):
-    # Homer and Lenny are linked by "Friend of" alone
+    # Homer (4) and Lenny (5) are linked by "Friend of", and in this copy of
+    # the graph by "Colleague of" too; two equal options would be a malformed
+    # query, refused before the oracle runs
+    graph = tmp_path / "g.tgf"
+    graph.write_text(Path(GRAPH).read_text() + "4 5 Colleague of\n")
     queries = tmp_path / "queries_b.xml"
     query = ChoiceQuery("Q.B.1", person("Homer"), person("Lenny"), options, 0)
     queries.write_text(emit_query_xml([query]))
     out = tmp_path / "sub_b.xml"
-    code = main(["answer", *graph_args(), "--queries", str(queries), "--out", str(out)])
+    code = main(
+        ["answer", *graph_args(str(graph)), "--queries", str(queries), "--out", str(out)]
+    )
     assert code == 1
     assert capsys.readouterr().err == (
         "error: query/graph mismatch: Q.B.1: expected exactly one correct option, "
@@ -474,7 +480,8 @@ def test_answer_choice_without_one_correct_option(tmp_path, capsys, options, fou
 
 @pytest.mark.parametrize(
     "case, keys, submission",
-    [("keys_abc_sub_c", "abc", "c"), ("keys_a_sub_b", "a", "b"), ("keys_bc_sub_a", "bc", "a")],
+    [("keys_abc_sub_c", "abc", "c"), ("keys_a_sub_b", "a", "b"), ("keys_bc_sub_a", "bc", "a"),
+     ("keys_ac_sub_a", "ac", "a")],
 )
 def test_partial_submissions_match_pinned_reports(tmp_path, case, keys, submission):
     # tests/golden_reports holds the reports of these score calls on the

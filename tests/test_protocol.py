@@ -15,7 +15,7 @@ from helpers import (
 )
 from kgbench.graph import NodeId, entity, is_variable_name, person
 from kgbench.ontology import canonical_label, non_xml_char
-from kgbench.oracle import Path, PatternTriple, Variable
+from kgbench.oracle import OracleError, Path, PatternTriple, Variable
 from kgbench.protocol import (
     ProtocolError,
     _Decoder,
@@ -40,6 +40,7 @@ from kgbench.querygen import (
     generate_path,
 )
 from kgbench.rng import SplitMix64
+from kgbench.scoring import score_choice
 
 X = Variable("Unknown_1", "Person")
 
@@ -126,7 +127,7 @@ def test_query_round_trip_choice_and_path():
     parsed = parse_query_xml(emit_query_xml([choice]))
     assert parsed[0].id == choice.id
     assert parsed[0].options == choice.options
-    assert parsed[0].key == -1  # keyless
+    assert parsed[0].key is None  # keyless
     parsed = parse_query_xml(emit_query_xml([PATH_QUERY]))
     assert parsed[0].source == PATH_QUERY.source
     assert parsed[0].max_edges == 4
@@ -339,6 +340,34 @@ def test_a_repeated_query_element_is_refused(t, tag, keyed):
     with pytest.raises(ProtocolError) as exc:
         (parse_key_xml if keyed else parse_query_xml)(text.replace(element, element * 2, 1))
     assert str(exc.value) == f"Q.{t.upper()}.1: <{tag}> appears twice"
+
+
+@pytest.mark.parametrize("keyed", [False, True], ids=["queries", "keys"])
+def test_a_repeated_option_is_refused(keyed):
+    # two options naming one relation would make both correct, or neither
+    text = (GOLDEN / f"{'keys' if keyed else 'queries'}_b.xml").read_text(encoding="utf-8")
+    option = '<Option index="2">Relation:Neighbor_of</Option>'
+    assert text.index(option) < text.index('<Query id="Q.B.2"')
+    repeated = text.replace(option, '<Option index="2">Relation:Parent_of</Option>', 1)
+    with pytest.raises(ProtocolError) as exc:
+        (parse_key_xml if keyed else parse_query_xml)(repeated)
+    assert str(exc.value) == "Q.B.1: options 2 and 3 are both 'Parent of'"
+
+
+@pytest.mark.parametrize(
+    "use",
+    [lambda qs: score_choice(qs[0], qs[0].options[-1]),
+     lambda qs: emit_key_xml(qs),
+     lambda qs: emit_oracle_submission(qs, "t")],
+    ids=["score_choice", "emit_key_xml", "emit_oracle_submission"],
+)
+def test_a_keyless_choice_query_has_no_correct_option(use):
+    # a query file holds no keys; its last option must not stand in for one
+    queries = parse_query_xml((GOLDEN / "queries_b.xml").read_text(encoding="utf-8"))
+    assert queries[0].key is None
+    with pytest.raises(OracleError) as exc:
+        use(queries)
+    assert str(exc.value) == "Q.B.1: the query has no key"
 
 
 PATH_TAGS = ["Source", "Edge", "Node", "Target", "Hop"]
@@ -731,7 +760,8 @@ def query_lists(draw):
             ))
             queries.append(FillQuery(qid, triples, tuple(bindings)))
         elif kind is ChoiceQuery:
-            options = tuple(draw(st.lists(RELATIONS, min_size=1, max_size=3)))
+            # each option once: a repeated option is a malformed query
+            options = tuple(draw(st.lists(RELATIONS, min_size=1, max_size=3, unique=True)))
             key = draw(st.integers(0, len(options) - 1))
             queries.append(ChoiceQuery(qid, draw(NODES), draw(NODES), options, key))
         else:
@@ -786,7 +816,7 @@ def test_query_and_key_files_are_written_as_elementtree_writes_them(queries, par
     parsed = parse_query_xml(text)
     assert parsed == queries
     assert [q.key for q in parsed] == [
-        -1 if isinstance(q, ChoiceQuery) else () for q in queries
+        None if isinstance(q, ChoiceQuery) else () for q in queries
     ]
     text = emit_key_xml(queries, params)
     assert text == reference_emit_document(queries, True, params)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from helpers import canonical_paths, naive_validate_path, random_graph, reference_enumerate_paths
 from kgbench.graph import entity, person
 from kgbench.oracle import OracleError, Path, PatternTriple, Variable, enumerate_paths
-from kgbench.protocol import Submission
 from kgbench.querygen import ChoiceQuery, FillQuery, PathQuery
 from kgbench.rng import SplitMix64
 from kgbench.scoring import (
@@ -52,22 +51,17 @@ def three_var_query():
 def test_mrr_worked_example():
     # correct answers at ranks 2, 1 and 4 -> (1/2 + 1 + 1/4) / 3 = 7/12
     query = three_var_query()
-    sub = Submission(FillQuery, 
-        "t",
-        {
-            "Q.A.1": {
-                "Unknown_1": [(person("X"), 0.9), (person("A1"), 0.8)],
-                "Unknown_2": [(person("A2"), 0.9)],
-                "Unknown_3": [
-                    (person("X"), 0.9),
-                    (person("Y"), 0.8),
-                    (person("Z"), 0.7),
-                    (person("A3"), 0.6),
-                ],
-            }
-        },
-    )
-    score = score_fill(query, sub)
+    answered = {
+        "Unknown_1": [(person("X"), 0.9), (person("A1"), 0.8)],
+        "Unknown_2": [(person("A2"), 0.9)],
+        "Unknown_3": [
+            (person("X"), 0.9),
+            (person("Y"), 0.8),
+            (person("Z"), 0.7),
+            (person("A3"), 0.6),
+        ],
+    }
+    score = score_fill(query, answered)
     assert score.per_variable == {
         "Unknown_1": 0.5,
         "Unknown_2": 1.0,
@@ -78,17 +72,12 @@ def test_mrr_worked_example():
 
 def test_mrr_perfect_and_empty():
     query = three_var_query()
-    perfect = Submission(FillQuery, 
-        "t",
-        {
-            "Q.A.1": {
-                v: [(person(f"A{i}"), 1.0)]
-                for i, v in enumerate(("Unknown_1", "Unknown_2", "Unknown_3"), 1)
-            }
-        },
-    )
+    perfect = {
+        v: [(person(f"A{i}"), 1.0)]
+        for i, v in enumerate(("Unknown_1", "Unknown_2", "Unknown_3"), 1)
+    }
     assert score_fill(query, perfect).mrr == 1.0
-    assert score_fill(query, Submission(FillQuery, "t")).mrr == 0.0
+    assert score_fill(query, {}).mrr == 0.0
 
 
 def test_multi_binding_key_any_counts():
@@ -100,8 +89,8 @@ def test_multi_binding_key_any_counts():
     query = FillQuery(
         "Q.A.1", (PatternTriple(v, "Friend of", person("C")),), key
     )
-    sub = Submission(FillQuery, "t", {"Q.A.1": {"Unknown_1": [(person("B"), 1.0)]}})
-    assert score_fill(query, sub).per_variable["Unknown_1"] == 1.0
+    answered = {"Unknown_1": [(person("B"), 1.0)]}
+    assert score_fill(query, answered).per_variable["Unknown_1"] == 1.0
 
 
 def make_choices(n):
@@ -111,18 +100,21 @@ def make_choices(n):
     ]
 
 
+def accuracy(queries, answers):
+    choice = [score_choice(q, answers.get(q.id)) for q in queries]
+    return ScoreReport("t", choice=choice).choice_accuracy
+
+
 def test_accuracy():
     queries = make_choices(4)
-    sub = Submission(ChoiceQuery, 
-        "t", {"Q.B.1": "R1", "Q.B.2": "R1", "Q.B.3": "R1", "Q.B.4": "R2"}
-    )
-    assert score_choice(queries, sub).accuracy == 0.75
-    assert score_choice(queries, Submission(ChoiceQuery, "t")).accuracy == 0.0
-    allright = Submission(ChoiceQuery, "t", {q.id: "R1" for q in queries})
-    assert score_choice(queries, allright).accuracy == 1.0
+    answers = {"Q.B.1": "R1", "Q.B.2": "R1", "Q.B.3": "R1", "Q.B.4": "R2"}
+    assert accuracy(queries, answers) == 0.75
+    assert accuracy(queries, {}) == 0.0
+    allright = {q.id: "R1" for q in queries}
+    assert accuracy(queries, allright) == 1.0
     # unanswered counts against the denominator
-    partial = Submission(ChoiceQuery, "t", {"Q.B.1": "R1"})
-    assert score_choice(queries, partial).accuracy == 0.25
+    partial = {"Q.B.1": "R1"}
+    assert accuracy(queries, partial) == 0.25
 
 
 def chalmers_query(simpsons):
@@ -304,18 +296,19 @@ def test_f1_properties():
 def test_aggregate_self_consistency(simpsons):
     query = chalmers_query(simpsons)
     path_score = score_paths(simpsons, query, list(query.key))
-    fill_score = score_fill(three_var_query(), Submission(FillQuery, "t"))
+    fill_score = score_fill(three_var_query(), {})
+    choices = make_choices(2)
     report = ScoreReport(
         "t",
         {"seed": "1"},
         [fill_score],
-        score_choice(make_choices(2), Submission(ChoiceQuery, "t", {"Q.B.1": "R1"})),
+        [score_choice(choices[0], "R1"), score_choice(choices[1], None)],
         [path_score],
     )
     # single-query aggregates equal the query scores
     assert report.fill_mrr_mean == fill_score.mrr
     assert report.path_macro == (path_score.recall, path_score.precision, path_score.f1)
-    assert report.choice.accuracy == 0.5
+    assert report.choice_accuracy == 0.5
     blob = report.to_json_dict()
     assert blob["report_version"] == 1
     assert blob["parameters"] == {"seed": "1"}
@@ -329,16 +322,11 @@ def test_aggregate_self_consistency(simpsons):
 
 
 def test_aggregate_two_fill_queries():
-    a = score_fill(three_var_query(), Submission(FillQuery, "t"))
-    perfect_sub = Submission(FillQuery, 
-        "t",
-        {
-            "Q.A.1": {
-                v: [(person(f"A{i}"), 1.0)]
-                for i, v in enumerate(("Unknown_1", "Unknown_2", "Unknown_3"), 1)
-            }
-        },
-    )
-    b = score_fill(three_var_query(), perfect_sub)
+    a = score_fill(three_var_query(), {})
+    perfect = {
+        v: [(person(f"A{i}"), 1.0)]
+        for i, v in enumerate(("Unknown_1", "Unknown_2", "Unknown_3"), 1)
+    }
+    b = score_fill(three_var_query(), perfect)
     report = ScoreReport("t", fill=[a, b])
     assert report.fill_mrr_mean == 0.5
