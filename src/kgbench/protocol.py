@@ -48,16 +48,12 @@ import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from functools import cache
-from typing import TypeVar
 
 from .formats import WARNING, Diagnostic
 from .graph import GraphError, NodeId, is_variable_name
 from .ontology import canonical_label, is_decimal
-from .oracle import OracleError, Path, PatternTriple, Variable, pattern_variables
-from .querygen import LETTER, ChoiceQuery, FillQuery, PathQuery, Query
-
-
-T = TypeVar("T")
+from .oracle import OracleError, Path, PatternTriple, Variable
+from .querygen import LETTER, ChoiceQuery, FillQuery, PathQuery, Query, QueryError, require_key
 
 
 class ProtocolError(ValueError):
@@ -256,12 +252,6 @@ def _load_root(text: str, suffix: str) -> tuple[ET.Element, type]:
     return root, kinds[root.tag]
 
 
-def _once(items: list[T], tag: str) -> tuple[T, ...]:
-    """A key's items in file order, each once: a repeat would lower recall."""
-    _require(len(set(items)) == len(items), f"a {tag} appears twice")
-    return tuple(items)
-
-
 def _query_type(queries: list[Query]) -> type:
     """The one query type of a document, which holds at least one query."""
     kinds = {type(q) for q in queries}
@@ -280,7 +270,7 @@ def _write_query(out: _Writer, q: Query, keyed: bool) -> None:
             out.leaf("Pred", encode_relation(t.relation))
             out.leaf("Object", encode_node_ref(t.object))
             out.end()
-        for i, binding in enumerate(q.key if keyed else (), start=1):
+        for i, binding in enumerate(require_key(q) if keyed else (), start=1):
             out.start("Binding", {"index": str(i)})
             for name, node in sorted(binding):
                 out.leaf("Var", node.canonical, {"name": name})
@@ -298,7 +288,7 @@ def _write_query(out: _Writer, q: Query, keyed: bool) -> None:
         out.start("Query", {"id": q.id, "max_edges": str(q.max_edges)})
         out.leaf("Source", q.source.canonical)
         out.leaf("Target", q.target.canonical)
-        for i, path in enumerate(q.key if keyed else (), start=1):
+        for i, path in enumerate(require_key(q) if keyed else (), start=1):
             _write_path(out, path, i)
     out.end()
 
@@ -316,7 +306,8 @@ def _emit_document(queries: list[Query], keyed: bool, params: dict[str, str]) ->
 def _read_query(
     qel: ET.Element, qid: str, kind: type, keyed: bool, decoded: _Decoder
 ) -> Query:
-    """One Query element of a document; its errors do not name it."""
+    """One Query element of a document, mapped tag by tag to its fields; its
+    errors do not name it.  The query's own rules are its constructor's."""
     if kind is FillQuery:
         triples = []
         bindings = []
@@ -347,15 +338,12 @@ def _read_query(
                 bindings.append(pairs)
             else:
                 raise ProtocolError(f"unknown element {cel.tag!r}")
-        _require(bool(triples), "fill query without triples")
-        names = sorted(v.name for v in pattern_variables(triples))
-        for pairs in bindings:
-            _require(
-                sorted(name for name, _ in pairs) == names,
-                f"a Binding names each of {', '.join(names)} once",
-            )
-        key = _once([frozenset(pairs) for pairs in bindings], "Binding")
-        return FillQuery(qid, tuple(triples), key)
+        key = tuple(map(frozenset, bindings)) if keyed else None
+        query = FillQuery(qid, tuple(triples), key)
+        # a Var repeated with its node is one pair of the set: the constructor can't see it
+        rule = f"a Binding names each of {', '.join(sorted(query.variables))} once"
+        _require(all(len(set(pairs)) == len(pairs) for pairs in bindings), rule)
+        return query
     if kind is ChoiceQuery:
         parts: dict[str, str] = {}
         options: list[tuple[int, str]] = []
@@ -379,29 +367,24 @@ def _read_query(
         )
         if keyed:
             _require(len(correct) == 1, "need exactly one Correct")
-        _require(bool(options), "choice query without options")
         options.sort()
         _require(
             [i for i, _ in options] == list(range(1, len(options) + 1)),
             "option indices must be 1..n",
         )
-        first: dict[str, int] = {}  # option label -> its first index
-        for index, label in options:
-            at = first.setdefault(label, index)
-            _require(at == index, f"options {at} and {index} are both {label!r}")
-        for index, text in correct:
-            _require(1 <= index <= len(options), "Correct index out of range")
-            _require(
-                decoded.relation(text) == options[index - 1][1],
-                f"Correct text {text!r} is not option {index}",
-            )
-        return ChoiceQuery(
+        query = ChoiceQuery(
             qid,
             decoded.node(parts["Subject"]),
             decoded.node(parts["Object"]),
             tuple(label for _, label in options),
-            correct[0][0] - 1 if correct else None,
+            correct[0][0] - 1 if keyed else None,
         )
+        for index, text in correct:
+            _require(
+                decoded.relation(text) == query.correct,
+                f"Correct text {text!r} is not option {index}",
+            )
+        return query
     ends: dict[str, NodeId] = {}
     paths = []
     for cel in qel:
@@ -417,8 +400,8 @@ def _read_query(
         "path query needs Source and Target",
     )
     max_edges = _decimal(qel.get("max_edges"), "bad max_edges")
-    source, target = ends["Source"], ends["Target"]
-    return PathQuery(qid, source, target, max_edges, _once(paths, "Path"))
+    key = tuple(paths) if keyed else None
+    return PathQuery(qid, ends["Source"], ends["Target"], max_edges, key)
 
 
 def _read_document(text: str, keyed: bool) -> tuple[list[Query], dict[str, str]]:
@@ -437,6 +420,8 @@ def _read_document(text: str, keyed: bool) -> tuple[list[Query], dict[str, str]]
             queries.append(_read_query(qel, qid, kind, keyed, decoded))
         except ProtocolError as exc:  # each error inside a query names it once
             raise ProtocolError(f"{qid}: {exc}") from None
+        except QueryError as exc:  # a constructor's, which names the query
+            raise ProtocolError(str(exc)) from None
     return queries, dict(root.attrib)
 
 
@@ -447,8 +432,9 @@ def emit_query_xml(queries: list[Query]) -> str:
 
 
 def parse_query_xml(text: str) -> list[Query]:
-    """Keyless structural queries for participant-side tooling.  A parsed
-    FillQuery or PathQuery carries an empty key, a ChoiceQuery the key None."""
+    """Keyless structural queries for participant-side tooling: every
+    parsed query has the key None.  A query the constructor refuses is a
+    ProtocolError with the constructor's text."""
     return _read_document(text, False)[0]
 
 
@@ -499,12 +485,12 @@ def emit_oracle_submission(queries: list[Query], team: str) -> str:
     for q in queries:
         if sub.kind is FillQuery:
             nodes: dict[str, dict[NodeId, float]] = {v: {} for v in q.variables}
-            for binding in q.key:
+            for binding in require_key(q):
                 for name, node in binding:
                     nodes[name][node] = 1.0
             sub.answers[q.id] = {v: list(ranked.items()) for v, ranked in nodes.items()}
         else:
-            sub.answers[q.id] = q.correct if sub.kind is ChoiceQuery else list(q.key)
+            sub.answers[q.id] = q.correct if sub.kind is ChoiceQuery else list(require_key(q))
     return emit_submission(sub)
 
 

@@ -5,6 +5,10 @@ All randomness flows from a single integer seed through the splitmix64
 stream; equal (graph, seed, parameters) produce identical query lists.
 Generation rejection-samples and fails loudly ("insufficient structure")
 rather than looping forever on degenerate graphs.
+
+Each query class holds its type's rules that need no graph, and checks them
+when a query is built (QueryError), so every query can be written and read
+back.  A keyless query, as a query file holds it, has the key None.
 """
 
 from __future__ import annotations
@@ -37,11 +41,38 @@ class GenerationError(RuntimeError):
     pass
 
 
+class QueryError(ValueError):
+    """A query that breaks a rule of its type; the message starts with its id."""
+
+
+def _require(query: Query, condition: bool, rule: str) -> None:
+    if not condition:
+        raise QueryError(f"{query.id}: {rule}")
+
+
+def _check_items(query: FillQuery | PathQuery, tag: str) -> None:
+    """A key of bindings or paths is None (keyless) or holds each once."""
+    if query.key is not None:
+        _require(query, bool(query.key), f"the key holds no {tag}")
+        _require(query, len(set(query.key)) == len(query.key), f"a {tag} appears twice")
+
+
 @dataclass(frozen=True)
 class FillQuery:
     id: str
     triples: tuple[PatternTriple, ...]
-    key: tuple[Binding, ...] = field(compare=False)
+    key: tuple[Binding, ...] | None = field(compare=False)  # None when keyless
+
+    def __post_init__(self):
+        _require(self, bool(self.triples), "fill query without triples")
+        ends = {e for t in self.triples for e in (t.subject, t.object) if isinstance(e, Variable)}
+        names = sorted(v.name for v in ends)
+        for name, after in zip(names, names[1:]):
+            _require(self, name != after, f"variable {name} has two categories")
+        rule = f"a Binding names each of {', '.join(names)} once"
+        for binding in self.key or ():
+            _require(self, sorted(name for name, _ in binding) == names, rule)
+        _check_items(self, "Binding")
 
     @property
     def variables(self) -> list[str]:
@@ -56,12 +87,18 @@ class ChoiceQuery:
     options: tuple[str, ...]
     key: int | None = field(compare=False)  # index into options; None when keyless
 
+    def __post_init__(self):
+        _require(self, bool(self.options), "choice query without options")
+        for index, option in enumerate(self.options, start=1):
+            at = self.options.index(option) + 1
+            _require(self, at == index, f"options {at} and {index} are both {option!r}")
+        in_range = self.key is None or 0 <= self.key < len(self.options)
+        _require(self, in_range, "Correct index out of range")
+
     @property
     def correct(self) -> str:
         """The keyed option; OracleError naming the query when it has no key."""
-        if self.key is None:
-            raise OracleError(f"{self.id}: the query has no key")
-        return self.options[self.key]
+        return self.options[require_key(self)]
 
 
 @dataclass(frozen=True)
@@ -70,12 +107,29 @@ class PathQuery:
     source: NodeId
     target: NodeId
     max_edges: int
-    key: tuple[Path, ...] = field(compare=False)
+    key: tuple[Path, ...] | None = field(compare=False)  # None when keyless
+
+    def __post_init__(self):
+        _require(self, self.source != self.target, "source and target are one node")
+        _require(self, self.max_edges >= 1, "max_edges must be at least 1")
+        _check_items(self, "Path")
+        source, target, most_nodes = self.source, self.target, self.max_edges + 1
+        for nodes, _ in self.key or ():
+            within = nodes[0] == source and nodes[-1] == target and len(nodes) <= most_nodes
+            _require(self, within, "a Path runs from source to target within max_edges")
+            _require(self, len(set(nodes)) == len(nodes), "a Path visits a node twice")
 
 
 Query = FillQuery | ChoiceQuery | PathQuery
 # a query type's letter: its query ids are Q.<letter>.<n>, its documents' roots Q<letter>
 LETTER = {FillQuery: "A", ChoiceQuery: "B", PathQuery: "C"}
+
+
+def require_key(query: Query) -> tuple[Binding, ...] | int | tuple[Path, ...]:
+    """The query's key; OracleError naming the query when it is keyless."""
+    if query.key is None:
+        raise OracleError(f"{query.id}: the query has no key")
+    return query.key
 
 
 def oracle_key(
@@ -186,7 +240,7 @@ def generate_fill(
         triples = tuple(
             PatternTriple(var_for.get(a, a), r, var_for.get(b, b)) for a, r, b in edges
         )
-        key = oracle_key(graph, FillQuery(qid, triples, ()))
+        key = oracle_key(graph, FillQuery(qid, triples, None))
         if not key or (require_unique and len(key) != 1):
             return None
         return FillQuery(qid, triples, key)
@@ -247,7 +301,7 @@ def generate_path(
     def draft(rng: SplitMix64, qid: str) -> PathQuery | None:
         source, target = rng.sample(persons, 2)
         try:
-            key = oracle_key(graph, PathQuery(qid, source, target, max_edges, ()))
+            key = oracle_key(graph, PathQuery(qid, source, target, max_edges, None))
         except PathBudgetError:
             return None
         return PathQuery(qid, source, target, max_edges, key) if key else None

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .graph import KnowledgeGraph, NodeId
 from .oracle import OracleError, Path
-from .querygen import ChoiceQuery, FillQuery, PathQuery
+from .querygen import ChoiceQuery, FillQuery, PathQuery, require_key
 
 REPORT_VERSION = 1
 
@@ -50,9 +50,10 @@ def score_fill(
     """Per-variable reciprocal ranks of the ranked (node, confidence) pairs
     answered for each variable, averaged over the query's variables.  With a
     multi-binding key, any keyed node for a variable counts."""
+    key = require_key(query)
     per_var: dict[str, float] = {}
     for var in query.variables:
-        keyed = {node for binding in query.key for name, node in binding if name == var}
+        keyed = {node for binding in key for name, node in binding if name == var}
         ranked = [node for node, _ in answered.get(var, [])]
         per_var[var] = reciprocal_rank(keyed, ranked)
     return FillScore(query.id, per_var, mean(per_var.values()))
@@ -130,7 +131,7 @@ def score_paths(
     OracleError naming the first such path submitted, never a quiet score."""
     verdicts = tuple(validate_path(graph, query, p) for p in submitted)
     matched = {p for p, v in zip(submitted, verdicts) if v.valid}
-    key = set(query.key)
+    key = set(require_key(query))
     if not matched <= key:
         path = next(p for p in submitted if p in matched and p not in key)
         steps = "".join(f" -[{r}]-> {n}" for r, n in zip(path.relations, path.nodes[1:]))
@@ -138,7 +139,7 @@ def score_paths(
             f"{query.id}: the valid path {path.source}{steps} is not in the key, "
             "so the key or the graph is wrong"
         )
-    recall = len(matched) / len(key) if key else 0.0
+    recall = len(matched) / len(key)
     precision = len(matched) / len(submitted) if submitted else 0.0
     return PathScore(query.id, recall, precision, f1_score(precision, recall), verdicts)
 

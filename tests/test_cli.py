@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,9 @@ from helpers import cyclic_garbage, naive_traversal, random_graph
 from kgbench import cli, oracle
 from kgbench.cli import main
 from kgbench.graph import person
+from kgbench.oracle import PatternTriple, Variable
 from kgbench.protocol import emit_query_xml
-from kgbench.querygen import ChoiceQuery, PathQuery
+from kgbench.querygen import ChoiceQuery, FillQuery, PathQuery
 
 SRC = Path(__file__).parent.parent / "src"
 DATA = SRC / "kgbench" / "data"
@@ -342,27 +344,31 @@ sys.exit(cli.main(sys.argv[1:]))
 
 @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "-O"])
 @pytest.mark.parametrize(
-    "generator, altered, message",
+    "generator, altered, edge, message",
     [
-        ("generate_choice", "replace(q, key=(q.key + 1) % len(q.options))",
+        ("generate_choice", "replace(q, key=(q.key + 1) % len(q.options))", "",
          "Q.B.1: key differs from the oracle's"),
-        ("generate_path", "replace(q, key=())",
+        ("generate_path", "replace(q, key=None)", "",
          "Q.C.1: key differs from the oracle's"),
         # a key holds the oracle's order, which key files are written in
-        ("generate_path", "replace(q, key=q.key[::-1])",
+        ("generate_path", "replace(q, key=q.key[::-1])", "",
          "Q.C.1: key differs from the oracle's"),
-        ("generate_choice", "replace(q, options=q.options + (q.options[q.key],))",
-         "Q.B.1: expected exactly one correct option, got 2"),
+        # Q.B.1 asks about Lisa (6) and Homer (4), whom this graph also links
+        # by "Friend of"; a repeated option would be a query nothing builds
+        ("generate_choice", 'replace(q, options=q.options[:-1] + ("Friend of",))',
+         "4 6 Friend of\n", "Q.B.1: expected exactly one correct option, got 2"),
     ],
     ids=["wrong option", "no paths", "paths out of order", "two correct options"],
 )
-def test_self_check_rejects_a_wrong_key(tmp_path, optimize, generator, altered, message):
+def test_self_check_rejects_a_wrong_key(tmp_path, optimize, generator, altered, edge, message):
     # the check must hold under python -O, which drops assert statements
     out = tmp_path / "out"
+    graph = tmp_path / "g.tgf"
+    graph.write_text(Path(GRAPH).read_text() + edge)
     script = SELF_CHECK_RUN.format(generator=generator, altered=altered)
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
-        [sys.executable, *optimize, "-c", script, "gen-queries", *graph_args(),
+        [sys.executable, *optimize, "-c", script, "gen-queries", *graph_args(str(graph)),
          "--seed", "7", "--count-a", "3", "--count-b", "3", "--count-c", "2",
          "--max-edges", "4", "--out", str(out)],
         capture_output=True, text=True, env=env, timeout=120,
@@ -377,7 +383,7 @@ def test_answer_over_the_path_budget(tmp_path, capsys, monkeypatch):
     # Homer and Bart have more than one path within four edges
     monkeypatch.setattr(oracle, "PATH_BUDGET", 1)
     queries = tmp_path / "queries_c.xml"
-    query = PathQuery("Q.C.1", person("Homer"), person("Bart"), 4, ())
+    query = PathQuery("Q.C.1", person("Homer"), person("Bart"), 4, None)
     queries.write_text(emit_query_xml([query]))
     out = tmp_path / "sub_c.xml"
     code = main(["answer", *graph_args(), "--queries", str(queries), "--out", str(out)])
@@ -397,7 +403,7 @@ def test_a_huge_path_bound_finishes(tmp_path, simpsons):
     subs = []
     for bound in (huge, longest):
         queries = tmp_path / f"queries_{bound}.xml"
-        query = PathQuery("Q.C.1", person("Homer"), person("Bart"), bound, ())
+        query = PathQuery("Q.C.1", person("Homer"), person("Bart"), bound, None)
         queries.write_text(emit_query_xml([query]))
         out = tmp_path / f"sub_{bound}.xml"
         proc = subprocess.run(
@@ -614,7 +620,7 @@ def test_names_xml_cannot_carry_are_refused(tmp_path, capsys):
     )
     queries = tmp_path / "queries_c.xml"
     queries.write_text(emit_query_xml([PathQuery(
-        "Q.C.1", person("Homer"), person("Lenny"), 2, ()
+        "Q.C.1", person("Homer"), person("Lenny"), 2, None
     )]))
     out = tmp_path / "sub_c.xml"
     code = main(["answer", *graph_args(), "--queries", str(queries),
@@ -650,6 +656,64 @@ def test_a_key_without_a_valid_path_fails_loudly(tmp_path, capsys):
         "-[Friend of]-> Person:Lenny is not in the key, so the key or the graph is wrong\n"
     )
     assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("t, item", [("a", "Binding"), ("c", "Path")])
+def test_a_key_that_holds_nothing_is_refused(tmp_path, capsys, t, item):
+    # every team, the oracle's too, would score 0 on Q.<T>.1 without a word
+    key = (GOLDEN / f"keys_{t}.xml").read_text(encoding="utf-8")
+    first = key.index("</Query>")
+    emptied = re.sub(rf"\n *<{item} index.*?</{item}>", "", key[:first], flags=re.S)
+    assert f"<{item} " not in emptied
+    keys = tmp_path / f"keys_{t}.xml"
+    keys.write_text(emptied + key[first:])
+    code = main(["score", *graph_args(), "--keys", str(keys),
+                 "--submissions", str(GOLDEN / f"sub_{t}.xml"), "--out", str(tmp_path / "rep")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {keys}: Q.{t.upper()}.1: the key holds no {item}\n"
+    )
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        # Ms. Krabappel is three edges from Homer
+        (PathQuery("Q.C.1", person("Homer"), person("Ms. Krabappel"), 1, None),
+         "Q.C.1: the key holds no Path"),
+        # nobody is Bart's spouse
+        (FillQuery("Q.A.1", (PatternTriple(Variable("Unknown_1", "Person"), "Spouse of",
+                                           person("Bart")),), None),
+         "Q.A.1: the key holds no Binding"),
+    ],
+    ids=["path", "fill"],
+)
+def test_answer_refuses_a_query_without_an_answer(tmp_path, capsys, query, message):
+    # as for a choice query without one correct option: no empty answer is written
+    queries = tmp_path / "queries.xml"
+    queries.write_text(emit_query_xml([query]))
+    out = tmp_path / "sub.xml"
+    code = main(["answer", *graph_args(), "--queries", str(queries), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: query/graph mismatch: {message}\n"
+    assert not out.exists()
+
+
+def test_answer_refuses_a_variable_under_two_categories(tmp_path, capsys):
+    # the oracle would read Place:Unknown_1 as Person:Unknown_1, and key Marge
+    triple = ("<Triple><Subject>{}:Unknown_1</Subject><Pred>Relation:{}</Pred>"
+              "<Object>Person:{}</Object></Triple>")
+    queries = tmp_path / "queries_a.xml"
+    queries.write_text('<QA><Query id="Q.A.1">' + triple.format("Person", "Parent_of", "Bart")
+                       + triple.format("Place", "Spouse_of", "Homer") + "</Query></QA>")
+    out = tmp_path / "sub_a.xml"
+    code = main(["answer", *graph_args(), "--queries", str(queries), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: queries: Q.A.1: variable Unknown_1 has two categories\n"
+    )
+    assert not out.exists()
 
 
 def test_a_blank_new_relation_is_an_error_not_a_crash(tmp_path, capsys):
@@ -707,7 +771,7 @@ def small_and_large(tmp_path_factory):
         graph = GRAPH if copies == 1 else grown_simpsons(out / "world.tgf", copies)
         for argv in pipeline_commands(out, seed=3, graph=graph):
             assert main(argv) == 0
-        absent = PathQuery("Q.C.1", person("Nobody"), person("Homer"), 4, ())
+        absent = PathQuery("Q.C.1", person("Nobody"), person("Homer"), 4, None)
         (out / "absent.xml").write_text(emit_query_xml([absent]), encoding="utf-8")
         worlds.append((graph, out))
     return worlds

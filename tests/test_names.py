@@ -54,9 +54,9 @@ def assert_read_back(ontology: RelationOntology, a: NodeId, relation: str, b: No
     assert parse_xgml(emit_xgml(graph), ontology) == (graph, [])
     assert load_ontology(emit_ontology(ontology)) == ontology
     queries = [
-        FillQuery("Q.A.1", (PatternTriple(Variable("Unknown_1"), relation, b),), ()),
+        FillQuery("Q.A.1", (PatternTriple(Variable("Unknown_1"), relation, b),), None),
         ChoiceQuery("Q.B.1", a, b, (relation,), 0),
-        PathQuery("Q.C.1", a, b, 1, ()),
+        PathQuery("Q.C.1", a, b, 1, None),
     ]
     for query in queries:
         keyed = replace(query, key=oracle_key(graph, query))
@@ -150,7 +150,7 @@ def test_every_variable_the_constructor_accepts_is_read_back(name, category):
         event("refused")
         return
     event("accepted")
-    query = FillQuery("Q.A.1", (PatternTriple(variable, "Knows", B),), ())
+    query = FillQuery("Q.A.1", (PatternTriple(variable, "Knows", B),), None)
     assert parse_query_xml(emit_query_xml([query])) == [query]
 
 

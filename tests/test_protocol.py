@@ -35,12 +35,13 @@ from kgbench.querygen import (
     ChoiceQuery,
     FillQuery,
     PathQuery,
+    QueryError,
     generate_choice,
     generate_fill,
     generate_path,
 )
 from kgbench.rng import SplitMix64
-from kgbench.scoring import score_choice
+from kgbench.scoring import score_choice, score_fill, score_paths
 
 X = Variable("Unknown_1", "Person")
 
@@ -48,14 +49,6 @@ SPOUSE_QUERY = FillQuery(
     "Q.A.1",
     (PatternTriple(X, "Spouse of", person("Marge")),),
     (frozenset({("Unknown_1", person("Homer"))}),),
-)
-
-PATH_QUERY = PathQuery(
-    "Q.C.1",
-    person("Superintendent Chalmers"),
-    person("Lenny"),
-    4,
-    (),
 )
 
 CHALMERS_PATH = Path(
@@ -67,6 +60,14 @@ CHALMERS_PATH = Path(
         person("Lenny"),
     ),
     ("Superintendent at", "Studied at by", "Child of", "Friend of"),
+)
+
+PATH_QUERY = PathQuery(
+    "Q.C.1",
+    person("Superintendent Chalmers"),
+    person("Lenny"),
+    4,
+    (CHALMERS_PATH,),
 )
 
 
@@ -113,7 +114,7 @@ def test_query_round_trip_fill():
     assert len(parsed) == 1
     assert parsed[0].id == SPOUSE_QUERY.id
     assert parsed[0].triples == SPOUSE_QUERY.triples
-    assert parsed[0].key == ()  # keyless
+    assert parsed[0].key is None  # keyless
 
 
 def test_query_round_trip_choice_and_path():
@@ -231,12 +232,14 @@ def test_a_key_file_keeps_the_order_it_was_written_in(simpsons):
 
 def test_a_repeated_binding_or_path_is_refused():
     # a tuple would keep the repeat and lower recall without an error
-    fill = replace(SPOUSE_QUERY, key=SPOUSE_QUERY.key * 2)
-    with pytest.raises(ProtocolError, match=r"^Q\.A\.1: a Binding appears twice$"):
-        parse_key_xml(emit_key_xml([fill]))
-    paths = replace(PATH_QUERY, key=(CHALMERS_PATH, CHALMERS_PATH))
-    with pytest.raises(ProtocolError, match=r"^Q\.C\.1: a Path appears twice$"):
-        parse_key_xml(emit_key_xml([paths]))
+    for query, tag in ((SPOUSE_QUERY, "Binding"), (PATH_QUERY, "Path")):
+        message = rf"^{query.id}: a {tag} appears twice$"
+        with pytest.raises(QueryError, match=message):
+            replace(query, key=query.key * 2)
+        text = emit_key_xml([query])
+        element = text[text.index(f"<{tag} "):text.index(f"</{tag}>") + len(tag) + 3]
+        with pytest.raises(ProtocolError, match=message):
+            parse_key_xml(text.replace(element, element * 2))
     # the same Vars in another order are the same binding
     text = (
         '<QAKey><Query id="Q.A.1"><Triple><Subject>Person:Unknown_1</Subject>'
@@ -370,6 +373,28 @@ def test_a_keyless_choice_query_has_no_correct_option(use):
     assert str(exc.value) == "Q.B.1: the query has no key"
 
 
+@pytest.mark.parametrize("t", "abc")
+def test_a_query_file_gives_keyless_queries(t):
+    # None is the one keyless key; an empty key would read as "no answer"
+    queries = parse_query_xml((GOLDEN / f"queries_{t}.xml").read_text(encoding="utf-8"))
+    assert queries and all(q.key is None for q in queries)
+
+
+@pytest.mark.parametrize("use", ["score", "emit_key_xml", "emit_oracle_submission"])
+@pytest.mark.parametrize("t", "ac")
+def test_a_keyless_fill_or_path_query_has_no_key(simpsons, t, use):
+    queries = parse_query_xml((GOLDEN / f"queries_{t}.xml").read_text(encoding="utf-8"))
+    calls = {
+        "score": lambda: score_fill(queries[0], {}) if t == "a"
+        else score_paths(simpsons, queries[0], []),
+        "emit_key_xml": lambda: emit_key_xml(queries),
+        "emit_oracle_submission": lambda: emit_oracle_submission(queries, "t"),
+    }
+    with pytest.raises(OracleError) as exc:
+        calls[use]()
+    assert str(exc.value) == f"Q.{t.upper()}.1: the query has no key"
+
+
 PATH_TAGS = ["Source", "Edge", "Node", "Target", "Hop"]
 PATH_NODES = ["Person:Homer", "Person:Marge", "Person:Bart"]
 PATH_RELATIONS = ["Relation:Spouse_of", "Relation:Friend_of"]
@@ -467,7 +492,7 @@ def test_submission_a_rank_check_covers_dropped_answers():
     two_vars = FillQuery(
         "Q.A.1",
         (PatternTriple(X, "Spouse of", Variable("Unknown_2", "Person")),),
-        (),
+        None,
     )
     text = (
         '<QA team="t"><Query id="Q.A.1">'
@@ -712,11 +737,12 @@ RELATIONS = _labels([c for c in NAME_CHARS if c != "_"])
 NODES = st.builds(NodeId, CATEGORIES, _labels(NAME_CHARS)).filter(
     lambda n: not is_variable_name(n.name)
 )
-VARIABLES = st.builds(
-    Variable,
-    st.integers(1, 3).map(lambda n: f"Unknown_{n}"),
-    st.one_of(st.none(), CATEGORIES.filter(lambda c: c != "Any")),
-)
+# Unknown_1..3, one category each: a query holds each variable under one
+VARIABLES = st.lists(
+    st.one_of(st.none(), CATEGORIES.filter(lambda c: c != "Any")), min_size=3, max_size=3
+).map(lambda categories: [
+    Variable(f"Unknown_{n}", category) for n, category in enumerate(categories, start=1)
+])
 # attribute values: any text XML carries, most often its special characters
 XML_TEXTS = st.text(
     st.one_of(
@@ -728,10 +754,12 @@ XML_TEXTS = st.text(
 DOCUMENT_IDS = st.lists(XML_TEXTS.filter(bool), min_size=1, max_size=3, unique=True)
 
 
-def _paths(draw, source, target, count):
+def _paths(draw, source, target, count, max_edges=4, simple=False):
+    """Paths from source to target; when `simple`, each node once, as in a key."""
     paths = []
     for _ in range(count):
-        inner = draw(st.lists(NODES, max_size=3))
+        others = NODES.filter(lambda n: n not in (source, target)) if simple else NODES
+        inner = draw(st.lists(others, max_size=max_edges - 1, unique=simple))
         nodes = (source, *inner, target)
         relations = tuple(draw(st.lists(RELATIONS, min_size=len(nodes) - 1,
                                         max_size=len(nodes) - 1)))
@@ -741,12 +769,13 @@ def _paths(draw, source, target, count):
 
 @st.composite
 def query_lists(draw):
-    """Queries of one type, with keys, under distinct ids."""
+    """Valid queries of one type, with keys, under distinct ids: every rule
+    of its constructor holds."""
     kind = draw(st.sampled_from([FillQuery, ChoiceQuery, PathQuery]))
     queries = []
     for qid in draw(DOCUMENT_IDS):
         if kind is FillQuery:
-            ends = st.one_of(NODES, VARIABLES)
+            ends = st.one_of(NODES, st.sampled_from(draw(VARIABLES)))
             triples = tuple(draw(st.lists(
                 st.builds(PatternTriple, ends, RELATIONS, ends), min_size=1, max_size=3
             )))
@@ -756,7 +785,7 @@ def query_lists(draw):
             bindings = draw(st.lists(
                 st.builds(lambda nodes: frozenset(zip(names, nodes)),
                           st.lists(NODES, min_size=len(names), max_size=len(names))),
-                max_size=3, unique=True,
+                min_size=1, max_size=3, unique=True,
             ))
             queries.append(FillQuery(qid, triples, tuple(bindings)))
         elif kind is ChoiceQuery:
@@ -765,9 +794,11 @@ def query_lists(draw):
             key = draw(st.integers(0, len(options) - 1))
             queries.append(ChoiceQuery(qid, draw(NODES), draw(NODES), options, key))
         else:
-            source, target = draw(NODES), draw(NODES)
-            key = tuple(dict.fromkeys(_paths(draw, source, target, draw(st.integers(0, 3)))))
-            queries.append(PathQuery(qid, source, target, draw(st.integers(1, 9)), key))
+            source, target = draw(st.lists(NODES, min_size=2, max_size=2, unique=True))
+            max_edges = draw(st.integers(1, 9))
+            count = draw(st.integers(1, 3))
+            paths = _paths(draw, source, target, count, min(max_edges, 4), simple=True)
+            queries.append(PathQuery(qid, source, target, max_edges, tuple(dict.fromkeys(paths))))
     return queries
 
 
@@ -790,9 +821,10 @@ def submissions(draw):
                     reverse=True,
                 )
                 answers[qid][f"Unknown_{n}"] = [(draw(NODES), c) for c in confidences]
+        # a query has a triple, and so a variable, when no answer names one
         expected = [
             FillQuery(qid, tuple(PatternTriple(Variable(var), "R", draw(NODES))
-                                 for var in answers[qid]), ())
+                                 for var in answers[qid] or ["Unknown_1"]), None)
             for qid in ids
         ]
         return Submission(FillQuery, team, answers), expected
@@ -802,9 +834,9 @@ def submissions(draw):
         return Submission(ChoiceQuery, team, answers), expected
     answers, expected = {}, []
     for qid in ids:
-        source, target = draw(NODES), draw(NODES)
+        source, target = draw(st.lists(NODES, min_size=2, max_size=2, unique=True))
         answers[qid] = _paths(draw, source, target, draw(st.integers(0, 3)))
-        expected.append(PathQuery(qid, source, target, 4, ()))
+        expected.append(PathQuery(qid, source, target, 4, None))
     return Submission(PathQuery, team, answers), expected
 
 
@@ -815,9 +847,7 @@ def test_query_and_key_files_are_written_as_elementtree_writes_them(queries, par
     assert text == reference_emit_document(queries, False)
     parsed = parse_query_xml(text)
     assert parsed == queries
-    assert [q.key for q in parsed] == [
-        None if isinstance(q, ChoiceQuery) else () for q in queries
-    ]
+    assert [q.key for q in parsed] == [None] * len(queries)
     text = emit_key_xml(queries, params)
     assert text == reference_emit_document(queries, True, params)
     parsed, parsed_params = parse_key_xml(text)

@@ -6,10 +6,21 @@ from helpers import built, random_graph, reference_sample_connected_edges
 from kgbench import oracle
 from kgbench.graph import GraphError, KnowledgeGraph, NodeId, person
 from kgbench.ontology import OntologyError, RelationOntology, load_ontology
-from kgbench.oracle import answer_choice, enumerate_paths, solve_pattern
+from kgbench.oracle import (
+    Path,
+    PatternTriple,
+    Variable,
+    answer_choice,
+    enumerate_paths,
+    solve_pattern,
+)
 from kgbench.protocol import emit_query_xml
 from kgbench.querygen import (
+    ChoiceQuery,
+    FillQuery,
     GenerationError,
+    PathQuery,
+    QueryError,
     _sample_connected_edges,
     generate_choice,
     generate_fill,
@@ -35,8 +46,9 @@ def test_fill_keys_match_oracle(simpsons):
 
 
 def test_fill_unique_flag(simpsons):
-    for q in generate_fill(simpsons, 11, 6, require_unique=True):
-        assert len(q.key) == 1
+    # at seed 8, four of the six keys have two bindings unless one is required
+    assert all(len(q.key) == 1 for q in generate_fill(simpsons, 8, 6, require_unique=True))
+    assert any(len(q.key) > 1 for q in generate_fill(simpsons, 8, 6, require_unique=False))
 
 
 def test_fill_worked_example_pattern_is_producible(simpsons):
@@ -185,6 +197,44 @@ def test_a_count_of_zero_needs_no_structure(graph, generate, message):
 
 
 FRIENDS = "Friend of | Friend of\nSpouse of | Spouse of"
+THREE = FRIENDS + "\nNeighbor of | Neighbor of"  # three relations
+
+
+@pytest.mark.parametrize(
+    "generate, message",
+    [
+        # a fill query needs three nodes and two edges, no more
+        (lambda: generate_fill(
+            _graph(FRIENDS, "ABC", [("A", "Friend of", "B"), ("B", "Friend of", "C")]), 1, 1),
+         None),
+        (lambda: generate_fill(
+            _graph(FRIENDS, "AB", [("A", "Friend of", "B"), ("A", "Spouse of", "B")]), 1, 1),
+         "insufficient structure: graph is too small"),
+        (lambda: generate_fill(_graph(FRIENDS, "ABC", [("A", "Friend of", "B")]), 1, 1),
+         "insufficient structure: graph is too small"),
+        # as many options as relations, one holding and the rest distractors
+        (lambda: generate_choice(_graph(THREE, "AB", [("A", "Friend of", "B")]), 1, 1, 3),
+         None),
+        # one distractor too few
+        (lambda: generate_choice(
+            _graph(THREE, "AB", [("A", "Friend of", "B"), ("A", "Spouse of", "B")]), 1, 1, 3),
+         "insufficient structure: could not generate choice query 1 within 1000 attempts"),
+    ],
+    ids=["fill 3 nodes 2 edges", "fill 2 nodes", "fill 1 edge", "choice n_options = ontology",
+         "choice a distractor short"],
+)
+def test_generation_at_the_edge_of_its_structure_checks(generate, message):
+    if message is None:
+        assert len(generate()) == 1
+    else:
+        with pytest.raises(GenerationError) as exc:
+            generate()
+        assert str(exc.value) == message
+
+
+def test_choice_needs_an_option(simpsons):
+    with pytest.raises(ValueError, match="n_options must be >= 1"):
+        generate_choice(simpsons, 1, 1, n_options=0)
 
 
 @pytest.mark.parametrize(
@@ -248,3 +298,60 @@ def test_names_query_files_cannot_carry_are_refused_where_they_are_built():
     assert str(exc.value) == "node Person:Unknown_1 is named like a query variable (Unknown_<n>)"
     with pytest.raises(GraphError, match="query variable"):
         KnowledgeGraph.build(ontology, [person("A"), person("Unknown_2")], [])
+
+
+HOMER, MARGE, BART = person("Homer"), person("Marge"), person("Bart")
+SPOUSE = (PatternTriple(Variable("Unknown_1", "Person"), "Spouse of",
+                        Variable("Unknown_2", "Person")),)
+AS_PLACE = PatternTriple(Variable("Unknown_1", "Place"), "Spouse of", HOMER)
+BINDING = frozenset({("Unknown_1", HOMER), ("Unknown_2", MARGE)})
+HOMER_MARGE = Path((HOMER, MARGE), ("Spouse of",))
+VIA_BART = Path((HOMER, BART, MARGE), ("Parent of", "Child of"))
+VIA_HOMER = Path((HOMER, MARGE, HOMER, MARGE), ("Spouse of",) * 3)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FillQuery("Q.A.1", (), None), "Q.A.1: fill query without triples"),
+        (lambda: FillQuery("Q.A.1", SPOUSE + (AS_PLACE,), None),
+         "Q.A.1: variable Unknown_1 has two categories"),
+        (lambda: FillQuery("Q.A.1", SPOUSE, (frozenset({("Unknown_1", HOMER)}),)),
+         "Q.A.1: a Binding names each of Unknown_1, Unknown_2 once"),
+        (lambda: FillQuery("Q.A.1", SPOUSE, (BINDING, BINDING)), "Q.A.1: a Binding appears twice"),
+        (lambda: FillQuery("Q.A.1", SPOUSE, ()), "Q.A.1: the key holds no Binding"),
+        (lambda: ChoiceQuery("Q.B.1", HOMER, MARGE, (), None),
+         "Q.B.1: choice query without options"),
+        (lambda: ChoiceQuery("Q.B.1", HOMER, MARGE, ("a", "b", "a"), 0),
+         "Q.B.1: options 1 and 3 are both 'a'"),
+        (lambda: ChoiceQuery("Q.B.1", HOMER, MARGE, ("a", "b"), 2),
+         "Q.B.1: Correct index out of range"),
+        (lambda: ChoiceQuery("Q.B.1", HOMER, MARGE, ("a", "b"), -1),
+         "Q.B.1: Correct index out of range"),
+        (lambda: PathQuery("Q.C.1", HOMER, HOMER, 4, None),
+         "Q.C.1: source and target are one node"),
+        (lambda: PathQuery("Q.C.1", HOMER, MARGE, 0, None),
+         "Q.C.1: max_edges must be at least 1"),
+        (lambda: PathQuery("Q.C.1", HOMER, MARGE, 4, (HOMER_MARGE, HOMER_MARGE)),
+         "Q.C.1: a Path appears twice"),
+        (lambda: PathQuery("Q.C.1", BART, MARGE, 4, (HOMER_MARGE,)),
+         "Q.C.1: a Path runs from source to target within max_edges"),
+        (lambda: PathQuery("Q.C.1", HOMER, BART, 4, (HOMER_MARGE,)),
+         "Q.C.1: a Path runs from source to target within max_edges"),
+        (lambda: PathQuery("Q.C.1", HOMER, MARGE, 1, (HOMER_MARGE, VIA_BART)),
+         "Q.C.1: a Path runs from source to target within max_edges"),
+        # a key holds simple paths: a team could match this one only with a path
+        # validate_path refuses
+        (lambda: PathQuery("Q.C.1", HOMER, MARGE, 4, (HOMER_MARGE, VIA_HOMER)),
+         "Q.C.1: a Path visits a node twice"),
+        (lambda: PathQuery("Q.C.1", HOMER, MARGE, 4, ()), "Q.C.1: the key holds no Path"),
+    ],
+    ids=["fill no triples", "fill two categories", "fill Binding names", "fill Binding twice",
+         "fill empty key", "choice no options", "choice option twice", "choice key past options",
+         "choice key below options", "path one node", "path max_edges 0", "path Path twice",
+         "path source", "path target", "path length", "path not simple", "path empty key"],
+)
+def test_an_invalid_query_is_not_built(build, message):
+    with pytest.raises(QueryError) as exc:
+        build()
+    assert str(exc.value) == message

@@ -152,7 +152,7 @@ def test_validate_path_worked_example(simpsons):
         ),
         ("Supervisor of", "Attends", "Attended By", "Attends"),
     )
-    bad_query = PathQuery("Q.C.2", person("Superintendent Chalmers"), entity("Church"), 6, ())
+    bad_query = PathQuery("Q.C.2", person("Superintendent Chalmers"), entity("Church"), 6, None)
     verdict = validate_path(simpsons, bad_query, looping)
     assert not verdict.valid and "simple" in verdict.reason
 
@@ -207,11 +207,12 @@ def mutated_paths(draw):
             nodes[at] = nodes[draw(st.integers(0, len(nodes) - 1))]
         elif mutation == "foreign":
             nodes[at] = person("Stranger")
-        elif mutation == "over-bound":
+        elif mutation == "over-bound" and len(rels) > 1:  # a query's bound is >= 1
             bound = len(rels) - 1
         elif mutation == "swap":
             nodes[0], nodes[-1] = nodes[-1], nodes[0]
-    query = PathQuery("Q.C.1", source, target, bound, key)
+    # keyless: validate_path reads no key, and the bound may now be below a keyed path's length
+    query = PathQuery("Q.C.1", source, target, bound, None)
     return g, query, Path(tuple(nodes), tuple(rels))
 
 
