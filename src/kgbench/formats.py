@@ -5,7 +5,11 @@ The XGML subset: a value is a `[...]` block, an ASCII [0-9]+ int, a float,
 a word, or a quoted string with `\\"` and `\\\\` escapes; `#` comments run
 to the end of the line; lines count `\\n` only, and a quoted string's line
 is the line it ends on; in the graph block `directed` is ignored and other
-keys warn.  One pass reads it; tests/helpers.py keeps the old reader.
+keys warn.  One scan reads it: a run of node and edge blocks as emitters
+write them is one step, its blocks matched by one `finditer` in C, and
+anything else is read token by token.  The reader names places by offset
+and counts lines only for a diagnostic.  tests/helpers.py keeps the old
+reader.
 
 Both parsers are total: they never raise on arbitrary input text but return
 ``(graph-or-None, diagnostics)``.  Error diagnostics mean no graph is
@@ -47,59 +51,74 @@ def has_errors(diagnostics: list[Diagnostic]) -> bool:
 
 class _GraphAssembler:
     """Shared semantic layer: numeric file-local ids -> canonical NodeIds,
-    duplicate-direction tolerance, unknown-relation policy."""
+    duplicate-direction tolerance, unknown-relation policy.  A reader names
+    each place in its text by an int `at`, and `line_of(at)` gives its line
+    when a diagnostic needs one."""
 
-    def __init__(self, ontology: RelationOntology, allow_new_relations: bool):
+    def __init__(
+        self, ontology: RelationOntology, allow_new_relations: bool, line_of=lambda at: at
+    ):
         self.ontology = ontology
         self.allow_new_relations = allow_new_relations
+        self.line_of = line_of
         self.nodes_by_fileid: dict[int, NodeId] = {}
         self.declared: set[NodeId] = set()
+        # relation text as written -> its canonical label, once accepted
+        self.relations: dict[str, str] = {}
         self.edges: list[Edge] = []
-        self.edge_lines: list[int] = []  # the line of each of `edges`
+        self.edge_at: list[int] = []  # the place of each of `edges`
         self.diagnostics: list[Diagnostic] = []
 
-    def error(self, line: int, message: str) -> None:
-        self.diagnostics.append(Diagnostic(ERROR, f"line {line}", message))
+    def error(self, at: int, message: str) -> None:
+        self.diagnostics.append(Diagnostic(ERROR, f"line {self.line_of(at)}", message))
 
-    def warn(self, line: int, message: str) -> None:
-        self.diagnostics.append(Diagnostic(WARNING, f"line {line}", message))
+    def warn(self, at: int, message: str) -> None:
+        self.diagnostics.append(Diagnostic(WARNING, f"line {self.line_of(at)}", message))
 
-    def add_node(self, line: int, file_id: int, label: str) -> None:
+    def add_node(self, at: int, file_id: int, label: str) -> None:
         if file_id in self.nodes_by_fileid:
-            self.error(line, f"duplicate node id {file_id}")
+            self.error(at, f"duplicate node id {file_id}")
             return
         try:
             node = NodeId.parse(label)
         except GraphError as exc:
-            self.error(line, str(exc))
+            self.error(at, str(exc))
             return
         if node in self.declared:
-            self.warn(line, f"node {node} declared more than once; merged")
+            self.warn(at, f"node {node} declared more than once; merged")
         self.declared.add(node)
         self.nodes_by_fileid[file_id] = node
 
-    def add_edge(self, line: int, src_id: int, dst_id: int, relation: str) -> None:
-        relation = canonical_label(relation)
-        if src_id not in self.nodes_by_fileid:
-            self.error(line, f"edge references undeclared node id {src_id}")
+    def add_edge(self, at: int, src_id: int, dst_id: int, relation: str) -> None:
+        nodes = self.nodes_by_fileid
+        if src_id not in nodes:
+            self.error(at, f"edge references undeclared node id {src_id}")
             return
-        if dst_id not in self.nodes_by_fileid:
-            self.error(line, f"edge references undeclared node id {dst_id}")
+        if dst_id not in nodes:
+            self.error(at, f"edge references undeclared node id {dst_id}")
             return
-        if relation not in self.ontology:
+        label = self.relations.get(relation) or self._accept(at, relation)
+        if label:
+            self.edges.append(Edge(nodes[src_id], label, nodes[dst_id]))
+            self.edge_at.append(at)
+
+    def _accept(self, at: int, relation: str) -> str | None:
+        """The canonical label of a relation text not yet accepted, or None
+        after an error; only an accepted text is remembered, so each line
+        that writes a refused one reports."""
+        label = canonical_label(relation)
+        if label not in self.ontology:
             if not self.allow_new_relations:
-                self.error(line, f"relation {relation!r} not in ontology")
-                return
+                self.error(at, f"relation {label!r} not in ontology")
+                return None
             try:
-                self.ontology = self.ontology.extended(relation, relation)
+                self.ontology = self.ontology.extended(label, label)
             except OntologyError as exc:
-                self.error(line, str(exc))
-                return
-            self.warn(line, f"relation {relation!r} not in ontology; assumed self-inverse")
-        self.edges.append(
-            Edge(self.nodes_by_fileid[src_id], relation, self.nodes_by_fileid[dst_id])
-        )
-        self.edge_lines.append(line)
+                self.error(at, str(exc))
+                return None
+            self.warn(at, f"relation {label!r} not in ontology; assumed self-inverse")
+        self.relations[relation] = label
+        return label
 
     def build(self) -> KnowledgeGraph | None:
         if has_errors(self.diagnostics):
@@ -107,9 +126,9 @@ class _GraphAssembler:
         graph, problems = KnowledgeGraph.build(self.ontology, self.declared, self.edges)
         for position, exc in problems:
             if isinstance(exc, DuplicateEdgeError):
-                self.warn(self.edge_lines[position], f"dropped duplicate edge: {exc}")
+                self.warn(self.edge_at[position], f"dropped duplicate edge: {exc}")
             else:
-                self.error(self.edge_lines[position], str(exc))
+                self.error(self.edge_at[position], str(exc))
         if has_errors(self.diagnostics):
             return None
         return graph
@@ -171,14 +190,18 @@ def emit_tgf(graph: KnowledgeGraph) -> str:
 # --- XGML --------------------------------------------------------------
 
 
-# whitespace, then a node or edge block as emitters write it (its fields in
-# order, an ASCII [0-9]+ id, a quoted label without escapes), a comment, a
-# bracket, a quoted string (closing quote optional), a word or the end: \Z
-# keeps n trailing blanks from costing O(n^2)
-_XGML_TOKEN = re.compile(
-    r'(\s*)(?:node\s*\[\s*id\s+([0-9]+)\s+label\s*"([^"\\]*)"\s*\]'
+# a node or edge block as emitters write it: its fields in order, an ASCII
+# [0-9]+ id, a quoted label without escapes
+_BLOCK = (
+    r'node\s*\[\s*id\s+([0-9]+)\s+label\s*"([^"\\]*)"\s*\]'
     r'|edge\s*\[\s*source\s+([0-9]+)\s+target\s+([0-9]+)\s+label\s*"([^"\\]*)"\s*\]'
-    r'|#[^\n]*|([\[\]])|("[^"\\]*(?:\\["\\]?[^"\\]*)*)(")?|([^\s\[\]"#]+)|\Z)'
+)
+# a run of such blocks, whitespace after each, then an empty match that ends it
+_XGML_RUN = re.compile(rf"(?:{_BLOCK})\s*|()")
+# whitespace, then a comment, a bracket, a quoted string (closing quote
+# optional), a word or the end: \Z keeps n trailing blanks from costing O(n^2)
+_XGML_TOKEN = re.compile(
+    r'(\s*)(?:#[^\n]*|([\[\]])|("[^"\\]*(?:\\["\\]?[^"\\]*)*)(")?|([^\s\[\]"#]+)|\Z)'
 )
 
 
@@ -195,8 +218,8 @@ def _xgml_value(word: str):
     return word
 
 
-def _xgml_fields(asm: _GraphAssembler, line: int, key: str, entries: list) -> None:
-    """Feed a node or edge block of the graph body, as (line, key, value)
+def _xgml_fields(asm: _GraphAssembler, at: int, key: str, entries: list) -> None:
+    """Feed a node or edge block of the graph body, as (offset, key, value)
     entries, to the assembler."""
     names = ("id", "label") if key == "node" else ("source", "target", "label")
     fields = []
@@ -205,12 +228,12 @@ def _xgml_fields(asm: _GraphAssembler, line: int, key: str, entries: list) -> No
         if len(values) == 1 and isinstance(values[0], str if name == "label" else int):
             fields.append(values[0])
         else:
-            asm.error(line, f"{key} needs exactly one {name}")
-    for eline, ekey, _ in entries:
+            asm.error(at, f"{key} needs exactly one {name}")
+    for eat, ekey, _ in entries:
         if ekey not in names:
-            asm.warn(eline, f"ignored {key} key {ekey!r}")
+            asm.warn(eat, f"ignored {key} key {ekey!r}")
     if len(fields) == len(names):
-        (asm.add_node if key == "node" else asm.add_edge)(line, *fields)
+        (asm.add_node if key == "node" else asm.add_edge)(at, *fields)
 
 
 def parse_xgml(
@@ -220,55 +243,72 @@ def parse_xgml(
 ) -> tuple[KnowledgeGraph | None, list[Diagnostic]]:
     """Minimal XGML subset: a `graph [...]` block containing `node [ id,
     label ]` and `edge [ source, target, label ]` blocks.  Other keys are
-    ignored with a warning.  One scan: a block of the graph as emitters write
-    it is one match, anything else is read token by token.  Errors in the
-    text's structure are listed before those of its graph."""
-    asm = _GraphAssembler(ontology, allow_new_relations)
+    ignored with a warning.  One scan: a run of blocks of the graph as
+    emitters write them is one step, anything else is read token by token.
+    Places are offsets, turned into lines only for diagnostics.  Errors in
+    the text's structure are listed before those of its graph."""
+    counted, counted_line = 0, 1  # the offset line_of counted to, and its line
+
+    def line_of(at: int) -> int:
+        """The line of offset `at`, counted from the offset asked before: the
+        diagnostics come in a few runs of rising or falling offsets, so
+        counting costs a few passes over the text."""
+        nonlocal counted, counted_line
+        if at >= counted:
+            counted_line += text.count("\n", counted, at)
+        else:
+            counted_line -= text.count("\n", at, counted)
+        counted = at
+        return counted_line
+
+    def error(at: int, message: str) -> Diagnostic:
+        return Diagnostic(ERROR, f"line {line_of(at)}", message)
+
+    asm = _GraphAssembler(ontology, allow_new_relations, line_of)
     errors: list[Diagnostic] = []
-    top: list = []  # (key line, key, value) per top-level entry
+    top: list = []  # (key offset, key, value) per top-level entry
     body: list = []  # entries of the latest top-level graph block, fed to asm; none yet
     entries = top  # of the innermost open block, or None; a block's value is its entries
-    stack = []  # (key line, key, '[' line, enclosing entries) per open block
-    pending = None  # (line, key) of a key still without its value
+    stack = []  # (key offset, key, '[' offset, enclosing entries) per open block
+    pending = None  # (offset, key) of a key still without its value
     closed = False  # a top-level ']' ended the reading; the rest is only scanned
-    line, pos, end = 1, 0, len(text)
+    pos, end = 0, len(text)
 
-    def complete(kline: int, key: str, value) -> None:
+    def complete(kat: int, key: str, value) -> None:
         if entries is None:
             return
         if entries is not body:
-            entries.append((kline, key, value))
+            entries.append((kat, key, value))
         elif key in ("node", "edge"):
             if isinstance(value, list):
-                _xgml_fields(asm, kline, key, value)
+                _xgml_fields(asm, kat, key, value)
             else:
-                asm.error(kline, f"{key} must be a [...] block")
+                asm.error(kat, f"{key} must be a [...] block")
         elif key != "directed":
-            asm.warn(kline, f"ignored graph key {key!r}")
+            asm.warn(kat, f"ignored graph key {key!r}")
 
     while True:
         m = _XGML_TOKEN.match(text, pos)
-        pos = m.end()
-        space, node, label, src, dst, relation, bracket, quoted, shut, word = m.groups()
-        if "\n" in space:
-            line += space.count("\n")
-        if node or src:
-            if entries is body and pending is None:
-                if node:
-                    asm.add_node(line, int(node), label)
+        at, pos = m.end(1), m.end()
+        _, bracket, quoted, shut, word = m.groups()
+        if word in ("node", "edge") and entries is body and pending is None:
+            for block in _XGML_RUN.finditer(text, at):
+                node, label, src, dst, relation, stop = block.groups()
+                if node is not None:
+                    asm.add_node(block.start(), int(node), label)
+                elif stop is None:
+                    asm.add_edge(block.start(), int(src), int(dst), relation)
                 else:
-                    asm.add_edge(line, int(src), int(dst), relation)
-                line += text.count("\n", m.end(1), pos)
+                    break
+            if block.start() > at:
+                pos = block.start()
                 continue
-            word = "node" if node else "edge"  # the rest token by token
-            pos = m.end(1) + len(word)
         if word:
             value = _xgml_value(word)
         elif quoted:
-            if "\n" in quoted:
-                line += quoted.count("\n")
+            at = pos  # a quoted string's line is the line it ends on
             if not shut:  # the text's last token, and its first diagnostic
-                errors.insert(0, Diagnostic(ERROR, f"line {line}", "unterminated quoted string"))
+                errors.insert(0, error(at, "unterminated quoted string"))
             value = re.sub(r'\\(["\\])', r"\1", quoted[1:]) if "\\" in quoted else quoted[1:]
         elif not bracket:  # a comment, or the end
             if pos == end:
@@ -277,42 +317,42 @@ def parse_xgml(
         if closed:
             continue
         if pending:
-            (kline, key), pending = pending, None
+            (kat, key), pending = pending, None
             if bracket == "[":
-                stack.append((kline, key, line, entries))
+                stack.append((kat, key, at, entries))
                 if entries is top and key == "graph":
                     entries = body = []
                 else:  # of the rest, only the graph's node and edge blocks keep entries
                     entries = [] if entries is body and key in ("node", "edge") else None
             elif bracket:
-                errors.append(Diagnostic(ERROR, f"line {line}", f"key {key!r} without a value"))
+                errors.append(error(at, f"key {key!r} without a value"))
             else:
-                complete(kline, key, value)
+                complete(kat, key, value)
         elif bracket == "]":
             if not stack:
                 closed = True
                 continue
-            kline, key, _, parent = stack.pop()
+            kat, key, _, parent = stack.pop()
             value, entries = entries, parent
-            complete(kline, key, value)
+            complete(kat, key, value)
         elif word and isinstance(value, str):
-            pending = (line, value)
+            pending = (at, value)
         else:
             written = "'['" if bracket else _quote(value) if quoted else repr(value)
-            errors.append(Diagnostic(ERROR, f"line {line}", f"expected a key, got {written}"))
+            errors.append(error(at, f"expected a key, got {written}"))
     if pending:
-        kline, key = pending
-        errors.append(Diagnostic(ERROR, f"line {kline}", f"key {key!r} without a value"))
+        kat, key = pending
+        errors.append(error(kat, f"key {key!r} without a value"))
     while stack:  # blocks the text never closed, innermost first
-        kline, key, bline, parent = stack.pop()
-        errors.append(Diagnostic(ERROR, f"line {bline}", "unbalanced brackets"))
+        kat, key, bat, parent = stack.pop()
+        errors.append(error(bat, "unbalanced brackets"))
         value, entries = entries, parent
-        complete(kline, key, value)
+        complete(kat, key, value)
     if closed:
         errors.append(Diagnostic(ERROR, "line 0", "unbalanced brackets at top level"))
     errors += [
-        Diagnostic(WARNING, f"line {kline}", f"ignored top-level key {key!r}")
-        for kline, key, _ in top if key != "graph"
+        Diagnostic(WARNING, f"line {line_of(kat)}", f"ignored top-level key {key!r}")
+        for kat, key, _ in top if key != "graph"
     ]
     graphs = [value for _, key, value in top if key == "graph"]
     if len(graphs) != 1 or not isinstance(graphs[0], list):

@@ -176,41 +176,50 @@ class KnowledgeGraph:
         an unknown endpoint or relation, or for restating a kept edge, as
         given or in the inverse direction (DuplicateEdgeError).  A node that
         is not a NodeId, or an edge that is not an Edge, raises GraphError.
-        This is the only way edges enter a graph."""
+        This is the only way edges enter a graph.  An edge is kept by plain
+        set lookups; `_rejection` words the verdict on the others."""
         graph = cls(ontology, nodes)
+        number, inverse = graph.number, ontology.inverse
         kept: set[Edge] = set()
         problems: list[tuple[int, GraphError]] = []
         for position, edge in enumerate(edges):
             if not isinstance(edge, Edge):
                 raise GraphError(f"not an Edge: {edge!r}")
-            try:
-                graph._check_edge(edge, kept)
-            except GraphError as exc:
-                problems.append((position, exc))
-            else:
+            src, relation, dst = edge
+            # an Edge equals its tuple, so the inverse is looked up as one
+            if (
+                src != dst
+                and src in number
+                and dst in number
+                and relation in inverse
+                and edge not in kept
+                and (dst, inverse[relation], src) not in kept
+            ):
                 kept.add(edge)
+            else:
+                problems.append((position, graph._rejection(edge, kept)))
         object.__setattr__(graph, "edges", frozenset(kept))
         return graph, problems
 
-    def _check_edge(self, edge: Edge, edges: set[Edge]) -> None:
-        """Raise GraphError unless `edge` may join `edges` in this graph."""
-        src, relation, dst = edge.src, edge.relation, edge.dst
+    def _rejection(self, edge: Edge, edges: set[Edge]) -> GraphError:
+        """Why `edge` may not join `edges` in this graph, for an edge that
+        `build` did not keep."""
+        src, relation, dst = edge
         if src == dst:
-            raise GraphError(f"self-loop on {src}")
+            return GraphError(f"self-loop on {src}")
         if src not in self.number:
-            raise GraphError(f"unknown endpoint: {src}")
+            return GraphError(f"unknown endpoint: {src}")
         if dst not in self.number:
-            raise GraphError(f"unknown endpoint: {dst}")
+            return GraphError(f"unknown endpoint: {dst}")
         if relation not in self.ontology:
-            raise GraphError(f"unknown relation: {relation!r}")
+            return GraphError(f"unknown relation: {relation!r}")
         if edge in edges:
-            raise DuplicateEdgeError(f"duplicate edge: {src} -[{relation}]-> {dst}")
-        inverse = Edge(dst, self.ontology.inverse_of(relation), src)
-        if inverse in edges:
-            raise DuplicateEdgeError(
-                f"inverse-duplicate edge: {src} -[{relation}]-> {dst} "
-                f"restates {inverse.src} -[{inverse.relation}]-> {inverse.dst}"
-            )
+            return DuplicateEdgeError(f"duplicate edge: {src} -[{relation}]-> {dst}")
+        inverse = self.ontology.inverse_of(relation)
+        return DuplicateEdgeError(
+            f"inverse-duplicate edge: {src} -[{relation}]-> {dst} "
+            f"restates {dst} -[{inverse}]-> {src}"
+        )
 
     @cached_property
     def index(self) -> TraversalIndex:

@@ -135,12 +135,16 @@ def pattern_variables(triples: list[PatternTriple]) -> list[Variable]:
 def _check_pattern(graph: KnowledgeGraph, triples: list[PatternTriple]) -> None:
     if not triples:
         raise OracleError("pattern with zero triples")
+    categories: dict[str, str | None] = {}
     for t in triples:
         if t.relation not in graph.ontology:
             raise OracleError(f"unknown relation: {t.relation!r}")
         for end in (t.subject, t.object):
             if isinstance(end, NodeId) and end not in graph.number:
                 raise OracleError(f"unknown constant: {end}")
+            if isinstance(end, Variable):
+                if categories.setdefault(end.name, end.category) != end.category:
+                    raise OracleError(f"variable {end.name} has two categories")
 
 
 def solve_pattern(

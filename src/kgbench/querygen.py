@@ -65,13 +65,19 @@ class FillQuery:
 
     def __post_init__(self):
         _require(self, bool(self.triples), "fill query without triples")
-        ends = {e for t in self.triples for e in (t.subject, t.object) if isinstance(e, Variable)}
-        names = sorted(v.name for v in ends)
+        ends = {e for t in self.triples for e in (t.subject, t.object)}
+        names = sorted(e.name for e in ends if isinstance(e, Variable))
         for name, after in zip(names, names[1:]):
             _require(self, name != after, f"variable {name} has two categories")
         rule = f"a Binding names each of {', '.join(names)} once"
         for binding in self.key or ():
             _require(self, sorted(name for name, _ in binding) == names, rule)
+            # injective, as the oracle binds: each variable to its own node,
+            # and none to a constant of the pattern
+            bound = [node for _, node in binding]
+            one_each = len(set(bound)) == len(bound)
+            _require(self, one_each, "a Binding binds two variables to one node")
+            _require(self, ends.isdisjoint(bound), "a Binding binds a variable to a constant")
         _check_items(self, "Binding")
 
     @property

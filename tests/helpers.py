@@ -8,7 +8,7 @@ import itertools
 import re
 import xml.etree.ElementTree as ET
 
-from kgbench.formats import ERROR, Diagnostic, _GraphAssembler, _quote
+from kgbench.formats import ERROR, WARNING, Diagnostic, has_errors, _quote
 from kgbench.graph import (
     ENTITY,
     PERSON,
@@ -18,7 +18,13 @@ from kgbench.graph import (
     NodeId,
     is_variable_name,
 )
-from kgbench.ontology import RelationOntology, canonical_label, is_decimal, non_xml_char
+from kgbench.ontology import (
+    OntologyError,
+    RelationOntology,
+    canonical_label,
+    is_decimal,
+    non_xml_char,
+)
 from kgbench.oracle import Path, PatternTriple, Variable
 from kgbench.protocol import (
     CONFIDENTIAL_COMMENT,
@@ -310,6 +316,127 @@ def naive_validate_path(graph: KnowledgeGraph, query: PathQuery, path: Path) -> 
     return PathVerdict(True)
 
 
+# --- the graph readers' assembler and TGF reader before relation texts were
+# remembered, places became offsets and build kept edges by set lookups
+
+
+class ReferenceAssembler:
+    """kgbench.formats._GraphAssembler as it was: each place a line, each
+    edge's relation text canonicalised and looked up again, and the edges
+    judged one at a time by `reference_build`."""
+
+    def __init__(self, ontology: RelationOntology, allow_new_relations: bool):
+        self.ontology = ontology
+        self.allow_new_relations = allow_new_relations
+        self.nodes_by_fileid: dict[int, NodeId] = {}
+        self.declared: set[NodeId] = set()
+        self.edges: list[Edge] = []
+        self.edge_lines: list[int] = []  # the line of each of `edges`
+        self.diagnostics: list[Diagnostic] = []
+
+    def error(self, line: int, message: str) -> None:
+        self.diagnostics.append(Diagnostic(ERROR, f"line {line}", message))
+
+    def warn(self, line: int, message: str) -> None:
+        self.diagnostics.append(Diagnostic(WARNING, f"line {line}", message))
+
+    def add_node(self, line: int, file_id: int, label: str) -> None:
+        if file_id in self.nodes_by_fileid:
+            self.error(line, f"duplicate node id {file_id}")
+            return
+        try:
+            node = NodeId.parse(label)
+        except GraphError as exc:
+            self.error(line, str(exc))
+            return
+        if node in self.declared:
+            self.warn(line, f"node {node} declared more than once; merged")
+        self.declared.add(node)
+        self.nodes_by_fileid[file_id] = node
+
+    def add_edge(self, line: int, src_id: int, dst_id: int, relation: str) -> None:
+        relation = canonical_label(relation)
+        if src_id not in self.nodes_by_fileid:
+            self.error(line, f"edge references undeclared node id {src_id}")
+            return
+        if dst_id not in self.nodes_by_fileid:
+            self.error(line, f"edge references undeclared node id {dst_id}")
+            return
+        if relation not in self.ontology:
+            if not self.allow_new_relations:
+                self.error(line, f"relation {relation!r} not in ontology")
+                return
+            try:
+                self.ontology = self.ontology.extended(relation, relation)
+            except OntologyError as exc:
+                self.error(line, str(exc))
+                return
+            self.warn(line, f"relation {relation!r} not in ontology; assumed self-inverse")
+        self.edges.append(
+            Edge(self.nodes_by_fileid[src_id], relation, self.nodes_by_fileid[dst_id])
+        )
+        self.edge_lines.append(line)
+
+    def build(self) -> KnowledgeGraph | None:
+        if has_errors(self.diagnostics):
+            return None
+        _, kept, problems = reference_build(self.ontology, list(self.declared), self.edges)
+        for position, restates, message in problems:
+            if restates:
+                self.warn(self.edge_lines[position], f"dropped duplicate edge: {message}")
+            else:
+                self.error(self.edge_lines[position], message)
+        if has_errors(self.diagnostics):
+            return None
+        graph = KnowledgeGraph(self.ontology, self.declared)
+        # the kept edges entered into a set in order, as build does, so that
+        # the graph's repr lists them in the same order
+        rejected = {position for position, _, _ in problems}
+        edges = {e for position, e in enumerate(self.edges) if position not in rejected}
+        assert edges == kept
+        object.__setattr__(graph, "edges", frozenset(edges))
+        return graph
+
+
+def reference_parse_tgf(
+    text: str,
+    ontology: RelationOntology,
+    allow_new_relations: bool = False,
+) -> tuple[KnowledgeGraph | None, list[Diagnostic]]:
+    """TGF: `<int> <label>` node lines, one `#` separator line, then
+    `<int> <int> <relation>` edge lines.  Labels may contain spaces."""
+    asm = ReferenceAssembler(ontology, allow_new_relations)
+    seen_separator = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line == "#":
+            if seen_separator:
+                asm.error(lineno, "multiple '#' separator lines")
+            seen_separator = True
+            continue
+        if not seen_separator:
+            parts = line.split(None, 1)
+            if len(parts) != 2 or not is_decimal(parts[0]):
+                asm.error(lineno, f"malformed node line: {line!r}")
+                continue
+            asm.add_node(lineno, int(parts[0]), parts[1])
+        else:
+            parts = line.split(None, 2)
+            if (
+                len(parts) != 3
+                or not is_decimal(parts[0])
+                or not is_decimal(parts[1])
+            ):
+                asm.error(lineno, f"malformed edge line: {line!r}")
+                continue
+            asm.add_edge(lineno, int(parts[0]), int(parts[1]), parts[2])
+    if not seen_separator:
+        asm.error(0, "missing '#' separator line")
+    return asm.build(), asm.diagnostics
+
+
 # --- XGML: the reader kgbench.formats.parse_xgml replaced, kept as its reference
 
 
@@ -367,7 +494,7 @@ def _as_written(tok) -> str:
     return _quote(tok[1]) if isinstance(tok, tuple) else repr(tok)
 
 
-def _parse_xgml_block(tokens, asm: _GraphAssembler):
+def _parse_xgml_block(tokens, asm: ReferenceAssembler):
     """Parse the top-level `key value` list until a top-level ']' or the end;
     returns (entries, closed).  Entries are (line, key, value) where value
     may be a nested list.  Open blocks live on an explicit stack, so nesting
@@ -417,7 +544,7 @@ def reference_parse_xgml(
     label ]` and `edge [ source, target, label ]` blocks.  Other keys are
     ignored with a warning."""
     tokens, diagnostics = reference_tokenize_xgml(text)
-    asm = _GraphAssembler(ontology, allow_new_relations)
+    asm = ReferenceAssembler(ontology, allow_new_relations)
     asm.diagnostics.extend(diagnostics)
     top, closed = _parse_xgml_block(tokens, asm)
     if closed:

@@ -12,6 +12,7 @@ from helpers import (
     built,
     naive_tokenize_xgml,
     random_graph,
+    reference_parse_tgf,
     reference_parse_xgml,
     reference_tokenize_xgml,
 )
@@ -336,13 +337,100 @@ _XGML_TEXTS = st.builds(
 )
 
 
-@settings(max_examples=300)
-@given(text=_XGML_TEXTS)
+# node labels, and relation texts, some written with odd whitespace, one
+# unknown: over a few nodes, edges repeat and restate each other in the
+# inverse direction
+_NODE_LABELS = st.sampled_from(["Person:A", " Person:  B ", "Entity:C", "Place:Two", "Person:D"])
+_RELATION_TEXTS = st.sampled_from(
+    ["Spouse of", "Spouse  of", " Spouse\tof", "Child of", "Parent of", "Parent of", "Made up"]
+)
+
+
+def _graph_lines(draw, node_line, edge_line, first_id: int) -> tuple[list[str], list[str]]:
+    """Node lines for a few ids from `first_id`, and edge lines between two
+    of those nodes."""
+    ids = range(first_id, first_id + draw(st.integers(2, 4)))
+    labels = draw(st.lists(_NODE_LABELS, min_size=len(ids), max_size=len(ids), unique=True))
+    pairs = st.permutations(ids).map(lambda p: p[:2])
+    edges = [
+        edge_line(*draw(pairs), draw(_RELATION_TEXTS)) for _ in range(draw(st.integers(0, 8)))
+    ]
+    return [node_line(i, label) for i, label in zip(ids, labels)], edges
+
+
+def _insert(draw, lines: list[str], faults) -> list[str]:
+    """`lines` with, in half the draws, one or two of `faults` put in."""
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(faults))
+    return lines
+
+
+# what breaks a run of blocks as emitters write them: a comment, an odd
+# block, a key, a stray or unclosed bracket; and faults in blocks that keep
+# their shape
+_XGML_BREAKS = st.sampled_from([
+    "# note [ ]", 'node [ id 7 label "Person:C" x 1 ]', "edge [ source 0 ]",
+    'node [ label "Person:D" id 8 ]', "directed 1", "x 1", "x [", "]", "node [", '"quoted"',
+    'node [ id 9 label "Person:E"', 'edge [ source 0 target 9 label "Spouse of" ]',
+    'edge [ source 0 target 0 label "Spouse of" ]', 'edge [ source 0 target 1 label "Made_up" ]',
+    'node [ id 0 label "Person:F" ]', 'node [ id 6 label "Person:Unknown_1" ]',
+    'node [ id 4 label "Person:A" ]',
+    'node [\n\tid 5\n\tlabel "Place:Three\nlines"\n]',
+])
+
+
+@st.composite
+def _xgml_run_texts(draw) -> str:
+    """A graph of runs of blocks as emitters write them, broken by the
+    rest; blocks span lines, so a diagnostic after a run checks its line
+    count."""
+    gap = draw(st.sampled_from(["\n\t\t", " ", "\r\n  "]))
+    nodes, edges = _graph_lines(
+        draw,
+        lambda i, label: f'node [{gap}id {i}{gap}label "{label}"{gap}]',
+        lambda a, b, relation: f'edge [{gap}source {a}{gap}target {b}{gap}label "{relation}"{gap}]',
+        0,
+    )
+    lines = _insert(draw, nodes + edges, _XGML_BREAKS)
+    head = draw(st.sampled_from(["graph [\n\t", "graph [ directed 1\n\t", "x 1 graph [\n\n"]))
+    tail = draw(st.sampled_from(["\n]\n", "\n]", "\n]\nx 1\n", "\n"]))
+    return head + "\n\t".join(lines) + tail
+
+
+@settings(max_examples=500)
+@given(text=st.one_of(_XGML_TEXTS, _xgml_run_texts()))
 def test_xgml_reader_matches_the_reference(text):
     # the same graph, and the same diagnostics in the same order
     for allow_new_relations in (False, True):
         assert repr(parse_xgml(text, ONT, allow_new_relations)) == repr(
             reference_parse_xgml(text, ONT, allow_new_relations)
+        )
+
+
+_TGF_FAULTS = st.sampled_from([
+    "1", "Person:A", "x Person:X", "\u0663 Person:X", "1 2", "1 x Spouse of", "#", "#",
+    "9 1 Spouse of", "1 1 Spouse of", "1 2 Made_up", "1 Person:G", "6 Person:Unknown_1",
+    "6 NoColon", "6 Person:", "007 Person:Seven", "5 Person:B",
+])
+
+
+@st.composite
+def _tgf_texts(draw) -> str:
+    """Node lines, one separator or none, edge lines, and now and then a
+    malformed line, a bad node or edge, or another '#'."""
+    nodes, edges = _graph_lines(draw, "{} {}".format, "{}\t{} {}".format, 1)
+    separator = draw(st.sampled_from([["#"], ["#"], ["#"], [" #\t"], []]))
+    lines = _insert(draw, nodes + separator + edges, _TGF_FAULTS)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@settings(max_examples=300)
+@given(text=_tgf_texts())
+def test_tgf_reader_matches_the_reference(text):
+    # the same graph, and the same diagnostics in the same order
+    for allow_new_relations in (False, True):
+        assert repr(parse_tgf(text, ONT, allow_new_relations)) == repr(
+            reference_parse_tgf(text, ONT, allow_new_relations)
         )
 
 

@@ -79,6 +79,14 @@ def test_pattern_errors(simpsons):
         solve_pattern(simpsons, [PatternTriple(X, "Spouse of", person("Nelson"))])
     with pytest.raises(OracleError, match="unknown relation"):
         solve_pattern(simpsons, [PatternTriple(X, "Owns", person("Marge"))])
+    # one name under two categories is refused, not read as its first category
+    two = [
+        PatternTriple(Variable("Unknown_1", "Person"), "Parent of", person("Bart")),
+        PatternTriple(Variable("Unknown_1", "Place"), "Spouse of", person("Homer")),
+    ]
+    with pytest.raises(OracleError) as exc:
+        solve_pattern(simpsons, two)
+    assert str(exc.value) == "variable Unknown_1 has two categories"
 
 
 def test_category_filter(simpsons):
@@ -334,6 +342,15 @@ def patterns(draw):
 @given(patterns())
 def test_solve_matches_naive_on_any_pattern(pattern):
     g, triples = pattern
+    variables = {end for t in triples for end in (t.subject, t.object) if isinstance(end, Variable)}
+    names = [v.name for v in variables]
+    twice = sorted({name for name in names if names.count(name) > 1})
+    if twice:
+        # a name under two categories is refused, and the error names one
+        with pytest.raises(OracleError, match=r"^variable Unknown_\d has two categories$") as exc:
+            solve_pattern(g, triples)
+        assert str(exc.value).split()[1] in twice
+        return
     # the same bindings, each once, in canonical order
     assert solve_pattern(g, triples) == canonical_bindings(naive_solve_pattern(g, triples))
 

@@ -254,6 +254,30 @@ def test_a_repeated_binding_or_path_is_refused():
         parse_key_xml(text)
 
 
+@pytest.mark.parametrize(
+    "pattern, homer_as, message",
+    [
+        ("<Object>Person:Unknown_2</Object>", "Unknown_2",
+         "Q.A.1: a Binding binds two variables to one node"),
+        ("<Object>Person:Homer</Object>", None, "Q.A.1: a Binding binds a variable to a constant"),
+    ],
+    ids=["two variables", "a constant"],
+)
+def test_a_binding_the_oracle_cannot_give_is_refused(pattern, homer_as, message):
+    # the oracle binds each variable to its own node, never a constant
+    bound = "".join(
+        f'<Var name="{name}">Person:Homer</Var>' for name in ("Unknown_1", homer_as) if name
+    )
+    text = (
+        '<QAKey><Query id="Q.A.1"><Triple><Subject>Person:Unknown_1</Subject>'
+        f"<Pred>Relation:Spouse_of</Pred>{pattern}</Triple>"
+        f'<Binding index="1">{bound}</Binding></Query></QAKey>'
+    )
+    with pytest.raises(ProtocolError) as exc:
+        parse_key_xml(text)
+    assert str(exc.value) == message
+
+
 def test_a_correct_that_is_not_its_option_is_refused():
     text = (GOLDEN / "keys_b.xml").read_text(encoding="utf-8")
     good = '<Correct index="3">Relation:Parent_of</Correct>'
@@ -779,12 +803,14 @@ def query_lists(draw):
             triples = tuple(draw(st.lists(
                 st.builds(PatternTriple, ends, RELATIONS, ends), min_size=1, max_size=3
             )))
-            names = sorted({e.name for t in triples for e in (t.subject, t.object)
-                            if isinstance(e, Variable)})
-            # each binding once, in any order: the codec keeps the order held
+            used = {e for t in triples for e in (t.subject, t.object)}
+            names = sorted(e.name for e in used if isinstance(e, Variable))
+            # each binding once, in any order: the codec keeps the order held;
+            # injective, as the oracle binds: no node twice, no constant
+            free = NODES.filter(lambda n: n not in used)
             bindings = draw(st.lists(
                 st.builds(lambda nodes: frozenset(zip(names, nodes)),
-                          st.lists(NODES, min_size=len(names), max_size=len(names))),
+                          st.lists(free, min_size=len(names), max_size=len(names), unique=True)),
                 min_size=1, max_size=3, unique=True,
             ))
             queries.append(FillQuery(qid, triples, tuple(bindings)))

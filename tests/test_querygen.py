@@ -305,6 +305,8 @@ SPOUSE = (PatternTriple(Variable("Unknown_1", "Person"), "Spouse of",
                         Variable("Unknown_2", "Person")),)
 AS_PLACE = PatternTriple(Variable("Unknown_1", "Place"), "Spouse of", HOMER)
 BINDING = frozenset({("Unknown_1", HOMER), ("Unknown_2", MARGE)})
+ONE_NODE = frozenset({("Unknown_1", HOMER), ("Unknown_2", HOMER)})
+AS_SPOUSE = PatternTriple(Variable("Unknown_1", "Person"), "Spouse of", HOMER)
 HOMER_MARGE = Path((HOMER, MARGE), ("Spouse of",))
 VIA_BART = Path((HOMER, BART, MARGE), ("Parent of", "Child of"))
 VIA_HOMER = Path((HOMER, MARGE, HOMER, MARGE), ("Spouse of",) * 3)
@@ -319,6 +321,11 @@ VIA_HOMER = Path((HOMER, MARGE, HOMER, MARGE), ("Spouse of",) * 3)
         (lambda: FillQuery("Q.A.1", SPOUSE, (frozenset({("Unknown_1", HOMER)}),)),
          "Q.A.1: a Binding names each of Unknown_1, Unknown_2 once"),
         (lambda: FillQuery("Q.A.1", SPOUSE, (BINDING, BINDING)), "Q.A.1: a Binding appears twice"),
+        # the oracle binds injectively, so neither binding can be a key's
+        (lambda: FillQuery("Q.A.1", SPOUSE, (ONE_NODE,)),
+         "Q.A.1: a Binding binds two variables to one node"),
+        (lambda: FillQuery("Q.A.1", (AS_SPOUSE,), (frozenset({("Unknown_1", HOMER)}),)),
+         "Q.A.1: a Binding binds a variable to a constant"),
         (lambda: FillQuery("Q.A.1", SPOUSE, ()), "Q.A.1: the key holds no Binding"),
         (lambda: ChoiceQuery("Q.B.1", HOMER, MARGE, (), None),
          "Q.B.1: choice query without options"),
@@ -347,9 +354,10 @@ VIA_HOMER = Path((HOMER, MARGE, HOMER, MARGE), ("Spouse of",) * 3)
         (lambda: PathQuery("Q.C.1", HOMER, MARGE, 4, ()), "Q.C.1: the key holds no Path"),
     ],
     ids=["fill no triples", "fill two categories", "fill Binding names", "fill Binding twice",
-         "fill empty key", "choice no options", "choice option twice", "choice key past options",
-         "choice key below options", "path one node", "path max_edges 0", "path Path twice",
-         "path source", "path target", "path length", "path not simple", "path empty key"],
+         "fill Binding one node", "fill Binding constant", "fill empty key", "choice no options",
+         "choice option twice", "choice key past options", "choice key below options",
+         "path one node", "path max_edges 0", "path Path twice", "path source", "path target",
+         "path length", "path not simple", "path empty key"],
 )
 def test_an_invalid_query_is_not_built(build, message):
     with pytest.raises(QueryError) as exc:
