@@ -37,6 +37,10 @@ One line writer, `_Writer`, writes every document, byte for byte as
 ElementTree's `indent` and `tostring` would: two spaces of indent per depth,
 attributes in the order given, `<Tag attrs />` for an element without
 children; text escapes &, < and >, and an attribute also '"', CR, LF and TAB.
+Each repeated line is rendered once per document, in memos the writer owns:
+a path is its Path line, its Source line by node, its middle steps' Edge and
+Node lines by (relation, node), its last Edge line by relation and its
+Target line by node, and then `</Path>`.
 Names XML 1.0 cannot carry are refused where they enter (graph files,
 ontologies, `--team`).  ElementTree only reads, and each read decodes every
 distinct node or relation text once, in a memo owned by that call.
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 import math
 import xml.etree.ElementTree as ET
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -132,15 +137,20 @@ class _Writer:
     """One XML document written line by line, with the bytes ElementTree's
     `indent` and `tostring` give: two spaces per depth, one element per line,
     `<Tag attrs>text</Tag>` for a leaf and `<Tag attrs />` for an element
-    that ends with no children."""
+    that ends with no children.
+
+    Each line that repeats is rendered once, in memos the document owns and
+    that die with it: an attribute-less leaf's line by (depth, tag, text),
+    and the lines of a path by value (`_path_memos`), for the depth of its
+    Path element."""
 
     def __init__(self, comment: str | None = None):
         self._lines = ['<?xml version="1.0" encoding="UTF-8"?>']
         if comment:
             self._lines.append(f"<!-- {comment} -->")
         self._open: list[tuple[str, int]] = []  # (tag, index of its start line)
-        # an attribute-less leaf's line, escaped and indented once per document
-        self._leaves: dict[tuple[int, str, str], str] = {}
+        self._leaves = cache(_leaf_line)
+        self._path_lines = cache(_path_memos)
 
     def _head(self, tag: str, attrs: dict[str, str] | None) -> str:
         head = "  " * len(self._open) + "<" + tag
@@ -161,28 +171,49 @@ class _Writer:
 
     def leaf(self, tag: str, text: str, attrs: dict[str, str] | None = None) -> None:
         if attrs:
-            line = f"{self._head(tag, attrs)}>{_escape_text(text)}</{tag}>"
+            self._lines.append(f"{self._head(tag, attrs)}>{_escape_text(text)}</{tag}>")
         else:
-            key = (len(self._open), tag, text)
-            line = self._leaves.get(key)
-            if line is None:
-                line = f"{self._head(tag, None)}>{_escape_text(text)}</{tag}>"
-                self._leaves[key] = line
-        self._lines.append(line)
+            self._lines.append(self._leaves(len(self._open), tag, text))
+
+    def path(self, path: Path, index: int) -> None:
+        """A Path element, its child lines from the memos and its middle
+        steps in one `extend`; the index, an int, needs no escaping."""
+        depth = len(self._open)
+        sources, steps, last_edges, targets = self._path_lines(depth)
+        nodes, relations = path
+        pad = "  " * depth
+        lines = self._lines
+        lines.append(f'{pad}<Path index="{index}">')
+        lines.append(sources(nodes[0]))
+        lines.extend(map(steps, zip(relations, nodes[1:-1])))
+        lines.append(last_edges(relations[-1]))
+        lines.append(targets(nodes[-1]))
+        lines.append(f"{pad}</Path>")
 
     def text(self) -> str:
         return "\n".join(self._lines) + "\n"
 
 
-def _write_path(out: _Writer, path: Path, index: int) -> None:
-    out.start("Path", {"index": str(index)})
-    out.leaf("Source", path.source.canonical)
-    for rel, node in zip(path.relations[:-1], path.nodes[1:-1]):
-        out.leaf("Edge", encode_relation(rel))
-        out.leaf("Node", node.canonical)
-    out.leaf("Edge", encode_relation(path.relations[-1]))
-    out.leaf("Target", path.target.canonical)
-    out.end()
+def _leaf_line(depth: int, tag: str, text: str) -> str:
+    return f"{'  ' * depth}<{tag}>{_escape_text(text)}</{tag}>"
+
+
+def _path_memos(depth: int) -> tuple[Callable[..., str], ...]:
+    """The child lines of a Path element at `depth`: Source and Target by
+    node, the last Edge by relation, and a middle step's Edge and Node lines,
+    joined, by (relation, node).  Each has its own memo, so a relation named
+    as a tag never shares a line with a node."""
+    inner = depth + 1
+
+    def edge(relation: str) -> str:
+        return _leaf_line(inner, "Edge", encode_relation(relation))
+
+    return (
+        cache(lambda node: _leaf_line(inner, "Source", node.canonical)),
+        cache(lambda step: edge(step[0]) + "\n" + _leaf_line(inner, "Node", step[1].canonical)),
+        cache(edge),
+        cache(lambda node: _leaf_line(inner, "Target", node.canonical)),
+    )
 
 
 class _Decoder:
@@ -289,7 +320,7 @@ def _write_query(out: _Writer, q: Query, keyed: bool) -> None:
         out.leaf("Source", q.source.canonical)
         out.leaf("Target", q.target.canonical)
         for i, path in enumerate(require_key(q) if keyed else (), start=1):
-            _write_path(out, path, i)
+            out.path(path, i)
     out.end()
 
 
@@ -471,7 +502,7 @@ def emit_submission(sub: Submission) -> str:
             out.leaf("Answer", encode_relation(answers))
         else:
             for i, path in enumerate(answers, start=1):
-                _write_path(out, path, i)
+                out.path(path, i)
         out.end()
     out.end()
     return out.text()

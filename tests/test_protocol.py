@@ -1,6 +1,7 @@
 import copy
 import xml.etree.ElementTree as ET
 from dataclasses import FrozenInstanceError, replace
+from itertools import combinations
 from pathlib import Path as FsPath
 
 import pytest
@@ -15,7 +16,7 @@ from helpers import (
 )
 from kgbench.graph import NodeId, entity, is_variable_name, person
 from kgbench.ontology import canonical_label, non_xml_char
-from kgbench.oracle import OracleError, Path, PatternTriple, Variable
+from kgbench.oracle import OracleError, Path, PatternTriple, Variable, enumerate_paths
 from kgbench.protocol import (
     ProtocolError,
     _Decoder,
@@ -757,7 +758,11 @@ def _labels(chars):
 
 
 CATEGORIES = _labels([c for c in NAME_CHARS if c != ":"])
-RELATIONS = _labels([c for c in NAME_CHARS if c != "_"])
+# a relation may be named as a path's child tags are
+RELATIONS = st.one_of(
+    st.sampled_from(["Source", "Edge", "Node", "Target", "Path"]),
+    _labels([c for c in NAME_CHARS if c != "_"]),
+)
 NODES = st.builds(NodeId, CATEGORIES, _labels(NAME_CHARS)).filter(
     lambda n: not is_variable_name(n.name)
 )
@@ -778,14 +783,23 @@ XML_TEXTS = st.text(
 DOCUMENT_IDS = st.lists(XML_TEXTS.filter(bool), min_size=1, max_size=3, unique=True)
 
 
-def _paths(draw, source, target, count, max_edges=4, simple=False):
-    """Paths from source to target; when `simple`, each node once, as in a key."""
+def _pooled(draw, values, size):
+    """`values`, most often one of a few drawn up front: a document's paths
+    then repeat nodes, relations and steps across paths, queries and roles."""
+    pool = draw(st.lists(values, min_size=1, max_size=size, unique=True))
+    return st.one_of(st.sampled_from(pool), values)
+
+
+def _paths(draw, node_values, relation_values, source, target, count, max_edges=4,
+           simple=False):
+    """Paths from source to target, their other nodes and relations drawn
+    from the strategies given; when `simple`, each node once, as in a key."""
     paths = []
     for _ in range(count):
-        others = NODES.filter(lambda n: n not in (source, target)) if simple else NODES
+        others = node_values.filter(lambda n: n not in (source, target)) if simple else node_values
         inner = draw(st.lists(others, max_size=max_edges - 1, unique=simple))
         nodes = (source, *inner, target)
-        relations = tuple(draw(st.lists(RELATIONS, min_size=len(nodes) - 1,
+        relations = tuple(draw(st.lists(relation_values, min_size=len(nodes) - 1,
                                         max_size=len(nodes) - 1)))
         paths.append(Path(nodes, relations))
     return paths
@@ -796,6 +810,7 @@ def query_lists(draw):
     """Valid queries of one type, with keys, under distinct ids: every rule
     of its constructor holds."""
     kind = draw(st.sampled_from([FillQuery, ChoiceQuery, PathQuery]))
+    nodes, relations = _pooled(draw, NODES, 4), _pooled(draw, RELATIONS, 3)
     queries = []
     for qid in draw(DOCUMENT_IDS):
         if kind is FillQuery:
@@ -820,10 +835,11 @@ def query_lists(draw):
             key = draw(st.integers(0, len(options) - 1))
             queries.append(ChoiceQuery(qid, draw(NODES), draw(NODES), options, key))
         else:
-            source, target = draw(st.lists(NODES, min_size=2, max_size=2, unique=True))
+            source, target = draw(st.lists(nodes, min_size=2, max_size=2, unique=True))
             max_edges = draw(st.integers(1, 9))
             count = draw(st.integers(1, 3))
-            paths = _paths(draw, source, target, count, min(max_edges, 4), simple=True)
+            paths = _paths(draw, nodes, relations, source, target, count,
+                           min(max_edges, 4), simple=True)
             queries.append(PathQuery(qid, source, target, max_edges, tuple(dict.fromkeys(paths))))
     return queries
 
@@ -859,9 +875,10 @@ def submissions(draw):
         expected = [ChoiceQuery(qid, draw(NODES), draw(NODES), ("R",), 0) for qid in ids]
         return Submission(ChoiceQuery, team, answers), expected
     answers, expected = {}, []
+    nodes, relations = _pooled(draw, NODES, 4), _pooled(draw, RELATIONS, 3)
     for qid in ids:
-        source, target = draw(st.lists(NODES, min_size=2, max_size=2, unique=True))
-        answers[qid] = _paths(draw, source, target, draw(st.integers(0, 3)))
+        source, target = draw(st.lists(nodes, min_size=2, max_size=2, unique=True))
+        answers[qid] = _paths(draw, nodes, relations, source, target, draw(st.integers(0, 3)))
         expected.append(PathQuery(qid, source, target, 4, None))
     return Submission(PathQuery, team, answers), expected
 
@@ -911,6 +928,36 @@ def test_the_writer_escapes_as_elementtree_does():
     assert '<Query id="Q.A.1" />' in emit_submission(
         Submission(FillQuery, "t", {"Q.A.1": {"Unknown_1": []}})
     )
+
+
+def test_a_relation_named_as_a_tag_keeps_its_own_lines():
+    # the step (Source, b) of Q.C.1 and the Source b of Q.C.2 share a name
+    # and a node: one memo keyed by (tag or relation, node) writes one line
+    # for both
+    a, b, c = person("a"), person("b"), person("c")
+    sub = Submission(PathQuery, "t", {
+        "Q.C.1": [Path((a, b, c), ("Source", "R"))],
+        "Q.C.2": [Path((b, a, c), ("Target", "R"))],
+    })
+    text = emit_submission(sub)
+    assert text == reference_emit_submission(sub)
+    assert "<Edge>Relation:Source</Edge>\n      <Node>Person:b</Node>" in text
+
+
+def test_a_large_path_key_is_written_as_elementtree_writes_it(simpsons):
+    # every Person pair of the Simpsons world at k=8: 405 paths, 2,133 edges
+    people = [n for n in simpsons.nodes if n.category == "Person"]
+    queries = [
+        PathQuery(f"Q.C.{i}", source, target, 8,
+                  tuple(enumerate_paths(simpsons, source, target, 8)))
+        for i, (source, target) in enumerate(combinations(people, 2), start=1)
+    ]
+    assert len(queries) == 36
+    assert sum(len(q.key) for q in queries) == 405
+    assert sum(p.length for q in queries for p in q.key) == 2133
+    assert emit_key_xml(queries) == reference_emit_document(queries, True)
+    sub = Submission(PathQuery, "oracle", {q.id: list(q.key) for q in queries})
+    assert emit_oracle_submission(queries, "oracle") == reference_emit_submission(sub)
 
 
 def test_each_malformed_text_reports_every_time():
