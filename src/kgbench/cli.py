@@ -237,7 +237,7 @@ def cmd_stats(args) -> int:
 
 
 def _component_count(graph: KnowledgeGraph) -> int:
-    rows = graph.index.rows
+    rows = graph.rows
     seen = [False] * len(rows)
     components = 0
     for node in range(len(rows)):
@@ -336,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     caller's collector state back afterwards.  A command builds acyclic
     data: the cyclic garbage it leaves is the same on any input
     (tests/test_cli.py checks it), so the collector's repeated walks of the
-    growing element trees and indexes would free nothing."""
+    growing element trees and traversal views would free nothing."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -10,12 +10,15 @@ node or an edge enters a set or a dict.
 A graph numbers its nodes once, when it is made: `nodes` is the tuple of
 its distinct NodeIds in canonical-text order, and `number` maps each node to
 its position.  Integer order is therefore canonical order, the one node
-order, and the searches in `oracle`, `scoring` and `querygen` run on ints.
+order, and the searches in `oracle` and `querygen` run on ints.
 
-The traversal view lives in one index per graph, built in one pass over the
-edges the first time a caller traverses.  It holds, per node number, the
-row of (other, relation) links, and per (node, relation) the set of nodes
-reached, which answers `has_link` with one lookup.
+Membership reads the edge set itself: a traversal-view step is an edge
+stored as given, or stored in reverse under the inverse label (`holds`).
+Only a search builds a traversal view, each one at its first use and kept
+for the graph's life: `rows`, per node number the row of (other, relation)
+links, which the path search, the fill sampler and `stats` walk, and
+`links`, per (node, relation) the set of nodes reached, which the pattern
+solver draws its candidates from.
 """
 
 from __future__ import annotations
@@ -121,18 +124,6 @@ class Edge(NamedTuple):
     dst: NodeId
 
 
-@dataclass(frozen=True, eq=False)
-class TraversalIndex:
-    """The traversal view on node numbers (`KnowledgeGraph.number`), so that
-    search runs on ints.  Read-only; built by `KnowledgeGraph.index`."""
-
-    # rows[i]: (other, relation-as-traversed) for each link of node i, in
-    # the edge set's order, so a reader that needs an order sorts
-    rows: tuple[tuple[tuple[int, str], ...], ...]
-    # (i, relation) -> the nodes node i reaches via relation
-    links: dict[tuple[int, str], set[int]]
-
-
 @dataclass(frozen=True)
 class KnowledgeGraph:
     """Made from an ontology and any iterable of NodeIds, read once; a
@@ -221,31 +212,43 @@ class KnowledgeGraph:
             f"restates {dst} -[{inverse}]-> {src}"
         )
 
-    @cached_property
-    def index(self) -> TraversalIndex:
-        """The traversal index, built at first use and kept for the graph's
-        life; building it is left out of `build`, since not every command
-        traverses."""
-        number, inverse = self.number, self.ontology.inverse
-        rows: list[list[tuple[int, str]]] = [[] for _ in self.nodes]
-        links: dict[tuple[int, str], set[int]] = {}
-        for edge in self.edges:
-            src, dst, relation = number[edge.src], number[edge.dst], edge.relation
-            back = inverse[relation]
-            rows[src].append((dst, relation))
-            rows[dst].append((src, back))
-            links.setdefault((src, relation), set()).add(dst)
-            links.setdefault((dst, back), set()).add(src)
-        return TraversalIndex(tuple(map(tuple, rows)), links)
+    def holds(self, src: NodeId, relation: str, dst: NodeId) -> bool:
+        """True iff (src, relation, dst) is a traversal-view edge: stored as
+        given, or from dst under the inverse label.  A node or a relation
+        the graph does not hold gives False."""
+        back = (dst, self.ontology.inverse.get(relation), src)  # an Edge equals its tuple
+        return (src, relation, dst) in self.edges or back in self.edges
 
     def has_link(self, src: NodeId, relation: str, dst: NodeId) -> bool:
-        """True iff (src, relation, dst) is a traversal-view edge."""
+        """`holds`, for a known relation and source; else GraphError."""
         if relation not in self.ontology:
             raise GraphError(f"unknown relation: {relation!r}")
-        number = self.number
-        if src not in number:
+        if src not in self.number:
             raise GraphError(f"unknown node: {src}")
-        return number.get(dst) in self.index.links.get((number[src], relation), ())
+        return self.holds(src, relation, dst)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[tuple[int, str], ...], ...]:
+        """rows[i]: (other, relation as traversed) for each link of node i,
+        in the edge set's order, so a reader that needs an order sorts."""
+        number, inverse = self.number, self.ontology.inverse
+        rows: list[list[tuple[int, str]]] = [[] for _ in self.nodes]
+        for src, relation, dst in self.edges:
+            s, d = number[src], number[dst]
+            rows[s].append((d, relation))
+            rows[d].append((s, inverse[relation]))
+        return tuple(map(tuple, rows))
+
+    @cached_property
+    def links(self) -> dict[tuple[int, str], set[int]]:
+        """(i, relation) -> the nodes node i reaches via relation."""
+        number, inverse = self.number, self.ontology.inverse
+        links: dict[tuple[int, str], set[int]] = {}
+        for src, relation, dst in self.edges:
+            s, d = number[src], number[dst]
+            links.setdefault((s, relation), set()).add(d)
+            links.setdefault((d, inverse[relation]), set()).add(s)
+        return links
 
     @cached_property
     def sorted_edges(self) -> tuple[Edge, ...]:

@@ -18,11 +18,11 @@ graph around the source.  That number is capped at PATH_BUDGET per call;
 past the cap it raises PathBudgetError rather than return a truncated key.
 
 Both searches run on node numbers (`KnowledgeGraph.number`, which follow
-canonical order) and the graph's traversal index: the BFS and the DFS walk
-its rows, and the pattern matcher takes a variable's candidates from its
-per-(node, relation) sets.  NodeIds go in and come out, in canonical order,
-the order keys are held and written in: the int results are sorted once, as
-numbers follow canonical order, and only then made bindings and `Path`s.
+canonical order): the BFS and the DFS walk the graph's `rows` view, and the
+pattern matcher takes a variable's candidates from its `links` view.
+NodeIds go in and come out, in canonical order, the order keys are held and
+written in: the int results are sorted once, as numbers follow canonical
+order, and only then made bindings and `Path`s.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def solve_pattern(
     with naive enumeration over all node tuples (see tests).
     """
     _check_pattern(graph, triples)
-    nodes, number, links = graph.nodes, graph.number, graph.index.links
+    nodes, number, links = graph.nodes, graph.number, graph.links
     variables = pattern_variables(triples)
     order = {v.name: i for i, v in enumerate(variables)}
 
@@ -222,7 +222,7 @@ def _distances_to(
     rows: tuple[tuple[tuple[int, str], ...], ...], target: int, limit: int
 ) -> list[int]:
     """Traversal-view hop distance to `target` of every node, by
-    breadth-first search from `target` over the index rows; limit + 1 for a
+    breadth-first search from `target` over the graph's rows; limit + 1 for a
     node more than `limit` hops away."""
     distance = [limit + 1] * len(rows)
     distance[target] = 0
@@ -265,7 +265,7 @@ def enumerate_paths(
     bound = longest if max_edges is None else min(max_edges, longest)
     if bound <= 0:
         return []
-    rows = graph.index.rows
+    rows = graph.rows
     start, goal = graph.number[source], graph.number[target]
     # reach[i]: node i's distance to the goal, or bound when it is further
     # than bound - 1 or already on the path: either way too far to enter

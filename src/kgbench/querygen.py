@@ -167,7 +167,7 @@ def _sample_connected_edges(
     """Random connected set of traversal-view edges grown from a seed node.
     Edges are returned in traversal orientation (as walked).  The draws run
     on node numbers, so the fringe is sorted in canonical order."""
-    rows, inverse = graph.index.rows, graph.ontology.inverse
+    rows, inverse = graph.rows, graph.ontology.inverse
     start = rng.choice(range(len(graph.nodes)))
     chosen: list[tuple[int, str, int]] = []
     taken: set[tuple[int, str, int]] = set()

@@ -93,16 +93,12 @@ def validate_path(graph: KnowledgeGraph, query: PathQuery, path: Path) -> PathVe
         return PathVerdict(
             False, f"length {path.length} exceeds bound {query.max_edges}"
         )
-    links = graph.index.links
-    numbers = [graph.number.get(node) for node in path.nodes]
     for i, rel in enumerate(path.relations, start=1):
         a, b = path.nodes[i - 1], path.nodes[i]
-        if numbers[i - 1] is None:
-            return PathVerdict(False, f"node {a} not in graph")
-        if numbers[i] is None:
-            return PathVerdict(False, f"node {b} not in graph")
-        # a relation outside the ontology has no links
-        if numbers[i] not in links.get((numbers[i - 1], rel), ()):
+        if not graph.holds(a, rel, b):
+            for node in (a, b):
+                if node not in graph.number:
+                    return PathVerdict(False, f"node {node} not in graph")
             return PathVerdict(False, f"edge {i} ({a} -[{rel}]-> {b}) not in graph")
     return PathVerdict(True)
 

@@ -200,11 +200,10 @@ def test_build_edge_errors():
 def test_neighbors_both_directions():
     marge, bart, lisa = person("Marge"), person("Bart"), person("Lisa")
     g = built(ONT, [marge, bart, lisa], [(marge, "Parent of", bart), (marge, "Parent of", lisa)])
-    index = g.index
     m, b, li = (g.number[n] for n in (marge, bart, lisa))
-    assert sorted(index.rows[m]) == [(b, "Parent of"), (li, "Parent of")]
-    assert index.rows[b] == ((m, "Child of"),)
-    assert index.links == {
+    assert sorted(g.rows[m]) == [(b, "Parent of"), (li, "Parent of")]
+    assert g.rows[b] == ((m, "Child of"),)
+    assert g.links == {
         (m, "Parent of"): {b, li},
         (b, "Child of"): {m},
         (li, "Child of"): {m},
@@ -214,7 +213,7 @@ def test_neighbors_both_directions():
 def test_isolated_node_and_unknown_node():
     maggie = person("Maggie")
     g = built(ONT, [maggie])
-    assert g.index.rows == ((),)
+    assert g.rows == ((),)
     with pytest.raises(GraphError, match="unknown node"):
         g.has_link(person("Nelson"), "Child of", maggie)
     with pytest.raises(GraphError, match="unknown relation"):
@@ -224,7 +223,7 @@ def test_isolated_node_and_unknown_node():
 @pytest.mark.parametrize("seed", range(30))
 def test_traversal_symmetry(seed):
     g = random_graph(seed)
-    rows, inverse = g.index.rows, g.ontology.inverse
+    rows, inverse = g.rows, g.ontology.inverse
     for node, row in enumerate(rows):
         for other, rel in row:
             assert (node, inverse[rel]) in rows[other]
@@ -236,7 +235,7 @@ def test_neighbors_deterministic_and_duplicate_free(seed):
     # the order the edges were given in
     g = random_graph(seed)
     again = KnowledgeGraph.build(g.ontology, g.nodes, sorted(g.edges, reverse=True))[0]
-    for row, other in zip(g.index.rows, again.index.rows):
+    for row, other in zip(g.rows, again.rows):
         assert len(set(row)) == len(row)
         assert sorted(row) == sorted(other)
 
@@ -250,7 +249,7 @@ def test_traversal_queries_equal_the_reference(seed, edges):
     stranger = person("Stranger")
     for node in nodes:
         row = sorted((g.number[o], r) for s, r, o in links if s == node)
-        assert sorted(g.index.rows[g.number[node]]) == row
+        assert sorted(g.rows[g.number[node]]) == row
         for rel in sorted(g.ontology.relations):
             for other in nodes:
                 assert g.has_link(node, rel, other) is ((node, rel, other) in links)

@@ -1,4 +1,4 @@
-import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -14,10 +14,10 @@ from helpers import (
     random_graph,
     reference_enumerate_paths,
 )
+from kgbench.datasets import simpsons_graph
 from kgbench.graph import (
     ENTITY,
     PERSON,
-    KnowledgeGraph,
     entity,
     is_variable_name,
     person,
@@ -37,6 +37,7 @@ from kgbench.oracle import (
 )
 from kgbench.querygen import FillQuery, PathQuery, oracle_key
 from kgbench.rng import SplitMix64
+from kgbench.scoring import score_paths, validate_path
 
 X = Variable("Unknown_1")
 Y = Variable("Unknown_2")
@@ -233,7 +234,7 @@ def test_a_bound_past_the_longest_simple_path_is_no_bound(simpsons):
     assert enumerate_paths(simpsons, homer, bart, 10**12) == unbounded
 
 
-def test_pruning_skips_a_clique_with_no_route_to_the_target(monkeypatch):
+def test_pruning_skips_a_clique_with_no_route_to_the_target():
     # the unpruned search expands every simple path of the clique, about 3e4
     ont = load_ontology("Friend of | Friend of")
     clique = [person(f"C{i}") for i in range(9)]
@@ -241,7 +242,14 @@ def test_pruning_skips_a_clique_with_no_route_to_the_target(monkeypatch):
     edges += [(a, "Friend of", b) for i, a in enumerate(clique) for b in clique[i + 1:]]
     edges.append((person("T"), "Friend of", person("U")))
     g = built(ont, [person("S"), person("T"), person("U"), *clique], edges)
-    # count the index rows the search reads, the BFS's included
+    calls = count_row_reads(g, g.rows)
+    assert enumerate_paths(g, person("S"), person("T"), 8) == []
+    assert len(calls) <= 5, len(calls)
+
+
+def count_row_reads(graph, rows):
+    """The node of each read of `graph.rows`, the BFS's included, once the
+    view is set to `rows`."""
     calls = []
 
     class CountedRows(tuple):
@@ -249,10 +257,65 @@ def test_pruning_skips_a_clique_with_no_route_to_the_target(monkeypatch):
             calls.append(node)
             return tuple.__getitem__(self, node)
 
-    counted = dataclasses.replace(g.index, rows=CountedRows(g.index.rows))
-    monkeypatch.setattr(KnowledgeGraph, "index", property(lambda self: counted))
-    assert enumerate_paths(g, person("S"), person("T"), 8) == []
-    assert len(calls) <= 5, len(calls)
+    vars(graph)["rows"] = CountedRows(rows)  # where cached_property keeps the view
+    return calls
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["rows as built", "rows reversed"])
+def test_path_search_effort_is_pinned(reverse):
+    # the pruned search reads the same rows in any row order, so the count
+    # holds under every hash seed; a BFS that enters a node again at its
+    # own distance (`>=` for `>`) reads 2,307
+    g = simpsons_graph()
+    calls = count_row_reads(g, [row[::-1] if reverse else row for row in g.rows])
+    persons = [n for n in g.nodes if n.category == PERSON]
+    for source, target in itertools.combinations(persons, 2):
+        enumerate_paths(g, source, target, 8)
+    assert len(persons) == 9
+    assert len(calls) == 2178
+
+
+def test_the_distance_search_stops_at_its_limit():
+    # on a chain A-B-C-D-E-F at bound 5, the BFS from F reads the rows of F,
+    # E, D and C (4 hops) and the DFS those of A to E; one BFS level more
+    # would read B's row as well
+    ont = load_ontology("Friend of | Friend of")
+    chain = [person(name) for name in "ABCDEF"]
+    g = built(ont, chain, [(a, "Friend of", b) for a, b in zip(chain, chain[1:])])
+    calls = count_row_reads(g, g.rows)
+    assert len(enumerate_paths(g, chain[0], chain[-1], 5)) == 1
+    assert len(calls) == 9
+
+
+HOMER, MARGE, BART = person("Homer"), person("Marge"), person("Bart")
+NOT_A_STEP = Path((HOMER, BART), ("Spouse of",))
+
+
+def score_homer_to_bart(g):
+    key = enumerate_paths(simpsons_graph(), HOMER, BART, 4)  # on another graph
+    query = PathQuery("Q.C.1", HOMER, BART, 4, tuple(key))
+    return score_paths(g, query, [*key, NOT_A_STEP])
+
+
+@pytest.mark.parametrize(
+    "call, views",
+    [
+        (lambda g: g.has_link(HOMER, "Spouse of", MARGE), set()),
+        (lambda g: answer_choice(g, HOMER, MARGE, ["Spouse of", "Parent of"]), set()),
+        (lambda g: validate_path(g, PathQuery("Q.C.1", HOMER, BART, 4, None), NOT_A_STEP),
+         set()),
+        (score_homer_to_bart, set()),
+        (lambda g: enumerate_paths(g, HOMER, BART, 4), {"rows"}),
+        (lambda g: solve_pattern(g, simpsons_pattern()), {"links"}),
+    ],
+    ids=["has_link", "answer_choice", "validate_path", "score_paths", "enumerate_paths",
+         "solve_pattern"],
+)
+def test_each_entry_point_builds_only_the_view_it_walks(call, views):
+    # membership reads the edge set; a search builds the one view it walks
+    g = simpsons_graph()
+    call(g)
+    assert {"rows", "links"} & vars(g).keys() == views
 
 
 def test_path_budget(simpsons, monkeypatch):

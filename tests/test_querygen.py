@@ -51,6 +51,12 @@ def test_fill_unique_flag(simpsons):
     assert any(len(q.key) > 1 for q in generate_fill(simpsons, 8, 6, require_unique=False))
 
 
+def test_fill_unique_flag_key_sizes(simpsons):
+    # at seed 1, two of five keys have two bindings unless one is required
+    assert [len(q.key) for q in generate_fill(simpsons, 1, 5)] == [1, 1, 2, 2, 1]
+    assert [len(q.key) for q in generate_fill(simpsons, 1, 5, require_unique=True)] == [1] * 5
+
+
 def test_fill_worked_example_pattern_is_producible(simpsons):
     # some seed must produce a 2-variable unique-key query; the worked
     # 4-triple example itself is solvable on this fixture (see oracle tests)
