@@ -14,11 +14,10 @@ order, and the searches in `oracle` and `querygen` run on ints.
 
 Membership reads the edge set itself: a traversal-view step is an edge
 stored as given, or stored in reverse under the inverse label (`holds`).
-Only a search builds a traversal view, each one at its first use and kept
-for the graph's life: `rows`, per node number the row of (other, relation)
-links, which the path search, the fill sampler and `stats` walk, and
-`links`, per (node, relation) the set of nodes reached, which the pattern
-solver draws its candidates from.
+Only a search builds the traversal view, at its first use, and keeps it for
+the graph's life: `rows`, per node number the row of (other, relation)
+links, which the path search, the pattern solver, the fill sampler and
+`stats` walk.
 """
 
 from __future__ import annotations
@@ -219,14 +218,6 @@ class KnowledgeGraph:
         back = (dst, self.ontology.inverse.get(relation), src)  # an Edge equals its tuple
         return (src, relation, dst) in self.edges or back in self.edges
 
-    def has_link(self, src: NodeId, relation: str, dst: NodeId) -> bool:
-        """`holds`, for a known relation and source; else GraphError."""
-        if relation not in self.ontology:
-            raise GraphError(f"unknown relation: {relation!r}")
-        if src not in self.number:
-            raise GraphError(f"unknown node: {src}")
-        return self.holds(src, relation, dst)
-
     @cached_property
     def rows(self) -> tuple[tuple[tuple[int, str], ...], ...]:
         """rows[i]: (other, relation as traversed) for each link of node i,
@@ -238,17 +229,6 @@ class KnowledgeGraph:
             rows[s].append((d, relation))
             rows[d].append((s, inverse[relation]))
         return tuple(map(tuple, rows))
-
-    @cached_property
-    def links(self) -> dict[tuple[int, str], set[int]]:
-        """(i, relation) -> the nodes node i reaches via relation."""
-        number, inverse = self.number, self.ontology.inverse
-        links: dict[tuple[int, str], set[int]] = {}
-        for src, relation, dst in self.edges:
-            s, d = number[src], number[dst]
-            links.setdefault((s, relation), set()).add(d)
-            links.setdefault((d, inverse[relation]), set()).add(s)
-        return links
 
     @cached_property
     def sorted_edges(self) -> tuple[Edge, ...]:

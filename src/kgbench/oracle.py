@@ -18,8 +18,9 @@ graph around the source.  That number is capped at PATH_BUDGET per call;
 past the cap it raises PathBudgetError rather than return a truncated key.
 
 Both searches run on node numbers (`KnowledgeGraph.number`, which follow
-canonical order): the BFS and the DFS walk the graph's `rows` view, and the
-pattern matcher takes a variable's candidates from its `links` view.
+canonical order) and walk the graph's one traversal view, `rows`: the BFS
+and the DFS step along it, and the pattern matcher takes a variable's
+candidates from the rows of the nodes its triples are anchored at.
 NodeIds go in and come out, in canonical order, the order keys are held and
 written in: the int results are sorted once, as numbers follow canonical
 order, and only then made bindings and `Path`s.
@@ -161,7 +162,7 @@ def solve_pattern(
     with naive enumeration over all node tuples (see tests).
     """
     _check_pattern(graph, triples)
-    nodes, number, links = graph.nodes, graph.number, graph.links
+    nodes, number, rows = graph.nodes, graph.number, graph.rows
     variables = pattern_variables(triples)
     order = {v.name: i for i, v in enumerate(variables)}
 
@@ -179,7 +180,7 @@ def solve_pattern(
         s_at = order[s.name] if isinstance(s, Variable) else -1
         o_at = order[o.name] if isinstance(o, Variable) else -1
         if s_at == o_at == -1:
-            if not graph.has_link(s, t.relation, o):
+            if not graph.holds(s, t.relation, o):
                 return []
         elif s_at == o_at:
             return []  # one variable at both ends: the graph has no self-loops
@@ -198,7 +199,7 @@ def solve_pattern(
         pool: set[int] | None = None
         for end, relation in attached[idx]:
             anchor = binding[end.name] if isinstance(end, Variable) else end
-            found = links.get((anchor, relation), set())
+            found = {other for other, r in rows[anchor] if r == relation}
             pool = found if pool is None else pool & found
         if pool is None:
             pool = set(range(len(nodes)))
@@ -213,7 +214,7 @@ def solve_pattern(
     try:
         search(0, {})
     finally:
-        del search  # it refers to itself: a cycle that would keep the links
+        del search  # it refers to itself: a cycle that would keep the bindings found
     # numbers sort as canonical ids
     return [frozenset(zip(names, [nodes[i] for i in row])) for row in sorted(results)]
 
@@ -318,6 +319,6 @@ def answer_choice(
             raise OracleError(f"unknown node: {n}")
     correct = set()
     for i, rel in enumerate(options):
-        if rel in graph.ontology and graph.has_link(subject, rel, object):
+        if graph.holds(subject, rel, object):
             correct.add(i)
     return correct

@@ -94,6 +94,7 @@ class ChoiceQuery:
     key: int | None = field(compare=False)  # index into options; None when keyless
 
     def __post_init__(self):
+        _require(self, self.subject != self.object, "subject and object are one node")
         _require(self, bool(self.options), "choice query without options")
         for index, option in enumerate(self.options, start=1):
             at = self.options.index(option) + 1
@@ -274,8 +275,8 @@ def generate_choice(
         nonholding = [
             r
             for r in all_relations
-            if not graph.has_link(edge.src, r, edge.dst)
-            and not graph.has_link(edge.dst, r, edge.src)
+            if not graph.holds(edge.src, r, edge.dst)
+            and not graph.holds(edge.dst, r, edge.src)
         ]
         if len(nonholding) < n_options - 1:
             return None

@@ -36,7 +36,7 @@ def test_minimal_tgf():
     g, diags = parse_tgf("1 Person:Homer\n2 Person:Marge\n#\n2 1 Spouse of\n", ONT)
     assert not diags
     assert g.node_count == 2 and g.edge_count == 1
-    assert g.has_link(person("Homer"), "Spouse of", person("Marge"))
+    assert g.holds(person("Homer"), "Spouse of", person("Marge"))
 
 
 def test_tgf_missing_separator():

@@ -1,4 +1,5 @@
 import itertools
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from kgbench.datasets import simpsons_graph
 from kgbench.graph import (
     ENTITY,
     PERSON,
+    KnowledgeGraph,
     entity,
     is_variable_name,
     person,
@@ -35,7 +37,7 @@ from kgbench.oracle import (
     pattern_variables,
     solve_pattern,
 )
-from kgbench.querygen import FillQuery, PathQuery, oracle_key
+from kgbench.querygen import FillQuery, PathQuery, generate_fill, oracle_key
 from kgbench.rng import SplitMix64
 from kgbench.scoring import score_paths, validate_path
 
@@ -275,6 +277,20 @@ def test_path_search_effort_is_pinned(reverse):
     assert len(calls) == 2178
 
 
+@pytest.mark.parametrize("reverse", [False, True], ids=["rows as built", "rows reversed"])
+def test_pattern_solver_effort_is_pinned(reverse):
+    # a triple reads one row each time its earlier end is bound, and the
+    # search binds the same partial bindings in any row order, so the count
+    # holds under every hash seed
+    patterns = [list(q.triples) for seed in range(1, 11)
+                for q in generate_fill(simpsons_graph(), seed, 5)]
+    g = simpsons_graph()
+    calls = count_row_reads(g, [row[::-1] if reverse else row for row in g.rows])
+    keys = [solve_pattern(g, pattern) for pattern in patterns]
+    assert len(patterns) == 50 and sum(map(len, keys)) == 67
+    assert len(calls) == 236
+
+
 def test_the_distance_search_stops_at_its_limit():
     # on a chain A-B-C-D-E-F at bound 5, the BFS from F reads the rows of F,
     # E, D and C (4 hops) and the DFS those of A to E; one BFS level more
@@ -300,22 +316,24 @@ def score_homer_to_bart(g):
 @pytest.mark.parametrize(
     "call, views",
     [
-        (lambda g: g.has_link(HOMER, "Spouse of", MARGE), set()),
+        (lambda g: g.holds(HOMER, "Spouse of", MARGE), set()),
         (lambda g: answer_choice(g, HOMER, MARGE, ["Spouse of", "Parent of"]), set()),
         (lambda g: validate_path(g, PathQuery("Q.C.1", HOMER, BART, 4, None), NOT_A_STEP),
          set()),
         (score_homer_to_bart, set()),
         (lambda g: enumerate_paths(g, HOMER, BART, 4), {"rows"}),
-        (lambda g: solve_pattern(g, simpsons_pattern()), {"links"}),
+        (lambda g: solve_pattern(g, simpsons_pattern()), {"rows"}),
     ],
-    ids=["has_link", "answer_choice", "validate_path", "score_paths", "enumerate_paths",
+    ids=["holds", "answer_choice", "validate_path", "score_paths", "enumerate_paths",
          "solve_pattern"],
 )
 def test_each_entry_point_builds_only_the_view_it_walks(call, views):
     # membership reads the edge set; a search builds the one view it walks
     g = simpsons_graph()
+    cached = {name for name, value in vars(KnowledgeGraph).items()
+              if isinstance(value, cached_property)}
     call(g)
-    assert {"rows", "links"} & vars(g).keys() == views
+    assert cached & vars(g).keys() == views
 
 
 def test_path_budget(simpsons, monkeypatch):
@@ -335,7 +353,7 @@ def test_path_budget(simpsons, monkeypatch):
 
 def test_searches_leave_no_cyclic_garbage(simpsons, monkeypatch):
     # a recursive closure refers to itself; the searches drop theirs, so
-    # the links and the paths found are freed without a full collection
+    # the bindings and the paths found are freed without a full collection
     homer, bart = person("Homer"), person("Bart")
     pattern = [PatternTriple(Variable("Unknown_1", PERSON), "Parent of", bart)]
     assert cyclic_garbage(lambda: solve_pattern(simpsons, pattern)) == 0

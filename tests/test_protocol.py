@@ -382,6 +382,19 @@ def test_a_repeated_option_is_refused(keyed):
     assert str(exc.value) == "Q.B.1: options 2 and 3 are both 'Parent of'"
 
 
+@pytest.mark.parametrize("keyed", [False, True], ids=["queries", "keys"])
+def test_a_choice_query_about_one_node_is_refused(keyed):
+    # no relation holds from a node to itself, so no option could be correct
+    text = (GOLDEN / f"{'keys' if keyed else 'queries'}_b.xml").read_text(encoding="utf-8")
+    bart = "<Object>Person:Bart</Object>"
+    assert text.index(bart) < text.index('<Query id="Q.B.2"')
+    with pytest.raises(ProtocolError) as exc:
+        (parse_key_xml if keyed else parse_query_xml)(
+            text.replace(bart, "<Object>Person:Marge</Object>", 1)
+        )
+    assert str(exc.value) == "Q.B.1: subject and object are one node"
+
+
 @pytest.mark.parametrize(
     "use",
     [lambda qs: score_choice(qs[0], qs[0].options[-1]),
@@ -833,7 +846,9 @@ def query_lists(draw):
             # each option once: a repeated option is a malformed query
             options = tuple(draw(st.lists(RELATIONS, min_size=1, max_size=3, unique=True)))
             key = draw(st.integers(0, len(options) - 1))
-            queries.append(ChoiceQuery(qid, draw(NODES), draw(NODES), options, key))
+            # two nodes: no relation holds from a node to itself
+            pair = draw(st.lists(NODES, min_size=2, max_size=2, unique=True))
+            queries.append(ChoiceQuery(qid, *pair, options, key))
         else:
             source, target = draw(st.lists(nodes, min_size=2, max_size=2, unique=True))
             max_edges = draw(st.integers(1, 9))
@@ -872,7 +887,8 @@ def submissions(draw):
         return Submission(FillQuery, team, answers), expected
     if kind is ChoiceQuery:
         answers = {qid: draw(RELATIONS) for qid in ids}
-        expected = [ChoiceQuery(qid, draw(NODES), draw(NODES), ("R",), 0) for qid in ids]
+        pairs = st.lists(NODES, min_size=2, max_size=2, unique=True)
+        expected = [ChoiceQuery(qid, *draw(pairs), ("R",), 0) for qid in ids]
         return Submission(ChoiceQuery, team, answers), expected
     answers, expected = {}, []
     nodes, relations = _pooled(draw, NODES, 4), _pooled(draw, RELATIONS, 3)

@@ -81,8 +81,8 @@ def test_choice_shape_and_key(simpsons):
         # distractors hold in neither direction
         for i, opt in enumerate(q.options):
             if i != q.key:
-                assert not simpsons.has_link(q.subject, opt, q.object)
-                assert not simpsons.has_link(q.object, opt, q.subject)
+                assert not simpsons.holds(q.subject, opt, q.object)
+                assert not simpsons.holds(q.object, opt, q.subject)
 
 
 def test_choice_degenerate_single_option(simpsons):
@@ -333,6 +333,9 @@ VIA_HOMER = Path((HOMER, MARGE, HOMER, MARGE), ("Spouse of",) * 3)
         (lambda: FillQuery("Q.A.1", (AS_SPOUSE,), (frozenset({("Unknown_1", HOMER)}),)),
          "Q.A.1: a Binding binds a variable to a constant"),
         (lambda: FillQuery("Q.A.1", SPOUSE, ()), "Q.A.1: the key holds no Binding"),
+        # no relation holds from a node to itself: graphs have no self-loops
+        (lambda: ChoiceQuery("Q.B.1", HOMER, HOMER, ("Spouse of", "Parent of"), 0),
+         "Q.B.1: subject and object are one node"),
         (lambda: ChoiceQuery("Q.B.1", HOMER, MARGE, (), None),
          "Q.B.1: choice query without options"),
         (lambda: ChoiceQuery("Q.B.1", HOMER, MARGE, ("a", "b", "a"), 0),
@@ -360,7 +363,8 @@ VIA_HOMER = Path((HOMER, MARGE, HOMER, MARGE), ("Spouse of",) * 3)
         (lambda: PathQuery("Q.C.1", HOMER, MARGE, 4, ()), "Q.C.1: the key holds no Path"),
     ],
     ids=["fill no triples", "fill two categories", "fill Binding names", "fill Binding twice",
-         "fill Binding one node", "fill Binding constant", "fill empty key", "choice no options",
+         "fill Binding one node", "fill Binding constant", "fill empty key", "choice one node",
+         "choice no options",
          "choice option twice", "choice key past options", "choice key below options",
          "path one node", "path max_edges 0", "path Path twice", "path source", "path target",
          "path length", "path not simple", "path empty key"],

@@ -19,11 +19,12 @@ expression starts on one of the given lines or ranges):
 The checkout's `src/`, `tests/` and `pyproject.toml` are copied into a
 temporary directory (under $TMPDIR when it is set); each mutant is written
 there as the module unparsed from its changed syntax tree, and the suite
-runs there with `-x`, `src/` of the copy first on the path.  The checkout
-itself is never written.  The unchanged module, unparsed the same way,
-must pass first; a mutant is killed when the suite fails, or runs five
-times as long (at least 30 s), since a mutant may loop forever.  A
-survivor listed in EQUIVALENT is reported with the reason it gives the
+runs there with `-x`, `src/` of the copy first on the path, without
+`tests/test_mutate.py`, which checks EQUIVALENT against the checkout.
+The checkout itself is never written.  The unchanged module, unparsed the
+same way, must pass first; a mutant is killed when the suite fails, or
+runs five times as long (at least 30 s), since a mutant may loop forever.
+A survivor listed in EQUIVALENT is reported with the reason it gives the
 same output; any other survivor wants a test.  It runs by hand, not in CI:
 each mutant runs the suite.
 """
@@ -124,6 +125,23 @@ def describe(source: str, node: ast.AST, change: str) -> str:
     return f"{text!r}: {change}"
 
 
+def sites(
+    source: str, lines: set[int] | None
+) -> tuple[ast.AST, dict[ast.AST, ast.AST], list, list[tuple[int, str, str]]]:
+    """The module's syntax tree, each node's parent, its mutants on `lines`
+    (all lines for None), and per mutant (line, the line's source stripped,
+    the mutant as listed), the last two an EQUIVALENT key's."""
+    tree = ast.parse(source)
+    parents = {child: parent for parent in ast.walk(tree) for child in ast.iter_child_nodes(parent)}
+    found = mutants(tree, parents, lines)
+    source_lines = source.splitlines()
+    listed = [
+        (node.lineno, source_lines[node.lineno - 1].strip(), describe(source, named, change))
+        for node, _, named, change in found
+    ]
+    return tree, parents, found, listed
+
+
 def parse_lines(spec: str | None) -> set[int] | None:
     if spec is None:
         return None
@@ -162,14 +180,7 @@ def main(argv: list[str] | None = None) -> int:
     module = Path(args.module).resolve()
     relative = module.relative_to(ROOT)
     source = module.read_text(encoding="utf-8")
-    tree = ast.parse(source)
-    parents = {child: parent for parent in ast.walk(tree) for child in ast.iter_child_nodes(parent)}
-    found = mutants(tree, parents, parse_lines(args.lines))
-    source_lines = source.splitlines()
-    listed = [
-        (node.lineno, source_lines[node.lineno - 1].strip(), describe(source, named, change))
-        for node, _, named, change in found
-    ]
+    tree, parents, found, listed = sites(source, parse_lines(args.lines))
     if args.list:
         for line, _, text in listed:
             print(f"{relative}:{line} {text}")
@@ -177,9 +188,11 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
+        # test_mutate.py checks EQUIVALENT against the checkout's modules,
+        # which a mutant changes
         for name in ("src", "tests"):
-            shutil.copytree(ROOT / name, copy / name,
-                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+            shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns(
+                "__pycache__", ".hypothesis", "test_mutate.py"))
         shutil.copy(ROOT / "pyproject.toml", copy)
         target = copy / relative
         target.write_text(ast.unparse(tree) + "\n", encoding="utf-8")
