@@ -166,50 +166,44 @@ class KnowledgeGraph:
         an unknown endpoint or relation, or for restating a kept edge, as
         given or in the inverse direction (DuplicateEdgeError).  A node that
         is not a NodeId, or an edge that is not an Edge, raises GraphError.
-        This is the only way edges enter a graph.  An edge is kept by plain
-        set lookups; `_rejection` words the verdict on the others."""
+        This is the only way edges enter a graph, and `_rejection` is the
+        one statement of the edge rule."""
         graph = cls(ontology, nodes)
-        number, inverse = graph.number, ontology.inverse
         kept: set[Edge] = set()
         problems: list[tuple[int, GraphError]] = []
         for position, edge in enumerate(edges):
             if not isinstance(edge, Edge):
                 raise GraphError(f"not an Edge: {edge!r}")
-            src, relation, dst = edge
-            # an Edge equals its tuple, so the inverse is looked up as one
-            if (
-                src != dst
-                and src in number
-                and dst in number
-                and relation in inverse
-                and edge not in kept
-                and (dst, inverse[relation], src) not in kept
-            ):
+            problem = graph._rejection(edge, kept)
+            if problem is None:
                 kept.add(edge)
             else:
-                problems.append((position, graph._rejection(edge, kept)))
+                problems.append((position, problem))
         object.__setattr__(graph, "edges", frozenset(kept))
         return graph, problems
 
-    def _rejection(self, edge: Edge, edges: set[Edge]) -> GraphError:
-        """Why `edge` may not join `edges` in this graph, for an edge that
-        `build` did not keep."""
+    def _rejection(self, edge: Edge, kept: set[Edge]) -> GraphError | None:
+        """Why `edge` may not join the edges `kept` in this graph, or None
+        when it may."""
         src, relation, dst = edge
+        number, inverses = self.number, self.ontology.inverse
         if src == dst:
             return GraphError(f"self-loop on {src}")
-        if src not in self.number:
+        if src not in number:
             return GraphError(f"unknown endpoint: {src}")
-        if dst not in self.number:
+        if dst not in number:
             return GraphError(f"unknown endpoint: {dst}")
-        if relation not in self.ontology:
+        if relation not in inverses:
             return GraphError(f"unknown relation: {relation!r}")
-        if edge in edges:
+        if edge in kept:
             return DuplicateEdgeError(f"duplicate edge: {src} -[{relation}]-> {dst}")
-        inverse = self.ontology.inverse_of(relation)
-        return DuplicateEdgeError(
-            f"inverse-duplicate edge: {src} -[{relation}]-> {dst} "
-            f"restates {dst} -[{inverse}]-> {src}"
-        )
+        inverse = inverses[relation]
+        if (dst, inverse, src) in kept:  # an Edge equals its tuple
+            return DuplicateEdgeError(
+                f"inverse-duplicate edge: {src} -[{relation}]-> {dst} "
+                f"restates {dst} -[{inverse}]-> {src}"
+            )
+        return None
 
     def holds(self, src: NodeId, relation: str, dst: NodeId) -> bool:
         """True iff (src, relation, dst) is a traversal-view edge: stored as

@@ -42,21 +42,25 @@ a path is its Path line, its Source line by node, its middle steps' Edge and
 Node lines by (relation, node), its last Edge line by relation and its
 Target line by node, and then `</Path>`.
 Names XML 1.0 cannot carry are refused where they enter (graph files,
-ontologies, `--team`).  ElementTree only reads, and each read decodes every
-distinct node or relation text once, in a memo owned by that call.
+ontologies, `--team`).  ElementTree only reads, after expat has refused a
+DOCTYPE in the prolog, and each read decodes every distinct node or relation
+text once, in a memo owned by that call.  Query and key files are read by one
+strict rule (`_children`), a submission's queries by one lenient filter.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import xml.etree.ElementTree as ET
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cache
+from xml.parsers import expat
 
 from .formats import WARNING, Diagnostic
 from .graph import GraphError, NodeId, is_variable_name
-from .ontology import canonical_label, is_decimal
+from .ontology import OntologyError, canonical_label, check_label, is_decimal
 from .oracle import OracleError, Path, PatternTriple, Variable
 from .querygen import LETTER, ChoiceQuery, FillQuery, PathQuery, Query, QueryError, require_key
 
@@ -94,7 +98,12 @@ def decode_relation(text: str) -> str:
     prefix, sep, rest = text.strip().partition(":")
     if not sep or prefix.strip() != "Relation":
         raise ProtocolError(f"expected 'Relation:...' text, got {text!r}")
-    return rest.strip().replace("_", " ")
+    relation = rest.strip().replace("_", " ")
+    try:
+        check_label(relation)
+    except OntologyError as exc:
+        raise ProtocolError(str(exc)) from None
+    return relation
 
 
 def encode_node_ref(ref: NodeId | Variable) -> str:
@@ -238,7 +247,8 @@ def _path_tags(count: int) -> list[str]:
 
 def _parse_path_element(el: ET.Element, decoded: _Decoder) -> Path:
     """Source, then (Edge, Node) pairs, then Edge and Target: the tags are
-    checked, and the texts read once, nodes decoded before relations."""
+    checked, each step holds text only, and the texts are read once, nodes
+    decoded before relations."""
     tags = [c.tag for c in el]
     if len(tags) < 3 or len(tags) % 2 == 0:
         raise ProtocolError("path must alternate Source/Edge/Node/.../Target")
@@ -247,6 +257,8 @@ def _parse_path_element(el: ET.Element, decoded: _Decoder) -> Path:
         raise ProtocolError(
             f"path elements out of order: got {tags}, expected {expected}"
         )
+    if any(map(len, el)):
+        raise ProtocolError(f"<{next(c.tag for c in el if len(c))}> holds an element")
     texts = [c.text or "" for c in el]
     return Path(
         tuple(map(decoded.node, texts[::2])), tuple(map(decoded.relation, texts[1::2]))
@@ -268,9 +280,35 @@ def _decimal(text: str | None, message: str) -> int:
     return int(text)
 
 
+def _text(el: ET.Element) -> str:
+    """The text of an element that holds text only."""
+    if len(el):
+        raise ProtocolError(f"<{el.tag}> holds an element")
+    return el.text or ""
+
+
+class _PrologEnd(Exception):
+    """Raised at the root's start tag: a DOCTYPE comes before it or never."""
+
+
+def _end_prolog(*_) -> None:
+    raise _PrologEnd
+
+
+def _refuse_doctype(name: str, *_) -> None:
+    raise ProtocolError(f"DOCTYPE {name!r} refused: a document declares no DTD and no entity")
+
+
 def _load_root(text: str, suffix: str) -> tuple[ET.Element, type]:
     """The root element, which must be a type's tag plus `suffix`, and that
-    query type."""
+    query type.  A DOCTYPE, which alone can declare entities, is refused:
+    expat reads the prolog, up to the root's start tag, before ElementTree
+    reads the document."""
+    prolog = expat.ParserCreate()
+    prolog.StartDoctypeDeclHandler = _refuse_doctype
+    prolog.StartElementHandler = _end_prolog
+    with contextlib.suppress(_PrologEnd, expat.ExpatError):  # ElementTree reports malformed XML
+        prolog.Parse(text, True)
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
@@ -334,41 +372,56 @@ def _emit_document(queries: list[Query], keyed: bool, params: dict[str, str]) ->
     return out.text()
 
 
+def _children(
+    el: ET.Element, fields: tuple[str, ...], lists: tuple[str, ...], needs: str = ""
+) -> tuple[dict[str, str], dict[str, list[ET.Element]]]:
+    """The one strict reading of the children of a query file's element: the
+    text of each tag in `fields`, each there once (else `needs`) and holding
+    text only, and the elements of each tag in `lists`, in file order.  Any
+    other child is an unknown element."""
+    texts: dict[str, str] = {}
+    found: dict[str, list[ET.Element]] = {tag: [] for tag in lists}
+    for child in el:
+        tag = child.tag
+        if tag in found:
+            found[tag].append(child)
+        elif tag not in fields:
+            raise ProtocolError(f"unknown element {tag!r}")
+        elif tag in texts:
+            raise ProtocolError(f"<{tag}> appears twice")
+        else:
+            texts[tag] = _text(child)
+    _require(len(texts) == len(fields), needs)
+    return texts, found
+
+
 def _read_query(
     qel: ET.Element, qid: str, kind: type, keyed: bool, decoded: _Decoder
 ) -> Query:
     """One Query element of a document, mapped tag by tag to its fields; its
     errors do not name it.  The query's own rules are its constructor's."""
     if kind is FillQuery:
+        _, found = _children(qel, (), ("Triple", "Binding") if keyed else ("Triple",))
         triples = []
+        for cel in found["Triple"]:
+            parts, _ = _children(
+                cel, ("Subject", "Pred", "Object"), (), "Triple needs Subject/Pred/Object"
+            )
+            triples.append(
+                PatternTriple(
+                    decoded.node_ref(parts["Subject"]),
+                    decoded.relation(parts["Pred"]),
+                    decoded.node_ref(parts["Object"]),
+                )
+            )
         bindings = []
-        for cel in qel:
-            if cel.tag == "Triple":
-                parts = {}
-                for c in cel:
-                    _require(c.tag not in parts, f"<{c.tag}> appears twice")
-                    parts[c.tag] = c.text or ""
-                _require(
-                    set(parts) == {"Subject", "Pred", "Object"},
-                    "Triple needs Subject/Pred/Object",
-                )
-                triples.append(
-                    PatternTriple(
-                        decoded.node_ref(parts["Subject"]),
-                        decoded.relation(parts["Pred"]),
-                        decoded.node_ref(parts["Object"]),
-                    )
-                )
-            elif cel.tag == "Binding" and keyed:
-                pairs = []
-                for vel in cel:
-                    _require(vel.tag == "Var", f"unknown element {vel.tag!r}")
-                    name = vel.get("name")
-                    _require(bool(name), "Var without a name")
-                    pairs.append((name, decoded.node(vel.text or "")))
-                bindings.append(pairs)
-            else:
-                raise ProtocolError(f"unknown element {cel.tag!r}")
+        for cel in found.get("Binding", ()):
+            pairs = []
+            for vel in _children(cel, (), ("Var",))[1]["Var"]:
+                name = vel.get("name")
+                _require(bool(name), "Var without a name")
+                pairs.append((name, decoded.node(_text(vel))))
+            bindings.append(pairs)
         key = tuple(map(frozenset, bindings)) if keyed else None
         query = FillQuery(qid, tuple(triples), key)
         # a Var repeated with its node is one pair of the set: the constructor can't see it
@@ -376,29 +429,20 @@ def _read_query(
         _require(all(len(set(pairs)) == len(pairs) for pairs in bindings), rule)
         return query
     if kind is ChoiceQuery:
-        parts: dict[str, str] = {}
-        options: list[tuple[int, str]] = []
-        correct: list[tuple[int, str]] = []
-        for cel in qel:
-            if cel.tag == "Option" or (cel.tag == "Correct" and keyed):
-                message = f"{cel.tag} without a numeric index"
-                index = _decimal(cel.get("index"), message)
-                if cel.tag == "Correct":
-                    correct.append((index, cel.text or ""))
-                else:
-                    options.append((index, decoded.relation(cel.text or "")))
-            elif cel.tag in ("Subject", "Pred", "Object"):
-                _require(cel.tag not in parts, f"<{cel.tag}> appears twice")
-                parts[cel.tag] = cel.text or ""
-            else:
-                raise ProtocolError(f"unknown element {cel.tag!r}")
-        _require(
-            set(parts) == {"Subject", "Pred", "Object"},
+        parts, found = _children(
+            qel,
+            ("Subject", "Pred", "Object"),
+            ("Option", "Correct") if keyed else ("Option",),
             "choice query needs Subject/Pred/Object",
         )
+        numbered = {}  # tag -> (index, text) of each Option, or Correct
+        for tag, cs in found.items():
+            message = f"{tag} without a numeric index"
+            numbered[tag] = [(_decimal(c.get("index"), message), _text(c)) for c in cs]
+        correct = numbered.get("Correct", [])
         if keyed:
             _require(len(correct) == 1, "need exactly one Correct")
-        options.sort()
+        options = sorted((index, decoded.relation(text)) for index, text in numbered["Option"])
         _require(
             [i for i, _ in options] == list(range(1, len(options) + 1)),
             "option indices must be 1..n",
@@ -416,23 +460,13 @@ def _read_query(
                 f"Correct text {text!r} is not option {index}",
             )
         return query
-    ends: dict[str, NodeId] = {}
-    paths = []
-    for cel in qel:
-        if cel.tag in ("Source", "Target"):
-            _require(cel.tag not in ends, f"<{cel.tag}> appears twice")
-            ends[cel.tag] = decoded.node(cel.text or "")
-        elif cel.tag == "Path" and keyed:
-            paths.append(_parse_path_element(cel, decoded))
-        else:
-            raise ProtocolError(f"unknown element {cel.tag!r}")
-    _require(
-        set(ends) == {"Source", "Target"},
-        "path query needs Source and Target",
+    ends, found = _children(
+        qel, ("Source", "Target"), ("Path",) if keyed else (), "path query needs Source and Target"
     )
+    source, target = decoded.node(ends["Source"]), decoded.node(ends["Target"])
+    key = tuple(_parse_path_element(p, decoded) for p in found["Path"]) if keyed else None
     max_edges = _decimal(qel.get("max_edges"), "bad max_edges")
-    key = tuple(paths) if keyed else None
-    return PathQuery(qid, ends["Source"], ends["Target"], max_edges, key)
+    return PathQuery(qid, source, target, max_edges, key)
 
 
 def _read_document(text: str, keyed: bool) -> tuple[list[Query], dict[str, str]]:
@@ -544,6 +578,16 @@ def parse_submission_xml(
     def warn(where: str, message: str) -> None:
         diagnostics.append(Diagnostic(WARNING, where, message))
 
+    wanted = "Path" if kind is PathQuery else "Answer"
+
+    def answers_of(qel: ET.Element, qid: str) -> Iterator[ET.Element]:
+        """A Query's answer elements; each other child is warned of as met."""
+        for child in qel:
+            if child.tag == wanted:
+                yield child
+            else:
+                warn(qid, f"ignored element {child.tag!r}")
+
     # a fill or path query is present, and empty, until answered; a choice
     # query has no empty answer
     empty = {} if kind is ChoiceQuery else {qid: {} if kind is FillQuery else [] for qid in by_id}
@@ -566,10 +610,7 @@ def parse_submission_xml(
             variables = set(query.variables)
             raw: dict[str, list[tuple[int, float, NodeId]]] = {}
             declared: dict[str, list[tuple[int, str]]] = {}
-            for order, ael in enumerate(qel):
-                if ael.tag != "Answer":
-                    warn(qid, f"ignored element {ael.tag!r}")
-                    continue
+            for order, ael in enumerate(answers_of(qel, qid)):
                 var = ael.get("var")
                 if not var or var not in variables:
                     warn(qid, f"answer for unknown variable {var!r}; dropped")
@@ -578,7 +619,7 @@ def parse_submission_xml(
                 declared.setdefault(var, []).append((order, ael.get("rank")))
                 try:
                     conf = float(ael.get("confidence", "nan"))
-                    node = decoded.node(ael.text or "")
+                    node = decoded.node(_text(ael))
                 except ValueError as exc:
                     warn(qid, f"unparseable answer dropped: {exc}")
                     continue
@@ -600,22 +641,16 @@ def parse_submission_xml(
                         )
                 sub.answers[qid][var] = [(node, conf) for _, conf, node in ordered]
         elif kind is ChoiceQuery:
-            for ael in qel:
-                if ael.tag != "Answer":
-                    warn(qid, f"ignored element {ael.tag!r}")
-            answers = [c for c in qel if c.tag == "Answer"]
+            answers = list(answers_of(qel, qid))
             if len(answers) != 1:
                 warn(qid, f"expected exactly one Answer, got {len(answers)}; dropped")
                 continue
             try:
-                sub.answers[qid] = decoded.relation(answers[0].text or "")
+                sub.answers[qid] = decoded.relation(_text(answers[0]))
             except ProtocolError as exc:
                 warn(qid, f"unparseable answer dropped: {exc}")
         else:
-            for pel in qel:
-                if pel.tag != "Path":
-                    warn(qid, f"ignored element {pel.tag!r}")
-                    continue
+            for pel in answers_of(qel, qid):
                 try:
                     path = _parse_path_element(pel, decoded)
                 except (ProtocolError, GraphError, OracleError) as exc:

@@ -76,8 +76,20 @@ def test_relation_text_encoding():
     assert encode_relation("Spouse of") == "Relation:Spouse_of"
     assert decode_relation("Relation:Spouse_of") == "Spouse of"
     assert decode_relation("Relation: Superintendent_At ") == "Superintendent At"
-    with pytest.raises(ProtocolError):
-        decode_relation("Spouse_of")
+    for text in ("Spouse_of", "Person:Spouse_of"):
+        with pytest.raises(ProtocolError) as exc:
+            decode_relation(text)
+        assert str(exc.value) == f"expected 'Relation:...' text, got {text!r}"
+    # the relation-label rule, which every ontology label passes
+    for text, message in [
+        ("Relation:", "empty relation label"),
+        ("Relation:Foo__Bar", "relation 'Foo  Bar' is not trimmed with single spaces"),
+        ("Relation:_Foo", "relation ' Foo' is not trimmed with single spaces"),
+        ("Relation:A|B", "relation 'A|B' has ontology file syntax ('|' or a leading '#')"),
+    ]:
+        with pytest.raises(ProtocolError) as exc:
+            decode_relation(text)
+        assert str(exc.value) == message
     for label in ("Spouse of", "Attends", "In Relationship With"):
         assert decode_relation(encode_relation(label)) == label
 
@@ -155,6 +167,70 @@ def test_query_errors():
         )
     with pytest.raises(ProtocolError, match="unknown element"):
         parse_query_xml('<QA><Query id="Q.A.1"><Bogus/></Query></QA>')
+
+
+FIELDS = {"a": ["Subject", "Pred", "Object"], "b": ["Subject", "Pred", "Object", "Option"],
+          "c": ["Source", "Target"]}
+PAYLOAD = {"a": ["Var"], "b": ["Correct"], "c": ["Edge", "Node"]}
+
+
+def nested(text: str, tag: str, qid: str) -> str:
+    """`text` with `<b/>` inside the text of its first `tag` element, which
+    lies in the query `qid`: 'Person:Ho<b/>mer'."""
+    start = text.index(">", text.index(f"<{tag}")) + 3
+    assert text.index(f'<Query id="{qid}"') < start < text.index("</Query>")
+    return text[:start] + "<b/>" + text[start:]
+
+
+@pytest.mark.parametrize(
+    "name, tag",
+    [(f"queries_{t}.xml", tag) for t, tags in FIELDS.items() for tag in tags]
+    + [(f"keys_{t}.xml", tag) for t in "abc" for tag in FIELDS[t] + PAYLOAD[t]],
+)
+def test_a_query_element_holds_text_only(name, tag):
+    # <Source>Person:Ho<b/>mer</Source> was read as Person:Ho
+    qid = f"Q.{name[-5].upper()}.1"
+    text = nested((GOLDEN / name).read_text(encoding="utf-8"), tag, qid)
+    with pytest.raises(ProtocolError) as exc:
+        (parse_key_xml if name.startswith("keys") else parse_query_xml)(text)
+    assert str(exc.value) == f"{qid}: <{tag}> holds an element"
+
+
+@pytest.mark.parametrize(
+    "t, tag, messages, kept",
+    [
+        ("a", "Answer", ["unparseable answer dropped: <Answer> holds an element"],
+         lambda answers: {"Unknown_2": answers["Unknown_2"]}),
+        ("b", "Answer", ["unparseable answer dropped: <Answer> holds an element",
+                         "no answer submitted; scored as wrong"], lambda answer: None),
+        ("c", "Node", ["unparseable path dropped: <Node> holds an element"],
+         lambda paths: paths[1:]),
+    ],
+)
+def test_a_submitted_answer_holds_text_only(t, tag, messages, kept):
+    qid = f"Q.{t.upper()}.1"
+    text = (GOLDEN / f"sub_{t}.xml").read_text(encoding="utf-8")
+    sub, diagnostics = parse_submission_xml(nested(text, tag, qid), GOLDEN_QUERIES)
+    assert [(d.where, d.message) for d in diagnostics] == [(qid, m) for m in messages]
+    # the first answer or path is dropped, and only it
+    whole = parse_submission_xml(text, GOLDEN_QUERIES)[0].answers[qid]
+    assert sub.answers.get(qid) == kept(whole) != whole
+
+
+@pytest.mark.parametrize("name", ["queries_b.xml", "keys_b.xml", "sub_b.xml"])
+def test_a_doctype_is_refused(name):
+    # with it, <!ENTITY a "aaaa"> made &a; read as aaaa
+    text = (GOLDEN / name).read_text(encoding="utf-8")
+    declaration, newline, rest = text.partition("\n")
+    root = "QBKey" if name.startswith("keys") else "QB"
+    entity = f'<!DOCTYPE {root} [<!ENTITY a "aaaa">]>'
+    parse = {"queries": parse_query_xml, "keys": parse_key_xml,
+             "sub": lambda text: parse_submission_xml(text, GOLDEN_QUERIES)}[name[:-6]]
+    with pytest.raises(ProtocolError) as exc:
+        parse(declaration + newline + entity + newline + rest)
+    assert str(exc.value) == f"DOCTYPE {root!r} refused: a document declares no DTD and no entity"
+    # the prolog is read as XML: a comment that names a DOCTYPE declares none
+    parse(declaration + newline + f"<!-- {entity} -->" + newline + rest)
 
 
 def test_key_payload_is_unknown_in_query_files(simpsons):
@@ -321,6 +397,7 @@ def test_a_binding_names_each_variable_of_its_query_once(var, replacement):
          "expected 'Relation:...' text, got 'Parent_of'"),
         ("b", ">Relation:Neighbor_of</Option>", ">Neighbor_of</Option>",
          "expected 'Relation:...' text, got 'Neighbor_of'"),
+        ("b", ">Relation:Neighbor_of</Option>", ">Relation:</Option>", "empty relation label"),
         ("b", "<Subject>Person:Marge</Subject>", "<Subject>Marge</Subject>",
          "node id without a category prefix: 'Marge'"),
         ("b", "<Object>Person:Bart</Object>", "<Object>Person:Unknown_3</Object>",
@@ -329,6 +406,8 @@ def test_a_binding_names_each_variable_of_its_query_once(var, replacement):
          "expected 'Relation:...' text, got 'Child_of'"),
         ("a", "<Subject>Person:Unknown_2</Subject>", "<Subject>:Unknown_2</Subject>",
          "malformed node id: ':Unknown_2'"),
+        ("a", "<Pred>Relation:Child_of</Pred>", "<Pred>Relation:Child_of</Pred><Junk/>",
+         "unknown element 'Junk'"),
         ("a", '<Var name="Unknown_2">Person:Bart</Var>', '<Var name="Unknown_2">Bart</Var>',
          "node id without a category prefix: 'Bart'"),
         ("a", '<Var name="Unknown_2">', "<Var>", "Var without a name"),
@@ -338,11 +417,13 @@ def test_a_binding_names_each_variable_of_its_query_once(var, replacement):
          "expected 'Relation:...' text, got 'Spouse_of'"),
         ("c", "<Node>Person:Homer</Node>", "<Node>Homer</Node>",
          "node id without a category prefix: 'Homer'"),
+        ("c", "<Edge>Relation:Spouse_of</Edge>", "<Edge>Relation:Spouse__of</Edge>",
+         "relation 'Spouse  of' is not trimmed with single spaces"),
         ("c", "<Edge>Relation:Spouse_of</Edge>", "",
          "path must alternate Source/Edge/Node/.../Target"),
     ],
-    ids=["Correct", "Option", "Subject", "Object", "Pred", "Triple", "Var", "Var name",
-         "Binding", "Edge", "Node", "Path"],
+    ids=["Correct", "Option", "Option label", "Subject", "Object", "Pred", "Triple",
+         "Triple child", "Var", "Var name", "Binding", "Edge", "Node", "Edge label", "Path"],
 )
 def test_an_error_inside_a_query_names_it_once(t, good, bad, message):
     # the first query of each golden key file holds `good`
@@ -436,10 +517,13 @@ def test_a_keyless_fill_or_path_query_has_no_key(simpsons, t, use):
 PATH_TAGS = ["Source", "Edge", "Node", "Target", "Hop"]
 PATH_NODES = ["Person:Homer", "Person:Marge", "Person:Bart"]
 PATH_RELATIONS = ["Relation:Spouse_of", "Relation:Friend_of"]
+NESTED = "Person:Ho<b/>mer"  # a step that holds an element
 BAD_PATH_TEXTS = [
     "Homer",  # no category prefix
     "Person:Unknown_1",  # a variable
     "Spouse_of",  # a relation without its prefix
+    "Relation:Spouse__of",  # a relation the label rule refuses
+    NESTED,
     None,
 ]
 
@@ -464,7 +548,10 @@ def path_children(draw) -> list[tuple[str, str | None]]:
 def test_path_elements_decode_as_the_reference_does(children):
     el = ET.Element("Path")
     for tag, text in children:
-        ET.SubElement(el, tag).text = text
+        if text == NESTED:
+            el.append(ET.fromstring(f"<{tag}>{text}</{tag}>"))
+        else:
+            ET.SubElement(el, tag).text = text
     outcomes = []
     for parse in (_parse_path_element, reference_parse_path_element):
         try:
@@ -500,6 +587,22 @@ def test_submission_a_confidence_range():
     parsed, diags = parse_submission_xml(text, [SPOUSE_QUERY])
     assert any("confidence" in d.message for d in diags)
     assert parsed.answers["Q.A.1"]["Unknown_1"] == [(person("Bart"), 0.5)]
+
+
+def test_submission_a_answer_for_an_unknown_variable_is_dropped():
+    text = (
+        '<QA team="t"><Query id="Q.A.1">'
+        '<Answer var="Unknown_9" confidence="0.5">Person:Homer</Answer>'
+        '<Answer confidence="0.5">Person:Homer</Answer>'
+        '<Answer var="Unknown_1" confidence="0.5">Person:Homer</Answer>'
+        "</Query></QA>"
+    )
+    parsed, diags = parse_submission_xml(text, [SPOUSE_QUERY])
+    assert [d.message for d in diags] == [
+        "answer for unknown variable 'Unknown_9'; dropped",
+        "answer for unknown variable None; dropped",
+    ]
+    assert parsed.answers == {"Q.A.1": {"Unknown_1": [(person("Homer"), 0.5)]}}
 
 
 def test_submission_a_ties_break_by_document_order():
@@ -578,6 +681,23 @@ def test_submission_b_round_trip():
     parsed, diags = parse_submission_xml(emit_submission(sub), [choice])
     assert not diags
     assert parsed.answers == sub.answers
+
+
+@pytest.mark.parametrize(
+    "t, good, bad, message",
+    [
+        ("b", "<Answer>Relation:Parent_of</Answer>", "<Answer>Relation:</Answer>",
+         "unparseable answer dropped: empty relation label"),
+        ("c", "<Edge>Relation:Spouse_of</Edge>", "<Edge>Relation:Spouse__of</Edge>",
+         "unparseable path dropped: relation 'Spouse  of' is not trimmed with single spaces"),
+    ],
+)
+def test_a_submitted_relation_obeys_the_label_rule(t, good, bad, message):
+    # Relation: was taken as an answer, and Spouse__of read as 'Spouse  of'
+    text = (GOLDEN / f"sub_{t}.xml").read_text(encoding="utf-8")
+    assert text.index(good) < text.index(f'<Query id="Q.{t.upper()}.2"')
+    _, diagnostics = parse_submission_xml(text.replace(good, bad, 1), GOLDEN_QUERIES)
+    assert diagnostics[0].message == message
 
 
 def test_submission_b_multiple_answers_dropped():

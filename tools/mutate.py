@@ -16,7 +16,8 @@ expression starts on one of the given lines or ranges):
 - a `not` dropped;
 - an int or float constant n made n + 1.
 
-The checkout's `src/`, `tests/` and `pyproject.toml` are copied into a
+The checkout's `src/`, `tests/`, `tools/`, `perfbench/` (both read by
+`tests/test_manifest.py`) and `pyproject.toml` are copied into a
 temporary directory (under $TMPDIR when it is set); each mutant is written
 there as the module unparsed from its changed syntax tree, and the suite
 runs there with `-x`, `src/` of the copy first on the path, without
@@ -64,6 +65,9 @@ EQUIVALENT = {
         "the BFS enters a node only at a distance of 1 or more, so it never "
         "enters the target again, and enumerate_paths tests for the target "
         "before it reads a distance",
+    ("protocol.py", "ordered = sorted(items, key=lambda t: (-t[1], t[0]))", "'t[0]': 0 -> 1"):
+        "items are appended in document order and sorted is stable, so equal "
+        "confidences keep document order without the tie-break",
 }
 
 
@@ -190,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
         copy = Path(tmp)
         # test_mutate.py checks EQUIVALENT against the checkout's modules,
         # which a mutant changes
-        for name in ("src", "tests"):
+        for name in ("src", "tests", "tools", "perfbench"):
             shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns(
                 "__pycache__", ".hypothesis", "test_mutate.py"))
         shutil.copy(ROOT / "pyproject.toml", copy)
