@@ -6,9 +6,13 @@ pattern matcher enumerates injective variable bindings, the path enumerator
 walks every simple route.  Scorers and generators are tested against these
 results.
 
-The pattern matcher plans before it searches: each triple is attached to
-its later end in variable order and checked once, when that end is bound,
-as the set of nodes it reaches from its other end.
+The pattern matcher plans before it searches.  It binds next the first
+unbound variable, in first-appearance order, that a triple ties to a
+constant or to a variable already bound, else the first unbound one; so a
+variable is taken from every node of its category only when no triple
+ties it to anything bound.  Each triple is attached to its later end in
+that order and checked once, when that end is bound, as the set of nodes
+it reaches from its other end.
 
 The path enumerator prunes only what cannot reach the target: one BFS from
 the target gives each node's hop distance to it, and the search never
@@ -156,14 +160,40 @@ def solve_pattern(
     once each.  Canonical order: by the nodes' canonical texts, taken in
     variable-name order.
 
-    Variables are bound in first-appearance order, and each triple is
-    checked once, when its later end is bound: a variable's candidates are
-    the nodes its attached triples reach from their bound ends.  Must agree
-    with naive enumeration over all node tuples (see tests).
+    Variables are bound in a planned order: next, the first unbound
+    variable, in first-appearance order, that a triple joins to a constant
+    or to a variable already bound, else the first unbound one.  Each
+    triple is checked once, when its later end in that order is bound: a
+    variable's candidates are the nodes its attached triples reach from
+    their bound ends.  Must agree with naive enumeration over all node
+    tuples (see tests).
     """
     _check_pattern(graph, triples)
     nodes, number, rows = graph.nodes, graph.number, graph.rows
     variables = pattern_variables(triples)
+    first = {v.name: i for i, v in enumerate(variables)}
+    # joined[i]: the first-appearance indices of what triples join variable
+    # i to, -1 for a constant
+    joined: list[set[int]] = [set() for _ in variables]
+    for t in triples:
+        s_at = first[t.subject.name] if isinstance(t.subject, Variable) else -1
+        o_at = first[t.object.name] if isinstance(t.object, Variable) else -1
+        if s_at >= 0:
+            joined[s_at].add(o_at)
+        if o_at >= 0:
+            joined[o_at].add(s_at)
+    plan: list[int] = []
+    bound, unbound = {-1}, list(first.values())
+    while unbound:
+        for i in unbound:
+            if not joined[i].isdisjoint(bound):
+                break
+        else:
+            i = unbound[0]
+        unbound.remove(i)
+        bound.add(i)
+        plan.append(i)
+    variables = [variables[i] for i in plan]
     order = {v.name: i for i, v in enumerate(variables)}
 
     def ref(end: NodeId | Variable) -> int | Variable:

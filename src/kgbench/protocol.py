@@ -435,6 +435,11 @@ def _read_query(
             ("Option", "Correct") if keyed else ("Option",),
             "choice query needs Subject/Pred/Object",
         )
+        prefix, _, name = parts["Pred"].partition(":")
+        _require(
+            canonical_label(prefix) == "Relation" and is_variable_name(canonical_label(name)),
+            f"Pred {parts['Pred']!r} is not Relation:Unknown_<n>",
+        )
         numbered = {}  # tag -> (index, text) of each Option, or Correct
         for tag, cs in found.items():
             message = f"{tag} without a numeric index"

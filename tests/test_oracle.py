@@ -288,7 +288,38 @@ def test_pattern_solver_effort_is_pinned(reverse):
     calls = count_row_reads(g, [row[::-1] if reverse else row for row in g.rows])
     keys = [solve_pattern(g, pattern) for pattern in patterns]
     assert len(patterns) == 50 and sum(map(len, keys)) == 67
-    assert len(calls) == 236
+    assert len(calls) == 138
+
+
+PARENT_OF_A_PUPIL = [
+    PatternTriple(Variable("Unknown_1", PERSON), "Parent of", Variable("Unknown_2", PERSON)),
+    PatternTriple(Variable("Unknown_2", PERSON), "Studies at", entity("Springfield Elementary")),
+]
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["rows as built", "rows reversed"])
+@pytest.mark.parametrize(
+    "triples, reads, first_order_reads",
+    [
+        # Unknown_2 first, from the school's row, then Unknown_1 from the
+        # rows of Bart and Lisa; first-appearance order took Unknown_1 from
+        # all 9 Persons and read 2 rows for each
+        (PARENT_OF_A_PUPIL, 3, 18),
+        # no constant: Unknown_1 from all 9 Persons, one row each, then
+        # Unknown_3 from the rows of the 4 parent-child pairs
+        ([PARENT_OF_A_PUPIL[0],
+          PatternTriple(Variable("Unknown_2", PERSON), "Studies at", Variable("Unknown_3"))],
+         13, 13),
+    ],
+    ids=["tied to a constant", "no constant"],
+)
+def test_the_plan_binds_first_what_a_constant_ties(triples, reads, first_order_reads, reverse):
+    g = simpsons_graph()
+    calls = count_row_reads(g, [row[::-1] if reverse else row for row in g.rows])
+    key = solve_pattern(g, triples)
+    assert len(calls) == reads <= first_order_reads
+    assert len(key) == 4
+    assert key == canonical_bindings(naive_solve_pattern(g, triples))
 
 
 def test_the_distance_search_stops_at_its_limit():

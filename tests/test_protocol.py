@@ -451,6 +451,35 @@ def test_a_repeated_query_element_is_refused(t, tag, keyed):
     assert str(exc.value) == f"Q.{t.upper()}.1: <{tag}> appears twice"
 
 
+CHOICE_PRED = "<Pred>Relation:Unknown_1</Pred>"
+
+
+@pytest.mark.parametrize("keyed", [False, True], ids=["queries", "keys"])
+@pytest.mark.parametrize(
+    "pred",
+    ["anything at all", "", "Unknown_1", "Relation:Parent_of", "Person:Unknown_1",
+     "Relation:Unknown_", "Relation:Unknown_1:x"],
+)
+def test_a_choice_pred_names_a_variable(pred, keyed):
+    # the writer always writes Relation:Unknown_1; any text was read as it
+    text = (GOLDEN / f"{'keys' if keyed else 'queries'}_b.xml").read_text(encoding="utf-8")
+    assert text.index(CHOICE_PRED) < text.index('<Query id="Q.B.2"')
+    with pytest.raises(ProtocolError) as exc:
+        (parse_key_xml if keyed else parse_query_xml)(
+            text.replace(CHOICE_PRED, f"<Pred>{pred}</Pred>", 1)
+        )
+    assert str(exc.value) == f"Q.B.1: Pred {pred!r} is not Relation:Unknown_<n>"
+
+
+@pytest.mark.parametrize("pred", ["Relation:Unknown_2", " Relation : Unknown_1 "])
+def test_a_choice_pred_may_name_any_variable(pred):
+    # read as a relation label is: trimmed, and the variable's number is free
+    text = (GOLDEN / "queries_b.xml").read_text(encoding="utf-8")
+    assert parse_query_xml(text.replace(CHOICE_PRED, f"<Pred>{pred}</Pred>", 1)) == (
+        parse_query_xml(text)
+    )
+
+
 @pytest.mark.parametrize("keyed", [False, True], ids=["queries", "keys"])
 def test_a_repeated_option_is_refused(keyed):
     # two options naming one relation would make both correct, or neither

@@ -14,6 +14,8 @@ expression starts on one of the given lines or ranges):
 - `+` and `-`, or `*` and `/`, swapped;
 - `and` and `or` swapped;
 - a `not` dropped;
+- the test of an `if`, `elif`, `while` or conditional expression that is
+  neither a comparison nor a `not` (`if len(el):`, `if any(...)`) negated;
 - an int or float constant n made n + 1.
 
 The checkout's `src/`, `tests/`, `tools/`, `perfbench/` (both read by
@@ -97,6 +99,12 @@ def mutants(
             found.append((node, new, node, f"{_name(node.op)} -> {_name(new.op)}"))
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
             found.append((node, node.operand, node, "not dropped"))
+        elif isinstance(node, (ast.If, ast.While, ast.IfExp)) and not (
+            isinstance(node.test, ast.Compare)
+            or isinstance(node.test, ast.UnaryOp) and isinstance(node.test.op, ast.Not)
+        ):
+            # a comparison has its own mutants, and a `not` is dropped
+            found.append((node.test, ast.UnaryOp(ast.Not(), node.test), node.test, "negated"))
         elif isinstance(node, ast.Constant) and type(node.value) in (int, float):
             new = ast.Constant(node.value + 1)
             found.append((node, new, parents[node], f"{node.value!r} -> {new.value!r}"))
