@@ -151,7 +151,7 @@ def cmd_answer(args) -> int:
 def cmd_score(args) -> int:
     graph = _load_graph(args)
     key_queries = []
-    params: dict[str, str] = {}
+    params: dict[str, str] | None = None  # the first key file's; the rest must match
     # a query in two key files would be scored, and counted, twice
     key_of: dict[object, str] = {}  # query type, and query id -> key file
     for key_path in args.keys:
@@ -167,9 +167,21 @@ def cmd_score(args) -> int:
                         "score each query once",
                         EXIT_CONTENT,
                     )
+        # keys of another run are another run's queries: one report, one run
+        if params is None:
+            params, params_path = key_params, key_path
+        elif key_params != params:
+            name = min(k for k in params.keys() | key_params.keys()
+                       if params.get(k) != key_params.get(k))
+            a, b = (f"{name}={p[name]!r}" if name in p else f"no {name}"
+                    for p in (params, key_params))
+            raise CliError(
+                f"{params_path} has {a} but {key_path} has {b}; "
+                "score the key files of one gen-queries run",
+                EXIT_CONTENT,
+            )
         key_of.update((k, key_path) for q in queries for k in (type(q), q.id))
         key_queries.extend(queries)
-        params.update(key_params)
 
     # one report is one team: at most one file per query type, one team name
     files: dict[type, str] = {}  # query type -> its submission file
@@ -198,7 +210,7 @@ def cmd_score(args) -> int:
         answers.update(sub.answers)
         for d in diagnostics:
             print(f"{sub_path}: {d}", file=sys.stderr)
-    report = scoring.ScoreReport(team or "unknown", params)
+    report = scoring.ScoreReport(team, params)
     for q in key_queries:
         if isinstance(q, FillQuery):
             report.fill.append(scoring.score_fill(q, answers.get(q.id, {})))
@@ -279,8 +291,11 @@ def _at_least(low: int):
     return parse
 
 
-def _xml_text(text: str) -> str:
-    """argparse type: text a submission file can carry; else a usage error."""
+def _team(text: str) -> str:
+    """argparse type: a team name a submission file can carry, not empty;
+    else a usage error."""
+    if not text:
+        raise argparse.ArgumentTypeError("a team name is not empty")
     if char := non_xml_char(text):
         raise argparse.ArgumentTypeError(XML_CHAR_RULE.format(repr(text), char))
     return text
@@ -313,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("answer", help="produce the oracle's perfect submission")
     _add_graph_args(p)
     p.add_argument("--queries", required=True, help="query XML file")
-    p.add_argument("--team", type=_xml_text, default="oracle")
+    p.add_argument("--team", type=_team, default="oracle")
     p.add_argument("--out", required=True, help="submission output file")
     p.set_defaults(func=cmd_answer)
 

@@ -6,13 +6,15 @@ pattern matcher enumerates injective variable bindings, the path enumerator
 walks every simple route.  Scorers and generators are tested against these
 results.
 
-The pattern matcher plans before it searches.  It binds next the first
-unbound variable, in first-appearance order, that a triple ties to a
-constant or to a variable already bound, else the first unbound one; so a
-variable is taken from every node of its category only when no triple
-ties it to anything bound.  Each triple is attached to its later end in
-that order and checked once, when that end is bound, as the set of nodes
-it reaches from its other end.
+The pattern matcher reads its triples once, to check them and to note each
+variable's ties to constants and to other variables.  From the ties it plans
+the order it binds in: next, the first unbound variable, in first-appearance
+order, that a triple ties to a constant or to a variable already bound, else
+the first unbound one; so a variable is taken from every node of its
+category only when no triple ties it to anything bound.  It then walks the
+plan in one loop, without recursion, extending every partial binding by one
+variable per step; each triple is checked once, when its later end is
+bound, as the set of nodes it reaches from its other end.
 
 The path enumerator prunes only what cannot reach the target: one BFS from
 the target gives each node's hop distance to it, and the search never
@@ -137,21 +139,6 @@ def pattern_variables(triples: list[PatternTriple]) -> list[Variable]:
     return list(seen.values())
 
 
-def _check_pattern(graph: KnowledgeGraph, triples: list[PatternTriple]) -> None:
-    if not triples:
-        raise OracleError("pattern with zero triples")
-    categories: dict[str, str | None] = {}
-    for t in triples:
-        if t.relation not in graph.ontology:
-            raise OracleError(f"unknown relation: {t.relation!r}")
-        for end in (t.subject, t.object):
-            if isinstance(end, NodeId) and end not in graph.number:
-                raise OracleError(f"unknown constant: {end}")
-            if isinstance(end, Variable):
-                if categories.setdefault(end.name, end.category) != end.category:
-                    raise OracleError(f"variable {end.name} has two categories")
-
-
 def solve_pattern(
     graph: KnowledgeGraph, triples: list[PatternTriple]
 ) -> list[frozenset[tuple[str, NodeId]]]:
@@ -160,93 +147,82 @@ def solve_pattern(
     once each.  Canonical order: by the nodes' canonical texts, taken in
     variable-name order.
 
-    Variables are bound in a planned order: next, the first unbound
-    variable, in first-appearance order, that a triple joins to a constant
-    or to a variable already bound, else the first unbound one.  Each
-    triple is checked once, when its later end in that order is bound: a
-    variable's candidates are the nodes its attached triples reach from
-    their bound ends.  Must agree with naive enumeration over all node
-    tuples (see tests).
+    One pass over the triples checks them and notes each variable's ties;
+    one loop over the plan (see the module text) binds one variable per
+    step, its candidates the nodes its ties to bound ends reach.  It holds
+    one level of partial bindings at a time, and the next while it builds
+    it: for a generated pattern's two variables, the level before the
+    bindings returned is at most one category's nodes.  Must agree with
+    naive enumeration over all node tuples (see tests).
     """
-    _check_pattern(graph, triples)
-    nodes, number, rows = graph.nodes, graph.number, graph.rows
-    variables = pattern_variables(triples)
-    first = {v.name: i for i, v in enumerate(variables)}
-    # joined[i]: the first-appearance indices of what triples join variable
-    # i to, -1 for a constant
-    joined: list[set[int]] = [set() for _ in variables]
+    if not triples:
+        raise OracleError("pattern with zero triples")
+    number, ontology = graph.number, graph.ontology
+    variables: dict[str, Variable] = {}
+    # ties[name]: (other end, relation as read from it) per triple the
+    # variable ends; the other end a variable's name or a constant's number
+    ties: dict[str, list[tuple[str | int, str]]] = {}
+    slots: list[str | int] = []  # the constants, then the variables as bound
+    holds = True
     for t in triples:
-        s_at = first[t.subject.name] if isinstance(t.subject, Variable) else -1
-        o_at = first[t.object.name] if isinstance(t.object, Variable) else -1
-        if s_at >= 0:
-            joined[s_at].add(o_at)
-        if o_at >= 0:
-            joined[o_at].add(s_at)
-    plan: list[int] = []
-    bound, unbound = {-1}, list(first.values())
+        if t.relation not in ontology:
+            raise OracleError(f"unknown relation: {t.relation!r}")
+        ends: list[str | int] = []
+        for end in (t.subject, t.object):
+            if isinstance(end, Variable):
+                if variables.setdefault(end.name, end).category != end.category:
+                    raise OracleError(f"variable {end.name} has two categories")
+                ties.setdefault(end.name, [])
+                ends.append(end.name)
+            elif end in number:
+                ends.append(number[end])
+                if number[end] not in slots:
+                    slots.append(number[end])
+            else:
+                raise OracleError(f"unknown constant: {end}")
+        s, o = ends
+        if s == o:
+            holds = False  # one end twice: the graph has no self-loops
+        elif isinstance(s, int) and isinstance(o, int):
+            holds = holds and graph.holds(t.subject, t.relation, t.object)
+        else:
+            if isinstance(o, str):
+                ties[o].append((s, t.relation))
+            if isinstance(s, str):
+                ties[s].append((o, ontology.inverse_of(t.relation)))
+    if not holds:
+        return []
+
+    nodes, rows = graph.nodes, graph.rows
+    partials = [tuple(slots)]  # each a row of node numbers, one per slot
+    unbound = list(variables)
     while unbound:
-        for i in unbound:
-            if not joined[i].isdisjoint(bound):
-                break
-        else:
-            i = unbound[0]
-        unbound.remove(i)
-        bound.add(i)
-        plan.append(i)
-    variables = [variables[i] for i in plan]
-    order = {v.name: i for i, v in enumerate(variables)}
+        name = next(
+            (v for v in unbound if any(end in slots for end, _ in ties[v])), unbound[0]
+        )
+        unbound.remove(name)
+        attached = [(slots.index(end), relation) for end, relation in ties[name] if end in slots]
+        slots.append(name)
+        category = variables[name].category
+        extended: list[tuple[int, ...]] = []
+        for partial in partials:
+            pool: set[int] | None = None
+            for slot, relation in attached:
+                found = {other for other, r in rows[partial[slot]] if r == relation}
+                pool = found if pool is None else pool & found
+            if pool is None:
+                pool = set(range(len(nodes)))
+            if category is not None:
+                pool = {i for i in pool if nodes[i].category == category}
+            # injective: no constant and no node the row binds already
+            extended.extend([partial + (node,) for node in pool.difference(partial)])
+        partials = extended
 
-    def ref(end: NodeId | Variable) -> int | Variable:
-        return end if isinstance(end, Variable) else number[end]
-
-    constants = {
-        ref(end) for t in triples for end in (t.subject, t.object) if isinstance(end, NodeId)
-    }
-    # attached[i]: (other end, relation as read from it) for each triple
-    # whose later end is variable i; a constant is bound before any variable
-    attached: list[list[tuple[int | Variable, str]]] = [[] for _ in variables]
-    for t in triples:
-        s, o = t.subject, t.object
-        s_at = order[s.name] if isinstance(s, Variable) else -1
-        o_at = order[o.name] if isinstance(o, Variable) else -1
-        if s_at == o_at == -1:
-            if not graph.holds(s, t.relation, o):
-                return []
-        elif s_at == o_at:
-            return []  # one variable at both ends: the graph has no self-loops
-        elif o_at > s_at:
-            attached[o_at].append((ref(s), t.relation))
-        else:
-            attached[s_at].append((ref(o), graph.ontology.inverse_of(t.relation)))
-
-    names = sorted(order)
-    results: list[tuple[int, ...]] = []  # per binding, its numbers in name order
-
-    def search(idx: int, binding: dict[str, int]) -> None:
-        if idx == len(variables):
-            results.append(tuple([binding[name] for name in names]))
-            return
-        pool: set[int] | None = None
-        for end, relation in attached[idx]:
-            anchor = binding[end.name] if isinstance(end, Variable) else end
-            found = {other for other, r in rows[anchor] if r == relation}
-            pool = found if pool is None else pool & found
-        if pool is None:
-            pool = set(range(len(nodes)))
-        var = variables[idx]
-        if var.category is not None:
-            pool = {i for i in pool if nodes[i].category == var.category}
-        for node in pool - constants - set(binding.values()):
-            binding[var.name] = node
-            search(idx + 1, binding)
-            del binding[var.name]
-
-    try:
-        search(0, {})
-    finally:
-        del search  # it refers to itself: a cycle that would keep the bindings found
+    names = sorted(variables)
+    at = [slots.index(name) for name in names]
     # numbers sort as canonical ids
-    return [frozenset(zip(names, [nodes[i] for i in row])) for row in sorted(results)]
+    results = sorted([tuple([row[i] for i in at]) for row in partials])
+    return [frozenset(zip(names, [nodes[i] for i in row])) for row in results]
 
 
 def _distances_to(

@@ -575,6 +575,7 @@ def parse_submission_xml(
     root, kind = _load_root(text, "")
     team = root.get("team")
     _require(team is not None, "submission root must carry a team attribute")
+    _require(team != "", "a submission's team attribute is empty")
     by_id = {q.id: q for q in expected if type(q) is kind}
     diagnostics: list[Diagnostic] = []
     seen: set[str] = set()

@@ -329,6 +329,48 @@ def test_score_rejects_duplicate_key_files(tmp_path, capsys, case):
     assert not (tmp_path / "rep").exists()
 
 
+@pytest.mark.parametrize("case", ["another run", "a parameter missing"])
+def test_score_rejects_key_files_of_two_runs(tmp_path, capsys, case):
+    # the report printed the last key file's parameters above another run's scores
+    for seed, extra in ((1, []), (2, ["--count-a", "3"])):
+        assert main(["gen-queries", *graph_args(), "--seed", str(seed), "--count-c", "0",
+                     *extra, "--out", str(tmp_path / f"run{seed}")]) == 0
+    first, second = tmp_path / "run1" / "keys_a.xml", tmp_path / "run2" / "keys_b.xml"
+    differs = "count_a='5' but {} has count_a='3'"
+    if case == "a parameter missing":
+        second = tmp_path / "keys_b.xml"
+        second.write_text((tmp_path / "run1" / "keys_b.xml").read_text().replace(' seed="1"', ""))
+        differs = "seed='1' but {} has no seed"
+    sub = tmp_path / "sub_a.xml"
+    assert main(["answer", *graph_args(), "--queries", str(tmp_path / "run1" / "queries_a.xml"),
+                 "--out", str(sub)]) == 0
+    capsys.readouterr()
+    code = main(["score", *graph_args(), "--keys", str(first), str(second),
+                 "--submissions", str(sub), "--out", str(tmp_path / "rep")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {first} has {differs.format(second)}; "
+        "score the key files of one gen-queries run\n"
+    )
+    assert not (tmp_path / "rep").exists()
+
+
+def test_an_empty_team_is_refused(tmp_path, capsys):
+    # an empty team was reported as "unknown", like a team named so
+    out = tmp_path / "sub_b.xml"
+    code = main(["answer", *graph_args(), "--queries", str(GOLDEN / "queries_b.xml"),
+                 "--team", "", "--out", str(out)])
+    assert code == 2
+    assert "argument --team: a team name is not empty" in capsys.readouterr().err
+    assert not out.exists()
+    out.write_text((GOLDEN / "sub_b.xml").read_text().replace('team="oracle"', 'team=""'))
+    code = main(["score", *graph_args(), "--keys", str(GOLDEN / "keys_b.xml"),
+                 "--submissions", str(out), "--out", str(tmp_path / "rep")])
+    assert code == 1
+    assert f"{out}: a submission's team attribute is empty" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
 # gen-queries with one generator's output altered before the self-check
 SELF_CHECK_RUN = """
 import sys

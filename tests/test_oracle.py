@@ -92,6 +92,29 @@ def test_pattern_errors(simpsons):
     assert str(exc.value) == "variable Unknown_1 has two categories"
 
 
+@pytest.mark.parametrize(
+    "never",
+    [PatternTriple(person("Homer"), "Spouse of", person("Lenny")), PatternTriple(X, "Friend of", X)],
+    ids=["two constants", "one variable at both ends"],
+)
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (PatternTriple(X, "Owns", person("Marge")), "unknown relation: 'Owns'"),
+        (PatternTriple(X, "Spouse of", person("Nelson")), "unknown constant: Person:Nelson"),
+        (PatternTriple(Variable("Unknown_2", PERSON), "Friend of", Variable("Unknown_2", "Place")),
+         "variable Unknown_2 has two categories"),
+    ],
+    ids=["unknown relation", "unknown constant", "two categories"],
+)
+def test_a_later_error_raises_after_a_triple_that_never_holds(simpsons, never, bad, message):
+    # the empty answer waits until every triple is checked
+    assert solve_pattern(simpsons, [never]) == []
+    with pytest.raises(OracleError) as exc:
+        solve_pattern(simpsons, [never, bad])
+    assert str(exc.value) == message
+
+
 def test_category_filter(simpsons):
     anywhere = solve_pattern(
         simpsons, [PatternTriple(Variable("Unknown_1"), "Attends", entity("Church"))]

@@ -1068,6 +1068,10 @@ def test_submissions_are_written_as_elementtree_writes_them(case):
     sub, expected = case
     text = emit_submission(sub)
     assert text == reference_emit_submission(sub)
+    if not sub.team:  # refused where it is read, as a missing team is
+        with pytest.raises(ProtocolError, match="^a submission's team attribute is empty$"):
+            parse_submission_xml(text, expected)
+        return
     parsed, diagnostics = parse_submission_xml(text, expected)
     assert not diagnostics
     assert parsed.team == sub.team
@@ -1078,6 +1082,17 @@ def test_submissions_are_written_as_elementtree_writes_them(case):
         }
     else:
         assert parsed.answers == sub.answers
+
+
+@pytest.mark.parametrize("root", ['<QA team="" />', "<QA />"], ids=["empty", "missing"])
+def test_a_submission_without_a_team_name_is_refused(root):
+    # an empty team read as "unknown" in the report, like a team named so
+    with pytest.raises(ProtocolError) as exc:
+        parse_submission_xml(root, [])
+    assert str(exc.value) == (
+        "a submission's team attribute is empty" if "team" in root
+        else "submission root must carry a team attribute"
+    )
 
 
 def test_the_writer_escapes_as_elementtree_does():
