@@ -16,7 +16,7 @@ from pathlib import Path as FsPath
 
 from . import formats, protocol, scoring
 from .graph import KnowledgeGraph
-from .ontology import XML_CHAR_RULE, OntologyError, is_decimal, load_ontology, non_xml_char
+from .ontology import OntologyError, is_decimal, load_ontology
 from .oracle import OracleError, PathBudgetError
 from .querygen import (
     LETTER,
@@ -64,9 +64,7 @@ def _load_graph(args) -> KnowledgeGraph:
     except OntologyError as exc:
         raise CliError(f"ontology: {exc}", EXIT_CONTENT) from None
     text = _read_file(args.graph)
-    graph, diagnostics = formats.parse_graph(
-        text, ontology, args.format, getattr(args, "allow_new_relations", False)
-    )
+    graph, diagnostics = formats.parse_graph(text, ontology, args.format)
     for d in diagnostics:
         print(f"{args.graph}: {d}", file=sys.stderr)
     if graph is None:
@@ -272,11 +270,6 @@ def _add_graph_args(parser: argparse.ArgumentParser) -> None:
         "--format", choices=("tgf", "xgml"), default="tgf", help="graph file format"
     )
     parser.add_argument("--ontology", required=True, help="ontology file path")
-    parser.add_argument(
-        "--allow-new-relations",
-        action="store_true",
-        help="accept relations missing from the ontology as self-inverse",
-    )
 
 
 def _at_least(low: int):
@@ -292,12 +285,12 @@ def _at_least(low: int):
 
 
 def _team(text: str) -> str:
-    """argparse type: a team name a submission file can carry, not empty;
-    else a usage error."""
-    if not text:
-        raise argparse.ArgumentTypeError("a team name is not empty")
-    if char := non_xml_char(text):
-        raise argparse.ArgumentTypeError(XML_CHAR_RULE.format(repr(text), char))
+    """argparse type: a team name `protocol.check_team` takes; else a usage
+    error."""
+    try:
+        protocol.check_team(text)
+    except protocol.ProtocolError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return text
 
 

@@ -13,9 +13,11 @@ reader.
 
 Both parsers are total: they never raise on arbitrary input text but return
 ``(graph-or-None, diagnostics)``.  Error diagnostics mean no graph is
-returned; warnings accompany a returned graph.  The name and edge rules
-live in the types (`NodeId`, `check_label`, `KnowledgeGraph.build`); the
-parsers only add the line of the node or edge to their errors.  Both
+returned; warnings accompany a returned graph.  A relation enters a graph
+only through the ontology it is read with: one the ontology does not name
+is an error on each line that writes it.  The name and edge rules live in
+the types (`NodeId`, `check_label`, `KnowledgeGraph.build`); the parsers
+only add the line of the node or edge to their errors.  Both
 emitters are deterministic, and every graph that can be constructed
 round-trips exactly through their parser.
 """
@@ -26,7 +28,7 @@ import re
 from dataclasses import dataclass
 
 from .graph import DuplicateEdgeError, Edge, GraphError, KnowledgeGraph, NodeId
-from .ontology import OntologyError, RelationOntology, canonical_label, is_decimal
+from .ontology import RelationOntology, canonical_label, is_decimal
 
 WARNING = "warning"
 ERROR = "error"
@@ -51,15 +53,13 @@ def has_errors(diagnostics: list[Diagnostic]) -> bool:
 
 class _GraphAssembler:
     """Shared semantic layer: numeric file-local ids -> canonical NodeIds,
-    duplicate-direction tolerance, unknown-relation policy.  A reader names
-    each place in its text by an int `at`, and `line_of(at)` gives its line
-    when a diagnostic needs one."""
+    duplicate-direction tolerance, and each relation checked against the
+    ontology the graph is read with.  A reader names each place in its
+    text by an int `at`, and `line_of(at)` gives its line when a diagnostic
+    needs one."""
 
-    def __init__(
-        self, ontology: RelationOntology, allow_new_relations: bool, line_of=lambda at: at
-    ):
+    def __init__(self, ontology: RelationOntology, line_of=lambda at: at):
         self.ontology = ontology
-        self.allow_new_relations = allow_new_relations
         self.line_of = line_of
         self.nodes_by_fileid: dict[int, NodeId] = {}
         self.declared: set[NodeId] = set()
@@ -108,15 +108,8 @@ class _GraphAssembler:
         that writes a refused one reports."""
         label = canonical_label(relation)
         if label not in self.ontology:
-            if not self.allow_new_relations:
-                self.error(at, f"relation {label!r} not in ontology")
-                return None
-            try:
-                self.ontology = self.ontology.extended(label, label)
-            except OntologyError as exc:
-                self.error(at, str(exc))
-                return None
-            self.warn(at, f"relation {label!r} not in ontology; assumed self-inverse")
+            self.error(at, f"relation {label!r} not in ontology")
+            return None
         self.relations[relation] = label
         return label
 
@@ -138,13 +131,11 @@ class _GraphAssembler:
 
 
 def parse_tgf(
-    text: str,
-    ontology: RelationOntology,
-    allow_new_relations: bool = False,
+    text: str, ontology: RelationOntology
 ) -> tuple[KnowledgeGraph | None, list[Diagnostic]]:
     """TGF: `<int> <label>` node lines, one `#` separator line, then
     `<int> <int> <relation>` edge lines.  Labels may contain spaces."""
-    asm = _GraphAssembler(ontology, allow_new_relations)
+    asm = _GraphAssembler(ontology)
     seen_separator = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -237,9 +228,7 @@ def _xgml_fields(asm: _GraphAssembler, at: int, key: str, entries: list) -> None
 
 
 def parse_xgml(
-    text: str,
-    ontology: RelationOntology,
-    allow_new_relations: bool = False,
+    text: str, ontology: RelationOntology
 ) -> tuple[KnowledgeGraph | None, list[Diagnostic]]:
     """Minimal XGML subset: a `graph [...]` block containing `node [ id,
     label ]` and `edge [ source, target, label ]` blocks.  Other keys are
@@ -264,7 +253,7 @@ def parse_xgml(
     def error(at: int, message: str) -> Diagnostic:
         return Diagnostic(ERROR, f"line {line_of(at)}", message)
 
-    asm = _GraphAssembler(ontology, allow_new_relations, line_of)
+    asm = _GraphAssembler(ontology, line_of)
     errors: list[Diagnostic] = []
     top: list = []  # (key offset, key, value) per top-level entry
     body: list = []  # entries of the latest top-level graph block, fed to asm; none yet
@@ -391,13 +380,10 @@ def emit_xgml(graph: KnowledgeGraph) -> str:
 
 
 def parse_graph(
-    text: str,
-    ontology: RelationOntology,
-    fmt: str,
-    allow_new_relations: bool = False,
+    text: str, ontology: RelationOntology, fmt: str
 ) -> tuple[KnowledgeGraph | None, list[Diagnostic]]:
     if fmt == "tgf":
-        return parse_tgf(text, ontology, allow_new_relations)
+        return parse_tgf(text, ontology)
     if fmt == "xgml":
-        return parse_xgml(text, ontology, allow_new_relations)
+        return parse_xgml(text, ontology)
     raise ValueError(f"unknown graph format: {fmt!r}")

@@ -88,17 +88,6 @@ class RelationOntology:
         except KeyError:
             raise OntologyError(f"unknown relation: {relation!r}") from None
 
-    def extended(self, relation: str, inverse: str) -> "RelationOntology":
-        """New ontology with the pair added; re-adding an identical pair is a
-        no-op, a conflicting redefinition is an error."""
-        r = canonical_label(relation)
-        i = canonical_label(inverse)
-        merged = dict(self.inverse)
-        for label, inv in ((r, i), (i, r)):
-            if (old := merged.setdefault(label, inv)) != inv:
-                raise OntologyError(f"conflicting inverse for {label!r}: {old!r} vs {inv!r}")
-        return RelationOntology(merged)
-
 
 def load_ontology(text: str) -> RelationOntology:
     """Parse the ontology file format: one `<relation> | <inverse>` pair per

@@ -42,7 +42,7 @@ a path is its Path line, its Source line by node, its middle steps' Edge and
 Node lines by (relation, node), its last Edge line by relation and its
 Target line by node, and then `</Path>`.
 Names XML 1.0 cannot carry are refused where they enter (graph files,
-ontologies, `--team`).  ElementTree only reads, after expat has refused a
+ontologies, a `Submission`'s team).  ElementTree only reads, after expat has refused a
 DOCTYPE in the prolog, and each read decodes every distinct node or relation
 text once, in a memo owned by that call.  Query and key files are read by one
 strict rule (`_children`), a submission's queries by one lenient filter.
@@ -60,7 +60,14 @@ from xml.parsers import expat
 
 from .formats import WARNING, Diagnostic
 from .graph import GraphError, NodeId, is_variable_name
-from .ontology import OntologyError, canonical_label, check_label, is_decimal
+from .ontology import (
+    XML_CHAR_RULE,
+    OntologyError,
+    canonical_label,
+    check_label,
+    is_decimal,
+    non_xml_char,
+)
 from .oracle import OracleError, Path, PatternTriple, Variable
 from .querygen import LETTER, ChoiceQuery, FillQuery, PathQuery, Query, QueryError, require_key
 
@@ -74,7 +81,8 @@ class Submission:
     """A team's answers to queries of one type, `kind`, by query id: per
     variable ranked (node, confidence) pairs (FillQuery), one relation
     (ChoiceQuery), or paths (PathQuery).  The constructor refuses any other
-    `kind` with ProtocolError, so every Submission can be written."""
+    `kind`, and a team `check_team` refuses, with ProtocolError, so every
+    Submission can be written and read back."""
 
     kind: type
     team: str
@@ -85,6 +93,16 @@ class Submission:
     def __post_init__(self):
         if not any(self.kind is kind for kind in LETTER):  # unhashable kinds too
             raise ProtocolError(f"a submission's kind is a query class, not {self.kind!r}")
+        check_team(self.team)
+
+
+def check_team(team: str) -> None:
+    """The one team-name rule: not empty, and only characters XML can carry,
+    since a submission file holds the name; else ProtocolError."""
+    if not team:
+        raise ProtocolError("a team name is not empty")
+    if char := non_xml_char(team):
+        raise ProtocolError(XML_CHAR_RULE.format(repr(team), char))
 
 
 # --- text and element encodings -------------------------------------------
@@ -575,7 +593,6 @@ def parse_submission_xml(
     root, kind = _load_root(text, "")
     team = root.get("team")
     _require(team is not None, "submission root must carry a team attribute")
-    _require(team != "", "a submission's team attribute is empty")
     by_id = {q.id: q for q in expected if type(q) is kind}
     diagnostics: list[Diagnostic] = []
     seen: set[str] = set()

@@ -19,7 +19,6 @@ from kgbench.graph import (
     is_variable_name,
 )
 from kgbench.ontology import (
-    OntologyError,
     RelationOntology,
     canonical_label,
     is_decimal,
@@ -325,9 +324,8 @@ class ReferenceAssembler:
     edge's relation text canonicalised and looked up again, and the edges
     judged one at a time by `reference_build`."""
 
-    def __init__(self, ontology: RelationOntology, allow_new_relations: bool):
+    def __init__(self, ontology: RelationOntology):
         self.ontology = ontology
-        self.allow_new_relations = allow_new_relations
         self.nodes_by_fileid: dict[int, NodeId] = {}
         self.declared: set[NodeId] = set()
         self.edges: list[Edge] = []
@@ -363,15 +361,8 @@ class ReferenceAssembler:
             self.error(line, f"edge references undeclared node id {dst_id}")
             return
         if relation not in self.ontology:
-            if not self.allow_new_relations:
-                self.error(line, f"relation {relation!r} not in ontology")
-                return
-            try:
-                self.ontology = self.ontology.extended(relation, relation)
-            except OntologyError as exc:
-                self.error(line, str(exc))
-                return
-            self.warn(line, f"relation {relation!r} not in ontology; assumed self-inverse")
+            self.error(line, f"relation {relation!r} not in ontology")
+            return
         self.edges.append(
             Edge(self.nodes_by_fileid[src_id], relation, self.nodes_by_fileid[dst_id])
         )
@@ -399,13 +390,11 @@ class ReferenceAssembler:
 
 
 def reference_parse_tgf(
-    text: str,
-    ontology: RelationOntology,
-    allow_new_relations: bool = False,
+    text: str, ontology: RelationOntology
 ) -> tuple[KnowledgeGraph | None, list[Diagnostic]]:
     """TGF: `<int> <label>` node lines, one `#` separator line, then
     `<int> <int> <relation>` edge lines.  Labels may contain spaces."""
-    asm = ReferenceAssembler(ontology, allow_new_relations)
+    asm = ReferenceAssembler(ontology)
     seen_separator = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -536,15 +525,13 @@ def _parse_xgml_block(tokens, asm: ReferenceAssembler):
 
 
 def reference_parse_xgml(
-    text: str,
-    ontology: RelationOntology,
-    allow_new_relations: bool = False,
+    text: str, ontology: RelationOntology
 ) -> tuple[KnowledgeGraph | None, list[Diagnostic]]:
     """Minimal XGML subset: a `graph [...]` block containing `node [ id,
     label ]` and `edge [ source, target, label ]` blocks.  Other keys are
     ignored with a warning."""
     tokens, diagnostics = reference_tokenize_xgml(text)
-    asm = ReferenceAssembler(ontology, allow_new_relations)
+    asm = ReferenceAssembler(ontology)
     asm.diagnostics.extend(diagnostics)
     top, closed = _parse_xgml_block(tokens, asm)
     if closed:

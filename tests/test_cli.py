@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import os
@@ -22,6 +23,7 @@ GOLDEN = Path(__file__).parent / "golden"
 GRAPH = str(DATA / "simpsons.tgf")
 XGML = str(DATA / "simpsons.xgml")
 ONT = str(DATA / "simpsons.ont")
+README = Path(__file__).parent.parent / "README.md"
 
 
 def graph_args(graph=GRAPH, fmt="tgf"):
@@ -367,7 +369,7 @@ def test_an_empty_team_is_refused(tmp_path, capsys):
     code = main(["score", *graph_args(), "--keys", str(GOLDEN / "keys_b.xml"),
                  "--submissions", str(out), "--out", str(tmp_path / "rep")])
     assert code == 1
-    assert f"{out}: a submission's team attribute is empty" in capsys.readouterr().err
+    assert f"{out}: a team name is not empty" in capsys.readouterr().err
     assert not (tmp_path / "rep").exists()
 
 
@@ -418,6 +420,23 @@ def test_self_check_rejects_a_wrong_key(tmp_path, optimize, generator, altered, 
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr == f"error: self-check failed: {message}\n"
     assert "self-check passed" not in proc.stdout
+    assert not out.exists()
+
+
+def test_self_check_rejects_a_key_the_oracle_does_not_give(tmp_path, capsys, monkeypatch):
+    # in process, the oracle that the self-check asks gives another key for
+    # one query than the generator stored
+    real = cli.oracle_key
+    monkeypatch.setattr(
+        cli, "oracle_key", lambda graph, q: None if q.id == "Q.A.2" else real(graph, q)
+    )
+    out = tmp_path / "out"
+    code = main(["gen-queries", *graph_args(), "--seed", "7", "--count-a", "3",
+                 "--count-b", "3", "--count-c", "2", "--max-edges", "4", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: self-check failed: Q.A.2: key differs from the oracle's\n"
+    assert "self-check passed" not in captured.out
     assert not out.exists()
 
 
@@ -764,12 +783,27 @@ def test_a_blank_new_relation_is_an_error_not_a_crash(tmp_path, capsys):
         'graph [\n node [ id 1 label "Person:A" ]\n node [ id 2 label "Person:B" ]\n'
         ' edge [ source 1 target 2 label " " ]\n]\n'
     )
-    code = main(["validate-graph", *graph_args(str(graph), "xgml"), "--allow-new-relations"])
+    code = main(["validate-graph", *graph_args(str(graph), "xgml")])
     assert code == 1
     assert capsys.readouterr().err == (
-        f"{graph}: error: line 4: empty relation label\n"
+        f"{graph}: error: line 4: relation '' not in ontology\n"
         f"error: graph {graph} failed to parse\n"
     )
+
+
+def test_a_relation_enters_a_graph_only_through_the_ontology_file(capsys):
+    # simpsons.ont declares the four pairs the core vocabulary lacks, each
+    # with its inverse; no reader guesses one
+    core = str(DATA / "core_relations.ont")
+    args = ["validate-graph", "--graph", GRAPH, "--ontology", core]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "".join(
+        f"{GRAPH}: error: line {line}: relation {relation!r} not in ontology\n"
+        for line, relation in [(14, "Studies at"), (19, "Studies at"), (22, "Teacher at"),
+                               (23, "Neighbor of"), (24, "Volunteers at")]
+    ) + f"error: graph {GRAPH} failed to parse\n"
+    assert main(["validate-graph", *graph_args()]) == 0
+    assert capsys.readouterr().out == f"{GRAPH}: OK\n"
 
 
 def test_a_submission_diagnostic_reads_as_a_graph_diagnostic(tmp_path, capsys):
@@ -862,3 +896,19 @@ def test_main_pauses_the_collector_and_restores_it(monkeypatch, capsys, enabled)
         gc.enable()
     assert seen == [False]
     assert after is enabled
+
+
+def test_the_readme_names_each_flag_and_only_flags_the_commands_take():
+    # a flag the parser dropped must leave the README with it
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {
+        option
+        for command in (parser, *commands.choices.values())
+        for action in command._actions
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README.read_text(encoding="utf-8")))
+    assert sorted(accepted - named) == []
+    assert sorted(named - accepted) == ["--no-build-isolation"]  # pip's, in the install line

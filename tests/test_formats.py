@@ -16,6 +16,7 @@ from helpers import (
     reference_parse_xgml,
     reference_tokenize_xgml,
 )
+from kgbench import datasets
 from kgbench.datasets import simpsons_graph, simpsons_ontology
 from kgbench.formats import (
     emit_tgf,
@@ -25,8 +26,8 @@ from kgbench.formats import (
     parse_tgf,
     parse_xgml,
 )
-from kgbench.graph import KnowledgeGraph, person
-from kgbench.ontology import load_ontology
+from kgbench.graph import GraphError, KnowledgeGraph, person
+from kgbench.ontology import OntologyError, load_ontology
 from kgbench.rng import SplitMix64
 
 ONT = load_ontology("Spouse of | Spouse of\nChild of | Parent of\n")
@@ -72,14 +73,15 @@ def test_tgf_ids_are_ascii_decimal(text):
     assert any("malformed" in d.message for d in diags)
 
 
-def test_tgf_unknown_relation_strict_vs_permissive():
-    text = "1 Person:A\n2 Person:B\n#\n1 2 Owns\n"
+def test_tgf_unknown_relation_is_an_error():
+    # each line that writes it reports: a refused relation is not remembered
+    text = "1 Person:A\n2 Person:B\n#\n1 2 Owns\n2 1 Owns\n"
     g, diags = parse_tgf(text, ONT)
-    assert g is None and has_errors(diags)
-    g, diags = parse_tgf(text, ONT, allow_new_relations=True)
-    assert g is not None
-    assert any(d.severity == "warning" and "self-inverse" in d.message for d in diags)
-    assert g.ontology.inverse_of("Owns") == "Owns"
+    assert g is None
+    assert [str(d) for d in diags] == [
+        "error: line 4: relation 'Owns' not in ontology",
+        "error: line 5: relation 'Owns' not in ontology",
+    ]
 
 
 def test_tgf_duplicate_direction_tolerated_with_warning():
@@ -124,6 +126,19 @@ def test_xgml_nesting_deeper_than_the_recursion_limit(balanced):
         "ignored top-level key 'a'",
         "expected exactly one graph [...] block",
     ]
+
+
+@pytest.mark.parametrize("key", ["node", "edge"])
+def test_xgml_a_node_or_edge_that_is_not_a_block_is_an_error(key):
+    g, diags = parse_xgml(f'graph [\n node [ id 1 label "Person:A" ]\n {key} 5\n]\n', ONT)
+    assert g is None
+    assert [str(d) for d in diags] == [f"error: line 3: {key} must be a [...] block"]
+
+
+def test_parse_graph_refuses_an_unknown_format():
+    with pytest.raises(ValueError) as exc:
+        parse_graph("1 Person:A\n#\n", ONT, "gml")
+    assert str(exc.value) == "unknown graph format: 'gml'"
 
 
 def test_xgml_dangling_edge():
@@ -253,6 +268,21 @@ def test_bundled_fixture_formats_agree():
     assert simpsons_graph("tgf") == simpsons_graph("xgml")
 
 
+def test_a_bundled_graph_that_does_not_load_is_an_error(monkeypatch):
+    read = datasets._read
+    monkeypatch.setattr(
+        datasets, "_read",
+        lambda name: "1 Person:A\n2 Person:B\n#\n1 2 Owns\n2 1 Owns\n"
+        if name == "simpsons.tgf" else read(name),
+    )
+    with pytest.raises(GraphError) as exc:
+        simpsons_graph("tgf")
+    assert str(exc.value) == (
+        "bundled simpsons.tgf does not load: error: line 4: relation 'Owns' not in "
+        "ontology; error: line 5: relation 'Owns' not in ontology"
+    )
+
+
 def _random_bytes_text(seed: int, n: int) -> str:
     rng = SplitMix64(seed)
     alphabet = 'abZ09 \t\n#[]"\\|:.'
@@ -264,9 +294,8 @@ def test_parsers_never_crash_on_noise(seed):
     text = _random_bytes_text(seed, 200)
     ont = simpsons_ontology()
     for parser in (parse_tgf, parse_xgml):
-        for allow_new_relations in (False, True):
-            graph, diags = parser(text, ont, allow_new_relations)
-            assert graph is None or not has_errors(diags)
+        graph, diags = parser(text, ont)
+        assert graph is None or not has_errors(diags)
 
 
 XGML_PIECES = [
@@ -401,10 +430,7 @@ def _xgml_run_texts(draw) -> str:
 @given(text=st.one_of(_XGML_TEXTS, _xgml_run_texts()))
 def test_xgml_reader_matches_the_reference(text):
     # the same graph, and the same diagnostics in the same order
-    for allow_new_relations in (False, True):
-        assert repr(parse_xgml(text, ONT, allow_new_relations)) == repr(
-            reference_parse_xgml(text, ONT, allow_new_relations)
-        )
+    assert repr(parse_xgml(text, ONT)) == repr(reference_parse_xgml(text, ONT))
 
 
 _TGF_FAULTS = st.sampled_from([
@@ -428,10 +454,7 @@ def _tgf_texts(draw) -> str:
 @given(text=_tgf_texts())
 def test_tgf_reader_matches_the_reference(text):
     # the same graph, and the same diagnostics in the same order
-    for allow_new_relations in (False, True):
-        assert repr(parse_tgf(text, ONT, allow_new_relations)) == repr(
-            reference_parse_tgf(text, ONT, allow_new_relations)
-        )
+    assert repr(parse_tgf(text, ONT)) == repr(reference_parse_tgf(text, ONT))
 
 
 @pytest.mark.parametrize(
@@ -583,19 +606,22 @@ NEW_RELATION_TEXT = {
 
 @pytest.mark.parametrize("fmt", ["tgf", "xgml"])
 def test_a_new_relation_with_an_underscore_is_an_error(fmt):
-    text = NEW_RELATION_TEXT[fmt].format(relation="Knows_well")
-    g, diags = parse_graph(text, ONT, fmt, allow_new_relations=True)
-    assert g is None
-    assert [str(d) for d in diags] == [
-        "error: line 4: relation 'Knows_well' contains '_', which query files read as a space"
-    ]
-    text = NEW_RELATION_TEXT[fmt].format(relation="Knows\x01well")
-    g, diags = parse_graph(text, ONT, fmt, allow_new_relations=True)
-    assert g is None
-    assert [str(d) for d in diags] == [
-        "error: line 4: relation 'Knows\\x01well' contains '\\x01', which XML files "
-        "cannot carry"
-    ]
-    text = NEW_RELATION_TEXT[fmt].format(relation="Knows well")
-    g, diags = parse_graph(text, ONT, fmt, allow_new_relations=True)
-    assert g is not None and g.ontology.inverse_of("Knows well") == "Knows well"
+    # a relation enters a graph only through the ontology file, whose reader
+    # holds the label rule
+    for relation in ("Knows_well", "Knows\x01well", "Knows well"):
+        g, diags = parse_graph(NEW_RELATION_TEXT[fmt].format(relation=relation), ONT, fmt)
+        assert g is None
+        assert [str(d) for d in diags] == [f"error: line 4: relation {relation!r} not in ontology"]
+    with pytest.raises(OntologyError) as exc:
+        load_ontology("Spouse of | Spouse of\nKnows_well | Knows_well\n")
+    assert str(exc.value) == (
+        "line 2: relation 'Knows_well' contains '_', which query files read as a space"
+    )
+    with pytest.raises(OntologyError) as exc:
+        load_ontology("Spouse of | Spouse of\nKnows\x01well | Knows\x01well\n")
+    assert str(exc.value) == (
+        "line 2: relation 'Knows\\x01well' contains '\\x01', which XML files cannot carry"
+    )
+    declared = load_ontology("Spouse of | Spouse of\nKnows well | Knows well\n")
+    g, diags = parse_graph(NEW_RELATION_TEXT[fmt].format(relation="Knows well"), declared, fmt)
+    assert not diags and g.ontology.inverse_of("Knows well") == "Knows well"

@@ -58,6 +58,9 @@ NOT_XML = r"^line {}: relation 'Works\\x01at' contains '\\x01', which XML files 
         ("# only a comment\n\n", "empty ontology"),
         ("Child of | Parent of\nChild of | Parent of\n", "duplicate"),
         ("A of | B of\nB of | C of\n", "non-involutive"),
+        # the line's inverse already has another inverse
+        ("A of | B of\nC of | A of\n",
+         "^line 2: non-involutive pairing for 'A of': 'B of' vs 'C of'$"),
         ("A of |\n", "empty relation label"),
         ("A of\n", "expected"),
         # query files write a space in a relation as '_', so '_' cannot round-trip
@@ -76,29 +79,6 @@ NOT_XML = r"^line {}: relation 'Works\\x01at' contains '\\x01', which XML files 
 def test_load_errors(text, match):
     with pytest.raises(OntologyError, match=match):
         load_ontology(text)
-
-
-def test_extend():
-    ont = load_ontology("Spouse of | Spouse of")
-    ext = ont.extended("Owner of", "Owned by")
-    assert "Owner of" in ext and "Owned by" in ext
-    assert "Owner of" not in ont  # value semantics
-    again = ext.extended("Owner of", "Owned by")
-    assert again == ext  # idempotent
-    with pytest.raises(OntologyError, match="conflicting"):
-        ext.extended("Owner of", "Spouse of")
-
-
-def test_extend_self_inverse():
-    ont = RelationOntology({})
-    ext = ont.extended("Neighbor of", "Neighbor of")
-    assert len(ext) == 1
-    assert ext.inverse_of("Neighbor of") == "Neighbor of"
-
-
-def test_extend_pair_on_empty():
-    ext = RelationOntology({}).extended("Owner of", "Owned by")
-    assert len(ext) == 2
 
 
 @st.composite
@@ -133,10 +113,13 @@ def test_a_relation_xml_cannot_carry_is_refused(char):
     assert str(exc.value) == (
         f"relation {f'Works{char}at'!r} contains {char!r}, which XML files cannot carry"
     )
-    with pytest.raises(OntologyError, match="XML files cannot carry"):
-        load_ontology("Works at | Employs").extended(f"Lives{char}with", "Lives with")
+    with pytest.raises(OntologyError) as exc:
+        load_ontology(f"Works at | Employs\nLives{char}with | Lives with")
+    assert str(exc.value) == (
+        f"line 2: relation {f'Lives{char}with'!r} contains {char!r}, which XML files cannot carry"
+    )
     # TAB, LF and CR are XML characters; canonical labels fold them to spaces
-    assert "Lives with" in RelationOntology({}).extended("Lives\twith", "Lives\twith")
+    assert "Lives with" in load_ontology("Lives\twith | Lives\twith")
 
 
 @pytest.mark.parametrize(
@@ -160,7 +143,16 @@ def test_a_label_the_readers_would_change_is_refused(label, rule):
     assert "Knows#well" in RelationOntology({"Knows#well": "Knows#well"})
 
 
-def test_extend_refuses_an_empty_label():
+def test_an_empty_label_is_refused():
     with pytest.raises(OntologyError) as exc:
-        load_ontology("Knows | Knows").extended(" ", " ")
+        RelationOntology({"": ""})
     assert str(exc.value) == "empty relation label"
+
+
+def test_a_map_that_is_not_an_involution_is_refused():
+    with pytest.raises(OntologyError) as exc:
+        RelationOntology({"A of": "B of"})
+    assert str(exc.value) == "inverse map is not an involution at 'A of' -> 'B of'"
+    with pytest.raises(OntologyError) as exc:
+        RelationOntology({"A of": "B of", "B of": "C of", "C of": "B of"})
+    assert str(exc.value) == "inverse map is not an involution at 'A of' -> 'B of'"

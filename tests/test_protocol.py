@@ -1013,7 +1013,7 @@ def submissions(draw):
     """A submission of each type, possibly with no queries, a fill query with
     no answers or a variable with an empty answer list; and the queries it
     answers."""
-    team = draw(XML_TEXTS)
+    team = draw(XML_TEXTS.filter(bool))
     ids = draw(st.lists(XML_TEXTS.filter(bool), max_size=3, unique=True))
     kind = draw(st.sampled_from([FillQuery, ChoiceQuery, PathQuery]))
     if kind is FillQuery:
@@ -1068,10 +1068,6 @@ def test_submissions_are_written_as_elementtree_writes_them(case):
     sub, expected = case
     text = emit_submission(sub)
     assert text == reference_emit_submission(sub)
-    if not sub.team:  # refused where it is read, as a missing team is
-        with pytest.raises(ProtocolError, match="^a submission's team attribute is empty$"):
-            parse_submission_xml(text, expected)
-        return
     parsed, diagnostics = parse_submission_xml(text, expected)
     assert not diagnostics
     assert parsed.team == sub.team
@@ -1090,9 +1086,23 @@ def test_a_submission_without_a_team_name_is_refused(root):
     with pytest.raises(ProtocolError) as exc:
         parse_submission_xml(root, [])
     assert str(exc.value) == (
-        "a submission's team attribute is empty" if "team" in root
+        "a team name is not empty" if "team" in root
         else "submission root must carry a team attribute"
     )
+
+
+@pytest.mark.parametrize(
+    "team, message",
+    [("", "a team name is not empty"),
+     ("t\x01", "'t\\x01' contains '\\x01', which XML files cannot carry")],
+)
+def test_a_submission_holds_only_a_team_its_file_can_carry(team, message):
+    # `<QA team="" />` was written, and refused when read; a control
+    # character made a file that was not XML
+    for kind in (FillQuery, ChoiceQuery, PathQuery):
+        with pytest.raises(ProtocolError) as exc:
+            Submission(kind, team, {})
+        assert str(exc.value) == message
 
 
 def test_the_writer_escapes_as_elementtree_does():

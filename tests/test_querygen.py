@@ -298,7 +298,7 @@ def test_names_query_files_cannot_carry_are_refused_where_they_are_built():
     assert str(exc.value) == "relation 'Works_at' contains '_', which query files read as a space"
     ontology = load_ontology("Works at | Employs")
     with pytest.raises(OntologyError, match="contains '_'"):
-        ontology.extended("Lives_with", "Lives_with")
+        load_ontology("Works at | Employs\nLives_with | Lives_with")
     with pytest.raises(GraphError) as exc:
         KnowledgeGraph(ontology, frozenset([person("A"), person("Unknown_1")]))
     assert str(exc.value) == "node Person:Unknown_1 is named like a query variable (Unknown_<n>)"

@@ -1,3 +1,5 @@
+import pytest
+
 from kgbench.rng import SplitMix64
 
 # frozen from the reference C implementation of splitmix64
@@ -38,3 +40,21 @@ def test_sample_distinct():
     rng = SplitMix64(3)
     picked = rng.sample(list(range(10)), 6)
     assert len(set(picked)) == 6
+
+
+@pytest.mark.parametrize(
+    "draw, message",
+    [
+        (lambda rng: rng.randrange(0), "randrange bound must be positive"),
+        (lambda rng: rng.choice([]), "choice from empty sequence"),
+        (lambda rng: rng.sample([1], 2), "sample larger than population"),
+    ],
+    ids=["randrange", "choice", "sample"],
+)
+def test_a_refused_draw_leaves_the_stream_where_it_was(draw, message):
+    rng = SplitMix64(42)
+    rng.next_u64()
+    with pytest.raises(ValueError) as exc:
+        draw(rng)
+    assert str(exc.value) == message
+    assert rng.next_u64() == VECTORS[42][1]
