@@ -41,9 +41,10 @@ class CliError(Exception):
 
 
 def _read_file(path: str) -> str:
-    """A file's text; a file that is not UTF-8 is a content error."""
+    """A file's text, less a UTF-8 byte-order mark, which some editors
+    write; a file that is not UTF-8 is a content error."""
     try:
-        return FsPath(path).read_text(encoding="utf-8")
+        return FsPath(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from None
     except UnicodeDecodeError as exc:

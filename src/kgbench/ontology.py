@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator, Mapping
 
 
@@ -25,6 +26,17 @@ def non_xml_char(text: str) -> str | None:
     """The first character of `text` that XML 1.0 cannot carry, if any."""
     match = _NOT_XML_CHAR.search(text)
     return match and match.group()
+
+
+def name_fault(name: str, what: str) -> str | None:
+    """The one rule for a name a file holds as an attribute value, such as
+    a team name or a query id: not empty, and only characters XML can
+    carry.  What is wrong with `name`, a `what`, or None."""
+    if not name:
+        return f"a {what} is not empty"
+    if char := non_xml_char(name):
+        return XML_CHAR_RULE.format(repr(name), char)
+    return None
 
 
 def is_decimal(text: str) -> bool:
@@ -52,6 +64,18 @@ def check_label(label: str) -> None:
         raise OntologyError(f"relation {label!r} has ontology file syntax ('|' or a leading '#')")
     if char := non_xml_char(label):
         raise OntologyError(XML_CHAR_RULE.format(f"relation {label!r}", char))
+
+
+@lru_cache(maxsize=1024)
+def label_fault(label: str) -> str | None:
+    """What `check_label` finds wrong with `label`, or None.  Writers and
+    query constructors ask it for every label of every query, so the
+    answers for the last 1,024 labels asked are kept."""
+    try:
+        check_label(label)
+    except OntologyError as exc:
+        return str(exc)
+    return None
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ Everything here works on the traversal view of the graph (stored edges plus
 their inverse-labeled reversals) and is exhaustive by construction: the
 pattern matcher enumerates injective variable bindings, the path enumerator
 walks every simple route.  Scorers and generators are tested against these
-results.
+results.  The oracle finds keys and does not judge answers: what a key or an
+answer may hold, whatever the graph holds (a fill query's variables and
+keyed nodes, a path's endpoints, simplicity and length), is stated once, by
+the query classes in `querygen`.
 
 The pattern matcher reads its triples once, to check them and to note each
 variable's ties to constants and to other variables.  From the ties it plans
@@ -127,16 +130,6 @@ class Path(_PathFields):
     @property
     def target(self) -> NodeId:
         return self.nodes[-1]
-
-
-def pattern_variables(triples: list[PatternTriple]) -> list[Variable]:
-    """Distinct variables in first-appearance order."""
-    seen: dict[str, Variable] = {}
-    for t in triples:
-        for end in (t.subject, t.object):
-            if isinstance(end, Variable) and end.name not in seen:
-                seen[end.name] = end
-    return list(seen.values())
 
 
 def solve_pattern(

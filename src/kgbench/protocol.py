@@ -42,10 +42,12 @@ a path is its Path line, its Source line by node, its middle steps' Edge and
 Node lines by (relation, node), its last Edge line by relation and its
 Target line by node, and then `</Path>`.
 Names XML 1.0 cannot carry are refused where they enter (graph files,
-ontologies, a `Submission`'s team).  ElementTree only reads, after expat has refused a
-DOCTYPE in the prolog, and each read decodes every distinct node or relation
-text once, in a memo owned by that call.  Query and key files are read by one
-strict rule (`_children`), a submission's queries by one lenient filter.
+ontologies, a `Submission`'s team, a query's id and labels) or, for a
+submission's answers, when `emit_submission` writes them.  ElementTree
+only reads, after expat has refused a DOCTYPE in the prolog, and each read
+decodes every distinct node or relation text once, in a memo owned by that
+call.  Query and key files are read by one strict rule (`_children`), a
+submission's queries by one lenient filter.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from __future__ import annotations
 import contextlib
 import math
 import xml.etree.ElementTree as ET
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cache
 from xml.parsers import expat
@@ -61,12 +63,12 @@ from xml.parsers import expat
 from .formats import WARNING, Diagnostic
 from .graph import GraphError, NodeId, is_variable_name
 from .ontology import (
-    XML_CHAR_RULE,
     OntologyError,
     canonical_label,
     check_label,
     is_decimal,
-    non_xml_char,
+    label_fault,
+    name_fault,
 )
 from .oracle import OracleError, Path, PatternTriple, Variable
 from .querygen import LETTER, ChoiceQuery, FillQuery, PathQuery, Query, QueryError, require_key
@@ -81,8 +83,9 @@ class Submission:
     """A team's answers to queries of one type, `kind`, by query id: per
     variable ranked (node, confidence) pairs (FillQuery), one relation
     (ChoiceQuery), or paths (PathQuery).  The constructor refuses any other
-    `kind`, and a team `check_team` refuses, with ProtocolError, so every
-    Submission can be written and read back."""
+    `kind`, and a team `check_team` refuses, with ProtocolError.  The
+    answers are checked when they are written (`emit_submission`), as
+    readers fill them in after the Submission is built."""
 
     kind: type
     team: str
@@ -97,12 +100,10 @@ class Submission:
 
 
 def check_team(team: str) -> None:
-    """The one team-name rule: not empty, and only characters XML can carry,
-    since a submission file holds the name; else ProtocolError."""
-    if not team:
-        raise ProtocolError("a team name is not empty")
-    if char := non_xml_char(team):
-        raise ProtocolError(XML_CHAR_RULE.format(repr(team), char))
+    """A submission file holds the team name, so `ontology.name_fault`'s
+    rule holds for it; else ProtocolError."""
+    if fault := name_fault(team, "team name"):
+        raise ProtocolError(fault)
 
 
 # --- text and element encodings -------------------------------------------
@@ -440,12 +441,7 @@ def _read_query(
                 _require(bool(name), "Var without a name")
                 pairs.append((name, decoded.node(_text(vel))))
             bindings.append(pairs)
-        key = tuple(map(frozenset, bindings)) if keyed else None
-        query = FillQuery(qid, tuple(triples), key)
-        # a Var repeated with its node is one pair of the set: the constructor can't see it
-        rule = f"a Binding names each of {', '.join(sorted(query.variables))} once"
-        _require(all(len(set(pairs)) == len(pairs) for pairs in bindings), rule)
-        return query
+        return FillQuery(qid, tuple(triples), tuple(bindings) if keyed else None)
     if kind is ChoiceQuery:
         parts, found = _children(
             qel,
@@ -542,22 +538,43 @@ def parse_key_xml(text: str) -> tuple[list[Query], dict[str, str]]:
 # --- submissions -------------------------------------------------------------
 
 
+def _check_labels(qid: str, labels: Iterable[str]) -> None:
+    for label in labels:
+        if fault := label_fault(label):
+            raise ProtocolError(f"{qid}: {fault}")
+
+
 def emit_submission(sub: Submission) -> str:
     """A submission document, its root and answers chosen by its type:
-    queries by id, a fill query's answers by variable and then rank."""
+    queries by id, a fill query's answers by variable and then rank.  A
+    confidence is written as `repr` gives it, less a trailing ".0", so it
+    reads back as the same float.  What the reader would not give back is
+    refused with ProtocolError naming the query: an id or variable name
+    that `ontology.name_fault` faults, a confidence outside [0, 1] (NaN
+    too), a relation `check_label` refuses."""
     out = _Writer()
     out.start("Q" + LETTER[sub.kind], {"team": sub.team})
     for qid in sorted(sub.answers):
+        if fault := name_fault(qid, "query id"):
+            raise ProtocolError(fault)
         answers = sub.answers[qid]
         out.start("Query", {"id": qid})
         if sub.kind is FillQuery:
             for var in sorted(answers):
+                if fault := name_fault(var, "variable name"):
+                    raise ProtocolError(f"{qid}: {fault}")
                 for rank, (node, conf) in enumerate(answers[var], start=1):
-                    attrs = {"var": var, "rank": str(rank), "confidence": f"{conf:g}"}
+                    if not 0.0 <= conf <= 1.0:
+                        raise ProtocolError(f"{qid}: {var} has confidence {conf!r}, not in [0, 1]")
+                    text = repr(float(conf)).removesuffix(".0")
+                    attrs = {"var": var, "rank": str(rank), "confidence": text}
                     out.leaf("Answer", node.canonical, attrs)
         elif sub.kind is ChoiceQuery:
+            _check_labels(qid, [answers])
             out.leaf("Answer", encode_relation(answers))
         else:
+            # each distinct label once; sorted, so no message hangs on string hashing
+            _check_labels(qid, sorted(set().union(*[p.relations for p in answers])))
             for i, path in enumerate(answers, start=1):
                 out.path(path, i)
         out.end()
@@ -567,16 +584,14 @@ def emit_submission(sub: Submission) -> str:
 
 def emit_oracle_submission(queries: list[Query], team: str) -> str:
     """The submission that answers each query with its key, in key-file
-    order: per variable each keyed node once at confidence 1, the correct
-    option, or every keyed path."""
+    order: per variable each keyed node once at confidence 1
+    (`FillQuery.keyed_nodes`), the correct option, or every keyed path."""
     sub = Submission(_query_type(queries), team)
     for q in queries:
         if sub.kind is FillQuery:
-            nodes: dict[str, dict[NodeId, float]] = {v: {} for v in q.variables}
-            for binding in require_key(q):
-                for name, node in binding:
-                    nodes[name][node] = 1.0
-            sub.answers[q.id] = {v: list(ranked.items()) for v, ranked in nodes.items()}
+            sub.answers[q.id] = {
+                v: [(node, 1.0) for node in nodes] for v, nodes in q.keyed_nodes().items()
+            }
         else:
             sub.answers[q.id] = q.correct if sub.kind is ChoiceQuery else list(require_key(q))
     return emit_submission(sub)

@@ -6,17 +6,25 @@ stream; equal (graph, seed, parameters) produce identical query lists.
 Generation rejection-samples and fails loudly ("insufficient structure")
 rather than looping forever on degenerate graphs.
 
-Each query class holds its type's rules that need no graph, and checks them
-when a query is built (QueryError), so every query can be written and read
-back.  A keyless query, as a query file holds it, has the key None.
+Each query class is the one home of its type's rules that need no graph,
+and checks them when a query is built (QueryError): an id a file can carry
+(`ontology.name_fault`), relation labels that read back (`check_label`),
+and what its key may hold.  So every query can be written and read back
+equal.  The same class states what an answer is judged by: a path's
+`PathQuery.misfit`, which `scoring.validate_path` asks first, and a fill
+query's `variables` and `keyed_nodes`, which scoring and the oracle's
+submission read.  A keyless query, as a query file holds it, has the key
+None.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .graph import PERSON, KnowledgeGraph, NodeId
+from .ontology import label_fault, name_fault
 from .oracle import (
     OracleError,
     Path,
@@ -25,7 +33,6 @@ from .oracle import (
     Variable,
     answer_choice,
     enumerate_paths,
-    pattern_variables,
     solve_pattern,
 )
 from .rng import SplitMix64
@@ -42,12 +49,22 @@ class GenerationError(RuntimeError):
 
 
 class QueryError(ValueError):
-    """A query that breaks a rule of its type; the message starts with its id."""
+    """A query that breaks a rule of its type; the message names the query."""
 
 
 def _require(query: Query, condition: bool, rule: str) -> None:
     if not condition:
         raise QueryError(f"{query.id}: {rule}")
+
+
+def _check_names(query: Query, labels: Iterable[str]) -> None:
+    """The query's id and each relation label in `labels` can be written to
+    its files and read back."""
+    if fault := name_fault(query.id, "query id"):
+        raise QueryError(fault)
+    for label in labels:
+        if fault := label_fault(label):
+            raise QueryError(f"{query.id}: {fault}")
 
 
 def _check_items(query: FillQuery | PathQuery, tag: str) -> None:
@@ -59,30 +76,52 @@ def _check_items(query: FillQuery | PathQuery, tag: str) -> None:
 
 @dataclass(frozen=True)
 class FillQuery:
+    """A pattern of triples with Variable ends, and its key of bindings.
+
+    Each Binding of a key is given as (variable name, node) pairs, any
+    collection of them, and must name each variable once as given; the
+    query then holds it as a frozenset."""
+
     id: str
     triples: tuple[PatternTriple, ...]
     key: tuple[Binding, ...] | None = field(compare=False)  # None when keyless
 
     def __post_init__(self):
+        _check_names(self, (t.relation for t in self.triples))
         _require(self, bool(self.triples), "fill query without triples")
         ends = {e for t in self.triples for e in (t.subject, t.object)}
         names = sorted(e.name for e in ends if isinstance(e, Variable))
         for name, after in zip(names, names[1:]):
             _require(self, name != after, f"variable {name} has two categories")
+        if self.key is None:
+            return
         rule = f"a Binding names each of {', '.join(names)} once"
-        for binding in self.key or ():
-            _require(self, sorted(name for name, _ in binding) == names, rule)
+        for pairs in self.key:
+            _require(self, sorted(name for name, _ in pairs) == names, rule)
             # injective, as the oracle binds: each variable to its own node,
             # and none to a constant of the pattern
-            bound = [node for _, node in binding]
+            bound = [node for _, node in pairs]
             one_each = len(set(bound)) == len(bound)
             _require(self, one_each, "a Binding binds two variables to one node")
             _require(self, ends.isdisjoint(bound), "a Binding binds a variable to a constant")
+        object.__setattr__(self, "key", tuple(map(frozenset, self.key)))
         _check_items(self, "Binding")
 
-    @property
-    def variables(self) -> list[str]:
-        return [v.name for v in pattern_variables(list(self.triples))]
+    @cached_property
+    def variables(self) -> tuple[str, ...]:
+        """The variable names, in order of first appearance."""
+        ends = (e for t in self.triples for e in (t.subject, t.object))
+        return tuple(dict.fromkeys(e.name for e in ends if isinstance(e, Variable)))
+
+    def keyed_nodes(self) -> dict[str, list[NodeId]]:
+        """Each variable's keyed nodes, once each in key order, by variable
+        in `variables` order; OracleError naming the query when it has no
+        key."""
+        nodes: dict[str, dict[NodeId, None]] = {name: {} for name in self.variables}
+        for binding in require_key(self):
+            for name, node in binding:
+                nodes[name][node] = None
+        return {name: list(found) for name, found in nodes.items()}
 
 
 @dataclass(frozen=True)
@@ -94,6 +133,7 @@ class ChoiceQuery:
     key: int | None = field(compare=False)  # index into options; None when keyless
 
     def __post_init__(self):
+        _check_names(self, self.options)
         _require(self, self.subject != self.object, "subject and object are one node")
         _require(self, bool(self.options), "choice query without options")
         for index, option in enumerate(self.options, start=1):
@@ -117,14 +157,31 @@ class PathQuery:
     key: tuple[Path, ...] | None = field(compare=False)  # None when keyless
 
     def __post_init__(self):
+        key = self.key or ()
+        # each distinct label once; sorted, so no message hangs on string hashing
+        _check_names(self, sorted(set().union(*[p.relations for p in key])))
         _require(self, self.source != self.target, "source and target are one node")
         _require(self, self.max_edges >= 1, "max_edges must be at least 1")
         _check_items(self, "Path")
-        source, target, most_nodes = self.source, self.target, self.max_edges + 1
-        for nodes, _ in self.key or ():
-            within = nodes[0] == source and nodes[-1] == target and len(nodes) <= most_nodes
-            _require(self, within, "a Path runs from source to target within max_edges")
-            _require(self, len(set(nodes)) == len(nodes), "a Path visits a node twice")
+        for index, path in enumerate(key, start=1):
+            if fault := self.misfit(path):
+                raise QueryError(f"{self.id}: key Path {index}: {fault}")
+
+    def misfit(self, path: Path) -> str | None:
+        """Why `path` cannot answer this query, whatever the graph holds, or
+        None: it must run from `source` to `target`, through each node once,
+        within `max_edges`.  Both a key path and a submitted one are held to
+        it, so a key holds no path a team could not give."""
+        nodes = path.nodes
+        if nodes[0] != self.source:
+            return f"source is {nodes[0]}, query asks {self.source}"
+        if nodes[-1] != self.target:
+            return f"target is {nodes[-1]}, query asks {self.target}"
+        if len(set(nodes)) != len(nodes):
+            return "not simple: a node repeats"
+        if len(nodes) > self.max_edges + 1:
+            return f"length {len(nodes) - 1} exceeds bound {self.max_edges}"
+        return None
 
 
 Query = FillQuery | ChoiceQuery | PathQuery

@@ -49,13 +49,12 @@ def score_fill(
 ) -> FillScore:
     """Per-variable reciprocal ranks of the ranked (node, confidence) pairs
     answered for each variable, averaged over the query's variables.  With a
-    multi-binding key, any keyed node for a variable counts."""
-    key = require_key(query)
+    multi-binding key, any keyed node for a variable counts
+    (`FillQuery.keyed_nodes`)."""
     per_var: dict[str, float] = {}
-    for var in query.variables:
-        keyed = {node for binding in key for name, node in binding if name == var}
+    for var, keyed in query.keyed_nodes().items():
         ranked = [node for node, _ in answered.get(var, [])]
-        per_var[var] = reciprocal_rank(keyed, ranked)
+        per_var[var] = reciprocal_rank(set(keyed), ranked)
     return FillScore(query.id, per_var, mean(per_var.values()))
 
 
@@ -80,21 +79,15 @@ class PathVerdict:
 
 
 def validate_path(graph: KnowledgeGraph, query: PathQuery, path: Path) -> PathVerdict:
-    """Structural validity: endpoints match the query, every step is a
-    traversal-view edge under the submitted label, the path is simple, and
-    the length respects the query bound."""
-    if path.source != query.source:
-        return PathVerdict(False, f"source is {path.source}, query asks {query.source}")
-    if path.target != query.target:
-        return PathVerdict(False, f"target is {path.target}, query asks {query.target}")
-    if len(set(path.nodes)) != len(path.nodes):
-        return PathVerdict(False, "not simple: a node repeats")
-    if path.length > query.max_edges:
-        return PathVerdict(
-            False, f"length {path.length} exceeds bound {query.max_edges}"
-        )
+    """A submitted path's verdict: invalid for the reason
+    `PathQuery.misfit` gives (endpoints, simplicity, length), else valid
+    when every step is a traversal-view edge under the submitted label."""
+    fault = query.misfit(path)
+    if fault is not None:
+        return PathVerdict(False, fault)
+    nodes = path.nodes
     for i, rel in enumerate(path.relations, start=1):
-        a, b = path.nodes[i - 1], path.nodes[i]
+        a, b = nodes[i - 1], nodes[i]
         if not graph.holds(a, rel, b):
             for node in (a, b):
                 if node not in graph.number:

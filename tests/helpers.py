@@ -723,7 +723,8 @@ def reference_emit_submission(sub: Submission) -> str:
         if sub.kind is FillQuery:
             for var in sorted(sub.answers[qid]):
                 for rank, (node, conf) in enumerate(sub.answers[qid][var], start=1):
-                    attrs = {"var": var, "rank": str(rank), "confidence": f"{conf:g}"}
+                    text = repr(float(conf)).removesuffix(".0")
+                    attrs = {"var": var, "rank": str(rank), "confidence": text}
                     ET.SubElement(qel, "Answer", attrs).text = node.canonical
         elif sub.kind is ChoiceQuery:
             ET.SubElement(qel, "Answer").text = encode_relation(sub.answers[qid])

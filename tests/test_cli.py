@@ -88,6 +88,23 @@ def test_a_file_that_is_not_utf8_is_a_content_error(tmp_path, capsys, which):
     )
 
 
+@pytest.mark.parametrize("which", ["tgf", "xgml", "ontology"])
+def test_a_byte_order_mark_is_not_read_as_text(tmp_path, capsys, which):
+    # some editors save UTF-8 with a BOM; it was read as part of the first
+    # line: "line 1: malformed node line: '\ufeff1 Entity:Church'", "ignored
+    # top-level key '\ufeffgraph'", "line 1: expected '<relation> | <inverse>'"
+    files = {"graph": XGML if which == "xgml" else GRAPH, "ontology": ONT}
+    role = "ontology" if which == "ontology" else "graph"
+    marked = tmp_path / Path(files[role]).name
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(files[role]).read_bytes())
+    files[role] = str(marked)
+    fmt = "xgml" if which == "xgml" else "tgf"
+    argv = ["validate-graph", "--graph", files["graph"], "--format", fmt,
+            "--ontology", files["ontology"]]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_stats(capsys):
     assert main(["stats", *graph_args()]) == 0
     out = capsys.readouterr().out

@@ -34,7 +34,6 @@ from kgbench.oracle import (
     Variable,
     answer_choice,
     enumerate_paths,
-    pattern_variables,
     solve_pattern,
 )
 from kgbench.querygen import FillQuery, PathQuery, generate_fill, oracle_key
@@ -496,7 +495,8 @@ def test_oracle_keys_are_tuples_in_canonical_order(pattern, data):
     g, triples = pattern
     # a query holds each variable under one category: the first, which the
     # solver reads
-    first = {v.name: v for v in pattern_variables(triples)}
+    ends = [end for t in triples for end in (t.subject, t.object) if isinstance(end, Variable)]
+    first = {v.name: v for v in reversed(ends)}
 
     def one(end):
         return first[end.name] if isinstance(end, Variable) else end

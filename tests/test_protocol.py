@@ -1021,9 +1021,11 @@ def submissions(draw):
         for qid in ids:
             answers[qid] = {}
             for n in range(1, draw(st.integers(0, 2)) + 1):
-                # confidences in ranked order, as a parser reads them back
+                # any confidence in [0, 1], in ranked order, as a parser reads
+                # them back: each must read back as the same float
                 confidences = sorted(
-                    draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), max_size=3)),
+                    draw(st.lists(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                                            st.floats(0, 1)), max_size=3)),
                     reverse=True,
                 )
                 answers[qid][f"Unknown_{n}"] = [(draw(NODES), c) for c in confidences]
@@ -1078,6 +1080,108 @@ def test_submissions_are_written_as_elementtree_writes_them(case):
         }
     else:
         assert parsed.answers == sub.answers
+
+
+# names and labels a file may not give back: empty, or with a character XML
+# cannot carry, a '_' or a blank out of place
+BAD_NAMES = st.one_of(st.just(""), XML_TEXTS.map(lambda text: text + "\x01"))
+BAD_LABELS = st.one_of(
+    st.sampled_from(["", "Spouse_of", " Spouse of", "Spouse  of"]),
+    RELATIONS.map(lambda label: label + "\x01"),
+)
+
+
+@given(submissions(), st.data())
+def test_a_submission_its_file_cannot_give_back_is_not_written(case, data):
+    # each of these was written, and then read back otherwise, dropped with a
+    # warning, or refused with the whole file
+    sub, _ = case
+    answers = dict(sub.answers)
+    qid = data.draw(st.sampled_from(sorted(answers))) if answers else "Q.1"
+    answer = answers.pop(qid, {FillQuery: {}, ChoiceQuery: "R", PathQuery: []}[sub.kind])
+    if data.draw(st.booleans()):
+        answers[data.draw(BAD_NAMES)] = answer
+    elif sub.kind is FillQuery:
+        if data.draw(st.booleans()):
+            answers[qid] = {**answer, data.draw(BAD_NAMES): [(person("a"), 0.5)]}
+        else:
+            outside = st.floats().filter(lambda conf: not 0 <= conf <= 1)  # NaN too
+            answers[qid] = {**answer, "Unknown_9": [(person("a"), data.draw(outside))]}
+    elif sub.kind is ChoiceQuery:
+        answers[qid] = data.draw(BAD_LABELS)
+    else:
+        answers[qid] = [*answer, Path((person("a"), person("b")), (data.draw(BAD_LABELS),))]
+    with pytest.raises(ProtocolError):
+        emit_submission(Submission(sub.kind, sub.team, answers))
+
+
+HOMER_ANSWER = {"Unknown_1": [(person("Homer"), 1.0)]}
+
+
+@pytest.mark.parametrize(
+    "kind, answers, message",
+    [
+        (FillQuery, {"Q.A.1": {"Unknown_1": [(person("Homer"), 1.5)]}},
+         "Q.A.1: Unknown_1 has confidence 1.5, not in [0, 1]"),
+        (FillQuery, {"Q.A.1": {"Unknown_1": [(person("Homer"), -0.5)]}},
+         "Q.A.1: Unknown_1 has confidence -0.5, not in [0, 1]"),
+        (FillQuery, {"Q.A.1": {"Unknown_1": [(person("Homer"), float("nan"))]}},
+         "Q.A.1: Unknown_1 has confidence nan, not in [0, 1]"),
+        (FillQuery, {"Q.A.\x01": HOMER_ANSWER},
+         "'Q.A.\\x01' contains '\\x01', which XML files cannot carry"),
+        (FillQuery, {"": HOMER_ANSWER}, "a query id is not empty"),
+        (FillQuery, {"Q.A.1": {"Unknown\x01": [(person("Homer"), 1.0)]}},
+         "Q.A.1: 'Unknown\\x01' contains '\\x01', which XML files cannot carry"),
+        (ChoiceQuery, {"Q.B.1": "Spouse_of"},
+         "Q.B.1: relation 'Spouse_of' contains '_', which query files read as a space"),
+        (PathQuery, {"Q.C.1": [Path((person("Homer"), person("Marge")), ("Spouse\x01of",))]},
+         "Q.C.1: relation 'Spouse\\x01of' contains '\\x01', which XML files cannot carry"),
+    ],
+    ids=["confidence above", "confidence below", "confidence NaN", "id control character",
+         "id empty", "variable control character", "choice label _", "path label control"],
+)
+def test_a_submission_names_what_its_file_cannot_give_back(kind, answers, message):
+    with pytest.raises(ProtocolError) as exc:
+        emit_submission(Submission(kind, "t", answers))
+    assert str(exc.value) == message
+
+
+def test_a_confidence_reads_back_as_the_same_float():
+    # 6 significant digits read 0.1234567 back as 0.123457
+    ranked = [(person("Homer"), 0.1234567), (person("Marge"), 1e-07), (person("Lisa"), 0.0)]
+    sub = Submission(FillQuery, "t", {"Q.A.1": {"Unknown_1": ranked}})
+    text = emit_submission(sub)
+    assert 'confidence="0.1234567"' in text and 'confidence="0"' in text
+    parsed, diagnostics = parse_submission_xml(text, [SPOUSE_QUERY])
+    assert not diagnostics
+    assert parsed.answers == sub.answers
+    # the oracle's confidence 1 is written as before
+    assert 'confidence="1"' in emit_oracle_submission([SPOUSE_QUERY], "oracle")
+
+
+# ids and labels with what a file may not give back: '_', blanks, control
+# characters, or nothing at all
+ODD_TEXTS = st.text(st.sampled_from(["a", "_", " ", "\t", "\r", "\x01", "\x1c", "\x7f", "é"]),
+                    max_size=4)
+
+
+@given(ODD_TEXTS, ODD_TEXTS, st.sampled_from([FillQuery, ChoiceQuery, PathQuery]))
+def test_a_query_is_refused_when_built_or_read_back_equal(qid, label, kind):
+    a, b = person("a"), person("b")
+    try:
+        if kind is FillQuery:
+            query = FillQuery(qid, (PatternTriple(Variable("Unknown_1"), label, a),),
+                              (frozenset({("Unknown_1", b)}),))
+        elif kind is ChoiceQuery:
+            query = ChoiceQuery(qid, a, b, (label,), 0)
+        else:
+            query = PathQuery(qid, a, b, 2, (Path((a, b), (label,)),))
+    except QueryError:
+        return
+    assert parse_query_xml(emit_query_xml([query])) == [query]
+    parsed, _ = parse_key_xml(emit_key_xml([query]))
+    assert parsed == [query]
+    assert parsed[0].key == query.key
 
 
 @pytest.mark.parametrize("root", ['<QA team="" />', "<QA />"], ids=["empty", "missing"])

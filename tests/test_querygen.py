@@ -7,6 +7,7 @@ from kgbench import oracle
 from kgbench.graph import GraphError, KnowledgeGraph, NodeId, person
 from kgbench.ontology import OntologyError, RelationOntology, load_ontology
 from kgbench.oracle import (
+    OracleError,
     Path,
     PatternTriple,
     Variable,
@@ -316,6 +317,7 @@ AS_SPOUSE = PatternTriple(Variable("Unknown_1", "Person"), "Spouse of", HOMER)
 HOMER_MARGE = Path((HOMER, MARGE), ("Spouse of",))
 VIA_BART = Path((HOMER, BART, MARGE), ("Parent of", "Child of"))
 VIA_HOMER = Path((HOMER, MARGE, HOMER, MARGE), ("Spouse of",) * 3)
+SPOUSE_OF = Path((HOMER, MARGE), ("Spouse_of",))
 
 
 @pytest.mark.parametrize(
@@ -325,6 +327,11 @@ VIA_HOMER = Path((HOMER, MARGE, HOMER, MARGE), ("Spouse of",) * 3)
         (lambda: FillQuery("Q.A.1", SPOUSE + (AS_PLACE,), None),
          "Q.A.1: variable Unknown_1 has two categories"),
         (lambda: FillQuery("Q.A.1", SPOUSE, (frozenset({("Unknown_1", HOMER)}),)),
+         "Q.A.1: a Binding names each of Unknown_1, Unknown_2 once"),
+        # a Var repeated with its node is one pair of a set: the rule reads
+        # the pairs as given
+        (lambda: FillQuery("Q.A.1", SPOUSE, ([("Unknown_1", HOMER), ("Unknown_1", HOMER),
+                                              ("Unknown_2", MARGE)],)),
          "Q.A.1: a Binding names each of Unknown_1, Unknown_2 once"),
         (lambda: FillQuery("Q.A.1", SPOUSE, (BINDING, BINDING)), "Q.A.1: a Binding appears twice"),
         # the oracle binds injectively, so neither binding can be a key's
@@ -350,26 +357,95 @@ VIA_HOMER = Path((HOMER, MARGE, HOMER, MARGE), ("Spouse of",) * 3)
          "Q.C.1: max_edges must be at least 1"),
         (lambda: PathQuery("Q.C.1", HOMER, MARGE, 4, (HOMER_MARGE, HOMER_MARGE)),
          "Q.C.1: a Path appears twice"),
+        # a key path is held to the rule a submitted one is judged by
+        # (PathQuery.misfit), so the texts are validate_path's verdicts
         (lambda: PathQuery("Q.C.1", BART, MARGE, 4, (HOMER_MARGE,)),
-         "Q.C.1: a Path runs from source to target within max_edges"),
+         "Q.C.1: key Path 1: source is Person:Homer, query asks Person:Bart"),
         (lambda: PathQuery("Q.C.1", HOMER, BART, 4, (HOMER_MARGE,)),
-         "Q.C.1: a Path runs from source to target within max_edges"),
+         "Q.C.1: key Path 1: target is Person:Marge, query asks Person:Bart"),
         (lambda: PathQuery("Q.C.1", HOMER, MARGE, 1, (HOMER_MARGE, VIA_BART)),
-         "Q.C.1: a Path runs from source to target within max_edges"),
+         "Q.C.1: key Path 2: length 2 exceeds bound 1"),
         # a key holds simple paths: a team could match this one only with a path
         # validate_path refuses
         (lambda: PathQuery("Q.C.1", HOMER, MARGE, 4, (HOMER_MARGE, VIA_HOMER)),
-         "Q.C.1: a Path visits a node twice"),
+         "Q.C.1: key Path 2: not simple: a node repeats"),
         (lambda: PathQuery("Q.C.1", HOMER, MARGE, 4, ()), "Q.C.1: the key holds no Path"),
+        # written as Relation:Spouse_of, read back as "Spouse of": another query
+        (lambda: FillQuery("Q.A.1", (PatternTriple(Variable("Unknown_1"), "Spouse_of", HOMER),),
+                           None),
+         "Q.A.1: relation 'Spouse_of' contains '_', which query files read as a space"),
+        (lambda: ChoiceQuery("Q.B.1", HOMER, MARGE, ("Parent of", "Spouse_of"), 0),
+         "Q.B.1: relation 'Spouse_of' contains '_', which query files read as a space"),
+        (lambda: PathQuery("Q.C.1", HOMER, MARGE, 4, (SPOUSE_OF,)),
+         "Q.C.1: relation 'Spouse_of' contains '_', which query files read as a space"),
+        # a file the reader refuses as malformed XML
+        (lambda: ChoiceQuery("Q.B.1", HOMER, MARGE, ("Spouse\x01of",), 0),
+         "Q.B.1: relation 'Spouse\\x01of' contains '\\x01', which XML files cannot carry"),
+        (lambda: ChoiceQuery("Q.B.\x01", HOMER, MARGE, ("Spouse of",), 0),
+         "'Q.B.\\x01' contains '\\x01', which XML files cannot carry"),
+        # a file the reader refuses
+        (lambda: ChoiceQuery("Q.B.1", HOMER, MARGE, ("",), 0), "Q.B.1: empty relation label"),
+        (lambda: ChoiceQuery("Q.B.1", HOMER, MARGE, ("Spouse  of",), 0),
+         "Q.B.1: relation 'Spouse  of' is not trimmed with single spaces"),
+        (lambda: PathQuery("", HOMER, MARGE, 4, None), "a query id is not empty"),
     ],
-    ids=["fill no triples", "fill two categories", "fill Binding names", "fill Binding twice",
+    ids=["fill no triples", "fill two categories", "fill Binding names", "fill Var twice",
+         "fill Binding twice",
          "fill Binding one node", "fill Binding constant", "fill empty key", "choice one node",
          "choice no options",
          "choice option twice", "choice key past options", "choice key below options",
          "path one node", "path max_edges 0", "path Path twice", "path source", "path target",
-         "path length", "path not simple", "path empty key"],
+         "path length", "path not simple", "path empty key",
+         "fill label _", "choice label _", "key Path label _", "label control character",
+         "id control character", "label empty", "label untrimmed", "id empty"],
 )
 def test_an_invalid_query_is_not_built(build, message):
     with pytest.raises(QueryError) as exc:
         build()
     assert str(exc.value) == message
+
+
+def test_a_binding_given_as_pairs_is_held_as_a_frozenset():
+    pairs = [("Unknown_1", HOMER), ("Unknown_2", MARGE)]
+    query = FillQuery("Q.A.1", SPOUSE, (pairs, [("Unknown_2", HOMER), ("Unknown_1", MARGE)]))
+    assert query.key == (BINDING, frozenset({("Unknown_1", MARGE), ("Unknown_2", HOMER)}))
+    assert all(type(binding) is frozenset for binding in query.key)
+
+
+def test_a_fill_query_states_its_variables_and_keyed_nodes():
+    triples = (PatternTriple(Variable("Unknown_2", "Person"), "Parent of", BART),
+               PatternTriple(Variable("Unknown_1", "Person"), "Spouse of",
+                             Variable("Unknown_2", "Person")))
+    lisa = person("Lisa")
+    key = (frozenset({("Unknown_1", MARGE), ("Unknown_2", HOMER)}),
+           frozenset({("Unknown_1", lisa), ("Unknown_2", HOMER)}),
+           frozenset({("Unknown_1", HOMER), ("Unknown_2", MARGE)}))
+    query = FillQuery("Q.A.1", triples, key)
+    assert "variables" not in vars(query)  # worked out when first asked, and once
+    assert query.variables == ("Unknown_2", "Unknown_1")
+    assert query.variables is query.variables
+    # each node once, in key order, by variable in first-appearance order
+    assert query.keyed_nodes() == {"Unknown_2": [HOMER, MARGE], "Unknown_1": [MARGE, lisa, HOMER]}
+    assert list(query.keyed_nodes()) == ["Unknown_2", "Unknown_1"]
+    with pytest.raises(OracleError, match="^Q.A.1: the query has no key$"):
+        FillQuery("Q.A.1", triples, None).keyed_nodes()
+
+
+@pytest.mark.parametrize(
+    "path, misfit",
+    [
+        (HOMER_MARGE, None),
+        (VIA_BART, None),
+        (Path((BART, MARGE), ("Child of",)), "source is Person:Bart, query asks Person:Homer"),
+        (Path((HOMER, BART), ("Parent of",)), "target is Person:Bart, query asks Person:Marge"),
+        (VIA_HOMER, "not simple: a node repeats"),
+        (Path((HOMER, BART, person("Lisa"), MARGE), ("Parent of", "Sibling of", "Child of")),
+         "length 3 exceeds bound 2"),
+    ],
+)
+def test_a_path_query_states_what_no_graph_lets_a_path_answer(simpsons, path, misfit):
+    query = PathQuery("Q.C.1", HOMER, MARGE, 2, None)
+    assert query.misfit(path) == misfit
+    # the verdict a submitted path gets is the same rule's
+    if misfit is not None:
+        assert str(validate_path(simpsons, query, path)) == f"invalid({misfit})"

@@ -19,7 +19,8 @@ expression starts on one of the given lines or ranges):
 - an int or float constant n made n + 1.
 
 The checkout's `src/`, `tests/`, `tools/`, `perfbench/` (both read by
-`tests/test_manifest.py`) and `pyproject.toml` are copied into a
+`tests/test_manifest.py`), `pyproject.toml` and `README.md` (read by
+`tests/test_cli.py`) are copied into a
 temporary directory (under $TMPDIR when it is set); each mutant is written
 there as the module unparsed from its changed syntax tree, and the suite
 runs there with `-x`, `src/` of the copy first on the path, without
@@ -65,6 +66,9 @@ EQUIVALENT = {
         "the BFS enters a node only at a distance of 1 or more, so it never "
         "enters the target again, and enumerate_paths tests for the target "
         "before it reads a distance",
+    ("ontology.py", "@lru_cache(maxsize=1024)", "'maxsize=1024': 1024 -> 1025"):
+        "the cache only remembers label_fault's answers, which follow from "
+        "the label alone, so its size changes no answer",
     ("protocol.py", "ordered = sorted(items, key=lambda t: (-t[1], t[0]))", "'t[0]': 0 -> 1"):
         "items are appended in document order and sorted is stable, so equal "
         "confidences keep document order without the tie-break",
@@ -203,7 +207,8 @@ def main(argv: list[str] | None = None) -> int:
         for name in ("src", "tests", "tools", "perfbench"):
             shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns(
                 "__pycache__", ".hypothesis", "test_mutate.py"))
-        shutil.copy(ROOT / "pyproject.toml", copy)
+        for name in ("pyproject.toml", "README.md"):  # tests/test_cli.py reads the README
+            shutil.copy(ROOT / name, copy)
         target = copy / relative
         target.write_text(ast.unparse(tree) + "\n", encoding="utf-8")
         start = time.perf_counter()
