@@ -17,17 +17,8 @@ from pathlib import Path as FsPath
 from . import formats, protocol, scoring
 from .graph import KnowledgeGraph
 from .ontology import OntologyError, is_decimal, load_ontology
-from .oracle import OracleError, PathBudgetError
-from .querygen import (
-    LETTER,
-    ChoiceQuery,
-    FillQuery,
-    GenerationError,
-    generate_choice,
-    generate_fill,
-    generate_path,
-    oracle_key,
-)
+from .oracle import MAX_BOUND, OracleError, PathBudgetError
+from .querygen import GenerationError, generate_choice, generate_fill, generate_path
 
 EXIT_OK = 0
 EXIT_CONTENT = 1
@@ -96,7 +87,7 @@ def _self_check(graph: KnowledgeGraph, queries) -> None:
     assert: `python -O` would drop it."""
     for q in queries:
         try:
-            if oracle_key(graph, q) != q.key:
+            if q.oracle_key(graph) != q.key:
                 raise OracleError(f"{q.id}: key differs from the oracle's")
         except OracleError as exc:
             raise CliError(f"self-check failed: {exc}", EXIT_CONTENT) from None
@@ -121,7 +112,7 @@ def cmd_gen_queries(args) -> int:
         _self_check(graph, queries)
     print("self-check passed: all keys re-verified against the oracle")
     # a type with no queries gets no files: a document holds at least one
-    typed = {LETTER[type(qs[0])].lower(): qs for qs in (fill, choice, paths) if qs}
+    typed = {qs[0].letter.lower(): qs for qs in (fill, choice, paths) if qs}
     for name, queries in typed.items():
         _write_file(out / f"queries_{name}.xml", protocol.emit_query_xml(queries))
         _write_file(out / f"keys_{name}.xml", protocol.emit_key_xml(queries, params))
@@ -137,7 +128,7 @@ def cmd_answer(args) -> int:
         raise CliError(f"queries: {exc}", EXIT_CONTENT) from None
     out = FsPath(args.out)
     try:
-        keyed = [replace(q, key=oracle_key(graph, q)) for q in queries]
+        keyed = [replace(q, key=q.oracle_key(graph)) for q in queries]
     except PathBudgetError as exc:
         raise CliError(str(exc), EXIT_CONTENT) from None
     except ValueError as exc:
@@ -211,15 +202,10 @@ def cmd_score(args) -> int:
             print(f"{sub_path}: {d}", file=sys.stderr)
     report = scoring.ScoreReport(team, params)
     for q in key_queries:
-        if isinstance(q, FillQuery):
-            report.fill.append(scoring.score_fill(q, answers.get(q.id, {})))
-        elif isinstance(q, ChoiceQuery):
-            report.choice.append(scoring.score_choice(q, answers.get(q.id)))
-        else:
-            try:
-                report.paths.append(scoring.score_paths(graph, q, answers.get(q.id, [])))
-            except OracleError as exc:
-                raise CliError(str(exc), EXIT_CONTENT) from None
+        try:
+            report.add(graph, q, answers.get(q.id))
+        except OracleError as exc:
+            raise CliError(str(exc), EXIT_CONTENT) from None
 
     out = FsPath(args.out)
     _write_file(out / "report.json", report.to_json())
@@ -273,14 +259,16 @@ def _add_graph_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ontology", required=True, help="ontology file path")
 
 
-def _at_least(low: int):
-    """argparse type: an ASCII-decimal integer >= low; anything else is a
-    usage error."""
+def _integer(low: int, high: int | None = None):
+    """argparse type: an ASCII-decimal integer >= low, and <= high when
+    given; anything else is a usage error."""
 
     def parse(text: str) -> int:
-        if is_decimal(text) and int(text) >= low:
-            return int(text)
-        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        if not is_decimal(text) or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        if high is not None and int(text) > high:
+            raise argparse.ArgumentTypeError(f"expected an integer <= {high}, got {text!r}")
+        return int(text)
 
     return parse
 
@@ -309,12 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-queries", help="generate query and sealed key files")
     _add_graph_args(p)
-    p.add_argument("--seed", type=_at_least(0), default=0)
-    p.add_argument("--count-a", type=_at_least(0), default=5)
-    p.add_argument("--count-b", type=_at_least(0), default=5)
-    p.add_argument("--count-c", type=_at_least(0), default=2)
-    p.add_argument("--n-options", type=_at_least(1), default=5)
-    p.add_argument("--max-edges", type=_at_least(1), default=8)
+    p.add_argument("--seed", type=_integer(0), default=0)
+    p.add_argument("--count-a", type=_integer(0), default=5)
+    p.add_argument("--count-b", type=_integer(0), default=5)
+    p.add_argument("--count-c", type=_integer(0), default=2)
+    p.add_argument("--n-options", type=_integer(1), default=5)
+    p.add_argument("--max-edges", type=_integer(1, MAX_BOUND), default=8)
     p.add_argument("--require-unique", action="store_true")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen_queries)

@@ -44,6 +44,8 @@ from .graph import GraphError, KnowledgeGraph, NodeId, is_variable_name
 
 # the most simple paths one enumerate_paths call may return
 PATH_BUDGET = 10_000
+# the largest path bound: the search recurses once per edge of its route
+MAX_BOUND = 64
 
 
 class OracleError(ValueError):
@@ -242,11 +244,11 @@ def enumerate_paths(
     graph: KnowledgeGraph,
     source: NodeId,
     target: NodeId,
-    max_edges: int | None = None,
+    max_edges: int,
 ) -> list[Path]:
     """All simple traversal-view paths from source to target, up to
-    max_edges when given (a bound past node_count - 1 is none), by
-    depth-first search with backtracking.
+    max_edges (at most MAX_BOUND, else OracleError; a bound past
+    node_count - 1 is that bound), by depth-first search with backtracking.
     Canonical order: by length, then by the canonical texts of the nodes
     and the relations, read along the path.
 
@@ -254,15 +256,15 @@ def enumerate_paths(
     from one BFS cut off at max_edges - 1 hops, fits in the edges left, so
     no branch too far from the target is walked.  More than PATH_BUDGET
     paths raise PathBudgetError as soon as the first one too many is found."""
+    if max_edges > MAX_BOUND:
+        raise OracleError(f"max_edges {max_edges} exceeds MAX_BOUND, {MAX_BOUND}")
     if source == target:
         raise OracleError("source and target must differ")
     for n in (source, target):
         if n not in graph.number:
             raise OracleError(f"unknown node: {n}")
-    # a simple path has at most node_count - 1 edges: no bound, or a larger
-    # one, is that bound
-    longest = graph.node_count - 1
-    bound = longest if max_edges is None else min(max_edges, longest)
+    # a simple path has at most node_count - 1 edges: a larger bound is that one
+    bound = min(max_edges, graph.node_count - 1)
     if bound <= 0:
         return []
     rows = graph.rows

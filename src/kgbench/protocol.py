@@ -48,6 +48,12 @@ only reads, after expat has refused a DOCTYPE in the prolog, and each read
 decodes every distinct node or relation text once, in a memo owned by that
 call.  Query and key files are read by one strict rule (`_children`), a
 submission's queries by one lenient filter.
+
+Each query type's rules on the wire have one home, its codec, looked up once
+per document: its Query element in query and key files (`write`, `read`);
+in submissions, its answer tag, the answer read (None: none; a warning per
+fault) and written, the oracle's answer, and `empty`, a query's answer until
+answered (None: none).
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ import xml.etree.ElementTree as ET
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cache
+from typing import get_args
 from xml.parsers import expat
 
 from .formats import WARNING, Diagnostic
@@ -71,7 +78,7 @@ from .ontology import (
     name_fault,
 )
 from .oracle import OracleError, Path, PatternTriple, Variable
-from .querygen import LETTER, ChoiceQuery, FillQuery, PathQuery, Query, QueryError, require_key
+from .querygen import ChoiceQuery, FillAnswer, FillQuery, PathQuery, Query, QueryError, require_key
 
 
 class ProtocolError(ValueError):
@@ -89,12 +96,10 @@ class Submission:
 
     kind: type
     team: str
-    answers: dict[
-        str, dict[str, list[tuple[NodeId, float]]] | str | list[Path]
-    ] = field(default_factory=dict)
+    answers: dict[str, FillAnswer | str | list[Path]] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not any(self.kind is kind for kind in LETTER):  # unhashable kinds too
+        if self.kind not in get_args(Query):  # compared, not hashed: unhashable kinds too
             raise ProtocolError(f"a submission's kind is a query class, not {self.kind!r}")
         check_team(self.team)
 
@@ -332,7 +337,7 @@ def _load_root(text: str, suffix: str) -> tuple[ET.Element, type]:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
         raise ProtocolError(f"malformed XML: {exc}") from None
-    kinds = {f"Q{letter}{suffix}": kind for kind, letter in LETTER.items()}
+    kinds = {f"Q{kind.letter}{suffix}": kind for kind in get_args(Query)}
     _require(
         root.tag in kinds,
         f"unexpected root element {root.tag!r}, expected one of {tuple(kinds)}",
@@ -346,49 +351,6 @@ def _query_type(queries: list[Query]) -> type:
     _require(bool(kinds), "a document holds at least one query")
     _require(len(kinds) == 1, "query and key files hold a single query type")
     return kinds.pop()
-
-
-def _write_query(out: _Writer, q: Query, keyed: bool) -> None:
-    """A query's element: its query elements, then in a key file its payload."""
-    if isinstance(q, FillQuery):
-        out.start("Query", {"id": q.id})
-        for t in q.triples:
-            out.start("Triple")
-            out.leaf("Subject", encode_node_ref(t.subject))
-            out.leaf("Pred", encode_relation(t.relation))
-            out.leaf("Object", encode_node_ref(t.object))
-            out.end()
-        for i, binding in enumerate(require_key(q) if keyed else (), start=1):
-            out.start("Binding", {"index": str(i)})
-            for name, node in sorted(binding):
-                out.leaf("Var", node.canonical, {"name": name})
-            out.end()
-    elif isinstance(q, ChoiceQuery):
-        out.start("Query", {"id": q.id})
-        out.leaf("Subject", q.subject.canonical)
-        out.leaf("Pred", "Relation:Unknown_1")
-        out.leaf("Object", q.object.canonical)
-        for i, option in enumerate(q.options, start=1):
-            out.leaf("Option", encode_relation(option), {"index": str(i)})
-        if keyed:
-            out.leaf("Correct", encode_relation(q.correct), {"index": str(q.key + 1)})
-    else:
-        out.start("Query", {"id": q.id, "max_edges": str(q.max_edges)})
-        out.leaf("Source", q.source.canonical)
-        out.leaf("Target", q.target.canonical)
-        for i, path in enumerate(require_key(q) if keyed else (), start=1):
-            out.path(path, i)
-    out.end()
-
-
-def _emit_document(queries: list[Query], keyed: bool, params: dict[str, str]) -> str:
-    root_tag = "Q" + LETTER[_query_type(queries)] + ("Key" if keyed else "")
-    out = _Writer(CONFIDENTIAL_COMMENT if keyed else None)
-    out.start(root_tag, dict(sorted(params.items())))
-    for q in queries:
-        _write_query(out, q, keyed)
-    out.end()
-    return out.text()
 
 
 def _children(
@@ -414,25 +376,42 @@ def _children(
     return texts, found
 
 
-def _read_query(
-    qel: ET.Element, qid: str, kind: type, keyed: bool, decoded: _Decoder
-) -> Query:
-    """One Query element of a document, mapped tag by tag to its fields; its
-    errors do not name it.  The query's own rules are its constructor's."""
-    if kind is FillQuery:
+def _check_labels(qid: str, labels: Iterable[str]) -> None:
+    for label in labels:
+        if fault := label_fault(label):
+            raise ProtocolError(f"{qid}: {fault}")
+
+
+# --- one codec per query type (see the module text) -------------------------
+
+
+class _FillCodec:
+    answer_tag, empty = "Answer", dict
+
+    def write(self, out: _Writer, q: FillQuery, keyed: bool) -> None:
+        out.start("Query", {"id": q.id})
+        for t in q.triples:
+            out.start("Triple")
+            out.leaf("Subject", encode_node_ref(t.subject))
+            out.leaf("Pred", encode_relation(t.relation))
+            out.leaf("Object", encode_node_ref(t.object))
+            out.end()
+        for i, binding in enumerate(require_key(q) if keyed else (), start=1):
+            out.start("Binding", {"index": str(i)})
+            for name, node in sorted(binding):
+                out.leaf("Var", node.canonical, {"name": name})
+            out.end()
+        out.end()
+
+    def read(self, qel: ET.Element, qid: str, keyed: bool, decoded: _Decoder) -> FillQuery:
         _, found = _children(qel, (), ("Triple", "Binding") if keyed else ("Triple",))
         triples = []
+        needs = "Triple needs Subject/Pred/Object"
         for cel in found["Triple"]:
-            parts, _ = _children(
-                cel, ("Subject", "Pred", "Object"), (), "Triple needs Subject/Pred/Object"
-            )
-            triples.append(
-                PatternTriple(
-                    decoded.node_ref(parts["Subject"]),
-                    decoded.relation(parts["Pred"]),
-                    decoded.node_ref(parts["Object"]),
-                )
-            )
+            parts, _ = _children(cel, ("Subject", "Pred", "Object"), (), needs)
+            subject = decoded.node_ref(parts["Subject"])
+            relation = decoded.relation(parts["Pred"])
+            triples.append(PatternTriple(subject, relation, decoded.node_ref(parts["Object"])))
         bindings = []
         for cel in found.get("Binding", ()):
             pairs = []
@@ -442,13 +421,75 @@ def _read_query(
                 pairs.append((name, decoded.node(_text(vel))))
             bindings.append(pairs)
         return FillQuery(qid, tuple(triples), tuple(bindings) if keyed else None)
-    if kind is ChoiceQuery:
-        parts, found = _children(
-            qel,
-            ("Subject", "Pred", "Object"),
-            ("Option", "Correct") if keyed else ("Option",),
-            "choice query needs Subject/Pred/Object",
-        )
+
+    def write_answer(self, out: _Writer, qid: str, answer: FillAnswer) -> None:
+        for var in sorted(answer):
+            if fault := name_fault(var, "variable name"):
+                raise ProtocolError(f"{qid}: {fault}")
+            for rank, (node, conf) in enumerate(answer[var], start=1):
+                if not 0.0 <= conf <= 1.0:
+                    raise ProtocolError(f"{qid}: {var} has confidence {conf!r}, not in [0, 1]")
+                text = repr(float(conf)).removesuffix(".0")
+                attrs = {"var": var, "rank": str(rank), "confidence": text}
+                out.leaf("Answer", node.canonical, attrs)
+
+    def read_answer(
+        self, elements: Iterator[ET.Element], query: FillQuery, warn: Callable, decoded: _Decoder
+    ) -> FillAnswer:
+        qid, variables = query.id, set(query.variables)
+        raw: dict[str, list[tuple[int, float, NodeId]]] = {}
+        declared: dict[str, list[tuple[int, str]]] = {}
+        for order, ael in enumerate(elements):
+            var = ael.get("var")
+            if var not in variables:
+                warn(qid, f"answer for unknown variable {var!r}; dropped")
+                continue
+            # the rank check below also covers answers dropped from here on
+            declared.setdefault(var, []).append((order, ael.get("rank")))
+            try:
+                conf = float(ael.get("confidence", "nan"))
+                node = decoded.node(_text(ael))
+            except ValueError as exc:
+                warn(qid, f"unparseable answer dropped: {exc}")
+                continue
+            if not (math.isfinite(conf) and 0.0 <= conf <= 1.0):
+                warn(qid, f"confidence {conf!r} outside [0,1]; answer dropped")
+                continue
+            raw.setdefault(var, []).append((order, conf, node))
+        answer = {}
+        for var, items in raw.items():
+            # rank by descending confidence, ties by document order;
+            # declared rank attributes must agree or the set is flagged
+            ordered = sorted(items, key=lambda t: (-t[1], t[0]))
+            rank_of_order = {o: str(i + 1) for i, (o, _, _) in enumerate(ordered)}
+            for order, rank in declared.get(var, ()):
+                if rank is not None and rank_of_order.get(order) != rank:
+                    warn(qid, f"declared rank {rank} for {var} disagrees with confidence ordering")
+            answer[var] = [(node, conf) for _, conf, node in ordered]
+        return answer
+
+    def oracle_answer(self, q: FillQuery) -> FillAnswer:
+        return {v: [(node, 1.0) for node in nodes] for v, nodes in q.keyed_nodes().items()}
+
+
+class _ChoiceCodec:
+    answer_tag, empty = "Answer", None
+
+    def write(self, out: _Writer, q: ChoiceQuery, keyed: bool) -> None:
+        out.start("Query", {"id": q.id})
+        out.leaf("Subject", q.subject.canonical)
+        out.leaf("Pred", "Relation:Unknown_1")
+        out.leaf("Object", q.object.canonical)
+        for i, option in enumerate(q.options, start=1):
+            out.leaf("Option", encode_relation(option), {"index": str(i)})
+        if keyed:
+            out.leaf("Correct", encode_relation(q.correct), {"index": str(q.key + 1)})
+        out.end()
+
+    def read(self, qel: ET.Element, qid: str, keyed: bool, decoded: _Decoder) -> ChoiceQuery:
+        lists = ("Option", "Correct") if keyed else ("Option",)
+        needs = "choice query needs Subject/Pred/Object"
+        parts, found = _children(qel, ("Subject", "Pred", "Object"), lists, needs)
         prefix, _, name = parts["Pred"].partition(":")
         _require(
             canonical_label(prefix) == "Relation" and is_variable_name(canonical_label(name)),
@@ -466,31 +507,100 @@ def _read_query(
             [i for i, _ in options] == list(range(1, len(options) + 1)),
             "option indices must be 1..n",
         )
-        query = ChoiceQuery(
-            qid,
-            decoded.node(parts["Subject"]),
-            decoded.node(parts["Object"]),
-            tuple(label for _, label in options),
-            correct[0][0] - 1 if keyed else None,
-        )
+        subject, obj = decoded.node(parts["Subject"]), decoded.node(parts["Object"])
+        labels = tuple(label for _, label in options)
+        query = ChoiceQuery(qid, subject, obj, labels, correct[0][0] - 1 if keyed else None)
         for index, text in correct:
             _require(
                 decoded.relation(text) == query.correct,
                 f"Correct text {text!r} is not option {index}",
             )
         return query
-    ends, found = _children(
-        qel, ("Source", "Target"), ("Path",) if keyed else (), "path query needs Source and Target"
-    )
-    source, target = decoded.node(ends["Source"]), decoded.node(ends["Target"])
-    key = tuple(_parse_path_element(p, decoded) for p in found["Path"]) if keyed else None
-    max_edges = _decimal(qel.get("max_edges"), "bad max_edges")
-    return PathQuery(qid, source, target, max_edges, key)
+
+    def write_answer(self, out: _Writer, qid: str, answer: str) -> None:
+        _check_labels(qid, [answer])
+        out.leaf("Answer", encode_relation(answer))
+
+    def read_answer(
+        self, elements: Iterator[ET.Element], query: ChoiceQuery, warn: Callable, decoded: _Decoder
+    ) -> str | None:
+        answers = list(elements)
+        if len(answers) != 1:
+            warn(query.id, f"expected exactly one Answer, got {len(answers)}; dropped")
+            return None
+        try:
+            return decoded.relation(_text(answers[0]))
+        except ProtocolError as exc:
+            warn(query.id, f"unparseable answer dropped: {exc}")
+            return None
+
+    def oracle_answer(self, q: ChoiceQuery) -> str:
+        return q.correct
+
+
+class _PathCodec:
+    answer_tag, empty = "Path", list
+
+    def write(self, out: _Writer, q: PathQuery, keyed: bool) -> None:
+        out.start("Query", {"id": q.id, "max_edges": str(q.max_edges)})
+        out.leaf("Source", q.source.canonical)
+        out.leaf("Target", q.target.canonical)
+        for i, path in enumerate(require_key(q) if keyed else (), start=1):
+            out.path(path, i)
+        out.end()
+
+    def read(self, qel: ET.Element, qid: str, keyed: bool, decoded: _Decoder) -> PathQuery:
+        needs = "path query needs Source and Target"
+        ends, found = _children(qel, ("Source", "Target"), ("Path",) if keyed else (), needs)
+        source, target = decoded.node(ends["Source"]), decoded.node(ends["Target"])
+        key = tuple(_parse_path_element(p, decoded) for p in found["Path"]) if keyed else None
+        max_edges = _decimal(qel.get("max_edges"), "bad max_edges")
+        return PathQuery(qid, source, target, max_edges, key)
+
+    def write_answer(self, out: _Writer, qid: str, answer: list[Path]) -> None:
+        # each distinct label once; sorted, so no message hangs on string hashing
+        _check_labels(qid, sorted(set().union(*[p.relations for p in answer])))
+        for i, path in enumerate(answer, start=1):
+            out.path(path, i)
+
+    def read_answer(
+        self, elements: Iterator[ET.Element], query: PathQuery, warn: Callable, decoded: _Decoder
+    ) -> list[Path]:
+        paths = []
+        for pel in elements:
+            try:
+                path = _parse_path_element(pel, decoded)
+            except (ProtocolError, GraphError, OracleError) as exc:
+                warn(query.id, f"unparseable path dropped: {exc}")
+                continue
+            if path.source != query.source or path.target != query.target:
+                warn(query.id, "path endpoints do not match the query; dropped")
+                continue
+            paths.append(path)
+        return paths
+
+    def oracle_answer(self, q: PathQuery) -> list[Path]:
+        return list(require_key(q))
+
+
+_CODECS = {FillQuery: _FillCodec(), ChoiceQuery: _ChoiceCodec(), PathQuery: _PathCodec()}
+
+
+def _emit_document(queries: list[Query], keyed: bool, params: dict[str, str]) -> str:
+    kind = _query_type(queries)
+    write = _CODECS[kind].write
+    out = _Writer(CONFIDENTIAL_COMMENT if keyed else None)
+    out.start("Q" + kind.letter + ("Key" if keyed else ""), dict(sorted(params.items())))
+    for q in queries:
+        write(out, q, keyed)
+    out.end()
+    return out.text()
 
 
 def _read_document(text: str, keyed: bool) -> tuple[list[Query], dict[str, str]]:
     root, kind = _load_root(text, "Key" if keyed else "")
     _require(len(root) > 0, f"{root.tag} document without a Query")
+    read = _CODECS[kind].read
     queries: list[Query] = []
     seen: set[str] = set()
     decoded = _Decoder()
@@ -501,7 +611,7 @@ def _read_document(text: str, keyed: bool) -> tuple[list[Query], dict[str, str]]
         _require(qid not in seen, f"duplicate query id {qid!r}")
         seen.add(qid)
         try:
-            queries.append(_read_query(qel, qid, kind, keyed, decoded))
+            queries.append(read(qel, qid, keyed, decoded))
         except ProtocolError as exc:  # each error inside a query names it once
             raise ProtocolError(f"{qid}: {exc}") from None
         except QueryError as exc:  # a constructor's, which names the query
@@ -538,12 +648,6 @@ def parse_key_xml(text: str) -> tuple[list[Query], dict[str, str]]:
 # --- submissions -------------------------------------------------------------
 
 
-def _check_labels(qid: str, labels: Iterable[str]) -> None:
-    for label in labels:
-        if fault := label_fault(label):
-            raise ProtocolError(f"{qid}: {fault}")
-
-
 def emit_submission(sub: Submission) -> str:
     """A submission document, its root and answers chosen by its type:
     queries by id, a fill query's answers by variable and then rank.  A
@@ -552,31 +656,14 @@ def emit_submission(sub: Submission) -> str:
     refused with ProtocolError naming the query: an id or variable name
     that `ontology.name_fault` faults, a confidence outside [0, 1] (NaN
     too), a relation `check_label` refuses."""
+    write_answer = _CODECS[sub.kind].write_answer
     out = _Writer()
-    out.start("Q" + LETTER[sub.kind], {"team": sub.team})
+    out.start("Q" + sub.kind.letter, {"team": sub.team})
     for qid in sorted(sub.answers):
         if fault := name_fault(qid, "query id"):
             raise ProtocolError(fault)
-        answers = sub.answers[qid]
         out.start("Query", {"id": qid})
-        if sub.kind is FillQuery:
-            for var in sorted(answers):
-                if fault := name_fault(var, "variable name"):
-                    raise ProtocolError(f"{qid}: {fault}")
-                for rank, (node, conf) in enumerate(answers[var], start=1):
-                    if not 0.0 <= conf <= 1.0:
-                        raise ProtocolError(f"{qid}: {var} has confidence {conf!r}, not in [0, 1]")
-                    text = repr(float(conf)).removesuffix(".0")
-                    attrs = {"var": var, "rank": str(rank), "confidence": text}
-                    out.leaf("Answer", node.canonical, attrs)
-        elif sub.kind is ChoiceQuery:
-            _check_labels(qid, [answers])
-            out.leaf("Answer", encode_relation(answers))
-        else:
-            # each distinct label once; sorted, so no message hangs on string hashing
-            _check_labels(qid, sorted(set().union(*[p.relations for p in answers])))
-            for i, path in enumerate(answers, start=1):
-                out.path(path, i)
+        write_answer(out, qid, sub.answers[qid])
         out.end()
     out.end()
     return out.text()
@@ -586,15 +673,9 @@ def emit_oracle_submission(queries: list[Query], team: str) -> str:
     """The submission that answers each query with its key, in key-file
     order: per variable each keyed node once at confidence 1
     (`FillQuery.keyed_nodes`), the correct option, or every keyed path."""
-    sub = Submission(_query_type(queries), team)
-    for q in queries:
-        if sub.kind is FillQuery:
-            sub.answers[q.id] = {
-                v: [(node, 1.0) for node in nodes] for v, nodes in q.keyed_nodes().items()
-            }
-        else:
-            sub.answers[q.id] = q.correct if sub.kind is ChoiceQuery else list(require_key(q))
-    return emit_submission(sub)
+    kind = _query_type(queries)
+    answer = _CODECS[kind].oracle_answer
+    return emit_submission(Submission(kind, team, {q.id: answer(q) for q in queries}))
 
 
 def parse_submission_xml(
@@ -604,10 +685,12 @@ def parse_submission_xml(
     root's type; an id of another type is an unknown query id.  Malformed
     XML is fatal; per-item violations drop only that item with a
     diagnostic, and a repeated query id keeps its first element.  Queries
-    with no usable answers are present but empty."""
+    with no usable answers are present but empty, save choice queries,
+    which have no empty answer: each one unanswered is warned of."""
     root, kind = _load_root(text, "")
     team = root.get("team")
     _require(team is not None, "submission root must carry a team attribute")
+    codec = _CODECS[kind]
     by_id = {q.id: q for q in expected if type(q) is kind}
     diagnostics: list[Diagnostic] = []
     seen: set[str] = set()
@@ -616,20 +699,15 @@ def parse_submission_xml(
     def warn(where: str, message: str) -> None:
         diagnostics.append(Diagnostic(WARNING, where, message))
 
-    wanted = "Path" if kind is PathQuery else "Answer"
-
     def answers_of(qel: ET.Element, qid: str) -> Iterator[ET.Element]:
         """A Query's answer elements; each other child is warned of as met."""
         for child in qel:
-            if child.tag == wanted:
+            if child.tag == codec.answer_tag:
                 yield child
             else:
                 warn(qid, f"ignored element {child.tag!r}")
 
-    # a fill or path query is present, and empty, until answered; a choice
-    # query has no empty answer
-    empty = {} if kind is ChoiceQuery else {qid: {} if kind is FillQuery else [] for qid in by_id}
-    sub = Submission(kind, team, empty)
+    sub = Submission(kind, team, {qid: codec.empty() for qid in by_id} if codec.empty else {})
 
     for qel in root:
         if qel.tag != "Query" or not qel.get("id"):
@@ -643,64 +721,11 @@ def parse_submission_xml(
             warn(qid, f"duplicate query id {qid!r}; ignored")
             continue
         seen.add(qid)
-        query = by_id[qid]
-        if kind is FillQuery:
-            variables = set(query.variables)
-            raw: dict[str, list[tuple[int, float, NodeId]]] = {}
-            declared: dict[str, list[tuple[int, str]]] = {}
-            for order, ael in enumerate(answers_of(qel, qid)):
-                var = ael.get("var")
-                if not var or var not in variables:
-                    warn(qid, f"answer for unknown variable {var!r}; dropped")
-                    continue
-                # the rank check below also covers answers dropped from here on
-                declared.setdefault(var, []).append((order, ael.get("rank")))
-                try:
-                    conf = float(ael.get("confidence", "nan"))
-                    node = decoded.node(_text(ael))
-                except ValueError as exc:
-                    warn(qid, f"unparseable answer dropped: {exc}")
-                    continue
-                if not (math.isfinite(conf) and 0.0 <= conf <= 1.0):
-                    warn(qid, f"confidence {conf!r} outside [0,1]; answer dropped")
-                    continue
-                raw.setdefault(var, []).append((order, conf, node))
-            for var, items in raw.items():
-                # rank by descending confidence, ties by document order;
-                # declared rank attributes must agree or the set is flagged
-                ordered = sorted(items, key=lambda t: (-t[1], t[0]))
-                rank_of_order = {o: str(i + 1) for i, (o, _, _) in enumerate(ordered)}
-                for order, rank in declared.get(var, ()):
-                    if rank is not None and rank_of_order.get(order) != rank:
-                        warn(
-                            qid,
-                            f"declared rank {rank} for {var} disagrees "
-                            "with confidence ordering",
-                        )
-                sub.answers[qid][var] = [(node, conf) for _, conf, node in ordered]
-        elif kind is ChoiceQuery:
-            answers = list(answers_of(qel, qid))
-            if len(answers) != 1:
-                warn(qid, f"expected exactly one Answer, got {len(answers)}; dropped")
-                continue
-            try:
-                sub.answers[qid] = decoded.relation(_text(answers[0]))
-            except ProtocolError as exc:
-                warn(qid, f"unparseable answer dropped: {exc}")
-        else:
-            for pel in answers_of(qel, qid):
-                try:
-                    path = _parse_path_element(pel, decoded)
-                except (ProtocolError, GraphError, OracleError) as exc:
-                    warn(qid, f"unparseable path dropped: {exc}")
-                    continue
-                if path.source != query.source or path.target != query.target:
-                    warn(qid, "path endpoints do not match the query; dropped")
-                    continue
-                sub.answers[qid].append(path)
+        answer = codec.read_answer(answers_of(qel, qid), by_id[qid], warn, decoded)
+        if answer is not None:
+            sub.answers[qid] = answer
 
-    if kind is ChoiceQuery:
-        for qid in by_id:
-            if qid not in sub.answers:
-                warn(qid, "no answer submitted; scored as wrong")
+    for qid in by_id:
+        if qid not in sub.answers:
+            warn(qid, "no answer submitted; scored as wrong")
     return sub, diagnostics

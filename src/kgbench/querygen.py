@@ -6,15 +6,15 @@ stream; equal (graph, seed, parameters) produce identical query lists.
 Generation rejection-samples and fails loudly ("insufficient structure")
 rather than looping forever on degenerate graphs.
 
-Each query class is the one home of its type's rules that need no graph,
-and checks them when a query is built (QueryError): an id a file can carry
-(`ontology.name_fault`), relation labels that read back (`check_label`),
-and what its key may hold.  So every query can be written and read back
-equal.  The same class states what an answer is judged by: a path's
-`PathQuery.misfit`, which `scoring.validate_path` asks first, and a fill
-query's `variables` and `keyed_nodes`, which scoring and the oracle's
-submission read.  A keyless query, as a query file holds it, has the key
-None.
+Each query class is the one home of its type's rules.  It checks those that
+need no graph when a query is built (QueryError): an id a file can carry
+(`ontology.name_fault`), relation labels that read back (`check_label`) and
+what its key may hold, so every query can be written and read back equal.
+It carries its `letter` (ids Q.<letter>.<n>, document roots Q<letter>),
+makes its key with the oracle (`oracle_key`), and states what an answer is
+judged by (`PathQuery.misfit`, `FillQuery.variables` and `keyed_nodes`);
+`protocol` keeps its codec and `scoring` its score function.  A keyless
+query, as a query file holds it, has the key None.
 """
 
 from __future__ import annotations
@@ -22,10 +22,12 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import ClassVar
 
 from .graph import PERSON, KnowledgeGraph, NodeId
 from .ontology import label_fault, name_fault
 from .oracle import (
+    MAX_BOUND,
     OracleError,
     Path,
     PathBudgetError,
@@ -42,6 +44,7 @@ FILL_TRIPLES = 3  # edges sampled per fill pattern
 FILL_VARIABLES = 2  # of their nodes, hidden behind Unknown_1, Unknown_2
 
 Binding = frozenset[tuple[str, NodeId]]
+FillAnswer = dict[str, list[tuple[NodeId, float]]]  # by variable, ranked (node, confidence) pairs
 
 
 class GenerationError(RuntimeError):
@@ -82,6 +85,7 @@ class FillQuery:
     collection of them, and must name each variable once as given; the
     query then holds it as a frozenset."""
 
+    letter: ClassVar[str] = "A"
     id: str
     triples: tuple[PatternTriple, ...]
     key: tuple[Binding, ...] | None = field(compare=False)  # None when keyless
@@ -123,9 +127,14 @@ class FillQuery:
                 nodes[name][node] = None
         return {name: list(found) for name, found in nodes.items()}
 
+    def oracle_key(self, graph: KnowledgeGraph) -> tuple[Binding, ...]:
+        """The oracle's bindings, once each in canonical order."""
+        return tuple(solve_pattern(graph, list(self.triples)))
+
 
 @dataclass(frozen=True)
 class ChoiceQuery:
+    letter: ClassVar[str] = "B"
     id: str
     subject: NodeId
     object: NodeId
@@ -147,9 +156,17 @@ class ChoiceQuery:
         """The keyed option; OracleError naming the query when it has no key."""
         return self.options[require_key(self)]
 
+    def oracle_key(self, graph: KnowledgeGraph) -> int:
+        """The index of the one option that holds; else OracleError."""
+        correct = answer_choice(graph, self.subject, self.object, list(self.options))
+        if len(correct) != 1:
+            raise OracleError(f"{self.id}: expected exactly one correct option, got {len(correct)}")
+        return correct.pop()
+
 
 @dataclass(frozen=True)
 class PathQuery:
+    letter: ClassVar[str] = "C"
     id: str
     source: NodeId
     target: NodeId
@@ -162,6 +179,7 @@ class PathQuery:
         _check_names(self, sorted(set().union(*[p.relations for p in key])))
         _require(self, self.source != self.target, "source and target are one node")
         _require(self, self.max_edges >= 1, "max_edges must be at least 1")
+        _require(self, self.max_edges <= MAX_BOUND, f"max_edges must be at most {MAX_BOUND}")
         _check_items(self, "Path")
         for index, path in enumerate(key, start=1):
             if fault := self.misfit(path):
@@ -183,10 +201,15 @@ class PathQuery:
             return f"length {len(nodes) - 1} exceeds bound {self.max_edges}"
         return None
 
+    def oracle_key(self, graph: KnowledgeGraph) -> tuple[Path, ...]:
+        """Every path in canonical order; past PATH_BUDGET, PathBudgetError naming the query."""
+        try:
+            return tuple(enumerate_paths(graph, self.source, self.target, self.max_edges))
+        except PathBudgetError as exc:
+            raise PathBudgetError(f"{self.id}: {exc}") from None
+
 
 Query = FillQuery | ChoiceQuery | PathQuery
-# a query type's letter: its query ids are Q.<letter>.<n>, its documents' roots Q<letter>
-LETTER = {FillQuery: "A", ChoiceQuery: "B", PathQuery: "C"}
 
 
 def require_key(query: Query) -> tuple[Binding, ...] | int | tuple[Path, ...]:
@@ -194,29 +217,6 @@ def require_key(query: Query) -> tuple[Binding, ...] | int | tuple[Path, ...]:
     if query.key is None:
         raise OracleError(f"{query.id}: the query has no key")
     return query.key
-
-
-def oracle_key(
-    graph: KnowledgeGraph, query: Query
-) -> tuple[Binding, ...] | int | tuple[Path, ...]:
-    """The oracle's key for `query`, in the form the query stores it: the
-    bindings or paths, once each in canonical order as key files list them,
-    or the index of the one option that holds (OracleError unless exactly
-    one does)."""
-    if isinstance(query, FillQuery):
-        return tuple(solve_pattern(graph, list(query.triples)))
-    if isinstance(query, ChoiceQuery):
-        correct = answer_choice(graph, query.subject, query.object, list(query.options))
-        if len(correct) != 1:
-            raise OracleError(
-                f"{query.id}: expected exactly one correct option, got {len(correct)}"
-            )
-        return correct.pop()
-    try:
-        paths = enumerate_paths(graph, query.source, query.target, query.max_edges)
-    except PathBudgetError as exc:
-        raise PathBudgetError(f"{query.id}: {exc}") from None
-    return tuple(paths)
 
 
 def _sample_connected_edges(
@@ -264,7 +264,7 @@ def _generate(
     queries = []
     for number in range(1, count + 1):
         for _ in range(ATTEMPT_BUDGET):
-            query = draft(rng, f"Q.{LETTER[kind]}.{number}")
+            query = draft(rng, f"Q.{kind.letter}.{number}")
             if query is not None:
                 queries.append(query)
                 break
@@ -304,7 +304,7 @@ def generate_fill(
         triples = tuple(
             PatternTriple(var_for.get(a, a), r, var_for.get(b, b)) for a, r, b in edges
         )
-        key = oracle_key(graph, FillQuery(qid, triples, None))
+        key = FillQuery(qid, triples, None).oracle_key(graph)
         if not key or (require_unique and len(key) != 1):
             return None
         return FillQuery(qid, triples, key)
@@ -365,7 +365,7 @@ def generate_path(
     def draft(rng: SplitMix64, qid: str) -> PathQuery | None:
         source, target = rng.sample(persons, 2)
         try:
-            key = oracle_key(graph, PathQuery(qid, source, target, max_edges, None))
+            key = PathQuery(qid, source, target, max_edges, None).oracle_key(graph)
         except PathBudgetError:
             return None
         return PathQuery(qid, source, target, max_edges, key) if key else None

@@ -1,8 +1,9 @@
-"""Metrics over parsed submissions, one query and its answer at a time:
-mean reciprocal rank for fill queries, accuracy for multiple choice, and
-path recall/precision/F1 with per-path validity verdicts.  Run-level
-numbers are means over each type's list of query scores, so every type is
-reported, with 0 queries when it has no keys.
+"""Metrics over parsed submissions, one query and its answer at a time, by
+its type's `score_<list>(graph, query, answer)` (None: no answer), which
+`ScoreReport.add` picks: mean reciprocal rank for fill queries, accuracy
+for multiple choice, and path recall/precision/F1 with per-path validity
+verdicts.  Run-level numbers are means over each type's list of query
+scores, so every type is reported, with 0 queries when it has no keys.
 
 Conventions (all reported in the score report):
 - a missing or absent correct answer scores reciprocal rank 0;
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .graph import KnowledgeGraph, NodeId
 from .oracle import OracleError, Path
-from .querygen import ChoiceQuery, FillQuery, PathQuery, require_key
+from .querygen import ChoiceQuery, FillAnswer, FillQuery, PathQuery, Query, require_key
 
 REPORT_VERSION = 1
 
@@ -44,16 +45,14 @@ class FillScore:
     mrr: float
 
 
-def score_fill(
-    query: FillQuery, answered: dict[str, list[tuple[NodeId, float]]]
-) -> FillScore:
+def score_fill(graph: KnowledgeGraph, query: FillQuery, answer: FillAnswer | None) -> FillScore:
     """Per-variable reciprocal ranks of the ranked (node, confidence) pairs
-    answered for each variable, averaged over the query's variables.  With a
-    multi-binding key, any keyed node for a variable counts
-    (`FillQuery.keyed_nodes`)."""
+    answered for each variable, none when `answer` is None, averaged over
+    the query's variables.  With a multi-binding key, any keyed node for a
+    variable counts (`FillQuery.keyed_nodes`)."""
     per_var: dict[str, float] = {}
     for var, keyed in query.keyed_nodes().items():
-        ranked = [node for node, _ in answered.get(var, [])]
+        ranked = [node for node, _ in (answer or {}).get(var, [])]
         per_var[var] = reciprocal_rank(set(keyed), ranked)
     return FillScore(query.id, per_var, mean(per_var.values()))
 
@@ -64,7 +63,7 @@ class ChoiceScore:
     correct: bool
 
 
-def score_choice(query: ChoiceQuery, answer: str | None) -> ChoiceScore:
+def score_choice(graph: KnowledgeGraph, query: ChoiceQuery, answer: str | None) -> ChoiceScore:
     """Whether `answer` is the keyed option; no answer (None) is wrong."""
     return ChoiceScore(query.id, answer == query.correct)
 
@@ -112,12 +111,13 @@ def f1_score(precision: float, recall: float) -> float:
 
 
 def score_paths(
-    graph: KnowledgeGraph, query: PathQuery, submitted: list[Path]
+    graph: KnowledgeGraph, query: PathQuery, answer: list[Path] | None
 ) -> PathScore:
     """Recall over the key from distinct valid matches; precision over all
-    submitted entries, duplicates counted.  The key holds every valid path,
-    so a valid path missing from it proves the key or the graph wrong:
-    OracleError naming the first such path submitted, never a quiet score."""
+    paths answered (None: none), duplicates counted.  The key holds every
+    valid path, so a valid path missing from it proves the key or graph
+    wrong: OracleError naming the first such path, never a quiet score."""
+    submitted = answer or []
     verdicts = tuple(validate_path(graph, query, p) for p in submitted)
     matched = {p for p, v in zip(submitted, verdicts) if v.valid}
     key = set(require_key(query))
@@ -142,6 +142,12 @@ class ScoreReport:
     fill: list[FillScore] = field(default_factory=list)
     choice: list[ChoiceScore] = field(default_factory=list)
     paths: list[PathScore] = field(default_factory=list)
+
+    def add(self, graph: KnowledgeGraph, query: Query, answer: object) -> None:
+        """Score `query` into its type's list by `score_<list>`, read from
+        the module when called, as a tracer may have replaced it there."""
+        name = {FillQuery: "fill", ChoiceQuery: "choice", PathQuery: "paths"}[type(query)]
+        getattr(self, name).append(globals()[f"score_{name}"](graph, query, answer))
 
     @property
     def fill_mrr_mean(self) -> float:

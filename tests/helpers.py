@@ -34,7 +34,7 @@ from kgbench.protocol import (
     encode_node_ref,
     encode_relation,
 )
-from kgbench.querygen import LETTER, ChoiceQuery, FillQuery, PathQuery, Query
+from kgbench.querygen import ChoiceQuery, FillQuery, PathQuery, Query
 from kgbench.rng import SplitMix64
 from kgbench.scoring import PathVerdict
 
@@ -708,7 +708,7 @@ def reference_emit_document(
     queries: list[Query], keyed: bool, params: dict[str, str] | None = None
 ) -> str:
     """A query file, or with `keyed` a key file, as ElementTree writes it."""
-    root_tag = "Q" + LETTER[_query_type(queries)] + ("Key" if keyed else "")
+    root_tag = "Q" + _query_type(queries).letter + ("Key" if keyed else "")
     root = ET.Element(root_tag, dict(sorted((params or {}).items())))
     for q in queries:
         _reference_query(ET.SubElement(root, "Query", {"id": q.id}), q, keyed)
@@ -717,7 +717,7 @@ def reference_emit_document(
 
 def reference_emit_submission(sub: Submission) -> str:
     """A submission file as ElementTree writes it."""
-    root = ET.Element("Q" + LETTER[sub.kind], {"team": sub.team})
+    root = ET.Element("Q" + sub.kind.letter, {"team": sub.team})
     for qid in sorted(sub.answers):
         qel = ET.SubElement(root, "Query", {"id": qid})
         if sub.kind is FillQuery:

@@ -36,7 +36,7 @@ def report(name: str, ok: bool):
     assert ok, name
 
 
-def test_criterion_1_mrr_worked_example():
+def test_criterion_1_mrr_worked_example(simpsons):
     """Ranks {2, 1, 4} score exactly 7/12."""
     triples = tuple(
         PatternTriple(Variable(f"Unknown_{i}"), "Friend of", person("Anchor"))
@@ -56,7 +56,7 @@ def test_criterion_1_mrr_worked_example():
             (person("A3"), 0.6),
         ],
     }
-    mrr = score_fill(query, answered).mrr
+    mrr = score_fill(simpsons, query, answered).mrr
     report("1 (MRR ranks 2,1,4 -> 7/12)", abs(mrr - 7 / 12) <= 1e-12)
 
 

@@ -13,7 +13,7 @@ from helpers import cyclic_garbage, naive_traversal, random_graph
 from kgbench import cli, oracle
 from kgbench.cli import main
 from kgbench.graph import person
-from kgbench.oracle import PatternTriple, Variable
+from kgbench.oracle import MAX_BOUND, PatternTriple, Variable
 from kgbench.protocol import emit_query_xml
 from kgbench.querygen import ChoiceQuery, FillQuery, PathQuery
 
@@ -441,12 +441,19 @@ def test_self_check_rejects_a_wrong_key(tmp_path, optimize, generator, altered, 
 
 
 def test_self_check_rejects_a_key_the_oracle_does_not_give(tmp_path, capsys, monkeypatch):
-    # in process, the oracle that the self-check asks gives another key for
-    # one query than the generator stored
-    real = cli.oracle_key
-    monkeypatch.setattr(
-        cli, "oracle_key", lambda graph, q: None if q.id == "Q.A.2" else real(graph, q)
-    )
+    # in process, once the generator has stored its keys, the oracle that the
+    # self-check asks gives another key for one query
+    real_generate, real_key = cli.generate_fill, FillQuery.oracle_key
+
+    def generate_fill(*args, **kwargs):
+        queries = real_generate(*args, **kwargs)
+        monkeypatch.setattr(
+            FillQuery, "oracle_key",
+            lambda q, graph: None if q.id == "Q.A.2" else real_key(q, graph),
+        )
+        return queries
+
+    monkeypatch.setattr(cli, "generate_fill", generate_fill)
     out = tmp_path / "out"
     code = main(["gen-queries", *graph_args(), "--seed", "7", "--count-a", "3",
                  "--count-b", "3", "--count-c", "2", "--max-edges", "4", "--out", str(out)])
@@ -474,10 +481,11 @@ def test_answer_over_the_path_budget(tmp_path, capsys, monkeypatch):
 
 
 def test_a_huge_path_bound_finishes(tmp_path, simpsons):
-    # bounds past the longest simple path, from a query file or the flag,
-    # give the unbounded keys at once
+    # the largest bound, past the longest simple path, from a query file or
+    # the flag, gives the keys of the longest at once
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    huge, longest = 10**12, simpsons.node_count - 1
+    huge, longest = MAX_BOUND, simpsons.node_count - 1
+    assert longest < huge
     subs = []
     for bound in (huge, longest):
         queries = tmp_path / f"queries_{bound}.xml"
@@ -609,6 +617,30 @@ def test_a_type_with_no_queries_gets_no_files(tmp_path, capsys, skipped):
     ) == 0
 
 
+def test_gen_queries_defaults():
+    # the parameters a key file records when no flag sets them
+    args = cli.build_parser().parse_args(
+        ["gen-queries", "--graph", "g.tgf", "--ontology", "o.ont", "--out", "out"]
+    )
+    assert cli._generation_params(args) == {
+        "seed": "0", "count_a": "5", "count_b": "5", "count_c": "2", "n_options": "5",
+        "max_edges": "8", "require_unique": "false",
+    }
+
+
+def test_a_type_with_one_query_gets_its_files(tmp_path, capsys):
+    # each type's files are named by its letter, read from its one query
+    out = tmp_path / "run"
+    assert main(
+        ["gen-queries", *graph_args(), "--seed", "7", "--count-a", "1", "--count-b", "1",
+         "--count-c", "1", "--max-edges", "4", "--out", str(out)]
+    ) == 0
+    assert f"wrote 3 query files and 3 key files to {out}" in capsys.readouterr().out
+    for t in "abc":
+        assert f"<Q{t.upper()}>" in (out / f"queries_{t}.xml").read_text(encoding="utf-8")
+        assert f"<Q{t.upper()}Key " in (out / f"keys_{t}.xml").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("root", ["QA", "QB", "QC"])
 def test_answer_rejects_a_file_without_queries(tmp_path, capsys, root):
     queries = tmp_path / "queries.xml"
@@ -617,6 +649,34 @@ def test_answer_rejects_a_file_without_queries(tmp_path, capsys, root):
     code = main(["answer", *graph_args(), "--queries", str(queries), "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err == f"error: queries: {root} document without a Query\n"
+    assert not out.exists()
+
+
+def test_a_bound_above_the_largest_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["gen-queries", *graph_args(), "--max-edges", "65", "--out", str(out)])
+    assert code == 2
+    assert "argument --max-edges: expected an integer <= 64, got '65'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_file_with_a_bound_above_the_largest_is_refused(tmp_path, capsys):
+    # a query or key file carries its own bound; above MAX_BOUND it is not
+    # a query, so answer and score exit 1 and write nothing
+    first, above = '<Query id="Q.C.1" max_edges="4">', '<Query id="Q.C.1" max_edges="65">'
+    keys, queries = tmp_path / "keys_c.xml", tmp_path / "queries_c.xml"
+    for path in (keys, queries):
+        text = (GOLDEN / path.name).read_text(encoding="utf-8")
+        assert first in text
+        path.write_text(text.replace(first, above))
+    out = tmp_path / "out"
+    code = main(["answer", *graph_args(), "--queries", str(queries), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: queries: Q.C.1: max_edges must be at most 64\n"
+    code = main(["score", *graph_args(), "--keys", str(keys),
+                 "--submissions", str(GOLDEN / "sub_c.xml"), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {keys}: Q.C.1: max_edges must be at most 64\n"
     assert not out.exists()
 
 

@@ -28,7 +28,7 @@ from kgbench.protocol import (
     parse_key_xml,
     parse_query_xml,
 )
-from kgbench.querygen import ChoiceQuery, FillQuery, PathQuery, oracle_key
+from kgbench.querygen import ChoiceQuery, FillQuery, PathQuery
 
 # runs of whitespace, the characters some file gives a meaning to, names
 # like a query variable, and characters XML cannot carry
@@ -59,10 +59,10 @@ def assert_read_back(ontology: RelationOntology, a: NodeId, relation: str, b: No
         PathQuery("Q.C.1", a, b, 1, None),
     ]
     for query in queries:
-        keyed = replace(query, key=oracle_key(graph, query))
+        keyed = replace(query, key=query.oracle_key(graph))
         (parsed,), _ = parse_key_xml(emit_key_xml([keyed]))
         assert parsed == keyed and parsed.key == keyed.key
-        assert oracle_key(graph, parsed) == keyed.key
+        assert parsed.oracle_key(graph) == keyed.key
 
 
 @settings(max_examples=300, deadline=None)

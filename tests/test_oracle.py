@@ -27,6 +27,7 @@ from kgbench.graph import (
 from kgbench.ontology import load_ontology
 from kgbench import oracle
 from kgbench.oracle import (
+    MAX_BOUND,
     OracleError,
     Path,
     PathBudgetError,
@@ -36,7 +37,7 @@ from kgbench.oracle import (
     enumerate_paths,
     solve_pattern,
 )
-from kgbench.querygen import FillQuery, PathQuery, generate_fill, oracle_key
+from kgbench.querygen import FillQuery, PathQuery, generate_fill
 from kgbench.rng import SplitMix64
 from kgbench.scoring import score_paths, validate_path
 
@@ -155,7 +156,7 @@ def test_path_worked_example(simpsons):
 def test_two_node_single_path():
     ont = load_ontology("Friend of | Friend of")
     g = built(ont, [person("A"), person("B")], [(person("A"), "Friend of", person("B"))])
-    paths = enumerate_paths(g, person("A"), person("B"))
+    paths = enumerate_paths(g, person("A"), person("B"), 1)
     assert paths == [Path((person("A"), person("B")), ("Friend of",))]
 
 
@@ -187,9 +188,9 @@ def test_no_path_skips_the_alternation_check(make):
 
 def test_path_errors(simpsons):
     with pytest.raises(OracleError, match="differ"):
-        enumerate_paths(simpsons, person("Homer"), person("Homer"))
+        enumerate_paths(simpsons, person("Homer"), person("Homer"), 4)
     with pytest.raises(OracleError, match="unknown node"):
-        enumerate_paths(simpsons, person("Homer"), person("Nelson"))
+        enumerate_paths(simpsons, person("Homer"), person("Nelson"), 4)
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -221,9 +222,30 @@ def test_unbounded_on_acyclic_fixture():
     ont = load_ontology("Child of | Parent of")
     a, b, c, d = map(person, "ABCD")
     g = built(ont, [a, b, c, d], [(a, "Child of", b), (b, "Child of", c), (b, "Child of", d)])
-    # A-B-C is the only route; traversal is undirected so the tree gives one
-    assert len(enumerate_paths(g, person("A"), person("C"), None)) == 1
-    assert len(enumerate_paths(g, person("C"), person("D"), None)) == 1
+    # A-B-C is the only route; traversal is undirected so the tree gives
+    # one, at the largest bound as at any bound of 2 or more
+    assert len(enumerate_paths(g, person("A"), person("C"), MAX_BOUND)) == 1
+    assert len(enumerate_paths(g, person("C"), person("D"), MAX_BOUND)) == 1
+
+
+def test_a_chain_as_long_as_the_largest_bound_has_its_path():
+    # 65 nodes, 64 edges: the one path fills the bound, one edge short of it
+    # finds none
+    ont = load_ontology("Friend of | Friend of")
+    chain = [person(f"P{i}") for i in range(MAX_BOUND + 1)]
+    g = built(ont, chain, [(a, "Friend of", b) for a, b in zip(chain, chain[1:])])
+    (path,) = enumerate_paths(g, chain[0], chain[-1], MAX_BOUND)
+    assert path.nodes == tuple(chain) and path.length == MAX_BOUND
+    assert enumerate_paths(g, chain[0], chain[-1], MAX_BOUND - 1) == []
+
+
+@pytest.mark.parametrize("bound", [MAX_BOUND + 1, 10**12])
+def test_a_bound_above_the_largest_is_refused(simpsons, bound):
+    # the search recurses once per edge of its route, so a bound is capped
+    # rather than left to Python's recursion limit
+    with pytest.raises(OracleError) as exc:
+        enumerate_paths(simpsons, person("Homer"), person("Bart"), bound)
+    assert str(exc.value) == f"max_edges {bound} exceeds MAX_BOUND, {MAX_BOUND}"
 
 
 @settings(max_examples=300, deadline=None)
@@ -231,7 +253,7 @@ def test_unbounded_on_acyclic_fixture():
     seed=st.integers(0, 2**32),
     edges=st.integers(0, 18),
     ends=st.tuples(st.integers(0, 13), st.integers(0, 12)),
-    bound=st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 10**12, None]),
+    bound=st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 13, MAX_BOUND]),
 )
 def test_pruned_paths_equal_the_reference(seed, edges, ends, bound):
     # sparse graphs often put the target in another component than the source
@@ -251,11 +273,13 @@ def test_a_bound_below_one_finds_no_path(simpsons, bound):
 
 
 def test_a_bound_past_the_longest_simple_path_is_no_bound(simpsons):
-    # a query file may carry any bound; no simple path has node_count edges
+    # a query file may carry any bound up to MAX_BOUND; no simple path has
+    # node_count edges
     homer, bart = person("Homer"), person("Bart")
-    unbounded = enumerate_paths(simpsons, homer, bart, None)
-    assert enumerate_paths(simpsons, homer, bart, simpsons.node_count - 1) == unbounded
-    assert enumerate_paths(simpsons, homer, bart, 10**12) == unbounded
+    longest = enumerate_paths(simpsons, homer, bart, simpsons.node_count - 1)
+    assert simpsons.node_count - 1 < MAX_BOUND
+    assert enumerate_paths(simpsons, homer, bart, MAX_BOUND) == longest
+    assert enumerate_paths(simpsons, homer, bart, simpsons.node_count) == longest
 
 
 def test_pruning_skips_a_clique_with_no_route_to_the_target():
@@ -353,6 +377,17 @@ def test_the_distance_search_stops_at_its_limit():
     g = built(ont, chain, [(a, "Friend of", b) for a, b in zip(chain, chain[1:])])
     calls = count_row_reads(g, g.rows)
     assert len(enumerate_paths(g, chain[0], chain[-1], 5)) == 1
+    assert len(calls) == 9
+
+
+def test_a_bound_past_the_longest_path_costs_no_more():
+    # no simple path of the chain A-B-C-D-E-F has more than 5 edges, so the
+    # largest bound reads the 9 rows that bound 5 reads, not a BFS level more
+    ont = load_ontology("Friend of | Friend of")
+    chain = [person(name) for name in "ABCDEF"]
+    g = built(ont, chain, [(a, "Friend of", b) for a, b in zip(chain, chain[1:])])
+    calls = count_row_reads(g, g.rows)
+    assert len(enumerate_paths(g, chain[0], chain[-1], MAX_BOUND)) == 1
     assert len(calls) == 9
 
 
@@ -502,13 +537,13 @@ def test_oracle_keys_are_tuples_in_canonical_order(pattern, data):
         return first[end.name] if isinstance(end, Variable) else end
 
     triples = [PatternTriple(one(t.subject), t.relation, one(t.object)) for t in triples]
-    key = oracle_key(g, FillQuery("Q.A.1", tuple(triples), None))
+    key = FillQuery("Q.A.1", tuple(triples), None).oracle_key(g)
     assert type(key) is tuple
     # each binding once, in the order of the reference sort
     assert list(key) == canonical_bindings(set(key))
     source, target = data.draw(st.permutations(g.nodes))[:2]
     bound = data.draw(st.integers(1, 6))
-    key = oracle_key(g, PathQuery("Q.C.1", source, target, bound, None))
+    key = PathQuery("Q.C.1", source, target, bound, None).oracle_key(g)
     assert type(key) is tuple
     assert list(key) == canonical_paths(set(key))
 

@@ -14,6 +14,7 @@ from helpers import (
     reference_emit_submission,
     reference_parse_path_element,
 )
+from kgbench.datasets import simpsons_graph
 from kgbench.graph import NodeId, entity, is_variable_name, person
 from kgbench.ontology import canonical_label, non_xml_char
 from kgbench.oracle import OracleError, Path, PatternTriple, Variable, enumerate_paths
@@ -507,7 +508,7 @@ def test_a_choice_query_about_one_node_is_refused(keyed):
 
 @pytest.mark.parametrize(
     "use",
-    [lambda qs: score_choice(qs[0], qs[0].options[-1]),
+    [lambda qs: score_choice(simpsons_graph(), qs[0], qs[0].options[-1]),
      lambda qs: emit_key_xml(qs),
      lambda qs: emit_oracle_submission(qs, "t")],
     ids=["score_choice", "emit_key_xml", "emit_oracle_submission"],
@@ -533,7 +534,7 @@ def test_a_query_file_gives_keyless_queries(t):
 def test_a_keyless_fill_or_path_query_has_no_key(simpsons, t, use):
     queries = parse_query_xml((GOLDEN / f"queries_{t}.xml").read_text(encoding="utf-8"))
     calls = {
-        "score": lambda: score_fill(queries[0], {}) if t == "a"
+        "score": lambda: score_fill(simpsons, queries[0], {}) if t == "a"
         else score_paths(simpsons, queries[0], []),
         "emit_key_xml": lambda: emit_key_xml(queries),
         "emit_oracle_submission": lambda: emit_oracle_submission(queries, "t"),

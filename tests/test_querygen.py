@@ -26,7 +26,6 @@ from kgbench.querygen import (
     generate_choice,
     generate_fill,
     generate_path,
-    oracle_key,
 )
 from kgbench.rng import SplitMix64
 from kgbench.scoring import validate_path
@@ -139,12 +138,12 @@ def test_generation_on_random_graphs(seed):
     try:
         for q in generate_fill(g, seed, 2):
             assert list(q.key) == solve_pattern(g, list(q.triples))
-            assert oracle_key(g, q) == q.key
+            assert q.oracle_key(g) == q.key
         for q in generate_choice(g, seed, 2, n_options=2):
             assert answer_choice(g, q.subject, q.object, list(q.options)) == {q.key}
-            assert oracle_key(g, q) == q.key
+            assert q.oracle_key(g) == q.key
         for q in generate_path(g, seed, 2, max_edges=3):
-            assert oracle_key(g, q) == q.key
+            assert q.oracle_key(g) == q.key
     except GenerationError:
         pass  # degenerate random graphs may legitimately fail
 
@@ -277,7 +276,7 @@ def test_a_pair_over_the_path_budget_is_skipped(simpsons, monkeypatch):
     assert skipped != queries
     for q in skipped:
         assert len(q.key) <= budget
-        assert oracle_key(simpsons, q) == q.key
+        assert q.oracle_key(simpsons) == q.key
 
 
 def test_every_pair_over_the_path_budget(monkeypatch):
@@ -355,6 +354,9 @@ SPOUSE_OF = Path((HOMER, MARGE), ("Spouse_of",))
          "Q.C.1: source and target are one node"),
         (lambda: PathQuery("Q.C.1", HOMER, MARGE, 0, None),
          "Q.C.1: max_edges must be at least 1"),
+        # the search recurses once per edge of its route
+        (lambda: PathQuery("Q.C.1", HOMER, MARGE, 65, None),
+         "Q.C.1: max_edges must be at most 64"),
         (lambda: PathQuery("Q.C.1", HOMER, MARGE, 4, (HOMER_MARGE, HOMER_MARGE)),
          "Q.C.1: a Path appears twice"),
         # a key path is held to the rule a submitted one is judged by
@@ -394,7 +396,8 @@ SPOUSE_OF = Path((HOMER, MARGE), ("Spouse_of",))
          "fill Binding one node", "fill Binding constant", "fill empty key", "choice one node",
          "choice no options",
          "choice option twice", "choice key past options", "choice key below options",
-         "path one node", "path max_edges 0", "path Path twice", "path source", "path target",
+         "path one node", "path max_edges 0", "path max_edges 65", "path Path twice",
+         "path source", "path target",
          "path length", "path not simple", "path empty key",
          "fill label _", "choice label _", "key Path label _", "label control character",
          "id control character", "label empty", "label untrimmed", "id empty"],

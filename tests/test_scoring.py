@@ -3,9 +3,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import canonical_paths, naive_validate_path, random_graph, reference_enumerate_paths
+from kgbench.datasets import simpsons_graph
 from kgbench.graph import entity, person
 from kgbench.oracle import OracleError, Path, PatternTriple, Variable, enumerate_paths
 from kgbench.querygen import ChoiceQuery, FillQuery, PathQuery
+from kgbench import scoring
 from kgbench.rng import SplitMix64
 from kgbench.scoring import (
     ScoreReport,
@@ -48,7 +50,7 @@ def three_var_query():
     return FillQuery("Q.A.1", triples, key)
 
 
-def test_mrr_worked_example():
+def test_mrr_worked_example(simpsons):
     # correct answers at ranks 2, 1 and 4 -> (1/2 + 1 + 1/4) / 3 = 7/12
     query = three_var_query()
     answered = {
@@ -61,7 +63,7 @@ def test_mrr_worked_example():
             (person("A3"), 0.6),
         ],
     }
-    score = score_fill(query, answered)
+    score = score_fill(simpsons, query, answered)
     assert score.per_variable == {
         "Unknown_1": 0.5,
         "Unknown_2": 1.0,
@@ -70,17 +72,18 @@ def test_mrr_worked_example():
     assert abs(score.mrr - 7 / 12) < 1e-12
 
 
-def test_mrr_perfect_and_empty():
+def test_mrr_perfect_and_empty(simpsons):
     query = three_var_query()
     perfect = {
         v: [(person(f"A{i}"), 1.0)]
         for i, v in enumerate(("Unknown_1", "Unknown_2", "Unknown_3"), 1)
     }
-    assert score_fill(query, perfect).mrr == 1.0
-    assert score_fill(query, {}).mrr == 0.0
+    assert score_fill(simpsons, query, perfect).mrr == 1.0
+    assert score_fill(simpsons, query, {}).mrr == 0.0
+    assert score_fill(simpsons, query, None).mrr == 0.0
 
 
-def test_multi_binding_key_any_counts():
+def test_multi_binding_key_any_counts(simpsons):
     v = Variable("Unknown_1")
     key = (
         frozenset({("Unknown_1", person("A"))}),
@@ -90,7 +93,7 @@ def test_multi_binding_key_any_counts():
         "Q.A.1", (PatternTriple(v, "Friend of", person("C")),), key
     )
     answered = {"Unknown_1": [(person("B"), 1.0)]}
-    assert score_fill(query, answered).per_variable["Unknown_1"] == 1.0
+    assert score_fill(simpsons, query, answered).per_variable["Unknown_1"] == 1.0
 
 
 def make_choices(n):
@@ -101,8 +104,22 @@ def make_choices(n):
 
 
 def accuracy(queries, answers):
-    choice = [score_choice(q, answers.get(q.id)) for q in queries]
+    choice = [score_choice(simpsons_graph(), q, answers.get(q.id)) for q in queries]
     return ScoreReport("t", choice=choice).choice_accuracy
+
+
+def test_a_report_scores_through_the_module_functions(simpsons, monkeypatch):
+    # perfbench times each type's scoring by replacing the module's score
+    # function, so ScoreReport.add must look it up when it is called
+    calls = []
+    real = scoring.score_choice
+    monkeypatch.setattr(scoring, "score_choice", lambda *args: calls.append(args) or real(*args))
+    query = make_choices(1)[0]
+    report = ScoreReport("t")
+    report.add(simpsons, query, "R1")
+    report.add(simpsons, query, None)
+    assert calls == [(simpsons, query, "R1"), (simpsons, query, None)]
+    assert [s.correct for s in report.choice] == [True, False]
 
 
 def test_accuracy():
@@ -297,13 +314,13 @@ def test_f1_properties():
 def test_aggregate_self_consistency(simpsons):
     query = chalmers_query(simpsons)
     path_score = score_paths(simpsons, query, list(query.key))
-    fill_score = score_fill(three_var_query(), {})
+    fill_score = score_fill(simpsons, three_var_query(), {})
     choices = make_choices(2)
     report = ScoreReport(
         "t",
         {"seed": "1"},
         [fill_score],
-        [score_choice(choices[0], "R1"), score_choice(choices[1], None)],
+        [score_choice(simpsons, choices[0], "R1"), score_choice(simpsons, choices[1], None)],
         [path_score],
     )
     # single-query aggregates equal the query scores
@@ -322,12 +339,12 @@ def test_aggregate_self_consistency(simpsons):
     assert "Type A" in text and "Type B" in text and "Type C" in text
 
 
-def test_aggregate_two_fill_queries():
-    a = score_fill(three_var_query(), {})
+def test_aggregate_two_fill_queries(simpsons):
+    a = score_fill(simpsons, three_var_query(), {})
     perfect = {
         v: [(person(f"A{i}"), 1.0)]
         for i, v in enumerate(("Unknown_1", "Unknown_2", "Unknown_3"), 1)
     }
-    b = score_fill(three_var_query(), perfect)
+    b = score_fill(simpsons, three_var_query(), perfect)
     report = ScoreReport("t", fill=[a, b])
     assert report.fill_mrr_mean == 0.5

@@ -77,3 +77,54 @@ def test_no_unreferenced_private_names():
         if defined.startswith("_") and not defined.startswith("__") and defined not in read
     ]
     assert not found
+
+
+QUERY_TYPES = {"FillQuery", "ChoiceQuery", "PathQuery"}
+
+
+def query_type_tests(trees: dict[str, ast.Module]) -> list[str]:
+    """Each `isinstance` call whose classes name a query type, and each
+    comparison (`is`, `==`, `in` and their negations) with an operand that
+    names one, by file and line."""
+    compare = (ast.Is, ast.IsNot, ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+    found = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                operands = node.args[1:]
+            elif isinstance(node, ast.Compare) and any(isinstance(op, compare) for op in node.ops):
+                operands = [node.left, *node.comparators]
+            else:
+                continue
+            named = {
+                getattr(n, "id", None) or getattr(n, "attr", None)
+                for operand in operands
+                for n in ast.walk(operand)
+            }
+            if named & QUERY_TYPES:
+                found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_no_query_type_tests():
+    # a query type's rules live in its class and in one record per type
+    # (protocol's codecs, the score function a ScoreReport picks), so no
+    # module branches on a query's type
+    assert query_type_tests(TREES) == []
+
+
+def test_the_query_type_rule_finds_each_form():
+    source = """
+isinstance(q, FillQuery)
+isinstance(q, (ChoiceQuery, Variable))
+isinstance(q, querygen.PathQuery)
+sub.kind is FillQuery
+kind is not ChoiceQuery
+type(q) == PathQuery
+kind in (FillQuery, PathQuery)
+isinstance(q, Variable)
+type(q) is kind
+{FillQuery: "fill"}[type(q)]
+"""
+    found = query_type_tests({"m.py": ast.parse(source)})
+    assert found == [f"m.py:{line}" for line in range(2, 9)]
