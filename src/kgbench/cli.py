@@ -16,7 +16,7 @@ from pathlib import Path as FsPath
 
 from . import formats, protocol, scoring
 from .graph import KnowledgeGraph
-from .ontology import OntologyError, is_decimal, load_ontology
+from .ontology import OntologyError, decimal, load_ontology, name_fault
 from .oracle import MAX_BOUND, OracleError, PathBudgetError
 from .querygen import GenerationError, generate_choice, generate_fill, generate_path
 
@@ -264,22 +264,21 @@ def _integer(low: int, high: int | None = None):
     given; anything else is a usage error."""
 
     def parse(text: str) -> int:
-        if not is_decimal(text) or int(text) < low:
+        number = decimal(text)
+        if number is None or number < low:
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
-        if high is not None and int(text) > high:
+        if high is not None and number > high:
             raise argparse.ArgumentTypeError(f"expected an integer <= {high}, got {text!r}")
-        return int(text)
+        return number
 
     return parse
 
 
 def _team(text: str) -> str:
-    """argparse type: a team name `protocol.check_team` takes; else a usage
-    error."""
-    try:
-        protocol.check_team(text)
-    except protocol.ProtocolError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    """argparse type: a team name `ontology.name_fault` finds nothing wrong
+    with; else a usage error."""
+    if fault := name_fault(text, "team name"):
+        raise argparse.ArgumentTypeError(fault)
     return text
 
 

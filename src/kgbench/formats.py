@@ -1,22 +1,22 @@
 """Readers and writers for the two graph interchange formats: TGF (line
 oriented) and XGML (GML-style bracketed key/value blocks).
 
-The XGML subset: a value is a `[...]` block, an ASCII [0-9]+ int, a float,
-a word, or a quoted string with `\\"` and `\\\\` escapes; `#` comments run
-to the end of the line; lines count `\\n` only, and a quoted string's line
-is the line it ends on; in the graph block `directed` is ignored and other
-keys warn.  One scan reads it: a run of node and edge blocks as emitters
-write them is one step, its blocks matched by one `finditer` in C, and
-anything else is read token by token.  The reader names places by offset
-and counts lines only for a diagnostic.  tests/helpers.py keeps the old
-reader.
+The XGML subset: a value is a `[...]` block, an ASCII [0-9]+ int that int()
+takes (`ontology.decimal`), a float, a word, or a quoted string with `\\"`
+and `\\\\` escapes; `#` comments run to the end of the line; lines count
+`\\n` only, and a quoted string's line is the line it ends on; in the graph
+block `directed` is ignored and other keys warn.  One scan reads it: a run
+of node and edge blocks as emitters write them is one step, its blocks
+matched by one `finditer` in C, and anything else is read token by token.
+The reader names places by offset and counts lines only for a diagnostic.
+tests/helpers.py keeps the old reader.
 
 Both parsers are total: they never raise on arbitrary input text but return
 ``(graph-or-None, diagnostics)``.  Error diagnostics mean no graph is
 returned; warnings accompany a returned graph.  A relation enters a graph
 only through the ontology it is read with: one the ontology does not name
 is an error on each line that writes it.  The name and edge rules live in
-the types (`NodeId`, `check_label`, `KnowledgeGraph.build`); the parsers
+the types (`NodeId`, `label_fault`, `KnowledgeGraph.build`); the parsers
 only add the line of the node or edge to their errors.  Both
 emitters are deterministic, and every graph that can be constructed
 round-trips exactly through their parser.
@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 
 from .graph import DuplicateEdgeError, Edge, GraphError, KnowledgeGraph, NodeId
-from .ontology import RelationOntology, canonical_label, is_decimal
+from .ontology import RelationOntology, canonical_label, decimal
 
 WARNING = "warning"
 ERROR = "error"
@@ -148,20 +148,20 @@ def parse_tgf(
             continue
         if not seen_separator:
             parts = line.split(None, 1)
-            if len(parts) != 2 or not is_decimal(parts[0]):
+            if len(parts) != 2 or (file_id := decimal(parts[0])) is None:
                 asm.error(lineno, f"malformed node line: {line!r}")
                 continue
-            asm.add_node(lineno, int(parts[0]), parts[1])
+            asm.add_node(lineno, file_id, parts[1])
         else:
             parts = line.split(None, 2)
             if (
                 len(parts) != 3
-                or not is_decimal(parts[0])
-                or not is_decimal(parts[1])
+                or (src := decimal(parts[0])) is None
+                or (dst := decimal(parts[1])) is None
             ):
                 asm.error(lineno, f"malformed edge line: {line!r}")
                 continue
-            asm.add_edge(lineno, int(parts[0]), int(parts[1]), parts[2])
+            asm.add_edge(lineno, src, dst, parts[2])
     if not seen_separator:
         asm.error(0, "missing '#' separator line")
     return asm.build(), asm.diagnostics
@@ -197,9 +197,10 @@ _XGML_TOKEN = re.compile(
 
 
 def _xgml_value(word: str):
-    """int when ASCII [0-9]+, else float when float() takes it, else str."""
-    if is_decimal(word):
-        return int(word)
+    """int when ASCII [0-9]+ that int() takes (`ontology.decimal`), else
+    float when float() takes it, else str."""
+    if (number := decimal(word)) is not None:
+        return number
     # float() accepts no all-letter word but inf, nan and infinity
     if not word.isalpha() or word.lower() in ("inf", "nan", "infinity"):
         try:
@@ -283,11 +284,14 @@ def parse_xgml(
         if word in ("node", "edge") and entries is body and pending is None:
             for block in _XGML_RUN.finditer(text, at):
                 node, label, src, dst, relation, stop = block.groups()
-                if node is not None:
-                    asm.add_node(block.start(), int(node), label)
-                elif stop is None:
-                    asm.add_edge(block.start(), int(src), int(dst), relation)
-                else:
+                try:
+                    if node is not None:
+                        asm.add_node(block.start(), int(node), label)
+                    elif stop is None:
+                        asm.add_edge(block.start(), int(src), int(dst), relation)
+                    else:
+                        break
+                except ValueError:  # digits int() refuses: the token path refuses them
                     break
             if block.start() > at:
                 pos = block.start()

@@ -1,8 +1,13 @@
-"""Relation vocabulary and the inverse-relation mapping.
+"""Relation vocabulary and the inverse-relation mapping, and the rules for
+the text that files hold.
 
 Every relation has a declared inverse (possibly itself), so a stored
 directed edge can be traversed backwards under the inverse label.  The
 inverse map is a total involution over the relation set.
+
+Each text rule has one form, asked where a value is built: `name_fault` and
+`label_fault` say what is wrong with a name or a relation label, or None,
+and `decimal` gives the int a number text writes, or None.
 """
 
 from __future__ import annotations
@@ -44,51 +49,56 @@ def is_decimal(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def decimal(text: str) -> int | None:
+    """The int that `text`, ASCII [0-9]+, writes; None for other text and
+    for more digits than `int()` takes (`sys.get_int_max_str_digits()`)."""
+    if is_decimal(text):
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    return None
+
+
 def canonical_label(raw: str) -> str:
     """Trim and collapse internal whitespace; comparison is then exact and
     case-sensitive."""
     return " ".join(raw.split())
 
 
-def check_label(label: str) -> None:
-    """The one relation-label rule, so that every reader gives the label
-    back: non-empty, trimmed with single spaces, no '_', no '|' or leading
-    '#' (ontology file syntax), only XML characters; else OntologyError."""
-    if not label:
-        raise OntologyError("empty relation label")
-    if canonical_label(label) != label:
-        raise OntologyError(f"relation {label!r} is not trimmed with single spaces")
-    if "_" in label:
-        raise OntologyError(f"relation {label!r} contains '_', which query files read as a space")
-    if "|" in label or label.startswith("#"):
-        raise OntologyError(f"relation {label!r} has ontology file syntax ('|' or a leading '#')")
-    if char := non_xml_char(label):
-        raise OntologyError(XML_CHAR_RULE.format(f"relation {label!r}", char))
-
-
 @lru_cache(maxsize=1024)
 def label_fault(label: str) -> str | None:
-    """What `check_label` finds wrong with `label`, or None.  Writers and
-    query constructors ask it for every label of every query, so the
-    answers for the last 1,024 labels asked are kept."""
-    try:
-        check_label(label)
-    except OntologyError as exc:
-        return str(exc)
+    """The one relation-label rule, so that every reader gives the label
+    back: non-empty, trimmed with single spaces, no '_', no '|' or leading
+    '#' (ontology file syntax), only XML characters.  What is wrong with
+    `label`, or None.  Readers, writers and query constructors ask it for
+    every label they meet, so the answers for the last 1,024 labels asked
+    are kept."""
+    if not label:
+        return "empty relation label"
+    if canonical_label(label) != label:
+        return f"relation {label!r} is not trimmed with single spaces"
+    if "_" in label:
+        return f"relation {label!r} contains '_', which query files read as a space"
+    if "|" in label or label.startswith("#"):
+        return f"relation {label!r} has ontology file syntax ('|' or a leading '#')"
+    if char := non_xml_char(label):
+        return XML_CHAR_RULE.format(f"relation {label!r}", char)
     return None
 
 
 @dataclass(frozen=True)
 class RelationOntology:
     """Immutable set of relation labels plus their inverse involution.  Every
-    label passes `check_label`."""
+    label passes `label_fault`, else OntologyError."""
 
     inverse: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         inv = dict(self.inverse)
         for r, i in inv.items():
-            check_label(r)
+            if fault := label_fault(r):
+                raise OntologyError(fault)
             if inv.get(i) != r:
                 raise OntologyError(f"inverse map is not an involution at {r!r} -> {i!r}")
         object.__setattr__(self, "inverse", inv)
@@ -117,7 +127,7 @@ def load_ontology(text: str) -> RelationOntology:
     """Parse the ontology file format: one `<relation> | <inverse>` pair per
     line, `#` comment lines, blank lines ignored.  Self-inverse relations
     repeat the label; each label is canonicalised, then must pass
-    `check_label`."""
+    `label_fault`."""
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -128,11 +138,9 @@ def load_ontology(text: str) -> RelationOntology:
         left, _, right = line.partition("|")
         r = canonical_label(left)
         i = canonical_label(right)
-        try:
-            check_label(r)
-            check_label(i)
-        except OntologyError as exc:
-            raise OntologyError(f"line {lineno}: {exc}") from None
+        for label in (r, i):
+            if fault := label_fault(label):
+                raise OntologyError(f"line {lineno}: {fault}")
         if r in pairs:
             if pairs[r] == i:
                 raise OntologyError(f"line {lineno}: duplicate relation {r!r}")

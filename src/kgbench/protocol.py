@@ -41,9 +41,9 @@ Each repeated line is rendered once per document, in memos the writer owns:
 a path is its Path line, its Source line by node, its middle steps' Edge and
 Node lines by (relation, node), its last Edge line by relation and its
 Target line by node, and then `</Path>`.
-Names XML 1.0 cannot carry are refused where they enter (graph files,
-ontologies, a `Submission`'s team, a query's id and labels) or, for a
-submission's answers, when `emit_submission` writes them.  ElementTree
+Names XML 1.0 cannot carry are refused where they enter: graph files,
+ontologies, a query's id and labels, a `Submission`'s team and answers.
+So the writers check nothing; they are given only valid values.  ElementTree
 only reads, after expat has refused a DOCTYPE in the prolog, and each read
 decodes every distinct node or relation text once, in a memo owned by that
 call.  Query and key files are read by one strict rule (`_children`), a
@@ -52,8 +52,9 @@ submission's queries by one lenient filter.
 Each query type's rules on the wire have one home, its codec, looked up once
 per document: its Query element in query and key files (`write`, `read`);
 in submissions, its answer tag, the answer read (None: none; a warning per
-fault) and written, the oracle's answer, and `empty`, a query's answer until
-answered (None: none).
+fault), what is wrong with an answer (`check`: None when nothing is) and
+the answer written, the oracle's answer, and `empty`, a query's answer
+until answered (None: none).
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from __future__ import annotations
 import contextlib
 import math
 import xml.etree.ElementTree as ET
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cache
 from typing import get_args
@@ -69,14 +70,7 @@ from xml.parsers import expat
 
 from .formats import WARNING, Diagnostic
 from .graph import GraphError, NodeId, is_variable_name
-from .ontology import (
-    OntologyError,
-    canonical_label,
-    check_label,
-    is_decimal,
-    label_fault,
-    name_fault,
-)
+from .ontology import canonical_label, decimal, label_fault, name_fault
 from .oracle import OracleError, Path, PatternTriple, Variable
 from .querygen import ChoiceQuery, FillAnswer, FillQuery, PathQuery, Query, QueryError, require_key
 
@@ -89,10 +83,10 @@ class ProtocolError(ValueError):
 class Submission:
     """A team's answers to queries of one type, `kind`, by query id: per
     variable ranked (node, confidence) pairs (FillQuery), one relation
-    (ChoiceQuery), or paths (PathQuery).  The constructor refuses any other
-    `kind`, and a team `check_team` refuses, with ProtocolError.  The
-    answers are checked when they are written (`emit_submission`), as
-    readers fill them in after the Submission is built."""
+    (ChoiceQuery), or paths (PathQuery).  Valid once built: the constructor
+    refuses, with ProtocolError, any other `kind`, a team `name_fault`
+    faults, and, naming the query, what its file would not give back, in
+    the order the file is written: ids sorted, then each answer's `check`."""
 
     kind: type
     team: str
@@ -101,14 +95,14 @@ class Submission:
     def __post_init__(self):
         if self.kind not in get_args(Query):  # compared, not hashed: unhashable kinds too
             raise ProtocolError(f"a submission's kind is a query class, not {self.kind!r}")
-        check_team(self.team)
-
-
-def check_team(team: str) -> None:
-    """A submission file holds the team name, so `ontology.name_fault`'s
-    rule holds for it; else ProtocolError."""
-    if fault := name_fault(team, "team name"):
-        raise ProtocolError(fault)
+        if fault := name_fault(self.team, "team name"):
+            raise ProtocolError(fault)
+        check = _CODECS[self.kind].check
+        for qid in sorted(self.answers):
+            if fault := name_fault(qid, "query id"):
+                raise ProtocolError(fault)
+            if fault := check(self.answers[qid]):
+                raise ProtocolError(f"{qid}: {fault}")
 
 
 # --- text and element encodings -------------------------------------------
@@ -123,10 +117,8 @@ def decode_relation(text: str) -> str:
     if not sep or prefix.strip() != "Relation":
         raise ProtocolError(f"expected 'Relation:...' text, got {text!r}")
     relation = rest.strip().replace("_", " ")
-    try:
-        check_label(relation)
-    except OntologyError as exc:
-        raise ProtocolError(str(exc)) from None
+    if fault := label_fault(relation):
+        raise ProtocolError(fault)
     return relation
 
 
@@ -300,8 +292,9 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _decimal(text: str | None, message: str) -> int:
-    _require(text is not None and is_decimal(text), message)
-    return int(text)
+    number = decimal(text or "")  # None for a missing attribute too
+    _require(number is not None, message)
+    return number
 
 
 def _text(el: ET.Element) -> str:
@@ -376,12 +369,6 @@ def _children(
     return texts, found
 
 
-def _check_labels(qid: str, labels: Iterable[str]) -> None:
-    for label in labels:
-        if fault := label_fault(label):
-            raise ProtocolError(f"{qid}: {fault}")
-
-
 # --- one codec per query type (see the module text) -------------------------
 
 
@@ -422,13 +409,18 @@ class _FillCodec:
             bindings.append(pairs)
         return FillQuery(qid, tuple(triples), tuple(bindings) if keyed else None)
 
-    def write_answer(self, out: _Writer, qid: str, answer: FillAnswer) -> None:
+    def check(self, answer: FillAnswer) -> str | None:
         for var in sorted(answer):
             if fault := name_fault(var, "variable name"):
-                raise ProtocolError(f"{qid}: {fault}")
-            for rank, (node, conf) in enumerate(answer[var], start=1):
+                return fault
+            for _, conf in answer[var]:
                 if not 0.0 <= conf <= 1.0:
-                    raise ProtocolError(f"{qid}: {var} has confidence {conf!r}, not in [0, 1]")
+                    return f"{var} has confidence {conf!r}, not in [0, 1]"
+        return None
+
+    def write_answer(self, out: _Writer, answer: FillAnswer) -> None:
+        for var in sorted(answer):
+            for rank, (node, conf) in enumerate(answer[var], start=1):
                 text = repr(float(conf)).removesuffix(".0")
                 attrs = {"var": var, "rank": str(rank), "confidence": text}
                 out.leaf("Answer", node.canonical, attrs)
@@ -517,8 +509,10 @@ class _ChoiceCodec:
             )
         return query
 
-    def write_answer(self, out: _Writer, qid: str, answer: str) -> None:
-        _check_labels(qid, [answer])
+    def check(self, answer: str) -> str | None:
+        return label_fault(answer)
+
+    def write_answer(self, out: _Writer, answer: str) -> None:
         out.leaf("Answer", encode_relation(answer))
 
     def read_answer(
@@ -557,9 +551,14 @@ class _PathCodec:
         max_edges = _decimal(qel.get("max_edges"), "bad max_edges")
         return PathQuery(qid, source, target, max_edges, key)
 
-    def write_answer(self, out: _Writer, qid: str, answer: list[Path]) -> None:
+    def check(self, answer: list[Path]) -> str | None:
         # each distinct label once; sorted, so no message hangs on string hashing
-        _check_labels(qid, sorted(set().union(*[p.relations for p in answer])))
+        for label in sorted(set().union(*[p.relations for p in answer])):
+            if fault := label_fault(label):
+                return fault
+        return None
+
+    def write_answer(self, out: _Writer, answer: list[Path]) -> None:
         for i, path in enumerate(answer, start=1):
             out.path(path, i)
 
@@ -652,18 +651,14 @@ def emit_submission(sub: Submission) -> str:
     """A submission document, its root and answers chosen by its type:
     queries by id, a fill query's answers by variable and then rank.  A
     confidence is written as `repr` gives it, less a trailing ".0", so it
-    reads back as the same float.  What the reader would not give back is
-    refused with ProtocolError naming the query: an id or variable name
-    that `ontology.name_fault` faults, a confidence outside [0, 1] (NaN
-    too), a relation `check_label` refuses."""
+    reads back as the same float.  A `Submission` is valid once built, so
+    all it holds reads back."""
     write_answer = _CODECS[sub.kind].write_answer
     out = _Writer()
     out.start("Q" + sub.kind.letter, {"team": sub.team})
     for qid in sorted(sub.answers):
-        if fault := name_fault(qid, "query id"):
-            raise ProtocolError(fault)
         out.start("Query", {"id": qid})
-        write_answer(out, qid, sub.answers[qid])
+        write_answer(out, sub.answers[qid])
         out.end()
     out.end()
     return out.text()
@@ -707,7 +702,7 @@ def parse_submission_xml(
             else:
                 warn(qid, f"ignored element {child.tag!r}")
 
-    sub = Submission(kind, team, {qid: codec.empty() for qid in by_id} if codec.empty else {})
+    answers = {qid: codec.empty() for qid in by_id} if codec.empty else {}
 
     for qel in root:
         if qel.tag != "Query" or not qel.get("id"):
@@ -723,9 +718,9 @@ def parse_submission_xml(
         seen.add(qid)
         answer = codec.read_answer(answers_of(qel, qid), by_id[qid], warn, decoded)
         if answer is not None:
-            sub.answers[qid] = answer
+            answers[qid] = answer
 
     for qid in by_id:
-        if qid not in sub.answers:
+        if qid not in answers:
             warn(qid, "no answer submitted; scored as wrong")
-    return sub, diagnostics
+    return Submission(kind, team, answers), diagnostics

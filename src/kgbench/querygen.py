@@ -8,7 +8,7 @@ rather than looping forever on degenerate graphs.
 
 Each query class is the one home of its type's rules.  It checks those that
 need no graph when a query is built (QueryError): an id a file can carry
-(`ontology.name_fault`), relation labels that read back (`check_label`) and
+(`ontology.name_fault`), relation labels that read back (`label_fault`) and
 what its key may hold, so every query can be written and read back equal.
 It carries its `letter` (ids Q.<letter>.<n>, document roots Q<letter>),
 makes its key with the oracle (`oracle_key`), and states what an answer is

@@ -68,31 +68,22 @@ def score_choice(graph: KnowledgeGraph, query: ChoiceQuery, answer: str | None) 
     return ChoiceScore(query.id, answer == query.correct)
 
 
-@dataclass(frozen=True)
-class PathVerdict:
-    valid: bool
-    reason: str | None = None
-
-    def __str__(self) -> str:
-        return "valid" if self.valid else f"invalid({self.reason})"
-
-
-def validate_path(graph: KnowledgeGraph, query: PathQuery, path: Path) -> PathVerdict:
-    """A submitted path's verdict: invalid for the reason
-    `PathQuery.misfit` gives (endpoints, simplicity, length), else valid
-    when every step is a traversal-view edge under the submitted label."""
-    fault = query.misfit(path)
-    if fault is not None:
-        return PathVerdict(False, fault)
+def validate_path(graph: KnowledgeGraph, query: PathQuery, path: Path) -> str | None:
+    """What is wrong with a submitted path, or None when it is valid: the
+    fault `PathQuery.misfit` gives (endpoints, simplicity, length), else
+    the first step that is not a traversal-view edge under the submitted
+    label."""
+    if fault := query.misfit(path):
+        return fault
     nodes = path.nodes
     for i, rel in enumerate(path.relations, start=1):
         a, b = nodes[i - 1], nodes[i]
         if not graph.holds(a, rel, b):
             for node in (a, b):
                 if node not in graph.number:
-                    return PathVerdict(False, f"node {node} not in graph")
-            return PathVerdict(False, f"edge {i} ({a} -[{rel}]-> {b}) not in graph")
-    return PathVerdict(True)
+                    return f"node {node} not in graph"
+            return f"edge {i} ({a} -[{rel}]-> {b}) not in graph"
+    return None
 
 
 @dataclass(frozen=True)
@@ -101,7 +92,7 @@ class PathScore:
     recall: float
     precision: float
     f1: float
-    verdicts: tuple[PathVerdict, ...]
+    verdicts: tuple[str | None, ...]  # validate_path's fault or None, per path answered
 
 
 def f1_score(precision: float, recall: float) -> float:
@@ -119,7 +110,7 @@ def score_paths(
     wrong: OracleError naming the first such path, never a quiet score."""
     submitted = answer or []
     verdicts = tuple(validate_path(graph, query, p) for p in submitted)
-    matched = {p for p, v in zip(submitted, verdicts) if v.valid}
+    matched = {p for p, fault in zip(submitted, verdicts) if fault is None}
     key = set(require_key(query))
     if not matched <= key:
         path = next(p for p in submitted if p in matched and p not in key)
@@ -208,7 +199,10 @@ class ScoreReport:
                         "recall": s.recall,
                         "precision": s.precision,
                         "f1": s.f1,
-                        "verdicts": [str(v) for v in s.verdicts],
+                        "verdicts": [
+                            "valid" if fault is None else f"invalid({fault})"
+                            for fault in s.verdicts
+                        ],
                     }
                     for s in self.paths
                 ],

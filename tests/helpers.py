@@ -6,7 +6,11 @@ from __future__ import annotations
 import gc
 import itertools
 import re
+import sys
 import xml.etree.ElementTree as ET
+from contextlib import contextmanager
+
+import pytest
 
 from kgbench.formats import ERROR, WARNING, Diagnostic, has_errors, _quote
 from kgbench.graph import (
@@ -36,7 +40,6 @@ from kgbench.protocol import (
 )
 from kgbench.querygen import ChoiceQuery, FillQuery, PathQuery, Query
 from kgbench.rng import SplitMix64
-from kgbench.scoring import PathVerdict
 
 LOCATION = "Location"  # a third node category for random graphs
 
@@ -293,26 +296,27 @@ def canonical_paths(paths) -> list[Path]:
     return sorted(paths, key=lambda p: (p.length, texts(p)))
 
 
-def naive_validate_path(graph: KnowledgeGraph, query: PathQuery, path: Path) -> PathVerdict:
+def naive_validate_path(graph: KnowledgeGraph, query: PathQuery, path: Path) -> str | None:
     """The specification of scoring.validate_path: the same checks in the
-    same order, each step looked up among naive_traversal's links."""
+    same order, each step looked up among naive_traversal's links; the
+    first fault found, or None."""
     links = naive_traversal(graph)
     if path.source != query.source:
-        return PathVerdict(False, f"source is {path.source}, query asks {query.source}")
+        return f"source is {path.source}, query asks {query.source}"
     if path.target != query.target:
-        return PathVerdict(False, f"target is {path.target}, query asks {query.target}")
+        return f"target is {path.target}, query asks {query.target}"
     if len(set(path.nodes)) != len(path.nodes):
-        return PathVerdict(False, "not simple: a node repeats")
+        return "not simple: a node repeats"
     if path.length > query.max_edges:
-        return PathVerdict(False, f"length {path.length} exceeds bound {query.max_edges}")
+        return f"length {path.length} exceeds bound {query.max_edges}"
     for i in range(1, path.length + 1):
         a, rel, b = path.nodes[i - 1], path.relations[i - 1], path.nodes[i]
         for node in (a, b):
             if node not in graph.nodes:
-                return PathVerdict(False, f"node {node} not in graph")
+                return f"node {node} not in graph"
         if (a, rel, b) not in links:
-            return PathVerdict(False, f"edge {i} ({a} -[{rel}]-> {b}) not in graph")
-    return PathVerdict(True)
+            return f"edge {i} ({a} -[{rel}]-> {b}) not in graph"
+    return None
 
 
 # --- the graph readers' assembler and TGF reader before relation texts were
@@ -753,3 +757,17 @@ def reference_parse_path_element(el: ET.Element, decoded: _Decoder) -> Path:
     nodes = [decoded.node(c.text or "") for c in children if c.tag != "Edge"]
     relations = [decoded.relation(c.text or "") for c in children if c.tag == "Edge"]
     return Path(tuple(nodes), tuple(relations))
+
+
+@contextmanager
+def int_digits(limit: int):
+    """`int()` held to at most `limit` digits (640 at the least) while the
+    block runs; the test is skipped on a Python that has no such limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on int() digits to set")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)

@@ -87,7 +87,7 @@ def test_criterion_3_path_worked_example(simpsons):
         ("Springfield Elementary", "Lisa", "Homer"),
     }
     query = PathQuery("Q.C.1", source, target, 4, tuple(paths))
-    all_valid = all(validate_path(simpsons, query, p).valid for p in paths)
+    all_valid = all(validate_path(simpsons, query, p) is None for p in paths)
     report(
         "3 (three 4-edge routes Chalmers->Lenny, all valid)",
         len(paths) == 3 and routes == expected_routes and all_valid,

@@ -688,7 +688,9 @@ def test_a_file_with_a_bound_above_the_largest_is_refused(tmp_path, capsys):
      # ASCII decimals only, as in every file the referee reads
      ("--count-a", "\u0663", 0), ("--count-b", "+5", 0), ("--max-edges", "1_0", 1),
      ("--count-c", " 2", 0),
-     ("--seed", "-1", 0), ("--seed", "\u0663", 0), ("--seed", "1_0", 0), ("--seed", " 5", 0)],
+     ("--seed", "-1", 0), ("--seed", "\u0663", 0), ("--seed", "1_0", 0), ("--seed", " 5", 0),
+     # more digits than int() takes
+     pytest.param("--seed", "9" * 5000, 0, id="--seed-5000 digits")],
 )
 def test_gen_queries_bad_numbers_are_usage_errors(tmp_path, capsys, flag, value, low):
     out = tmp_path / "out"

@@ -31,6 +31,8 @@ from kgbench.ontology import OntologyError, load_ontology
 from kgbench.rng import SplitMix64
 
 ONT = load_ontology("Spouse of | Spouse of\nChild of | Parent of\n")
+# ASCII digits, more of them than int() takes under its default limit of 4,300
+LONG = "9" * 5000
 
 
 def test_minimal_tgf():
@@ -65,6 +67,8 @@ def test_tgf_label_without_category():
         "\u0663 Person:A\n#\n",
         "1 Person:A\n2 Person:B\n#\n1 \u00b2 Spouse of\n",
         "1 Person:A\n2 Person:B\n#\n\u0661 2 Spouse of\n",
+        pytest.param(f"{LONG} Person:A\n#\n", id="long node id"),
+        pytest.param(f"1 Person:A\n2 Person:B\n#\n1 {LONG} Spouse of\n", id="long edge id"),
     ],
 )
 def test_tgf_ids_are_ascii_decimal(text):
@@ -158,6 +162,14 @@ def test_xgml_dangling_edge():
          'edge [ source \u0660 target 10 label "Spouse of" ]', "edge needs exactly one source"),
         ('node [ id 0 label "Person:A" ] node [ id 10 label "Person:B" ] '
          'edge [ source 0 target 1_0 label "Spouse of" ]', "edge needs exactly one target"),
+        # read by the run of blocks as emitters write them, then token by token
+        pytest.param(f'node [ id {LONG} label "Person:A" ]', "node needs exactly one id",
+                     id="long id in a run"),
+        pytest.param(f'node [ label "Person:A" id {LONG} ]', "node needs exactly one id",
+                     id="long id in tokens"),
+        pytest.param('node [ id 0 label "Person:A" ] node [ id 10 label "Person:B" ] '
+                     f'edge [ source {LONG} target 10 label "Spouse of" ]',
+                     "edge needs exactly one source", id="long source in a run"),
     ],
 )
 def test_xgml_ids_are_ascii_decimal(body, message):

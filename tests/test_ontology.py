@@ -2,11 +2,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import int_digits
 from kgbench.datasets import core_ontology
 from kgbench.ontology import (
     OntologyError,
     RelationOntology,
     canonical_label,
+    decimal,
     emit_ontology,
     load_ontology,
 )
@@ -21,6 +23,16 @@ def test_core_vocabulary_loads():
     assert ont.inverse_of("Spouse of") == "Spouse of"
     assert ont.inverse_of("Superintendent at") == "Responsibility of"
     assert ont.inverse_of("Friend of") == "Friend of"
+
+
+def test_a_decimal_is_ascii_digits_that_int_takes():
+    assert decimal("0") == 0 and decimal("007") == 7
+    for text in ("", "-1", "+1", " 1", "1_0", "1.0", "\u0663", "\u00b2"):
+        assert decimal(text) is None
+    # None, not a ValueError, past the limit the interpreter sets
+    with int_digits(640):
+        assert decimal("9" * 640) == 10**640 - 1
+        assert decimal("9" * 641) is None
 
 
 def test_involution_over_core():

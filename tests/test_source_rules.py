@@ -79,6 +79,29 @@ def test_no_unreferenced_private_names():
     assert not found
 
 
+def test_the_submission_writers_check_nothing():
+    # a Submission is valid once built, as a query is: its constructor asks
+    # each rule, so the writers ask none (a `*_fault` or a codec's `check`)
+    # and raise nothing of their own
+    writers = [
+        node
+        for node in ast.walk(TREES["protocol.py"])
+        if isinstance(node, ast.FunctionDef) and node.name in ("emit_submission", "write_answer")
+    ]
+    assert len(writers) == 4  # emit_submission and one write_answer per codec
+    found = [
+        f"{writer.name}:{node.lineno}"
+        for writer in writers
+        for node in ast.walk(writer)
+        if isinstance(node, ast.Raise)
+        or isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", "")).endswith(
+            ("_fault", "check")
+        )
+    ]
+    assert found == []
+
+
 QUERY_TYPES = {"FillQuery", "ChoiceQuery", "PathQuery"}
 
 
