@@ -82,17 +82,6 @@ def _generation_params(args) -> dict[str, str]:
     }
 
 
-def _self_check(graph: KnowledgeGraph, queries) -> None:
-    """Re-verify every answer key against the oracle before writing.  Not an
-    assert: `python -O` would drop it."""
-    for q in queries:
-        try:
-            if q.oracle_key(graph) != q.key:
-                raise OracleError(f"{q.id}: key differs from the oracle's")
-        except OracleError as exc:
-            raise CliError(f"self-check failed: {exc}", EXIT_CONTENT) from None
-
-
 def cmd_gen_queries(args) -> int:
     graph = _load_graph(args)
     out = FsPath(args.out)
@@ -108,9 +97,6 @@ def cmd_gen_queries(args) -> int:
         paths = generate_path(graph, args.seed + 2, args.count_c, args.max_edges)
     except GenerationError as exc:
         raise CliError(str(exc), EXIT_CONTENT) from None
-    for queries in (fill, choice, paths):
-        _self_check(graph, queries)
-    print("self-check passed: all keys re-verified against the oracle")
     # a type with no queries gets no files: a document holds at least one
     typed = {qs[0].letter.lower(): qs for qs in (fill, choice, paths) if qs}
     for name, queries in typed.items():

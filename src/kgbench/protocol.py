@@ -60,7 +60,6 @@ until answered (None: none).
 from __future__ import annotations
 
 import contextlib
-import math
 import xml.etree.ElementTree as ET
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
@@ -444,7 +443,7 @@ class _FillCodec:
             except ValueError as exc:
                 warn(qid, f"unparseable answer dropped: {exc}")
                 continue
-            if not (math.isfinite(conf) and 0.0 <= conf <= 1.0):
+            if not 0.0 <= conf <= 1.0:
                 warn(qid, f"confidence {conf!r} outside [0,1]; answer dropped")
                 continue
             raw.setdefault(var, []).append((order, conf, node))

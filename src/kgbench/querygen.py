@@ -321,7 +321,7 @@ def generate_choice(
 ) -> list[ChoiceQuery]:
     """Hide the relation of a seeded edge; distractors are ontology
     relations that hold between the pair in neither direction.  The key is
-    known by construction; the CLI self-check recomputes it independently."""
+    known by construction; the tests hold it to `answer_choice`."""
     if n_options < 1:
         raise ValueError("n_options must be >= 1")
     all_edges = graph.sorted_edges

@@ -393,6 +393,17 @@ class ReferenceAssembler:
         return graph
 
 
+def _tgf_id(text: str) -> int | None:
+    """The id an ASCII [0-9]+ text writes; None for other text and for a run
+    of more digits than int() takes."""
+    if not is_decimal(text):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 def reference_parse_tgf(
     text: str, ontology: RelationOntology
 ) -> tuple[KnowledgeGraph | None, list[Diagnostic]]:
@@ -411,20 +422,18 @@ def reference_parse_tgf(
             continue
         if not seen_separator:
             parts = line.split(None, 1)
-            if len(parts) != 2 or not is_decimal(parts[0]):
+            file_id = _tgf_id(parts[0]) if len(parts) == 2 else None
+            if file_id is None:
                 asm.error(lineno, f"malformed node line: {line!r}")
                 continue
-            asm.add_node(lineno, int(parts[0]), parts[1])
+            asm.add_node(lineno, file_id, parts[1])
         else:
             parts = line.split(None, 2)
-            if (
-                len(parts) != 3
-                or not is_decimal(parts[0])
-                or not is_decimal(parts[1])
-            ):
+            ends = [_tgf_id(part) for part in parts[:2]] if len(parts) == 3 else [None]
+            if None in ends:
                 asm.error(lineno, f"malformed edge line: {line!r}")
                 continue
-            asm.add_edge(lineno, int(parts[0]), int(parts[1]), parts[2])
+            asm.add_edge(lineno, *ends, parts[2])
     if not seen_separator:
         asm.error(0, "missing '#' separator line")
     return asm.build(), asm.diagnostics
@@ -444,8 +453,8 @@ _XGML_TOKEN = re.compile(
 
 def reference_tokenize_xgml(text: str) -> tuple[list[tuple[int, object]], list[Diagnostic]]:
     """Tokens are (line, value): value is '['/']' sentinels, str keys, int
-    (ASCII [0-9]+ only), float, or quoted strings (returned as ('str',
-    content)).  A quoted string's line is the line it ends on."""
+    (ASCII [0-9]+ that int() takes), float, or quoted strings (returned as
+    ('str', content)).  A quoted string's line is the line it ends on."""
     tokens: list[tuple[int, object]] = []
     diagnostics: list[Diagnostic] = []
     line = 1
@@ -456,7 +465,10 @@ def reference_tokenize_xgml(text: str) -> tuple[list[tuple[int, object]], list[D
             line += space.count("\n")
         if word:
             if is_decimal(word):
-                tokens.append((line, int(word)))
+                try:
+                    tokens.append((line, int(word)))
+                except ValueError:  # more digits than int() takes: inf
+                    tokens.append((line, float(word)))
             # float() accepts no all-letter word but inf, nan and infinity
             elif not word.isalpha() or word.lower() in ("inf", "nan", "infinity"):
                 try:
@@ -591,8 +603,8 @@ def reference_parse_xgml(
 def naive_tokenize_xgml(text: str):
     """Char-by-char XGML scanner, the reference for
     reference_tokenize_xgml: same (tokens, diagnostics).  A word is an
-    int when it is ASCII [0-9]+, else a float when float() accepts it, else
-    a str key."""
+    int when it is ASCII [0-9]+ that int() takes, else a float when float()
+    accepts it, else a str key."""
     tokens = []
     diagnostics = []
     line = 1
@@ -644,8 +656,11 @@ def naive_tokenize_xgml(text: str):
             word = text[i:j]
             i = j
             if word.isascii() and word.isdigit():
-                tokens.append((line, int(word)))
-                continue
+                try:
+                    tokens.append((line, int(word)))
+                    continue
+                except ValueError:  # more digits than int() takes
+                    pass
             try:
                 tokens.append((line, float(word)))
             except ValueError:

@@ -310,9 +310,12 @@ def test_parsers_never_crash_on_noise(seed):
         assert graph is None or not has_errors(diags)
 
 
+# one digit more than int() takes by default (sys.get_int_max_str_digits())
+LONG_RUN = "9" * 4301
+
 XGML_PIECES = [
     "[", "]", '"', "\\", "#", "\n", "\r", "\t", " ", "\xa0", "\x85", "\u2028",
-    "inf", "NaN", "+1", "-2.5e3", "1_0", "\u0663", "\u00b2", "12", "node", "id",
+    "inf", "NaN", "+1", "-2.5e3", "1_0", "\u0663", "\u00b2", "12", "node", "id", LONG_RUN,
 ]
 
 
@@ -323,7 +326,9 @@ def test_tokenizer_matches_naive_reference(text):
 
 
 _GAPS = st.sampled_from(["", " ", "  ", "\n", "\t", "\r\n", "\xa0", " # note [ ] \"\n"])
-_IDS = st.sampled_from(["0", "1", "2", "007", "1.5", "nan", "1_0", "٣", "+1", "x", '"1"'])
+_IDS = st.sampled_from(
+    ["0", "1", "2", "007", "1.5", "nan", "1_0", "٣", "+1", "x", '"1"', LONG_RUN]
+)
 _LABELS = st.sampled_from([
     '"Person:A"', '"Person:B"', '"Person:A"', '"Location:Café ²"', '"Person:Two\nlines"',
     '"Person:\\"Q\\""', '"Entity:back\\\\slash"', "Person:Bare", '""', "12", "inf",
@@ -448,7 +453,8 @@ def test_xgml_reader_matches_the_reference(text):
 _TGF_FAULTS = st.sampled_from([
     "1", "Person:A", "x Person:X", "\u0663 Person:X", "1 2", "1 x Spouse of", "#", "#",
     "9 1 Spouse of", "1 1 Spouse of", "1 2 Made_up", "1 Person:G", "6 Person:Unknown_1",
-    "6 NoColon", "6 Person:", "007 Person:Seven", "5 Person:B",
+    "6 NoColon", "6 Person:", "007 Person:Seven", "5 Person:B", f"{LONG_RUN} Person:Long",
+    f"1 {LONG_RUN} Spouse of", f"{LONG_RUN} 1 Spouse of",
 ])
 
 

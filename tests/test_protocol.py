@@ -620,6 +620,26 @@ def test_submission_a_confidence_range():
     assert parsed.answers["Q.A.1"]["Unknown_1"] == [(person("Bart"), 0.5)]
 
 
+# the range test alone refuses NaN and both infinities; a missing
+# confidence reads as NaN
+@pytest.mark.parametrize(
+    "attribute, shown",
+    [(' confidence="nan"', "nan"), (' confidence="inf"', "inf"),
+     (' confidence="-inf"', "-inf"), ("", "nan")],
+    ids=["nan", "inf", "-inf", "missing"],
+)
+def test_submission_a_non_finite_confidence_is_dropped(attribute, shown):
+    text = (
+        '<QA team="t"><Query id="Q.A.1">'
+        f'<Answer var="Unknown_1"{attribute}>Person:Homer</Answer>'
+        '<Answer var="Unknown_1" confidence="0.5">Person:Bart</Answer>'
+        "</Query></QA>"
+    )
+    parsed, diags = parse_submission_xml(text, [SPOUSE_QUERY])
+    assert [d.message for d in diags] == [f"confidence {shown} outside [0,1]; answer dropped"]
+    assert parsed.answers["Q.A.1"]["Unknown_1"] == [(person("Bart"), 0.5)]
+
+
 def test_submission_a_answer_for_an_unknown_variable_is_dropped():
     text = (
         '<QA team="t"><Query id="Q.A.1">'
