@@ -109,7 +109,7 @@ def cmd_gen_queries(args) -> int:
 def cmd_answer(args) -> int:
     graph = _load_graph(args)
     try:
-        queries = protocol.parse_query_xml(_read_file(args.queries))
+        queries = protocol.parse_query_xml(_read_file(args.queries), graph.by_text)
     except ValueError as exc:
         raise CliError(f"queries: {exc}", EXIT_CONTENT) from None
     out = FsPath(args.out)
@@ -132,7 +132,7 @@ def cmd_score(args) -> int:
     key_of: dict[object, str] = {}  # query type, and query id -> key file
     for key_path in args.keys:
         try:
-            queries, key_params = protocol.parse_key_xml(_read_file(key_path))
+            queries, key_params = protocol.parse_key_xml(_read_file(key_path), graph.by_text)
         except ValueError as exc:
             raise CliError(f"{key_path}: {exc}", EXIT_CONTENT) from None
         for q in queries:
@@ -166,7 +166,7 @@ def cmd_score(args) -> int:
     for sub_path in args.submissions:
         try:
             sub, diagnostics = protocol.parse_submission_xml(
-                _read_file(sub_path), key_queries
+                _read_file(sub_path), key_queries, graph.by_text
             )
         except ValueError as exc:
             raise CliError(f"{sub_path}: {exc}", EXIT_CONTENT) from None
@@ -237,14 +237,6 @@ def _component_count(graph: KnowledgeGraph) -> int:
     return components
 
 
-def _add_graph_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--graph", required=True, help="graph file path")
-    parser.add_argument(
-        "--format", choices=("tgf", "xgml"), default="tgf", help="graph file format"
-    )
-    parser.add_argument("--ontology", required=True, help="ontology file path")
-
-
 def _integer(low: int, high: int | None = None):
     """argparse type: an ASCII-decimal integer >= low, and <= high when
     given; anything else is a usage error."""
@@ -268,48 +260,63 @@ def _team(text: str) -> str:
     return text
 
 
-def build_parser() -> argparse.ArgumentParser:
+_GRAPH_ARGUMENTS = (
+    ("--graph", {"required": True, "help": "graph file path"}),
+    ("--format", {"choices": ("tgf", "xgml"), "default": "tgf", "help": "graph file format"}),
+    ("--ontology", {"required": True, "help": "ontology file path"}),
+)
+
+
+def _commands() -> tuple[tuple, ...]:
+    """Each command's name, help, arguments after the graph's, and handler,
+    in help order; made when a parser is, so a handler replaced in this
+    module is the one run."""
+    return (
+        ("validate-graph", "parse a graph file and report diagnostics", (), cmd_validate_graph),
+        ("gen-queries", "generate query and sealed key files", (
+            ("--seed", {"type": _integer(0), "default": 0}),
+            ("--count-a", {"type": _integer(0), "default": 5}),
+            ("--count-b", {"type": _integer(0), "default": 5}),
+            ("--count-c", {"type": _integer(0), "default": 2}),
+            ("--n-options", {"type": _integer(1), "default": 5}),
+            ("--max-edges", {"type": _integer(1, MAX_BOUND), "default": 8}),
+            ("--require-unique", {"action": "store_true"}),
+            ("--out", {"required": True, "help": "output directory"}),
+        ), cmd_gen_queries),
+        ("answer", "produce the oracle's perfect submission", (
+            ("--queries", {"required": True, "help": "query XML file"}),
+            ("--team", {"type": _team, "default": "oracle"}),
+            ("--out", {"required": True, "help": "submission output file"}),
+        ), cmd_answer),
+        ("score", "score submissions against sealed keys", (
+            ("--keys", {"nargs": "+", "required": True, "help": "key XML files"}),
+            ("--submissions", {"nargs": "+", "required": True, "help": "submission XML files"}),
+            ("--out", {"required": True, "help": "report output directory"}),
+        ), cmd_score),
+        ("stats", "graph summary statistics", (), cmd_stats),
+    )
+
+
+def build_parser(first: str | None = None) -> argparse.ArgumentParser:
+    """The parser of a command line whose first argument is `first`: only
+    that command's subparser when `first` names a command, else all of
+    them.  Either reads a line of that command alike, in its results and
+    its messages: the usage names every command in both."""
+    commands = _commands()
     parser = argparse.ArgumentParser(
         prog="kgbench",
         description="Knowledge-graph benchmark toolkit: generate queries, "
         "answer them with the oracle, and score submissions.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate-graph", help="parse a graph file and report diagnostics")
-    _add_graph_args(p)
-    p.set_defaults(func=cmd_validate_graph)
-
-    p = sub.add_parser("gen-queries", help="generate query and sealed key files")
-    _add_graph_args(p)
-    p.add_argument("--seed", type=_integer(0), default=0)
-    p.add_argument("--count-a", type=_integer(0), default=5)
-    p.add_argument("--count-b", type=_integer(0), default=5)
-    p.add_argument("--count-c", type=_integer(0), default=2)
-    p.add_argument("--n-options", type=_integer(1), default=5)
-    p.add_argument("--max-edges", type=_integer(1, MAX_BOUND), default=8)
-    p.add_argument("--require-unique", action="store_true")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_gen_queries)
-
-    p = sub.add_parser("answer", help="produce the oracle's perfect submission")
-    _add_graph_args(p)
-    p.add_argument("--queries", required=True, help="query XML file")
-    p.add_argument("--team", type=_team, default="oracle")
-    p.add_argument("--out", required=True, help="submission output file")
-    p.set_defaults(func=cmd_answer)
-
-    p = sub.add_parser("score", help="score submissions against sealed keys")
-    _add_graph_args(p)
-    p.add_argument("--keys", nargs="+", required=True, help="key XML files")
-    p.add_argument("--submissions", nargs="+", required=True, help="submission XML files")
-    p.add_argument("--out", required=True, help="report output directory")
-    p.set_defaults(func=cmd_score)
-
-    p = sub.add_parser("stats", help="graph summary statistics")
-    _add_graph_args(p)
-    p.set_defaults(func=cmd_stats)
-
+    only = [c for c in commands if c[0] == first]
+    # one command's parser names every command in its usage, as all five do
+    metavar = "{" + ",".join(c[0] for c in commands) + "}" if only else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, arguments, handler in only or commands:
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in _GRAPH_ARGUMENTS + arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -318,8 +325,10 @@ def main(argv: list[str] | None = None) -> int:
     caller's collector state back afterwards.  A command builds acyclic
     data: the cyclic garbage it leaves is the same on any input
     (tests/test_cli.py checks it), so the collector's repeated walks of the
-    growing element trees and traversal views would free nothing."""
-    parser = build_parser()
+    growing element trees and traversal views would free nothing.  Only
+    the parser of the command named first is built (`build_parser`)."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

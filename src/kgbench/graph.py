@@ -10,7 +10,10 @@ node or an edge enters a set or a dict.
 A graph numbers its nodes once, when it is made: `nodes` is the tuple of
 its distinct NodeIds in canonical-text order, and `number` maps each node to
 its position.  Integer order is therefore canonical order, the one node
-order, and the searches in `oracle` and `querygen` run on ints.
+order, and the searches in `oracle` and `querygen` run on ints.  The texts
+made to sort the nodes are kept too: `by_text` maps each node's canonical
+text to the node, so a reader of a query, key or submission file takes a
+graph node from it instead of parsing its text again.
 
 Membership reads the edge set itself: a traversal-view step is an edge
 stored as given, or stored in reverse under the inverse label (`holds`).
@@ -137,15 +140,20 @@ class KnowledgeGraph:
     edges: frozenset[Edge] = field(default=frozenset(), init=False)
     # number[node]: the node's position in `nodes`
     number: dict[NodeId, int] = field(init=False, compare=False, repr=False)
+    # by_text[node.canonical]: the node, for each node
+    by_text: dict[str, NodeId] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         given = tuple(self.nodes)
         for node in given:
-            # before the set: a (category, name) tuple equals its NodeId
+            # before the table: a (category, name) tuple equals its NodeId
             if not isinstance(node, NodeId):
                 raise GraphError(f"not a NodeId: {node!r}")
-        nodes = tuple(sorted(set(given), key=lambda n: n.canonical))
+        # canonical text names one node, so the table keeps each node once
+        by_text = {node.canonical: node for node in given}
+        nodes = tuple(map(by_text.__getitem__, sorted(by_text)))
         object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "by_text", by_text)
         object.__setattr__(self, "number", {node: i for i, node in enumerate(nodes)})
 
     @property

@@ -44,10 +44,12 @@ Target line by node, and then `</Path>`.
 Names XML 1.0 cannot carry are refused where they enter: graph files,
 ontologies, a query's id and labels, a `Submission`'s team and answers.
 So the writers check nothing; they are given only valid values.  ElementTree
-only reads, after expat has refused a DOCTYPE in the prolog, and each read
-decodes every distinct node or relation text once, in a memo owned by that
-call.  Query and key files are read by one strict rule (`_children`), a
-submission's queries by one lenient filter.
+only reads, after expat has refused a DOCTYPE in the prolog.  Each read
+decodes every distinct relation text, and every distinct node text that
+names no node of the graph's table (`KnowledgeGraph.by_text`, when the
+caller passes it), once, in memos owned by that call; a graph node's text
+is looked up, never parsed.  Query and key files are read by one strict
+rule (`_children`), a submission's queries by one lenient filter.
 
 Each query type's rules on the wire have one home, its codec, looked up once
 per document: its Query element in query and key files (`write`, `read`);
@@ -61,7 +63,7 @@ from __future__ import annotations
 
 import contextlib
 import xml.etree.ElementTree as ET
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cache
 from typing import get_args
@@ -240,18 +242,34 @@ def _path_memos(depth: int) -> tuple[Callable[..., str], ...]:
     )
 
 
+class _Memo(dict):
+    """text -> its decoded value, made by `make` at the text's first lookup
+    and then read in C.  A text `make` raises on is not kept, so each
+    occurrence of a malformed text reports."""
+
+    def __init__(self, make: Callable[[str], object]):
+        self.make = make
+
+    def __missing__(self, text: str):
+        value = self[text] = self.make(text)
+        return value
+
+
 class _Decoder:
     """The node and relation decoders of one document, which is untrusted
     and so owns its memos: each distinct text is decoded once, and equal
-    texts decode to one shared value.  A cache keeps nothing for a call
-    that raises, so each occurrence of a malformed text reports.  The
-    expected tags of a path element are made once per child count."""
+    texts decode to one shared value.  A text in `by_text`, a graph's node
+    table, is that graph's node, unparsed; any other node text is decoded
+    as without the table, with the same value or error.  The expected tags
+    of a path element are made once per child count."""
 
-    def __init__(self):
-        # the lambda holds node_ref, not self: a decoder is no cycle
-        self.node_ref = node_ref = cache(decode_node_ref)
-        self.node = cache(lambda text: _concrete(node_ref(text), text))
-        self.relation = cache(decode_relation)
+    def __init__(self, by_text: Mapping[str, NodeId] | None):
+        table = by_text or {}
+        # the lambdas hold node_ref and the table, not self: a decoder is no
+        # cycle; a table's NodeId, a pair, is true
+        self.node_ref = node_ref = _Memo(lambda text: table.get(text) or decode_node_ref(text))
+        self.node = _Memo(lambda text: _concrete(node_ref[text], text))
+        self.relation = _Memo(decode_relation)
         self.path_tags = cache(_path_tags)
 
 
@@ -275,9 +293,8 @@ def _parse_path_element(el: ET.Element, decoded: _Decoder) -> Path:
     if any(map(len, el)):
         raise ProtocolError(f"<{next(c.tag for c in el if len(c))}> holds an element")
     texts = [c.text or "" for c in el]
-    return Path(
-        tuple(map(decoded.node, texts[::2])), tuple(map(decoded.relation, texts[1::2]))
-    )
+    nodes, relations = decoded.node.__getitem__, decoded.relation.__getitem__
+    return Path(tuple(map(nodes, texts[::2])), tuple(map(relations, texts[1::2])))
 
 
 # --- query and key files ----------------------------------------------------
@@ -395,16 +412,16 @@ class _FillCodec:
         needs = "Triple needs Subject/Pred/Object"
         for cel in found["Triple"]:
             parts, _ = _children(cel, ("Subject", "Pred", "Object"), (), needs)
-            subject = decoded.node_ref(parts["Subject"])
-            relation = decoded.relation(parts["Pred"])
-            triples.append(PatternTriple(subject, relation, decoded.node_ref(parts["Object"])))
+            subject = decoded.node_ref[parts["Subject"]]
+            relation = decoded.relation[parts["Pred"]]
+            triples.append(PatternTriple(subject, relation, decoded.node_ref[parts["Object"]]))
         bindings = []
         for cel in found.get("Binding", ()):
             pairs = []
             for vel in _children(cel, (), ("Var",))[1]["Var"]:
                 name = vel.get("name")
                 _require(bool(name), "Var without a name")
-                pairs.append((name, decoded.node(_text(vel))))
+                pairs.append((name, decoded.node[_text(vel)]))
             bindings.append(pairs)
         return FillQuery(qid, tuple(triples), tuple(bindings) if keyed else None)
 
@@ -439,7 +456,7 @@ class _FillCodec:
             declared.setdefault(var, []).append((order, ael.get("rank")))
             try:
                 conf = float(ael.get("confidence", "nan"))
-                node = decoded.node(_text(ael))
+                node = decoded.node[_text(ael)]
             except ValueError as exc:
                 warn(qid, f"unparseable answer dropped: {exc}")
                 continue
@@ -493,17 +510,17 @@ class _ChoiceCodec:
         correct = numbered.get("Correct", [])
         if keyed:
             _require(len(correct) == 1, "need exactly one Correct")
-        options = sorted((index, decoded.relation(text)) for index, text in numbered["Option"])
+        options = sorted((index, decoded.relation[text]) for index, text in numbered["Option"])
         _require(
             [i for i, _ in options] == list(range(1, len(options) + 1)),
             "option indices must be 1..n",
         )
-        subject, obj = decoded.node(parts["Subject"]), decoded.node(parts["Object"])
+        subject, obj = decoded.node[parts["Subject"]], decoded.node[parts["Object"]]
         labels = tuple(label for _, label in options)
         query = ChoiceQuery(qid, subject, obj, labels, correct[0][0] - 1 if keyed else None)
         for index, text in correct:
             _require(
-                decoded.relation(text) == query.correct,
+                decoded.relation[text] == query.correct,
                 f"Correct text {text!r} is not option {index}",
             )
         return query
@@ -522,7 +539,7 @@ class _ChoiceCodec:
             warn(query.id, f"expected exactly one Answer, got {len(answers)}; dropped")
             return None
         try:
-            return decoded.relation(_text(answers[0]))
+            return decoded.relation[_text(answers[0])]
         except ProtocolError as exc:
             warn(query.id, f"unparseable answer dropped: {exc}")
             return None
@@ -545,7 +562,7 @@ class _PathCodec:
     def read(self, qel: ET.Element, qid: str, keyed: bool, decoded: _Decoder) -> PathQuery:
         needs = "path query needs Source and Target"
         ends, found = _children(qel, ("Source", "Target"), ("Path",) if keyed else (), needs)
-        source, target = decoded.node(ends["Source"]), decoded.node(ends["Target"])
+        source, target = decoded.node[ends["Source"]], decoded.node[ends["Target"]]
         key = tuple(_parse_path_element(p, decoded) for p in found["Path"]) if keyed else None
         max_edges = _decimal(qel.get("max_edges"), "bad max_edges")
         return PathQuery(qid, source, target, max_edges, key)
@@ -595,13 +612,15 @@ def _emit_document(queries: list[Query], keyed: bool, params: dict[str, str]) ->
     return out.text()
 
 
-def _read_document(text: str, keyed: bool) -> tuple[list[Query], dict[str, str]]:
+def _read_document(
+    text: str, keyed: bool, by_text: Mapping[str, NodeId] | None
+) -> tuple[list[Query], dict[str, str]]:
     root, kind = _load_root(text, "Key" if keyed else "")
     _require(len(root) > 0, f"{root.tag} document without a Query")
     read = _CODECS[kind].read
     queries: list[Query] = []
     seen: set[str] = set()
-    decoded = _Decoder()
+    decoded = _Decoder(by_text)
     for qel in root:
         _require(qel.tag == "Query", f"unknown element {qel.tag!r}")
         qid = qel.get("id")
@@ -623,11 +642,13 @@ def emit_query_xml(queries: list[Query]) -> str:
     return _emit_document(queries, False, {})
 
 
-def parse_query_xml(text: str) -> list[Query]:
+def parse_query_xml(text: str, by_text: Mapping[str, NodeId] | None = None) -> list[Query]:
     """Keyless structural queries for participant-side tooling: every
     parsed query has the key None.  A query the constructor refuses is a
-    ProtocolError with the constructor's text."""
-    return _read_document(text, False)[0]
+    ProtocolError with the constructor's text.  `by_text`, a graph's node
+    table (`KnowledgeGraph.by_text`), spares parsing its nodes' texts and
+    changes no result."""
+    return _read_document(text, False, by_text)[0]
 
 
 def emit_key_xml(queries: list[Query], params: dict[str, str] | None = None) -> str:
@@ -637,10 +658,13 @@ def emit_key_xml(queries: list[Query], params: dict[str, str] | None = None) -> 
     return _emit_document(queries, True, params or {})
 
 
-def parse_key_xml(text: str) -> tuple[list[Query], dict[str, str]]:
+def parse_key_xml(
+    text: str, by_text: Mapping[str, NodeId] | None = None
+) -> tuple[list[Query], dict[str, str]]:
     """Inverse of emit_key_xml: full Query values with their answer keys,
-    plus the parameter echo from the root attributes."""
-    return _read_document(text, True)
+    plus the parameter echo from the root attributes.  `by_text` as for
+    `parse_query_xml`."""
+    return _read_document(text, True, by_text)
 
 
 # --- submissions -------------------------------------------------------------
@@ -673,14 +697,15 @@ def emit_oracle_submission(queries: list[Query], team: str) -> str:
 
 
 def parse_submission_xml(
-    text: str, expected: list[Query]
+    text: str, expected: list[Query], by_text: Mapping[str, NodeId] | None = None
 ) -> tuple[Submission, list[Diagnostic]]:
     """Match a submission document against the expected queries of its
     root's type; an id of another type is an unknown query id.  Malformed
     XML is fatal; per-item violations drop only that item with a
     diagnostic, and a repeated query id keeps its first element.  Queries
     with no usable answers are present but empty, save choice queries,
-    which have no empty answer: each one unanswered is warned of."""
+    which have no empty answer: each one unanswered is warned of.
+    `by_text` as for `parse_query_xml`."""
     root, kind = _load_root(text, "")
     team = root.get("team")
     _require(team is not None, "submission root must carry a team attribute")
@@ -688,7 +713,7 @@ def parse_submission_xml(
     by_id = {q.id: q for q in expected if type(q) is kind}
     diagnostics: list[Diagnostic] = []
     seen: set[str] = set()
-    decoded = _Decoder()
+    decoded = _Decoder(by_text)
 
     def warn(where: str, message: str) -> None:
         diagnostics.append(Diagnostic(WARNING, where, message))

@@ -911,3 +911,72 @@ def test_the_readme_names_each_flag_and_only_flags_the_commands_take():
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README.read_text(encoding="utf-8")))
     assert sorted(accepted - named) == []
     assert sorted(named - accepted) == ["--no-build-isolation"]  # pip's, in the install line
+
+
+# each command's required flags, with values argparse reads without a file
+REQUIRED = {
+    "validate-graph": [],
+    "gen-queries": ["--out", "o"],
+    "answer": ["--queries", "q", "--out", "o"],
+    "score": ["--keys", "k", "--submissions", "s", "--out", "o"],
+    "stats": [],
+}
+
+
+def full_parser_output(argv, capsys):
+    """The exit code, stdout and stderr of all five commands' parser on argv."""
+    try:
+        cli.build_parser().parse_args(argv)
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED))
+@pytest.mark.parametrize("tail", ["flag", "help", "flag after the required ones"])
+def test_one_commands_parser_reads_a_line_as_all_five_do(capsys, command, tail):
+    # main builds only the named command's parser; its usage and its errors
+    # are the full parser's, which names every command at the top level
+    argv = [command, *{
+        "flag": ["--no-such-flag"],
+        "help": ["--help"],
+        "flag after the required ones": [*graph_args(), *REQUIRED[command], "--no-such-flag"],
+    }[tail]]
+    code = main(argv)
+    captured = capsys.readouterr()
+    full_code, full_out, full_err = full_parser_output(argv, capsys)
+    assert (code, captured.out, captured.err) == (2 if full_code else 0, full_out, full_err)
+    assert (full_code == 0) is (tail == "help")
+    if tail == "flag after the required ones":
+        assert "{validate-graph,gen-queries,answer,score,stats}" in captured.err
+
+
+def test_an_unknown_command_is_told_every_command(capsys):
+    assert main(["no-such-command"]) == 2
+    err = capsys.readouterr().err
+    assert err == full_parser_output(["no-such-command"], capsys)[2]
+    assert "(choose from 'validate-graph', 'gen-queries', 'answer', 'score', 'stats')" in err
+
+
+def subparser_names(parser):
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sorted(commands.choices)
+
+
+@pytest.mark.parametrize("argv, built", [
+    ([], sorted(REQUIRED)),
+    (["-h"], sorted(REQUIRED)),
+    (["no-such-command"], sorted(REQUIRED)),
+    (["stats", *graph_args()], ["stats"]),
+    (["score", "-h"], ["score"]),
+    (None, ["stats"]),  # sys.argv[1:], which names stats
+])
+def test_main_builds_only_the_parser_of_the_command_named_first(monkeypatch, capsys, argv, built):
+    build, made = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda *a: made.append(build(*a)) or made[-1])
+    monkeypatch.setattr(sys, "argv", ["kgbench", "stats", *graph_args()])
+    main(argv)
+    assert [subparser_names(parser) for parser in made] == [built]
+    assert subparser_names(build()) == sorted(REQUIRED)  # the README test reads all five

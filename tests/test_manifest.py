@@ -2,15 +2,19 @@
 workload, with the oracle team, must write the files `tests/manifest.json`
 pins.  `python3 tools/manifest.py` rewrites the manifest; only a change that
 means to alter output does so, and names each changed file.  The same
-pipelines' keys must also be the oracle's, which holds without the manifest."""
+pipelines' keys must also be the oracle's, which holds without the manifest,
+and their `score` must parse no node text of the graph twice."""
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from kgbench import cli, protocol
 from kgbench.formats import parse_graph
+from kgbench.graph import NodeId, is_variable_name
 from kgbench.ontology import load_ontology
 from kgbench.protocol import parse_key_xml
 
@@ -57,3 +61,33 @@ def test_every_generated_key_is_the_oracles(pipelines):
             assert not wrong, f"{name}/{path.name}: keys unlike the oracle's: {wrong}"
             checked += len(queries)
         assert checked == w.count_a + w.count_b + w.count_c, name
+
+
+def test_score_parses_each_graph_node_once(pipelines, tmp_path, monkeypatch):
+    # the graph reader parses each node's text; the key and submission
+    # readers take a graph node's text from the graph's table, and decode
+    # only the texts that name no node: the fill patterns' variables
+    tool, out, _ = pipelines
+    ontology = load_ontology(tool.ONTOLOGY.read_text(encoding="utf-8"))
+    parse, decode = NodeId.parse, protocol.decode_node_ref
+    parsed, decoded = [], []
+    monkeypatch.setattr(NodeId, "parse", classmethod(lambda _, t: parsed.append(t) or parse(t)))
+    monkeypatch.setattr(protocol, "decode_node_ref", lambda t: decoded.append(t) or decode(t))
+    for name, w in tool.perfbench("world").WORKLOADS.items():
+        d = out / name
+        graph, _ = parse_graph((d / f"world.{w.fmt}").read_text(encoding="utf-8"), ontology, w.fmt)
+        keys_a = (d / "keys_a.xml").read_text(encoding="utf-8")
+        variables = {t for t in re.findall(r"<(?:Subject|Object)>([^<]*)<", keys_a)
+                     if is_variable_name(t.partition(":")[2])}
+        parsed.clear()
+        decoded.clear()
+        argv = [
+            "score", "--graph", str(d / f"world.{w.fmt}"), "--format", w.fmt,
+            "--ontology", str(tool.ONTOLOGY),
+            "--keys", *(str(d / f"keys_{t}.xml") for t in "abc"),
+            "--submissions", *(str(d / f"sub_{t}.xml") for t in "abc"),
+            "--out", str(tmp_path / name),
+        ]
+        assert cli.main(argv) == 0
+        assert (len(parsed), len(set(parsed))) == (graph.node_count,) * 2, name
+        assert sorted(decoded) == sorted(variables), name

@@ -1,4 +1,5 @@
 import copy
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import FrozenInstanceError, replace
 from itertools import combinations
@@ -586,7 +587,7 @@ def test_path_elements_decode_as_the_reference_does(children):
     outcomes = []
     for parse in (_parse_path_element, reference_parse_path_element):
         try:
-            outcomes.append(parse(el, _Decoder()))
+            outcomes.append(parse(el, _Decoder(None)))
         except Exception as exc:
             outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1]
@@ -1276,9 +1277,13 @@ def test_a_large_path_key_is_written_as_elementtree_writes_it(simpsons):
     assert emit_oracle_submission(queries, "oracle") == reference_emit_submission(sub)
 
 
+SIMPSONS_NODES = simpsons_graph().by_text
+
+
 def test_each_malformed_text_reports_every_time():
     # one valid and two malformed texts, each repeated: decoded once when
-    # valid, one diagnostic per occurrence when not
+    # valid, one diagnostic per occurrence when not, with or without a
+    # graph's node table, whose own nodes are then shared
     n = 3
     path = (
         '<Path><Source>Person:Superintendent Chalmers</Source><Edge>{}</Edge>'
@@ -1291,14 +1296,60 @@ def test_each_malformed_text_reports_every_time():
         + path.format("Relation:Friend_of", "Lenny") * n
         + "</Query></QC>"
     )
-    parsed, diagnostics = parse_submission_xml(text, [PATH_QUERY])
-    assert [d.message for d in diagnostics] == (
-        ["unparseable path dropped: expected 'Relation:...' text, got 'Friend_of'"] * n
-        + ["unparseable path dropped: node id without a category prefix: 'Lenny'"] * n
-    )
-    kept = parsed.answers["Q.C.1"]
-    assert len(kept) == n
-    assert len({id(node) for p in kept for node in p.nodes}) == 2  # shared NodeIds
+    for by_text in (None, SIMPSONS_NODES):
+        parsed, diagnostics = parse_submission_xml(text, [PATH_QUERY], by_text)
+        assert [d.message for d in diagnostics] == (
+            ["unparseable path dropped: expected 'Relation:...' text, got 'Friend_of'"] * n
+            + ["unparseable path dropped: node id without a category prefix: 'Lenny'"] * n
+        )
+        kept = parsed.answers["Q.C.1"]
+        assert len(kept) == n
+        assert len({id(node) for p in kept for node in p.nodes}) == 2  # shared NodeIds
+    assert all(node is SIMPSONS_NODES[node.canonical] for node in kept[0].nodes)
+
+
+NODE_ELEMENT = re.compile(r"<(Subject|Object|Source|Target|Node|Var|Answer)([^>]*)>([^<]*)</\1>")
+# besides a graph node's own text: a variable, a node no graph holds, and
+# malformed texts, each likely met more than once in a document
+OTHER_NODE_TEXTS = ["Person:Unknown_1", " Any : Unknown_2 ", "Person:Nobody", "Homer", ":Homer"]
+
+
+@st.composite
+def golden_documents_respelled(draw):
+    """A golden document's name, and its text with each node text kept,
+    spelled otherwise (`Person:  Homer`, ` Person:Homer `, `Person :Homer`)
+    or, when other texts are drawn for the document, replaced by one."""
+    name = draw(st.sampled_from(sorted(p.name for p in GOLDEN.glob("*.xml"))))
+    others = OTHER_NODE_TEXTS if draw(st.booleans()) else []
+
+    def respell(match):
+        tag, attrs, text = match.groups()
+        category, _, rest = text.partition(":")
+        spellings = [text, f"{category}:  {rest}", f" {category}:{rest} ", f"{category} :{rest}"]
+        return f"<{tag}{attrs}>{draw(st.sampled_from(spellings + others))}</{tag}>"
+
+    return name, NODE_ELEMENT.sub(respell, (GOLDEN / name).read_text(encoding="utf-8"))
+
+
+def read_golden(name, text, by_text):
+    """What the reader of a golden document's kind gives, or its error."""
+    kind, _, t = name.removesuffix(".xml").partition("_")
+    try:
+        if kind == "queries":
+            return parse_query_xml(text, by_text)
+        if kind == "keys":
+            return parse_key_xml(text, by_text)
+        expected, _ = parse_key_xml((GOLDEN / f"keys_{t}.xml").read_text(encoding="utf-8"))
+        return parse_submission_xml(text, expected, by_text)
+    except ProtocolError as exc:
+        return f"ProtocolError: {exc}"
+
+
+@given(golden_documents_respelled())
+def test_a_graphs_node_table_changes_no_reading(case):
+    # queries, keys, answers and each diagnostic, in order, or the error
+    name, text = case
+    assert read_golden(name, text, SIMPSONS_NODES) == read_golden(name, text, None)
 
 
 @pytest.mark.parametrize("t", "abc")
