@@ -37,17 +37,17 @@ One line writer, `_Writer`, writes every document, byte for byte as
 ElementTree's `indent` and `tostring` would: two spaces of indent per depth,
 attributes in the order given, `<Tag attrs />` for an element without
 children; text escapes &, < and >, and an attribute also '"', CR, LF and TAB.
-Each repeated line is rendered once per document, in memos the writer owns:
-a path is its Path line, its Source line by node, its middle steps' Edge and
-Node lines by (relation, node), its last Edge line by relation and its
-Target line by node, and then `</Path>`.
+A path's repeated lines are rendered once per document, in `functools.cache`
+memos the writer owns: a path is its Path line, its Source line by node, its
+middle steps' Edge and Node lines by (relation, node), its last Edge line by
+relation and its Target line by node, and then `</Path>`.
 Names XML 1.0 cannot carry are refused where they enter: graph files,
 ontologies, a query's id and labels, a `Submission`'s team and answers.
 So the writers check nothing; they are given only valid values.  ElementTree
 only reads, after expat has refused a DOCTYPE in the prolog.  Each read
-decodes every distinct relation text, and every distinct node text that
-names no node of the graph's table (`KnowledgeGraph.by_text`, when the
-caller passes it), once, in memos owned by that call; a graph node's text
+decodes every distinct relation text, and every distinct node text not in
+the graph's table (`KnowledgeGraph.by_text`, when the caller passes it),
+once, in `functools.cache` memos owned by that call; a graph node's text
 is looked up, never parsed.  Query and key files are read by one strict
 rule (`_children`), a submission's queries by one lenient filter.
 
@@ -66,6 +66,7 @@ import xml.etree.ElementTree as ET
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cache
+from types import MappingProxyType
 from typing import get_args
 from xml.parsers import expat
 
@@ -87,11 +88,13 @@ class Submission:
     (ChoiceQuery), or paths (PathQuery).  Valid once built: the constructor
     refuses, with ProtocolError, any other `kind`, a team `name_fault`
     faults, and, naming the query, what its file would not give back, in
-    the order the file is written: ids sorted, then each answer's `check`."""
+    the order the file is written: ids sorted, then each answer's `check`.
+    It stays valid: `answers` is kept as a read-only copy, each mapping a
+    `MappingProxyType` and each list a tuple."""
 
     kind: type
     team: str
-    answers: dict[str, FillAnswer | str | list[Path]] = field(default_factory=dict)
+    answers: Mapping[str, FillAnswer | str | list[Path]] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in get_args(Query):  # compared, not hashed: unhashable kinds too
@@ -104,6 +107,16 @@ class Submission:
                 raise ProtocolError(fault)
             if fault := check(self.answers[qid]):
                 raise ProtocolError(f"{qid}: {fault}")
+        object.__setattr__(self, "answers", _frozen(self.answers))
+
+
+def _frozen(value):
+    """`value` with each mapping in it a read-only copy and each list a tuple."""
+    if isinstance(value, list):
+        return tuple(map(_frozen, value))
+    if isinstance(value, Mapping):
+        return MappingProxyType({key: _frozen(item) for key, item in value.items()})
+    return value
 
 
 # --- text and element encodings -------------------------------------------
@@ -165,17 +178,15 @@ class _Writer:
     `<Tag attrs>text</Tag>` for a leaf and `<Tag attrs />` for an element
     that ends with no children.
 
-    Each line that repeats is rendered once, in memos the document owns and
-    that die with it: an attribute-less leaf's line by (depth, tag, text),
-    and the lines of a path by value (`_path_memos`), for the depth of its
-    Path element."""
+    The lines of a path are rendered once, in `functools.cache` memos the
+    document owns and that die with it: by value (`_path_memos`), for the
+    depth of its Path element."""
 
     def __init__(self, comment: str | None = None):
         self._lines = ['<?xml version="1.0" encoding="UTF-8"?>']
         if comment:
             self._lines.append(f"<!-- {comment} -->")
         self._open: list[tuple[str, int]] = []  # (tag, index of its start line)
-        self._leaves = cache(_leaf_line)
         self._path_lines = cache(_path_memos)
 
     def _head(self, tag: str, attrs: dict[str, str] | None) -> str:
@@ -196,10 +207,7 @@ class _Writer:
             self._lines.append(f"{'  ' * len(self._open)}</{tag}>")
 
     def leaf(self, tag: str, text: str, attrs: dict[str, str] | None = None) -> None:
-        if attrs:
-            self._lines.append(f"{self._head(tag, attrs)}>{_escape_text(text)}</{tag}>")
-        else:
-            self._lines.append(self._leaves(len(self._open), tag, text))
+        self._lines.append(f"{self._head(tag, attrs)}>{_escape_text(text)}</{tag}>")
 
     def path(self, path: Path, index: int) -> None:
         """A Path element, its child lines from the memos and its middle
@@ -242,34 +250,23 @@ def _path_memos(depth: int) -> tuple[Callable[..., str], ...]:
     )
 
 
-class _Memo(dict):
-    """text -> its decoded value, made by `make` at the text's first lookup
-    and then read in C.  A text `make` raises on is not kept, so each
-    occurrence of a malformed text reports."""
-
-    def __init__(self, make: Callable[[str], object]):
-        self.make = make
-
-    def __missing__(self, text: str):
-        value = self[text] = self.make(text)
-        return value
-
-
 class _Decoder:
     """The node and relation decoders of one document, which is untrusted
-    and so owns its memos: each distinct text is decoded once, and equal
-    texts decode to one shared value.  A text in `by_text`, a graph's node
-    table, is that graph's node, unparsed; any other node text is decoded
-    as without the table, with the same value or error.  The expected tags
-    of a path element are made once per child count."""
+    and so owns its memos, each a `functools.cache`: `node_ref` (a variable
+    allowed), `node` and `relation` decode each distinct text once, and
+    equal texts decode to one shared value; a text that raises is not kept,
+    so each occurrence reports.  A text in `by_text`, a graph's node table,
+    is that graph's node, unparsed; any other node text is decoded as
+    without the table, with the same value or error.  `path_tags` makes the
+    expected tags of a path element once per child count."""
 
     def __init__(self, by_text: Mapping[str, NodeId] | None):
         table = by_text or {}
         # the lambdas hold node_ref and the table, not self: a decoder is no
         # cycle; a table's NodeId, a pair, is true
-        self.node_ref = node_ref = _Memo(lambda text: table.get(text) or decode_node_ref(text))
-        self.node = _Memo(lambda text: _concrete(node_ref[text], text))
-        self.relation = _Memo(decode_relation)
+        self.node_ref = node_ref = cache(lambda text: table.get(text) or decode_node_ref(text))
+        self.node = cache(lambda text: _concrete(node_ref(text), text))
+        self.relation = cache(decode_relation)
         self.path_tags = cache(_path_tags)
 
 
@@ -293,8 +290,7 @@ def _parse_path_element(el: ET.Element, decoded: _Decoder) -> Path:
     if any(map(len, el)):
         raise ProtocolError(f"<{next(c.tag for c in el if len(c))}> holds an element")
     texts = [c.text or "" for c in el]
-    nodes, relations = decoded.node.__getitem__, decoded.relation.__getitem__
-    return Path(tuple(map(nodes, texts[::2])), tuple(map(relations, texts[1::2])))
+    return Path(tuple(map(decoded.node, texts[::2])), tuple(map(decoded.relation, texts[1::2])))
 
 
 # --- query and key files ----------------------------------------------------
@@ -412,16 +408,16 @@ class _FillCodec:
         needs = "Triple needs Subject/Pred/Object"
         for cel in found["Triple"]:
             parts, _ = _children(cel, ("Subject", "Pred", "Object"), (), needs)
-            subject = decoded.node_ref[parts["Subject"]]
-            relation = decoded.relation[parts["Pred"]]
-            triples.append(PatternTriple(subject, relation, decoded.node_ref[parts["Object"]]))
+            subject = decoded.node_ref(parts["Subject"])
+            relation = decoded.relation(parts["Pred"])
+            triples.append(PatternTriple(subject, relation, decoded.node_ref(parts["Object"])))
         bindings = []
         for cel in found.get("Binding", ()):
             pairs = []
             for vel in _children(cel, (), ("Var",))[1]["Var"]:
                 name = vel.get("name")
                 _require(bool(name), "Var without a name")
-                pairs.append((name, decoded.node[_text(vel)]))
+                pairs.append((name, decoded.node(_text(vel))))
             bindings.append(pairs)
         return FillQuery(qid, tuple(triples), tuple(bindings) if keyed else None)
 
@@ -456,7 +452,7 @@ class _FillCodec:
             declared.setdefault(var, []).append((order, ael.get("rank")))
             try:
                 conf = float(ael.get("confidence", "nan"))
-                node = decoded.node[_text(ael)]
+                node = decoded.node(_text(ael))
             except ValueError as exc:
                 warn(qid, f"unparseable answer dropped: {exc}")
                 continue
@@ -510,17 +506,17 @@ class _ChoiceCodec:
         correct = numbered.get("Correct", [])
         if keyed:
             _require(len(correct) == 1, "need exactly one Correct")
-        options = sorted((index, decoded.relation[text]) for index, text in numbered["Option"])
+        options = sorted((index, decoded.relation(text)) for index, text in numbered["Option"])
         _require(
             [i for i, _ in options] == list(range(1, len(options) + 1)),
             "option indices must be 1..n",
         )
-        subject, obj = decoded.node[parts["Subject"]], decoded.node[parts["Object"]]
+        subject, obj = decoded.node(parts["Subject"]), decoded.node(parts["Object"])
         labels = tuple(label for _, label in options)
         query = ChoiceQuery(qid, subject, obj, labels, correct[0][0] - 1 if keyed else None)
         for index, text in correct:
             _require(
-                decoded.relation[text] == query.correct,
+                decoded.relation(text) == query.correct,
                 f"Correct text {text!r} is not option {index}",
             )
         return query
@@ -539,7 +535,7 @@ class _ChoiceCodec:
             warn(query.id, f"expected exactly one Answer, got {len(answers)}; dropped")
             return None
         try:
-            return decoded.relation[_text(answers[0])]
+            return decoded.relation(_text(answers[0]))
         except ProtocolError as exc:
             warn(query.id, f"unparseable answer dropped: {exc}")
             return None
@@ -562,7 +558,7 @@ class _PathCodec:
     def read(self, qel: ET.Element, qid: str, keyed: bool, decoded: _Decoder) -> PathQuery:
         needs = "path query needs Source and Target"
         ends, found = _children(qel, ("Source", "Target"), ("Path",) if keyed else (), needs)
-        source, target = decoded.node[ends["Source"]], decoded.node[ends["Target"]]
+        source, target = decoded.node(ends["Source"]), decoded.node(ends["Target"])
         key = tuple(_parse_path_element(p, decoded) for p in found["Path"]) if keyed else None
         max_edges = _decimal(qel.get("max_edges"), "bad max_edges")
         return PathQuery(qid, source, target, max_edges, key)

@@ -769,8 +769,8 @@ def reference_parse_path_element(el: ET.Element, decoded: _Decoder) -> Path:
     for c in children:
         if len(c):
             raise ProtocolError(f"<{c.tag}> holds an element")
-    nodes = [decoded.node[c.text or ""] for c in children if c.tag != "Edge"]
-    relations = [decoded.relation[c.text or ""] for c in children if c.tag == "Edge"]
+    nodes = [decoded.node(c.text or "") for c in children if c.tag != "Edge"]
+    relations = [decoded.relation(c.text or "") for c in children if c.tag == "Edge"]
     return Path(tuple(nodes), tuple(relations))
 
 

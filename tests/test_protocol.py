@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import FrozenInstanceError, replace
 from itertools import combinations
 from pathlib import Path as FsPath
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given
@@ -618,7 +619,7 @@ def test_submission_a_confidence_range():
     )
     parsed, diags = parse_submission_xml(text, [SPOUSE_QUERY])
     assert any("confidence" in d.message for d in diags)
-    assert parsed.answers["Q.A.1"]["Unknown_1"] == [(person("Bart"), 0.5)]
+    assert parsed.answers["Q.A.1"]["Unknown_1"] == ((person("Bart"), 0.5),)
 
 
 # the range test alone refuses NaN and both infinities; a missing
@@ -638,7 +639,7 @@ def test_submission_a_non_finite_confidence_is_dropped(attribute, shown):
     )
     parsed, diags = parse_submission_xml(text, [SPOUSE_QUERY])
     assert [d.message for d in diags] == [f"confidence {shown} outside [0,1]; answer dropped"]
-    assert parsed.answers["Q.A.1"]["Unknown_1"] == [(person("Bart"), 0.5)]
+    assert parsed.answers["Q.A.1"]["Unknown_1"] == ((person("Bart"), 0.5),)
 
 
 def test_submission_a_answer_for_an_unknown_variable_is_dropped():
@@ -654,7 +655,7 @@ def test_submission_a_answer_for_an_unknown_variable_is_dropped():
         "answer for unknown variable 'Unknown_9'; dropped",
         "answer for unknown variable None; dropped",
     ]
-    assert parsed.answers == {"Q.A.1": {"Unknown_1": [(person("Homer"), 0.5)]}}
+    assert parsed.answers == {"Q.A.1": {"Unknown_1": ((person("Homer"), 0.5),)}}
 
 
 def test_submission_a_ties_break_by_document_order():
@@ -802,7 +803,7 @@ def test_submission_c_round_trip_and_checks():
     assert "<Target>Person:Lenny</Target>" in text
     parsed, diags = parse_submission_xml(text, [PATH_QUERY])
     assert not diags
-    assert parsed.answers["Q.C.1"] == [CHALMERS_PATH]
+    assert parsed.answers["Q.C.1"] == (CHALMERS_PATH,)
 
 
 def test_submission_c_bad_alternation():
@@ -813,7 +814,7 @@ def test_submission_c_bad_alternation():
         "<Target>Person:Lenny</Target></Path></Query></QC>"
     )
     parsed, diags = parse_submission_xml(text, [PATH_QUERY])
-    assert parsed.answers["Q.C.1"] == []
+    assert parsed.answers["Q.C.1"] == ()
     assert any("dropped" in d.message for d in diags)
 
 
@@ -821,7 +822,7 @@ def test_submission_c_endpoint_mismatch():
     wrong = Path((person("Homer"), person("Lenny")), ("Friend of",))
     text = emit_submission(Submission(PathQuery, "t", {"Q.C.1": [wrong]}))
     parsed, diags = parse_submission_xml(text, [PATH_QUERY])
-    assert parsed.answers["Q.C.1"] == []
+    assert parsed.answers["Q.C.1"] == ()
     assert any("endpoints" in d.message for d in diags)
 
 
@@ -1167,6 +1168,28 @@ def test_a_submission_names_what_its_file_cannot_give_back(kind, answers, messag
     with pytest.raises(ProtocolError) as exc:
         Submission(kind, "t", answers)
     assert str(exc.value) == message
+
+
+def test_a_submission_stays_valid_once_built():
+    # a change to the Submission's answers is refused and one to the caller's
+    # own is not seen; else a confidence of 7, unchecked, would be written
+    answers = {"Q.A.1": {"Unknown_1": [(person("Homer"), 0.9)]}}
+    sub = Submission(FillQuery, "t", answers)
+    paths = {"Q.C.1": [CHALMERS_PATH]}
+    path_sub = Submission(PathQuery, "t", MappingProxyType(paths))
+    texts = emit_submission(sub), emit_submission(path_sub)
+    with pytest.raises(TypeError):
+        sub.answers["Q.A.1"] = {"Unknown_1": [(person("Bart"), 7.0)]}
+    with pytest.raises(TypeError):
+        sub.answers["Q.A.1"]["Unknown_1"] = [(person("Bart"), 7.0)]
+    with pytest.raises(AttributeError):
+        sub.answers["Q.A.1"]["Unknown_1"].append((person("Bart"), 7.0))
+    with pytest.raises(AttributeError):
+        path_sub.answers["Q.C.1"].append(Path((person("a"), person("b")), ("Spouse_of",)))
+    answers["Q.A.1"]["Unknown_1"].append((person("Bart"), 7.0))
+    answers["Q.A.2"] = {"Unknown_1": []}
+    paths["Q.C.1"].append(Path((person("a"), person("b")), ("Spouse_of",)))
+    assert (emit_submission(sub), emit_submission(path_sub)) == texts
 
 
 def test_a_confidence_reads_back_as_the_same_float():

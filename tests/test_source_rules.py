@@ -151,3 +151,17 @@ type(q) is kind
 """
     found = query_type_tests({"m.py": ast.parse(source)})
     assert found == [f"m.py:{line}" for line in range(2, 9)]
+
+
+def test_no_dict_subclass():
+    # a memo is `functools.cache` (or `lru_cache` where it is bounded), one
+    # mechanism, not a dict with a `__missing__` beside it
+    dicts = {"dict", "OrderedDict", "defaultdict", "Counter"}
+    found = []
+    for name, tree in TREES.items():
+        for node in ast.walk(tree):
+            for base in node.bases if isinstance(node, ast.ClassDef) else ():
+                base = base.value if isinstance(base, ast.Subscript) else base  # dict[str, int]
+                if (getattr(base, "id", None) or getattr(base, "attr", None)) in dicts:
+                    found.append(f"{name}:{node.lineno}: {node.name}")
+    assert found == []
